@@ -74,7 +74,7 @@ class OrientedHyperplane:
         return acc
 
     def reversed_orientation(self) -> "OrientedHyperplane":
-        return OrientedHyperplane([-c for c in self.coeffs])
+        return OrientedHyperplane([-c for c in self.coeffs], self.field_d)
 
     def rightward(self) -> tuple["OrientedHyperplane", bool]:
         """Rightward presentation (cd = +1) and whether a flip was needed."""
@@ -490,14 +490,22 @@ def configuration_to_dict(C: Configuration) -> dict:
     return doc
 
 
+def _integer_entry(doc: dict, key: str, default=None) -> int:
+    value = doc.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"configuration {key!r} must be an integer, got {value!r}") from None
+
+
 def configuration_from_dict(doc: dict) -> Configuration:
     if not isinstance(doc, dict):
         raise DomainError("configuration document must be a JSON object")
     missing = {"dim", "points", "hyperplanes"} - set(doc)
     if missing:
         raise DomainError(f"configuration document missing keys {sorted(missing)}")
-    field_d = int(doc.get("sqrt", 1))
-    dim = int(doc["dim"])
+    field_d = _integer_entry(doc, "sqrt", 1)
+    dim = _integer_entry(doc, "dim")
     points = [[parse_scalar(x, field_d) for x in p] for p in doc["points"]]
     hyperplanes = [
         OrientedHyperplane([parse_scalar(c, field_d) for c in h], field_d)

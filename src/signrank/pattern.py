@@ -293,39 +293,15 @@ def is_equivalent(
     freq = Counter(prof_b)
     order = sorted(range(m), key=lambda i: (freq[prof_b[i]], prof_b[i], i))
 
-    def columns_matchable() -> bool:
-        # Kuhn's matching on live pairs; every B column needs a distinct A column
-        match_to = [-1] * n
-
-        def try_col(j, seen):
-            for c in range(n):
-                if comp[c][j] is not None and not seen[c]:
-                    seen[c] = True
-                    if match_to[c] == -1 or try_col(match_to[c], seen):
-                        match_to[c] = j
-                        return True
-            return False
-
-        for j in range(n):
-            if not try_col(j, [False] * n):
-                return False
-        return True
+    def column_matching():
+        # every B column j needs a distinct A column c with comp[c][j] live
+        live = [[comp[c][j] is not None for c in range(n)] for j in range(n)]
+        return _max_matching(live, n)
 
     def column_assignment():
-        match_to = [-1] * n
-
-        def try_col(j, seen):
-            for c in range(n):
-                if comp[c][j] is not None and not seen[c]:
-                    seen[c] = True
-                    if match_to[c] == -1 or try_col(match_to[c], seen):
-                        match_to[c] = j
-                        return True
-            return False
-
-        for j in range(n):
-            if not try_col(j, [False] * n):
-                return None
+        size, match_to = column_matching()
+        if size < n:
+            return None
         col_perm = [0] * n
         col_signs = [1] * n
         for c in range(n):
@@ -377,7 +353,7 @@ def is_equivalent(
                 # prune: every B column still matchable
                 if any(all(comp[c][j] is None for c in range(n)) for j in range(n)):
                     dead = True
-                if not dead and not columns_matchable():
+                if not dead and column_matching()[0] < n:
                     dead = True
                 if not dead:
                     used[k] = True
@@ -397,26 +373,35 @@ def is_equivalent(
     return EquivalenceWitness(tuple(sigma), col_perm, tuple(eps), col_signs)
 
 
-def term_rank(A: SignPattern) -> int:
-    """Maximum number of nonzero entries no two in a row or column, which
-    equals the maximum rank over the qualitative class (a standard fact of
-    the field, taken as given here).  Kuhn's augmenting-path matching."""
-    match_col = [-1] * A.n
+def _max_matching(allowed, n_right: int):
+    """Kuhn's augmenting-path maximum matching: left vertex u may take right
+    vertex v where ``allowed[u][v]`` is truthy, tried in increasing v.
+    Returns the matching size and ``match`` with match[v] the left vertex on
+    right vertex v, or -1.  A pattern's rows serve as ``allowed`` as they
+    are, so term_rank (run on every SNS candidate) builds nothing."""
+    match = [-1] * n_right
 
-    def augment(i, seen):
-        for j in range(A.n):
-            if A.entries[i][j] != 0 and not seen[j]:
-                seen[j] = True
-                if match_col[j] == -1 or augment(match_col[j], seen):
-                    match_col[j] = i
+    def augment(u, seen):
+        for v, ok in enumerate(allowed[u]):
+            if ok and not seen[v]:
+                seen[v] = True
+                if match[v] == -1 or augment(match[v], seen):
+                    match[v] = u
                     return True
         return False
 
     size = 0
-    for i in range(A.m):
-        if augment(i, [False] * A.n):
+    for u in range(len(allowed)):
+        if augment(u, [False] * n_right):
             size += 1
-    return size
+    return size, match
+
+
+def term_rank(A: SignPattern) -> int:
+    """Maximum number of nonzero entries no two in a row or column, which
+    equals the maximum rank over the qualitative class (a standard fact of
+    the field, taken as given here).  Kuhn's augmenting-path matching."""
+    return _max_matching(A.entries, A.n)[0]
 
 
 _SNS_CAP = 10
@@ -667,6 +652,8 @@ def mr_bounds(A: SignPattern, options: Optional[MrBoundsOptions] = None) -> MrBo
     test.  ``evidence`` is a tuple of (kind, value, description) records,
     kind in {"lower", "upper", "exact", "note"}, one per test that ran."""
     opts = options or MrBoundsOptions()
+    if opts.sns_cap < 0:
+        raise DomainError(f"sns_cap must be >= 0, got {opts.sns_cap}")
     if A.is_zero():
         return MrBounds(0, 0, (("exact", 0, "zero pattern"),))
 

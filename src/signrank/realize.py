@@ -358,19 +358,9 @@ def _exact_solve(M, rhs):
 # Numerical search
 
 
-def _dependent_arrays(C: SignPattern, r: int):
-    """CSR-style arrays for columns whose zeros are solvable (1 <= s <= r-1)."""
-    cols, ptr, rows = [], [0], []
-    for j, zr in enumerate(_zero_rows_by_column(C)):
-        if 1 <= len(zr) <= r - 1:
-            cols.append(j)
-            rows.extend(zr)
-            ptr.append(len(rows))
-    return (
-        np.array(cols, dtype=np.int64),
-        np.array(ptr, dtype=np.int64),
-        np.array(rows, dtype=np.int64),
-    )
+def _dependent_columns(C: SignPattern, r: int):
+    """(column, zero_rows) pairs for columns whose zeros are solvable (1 <= s <= r-1)."""
+    return [(j, list(zr)) for j, zr in enumerate(_zero_rows_by_column(C)) if 1 <= len(zr) < r]
 
 
 def _gauss_newton_zero_polish(U, V, S, zero_cells, var_index, max_iter=30):
@@ -459,11 +449,9 @@ def _restart(C: SignPattern, r: int, params: SearchParams, k: int):
         V[-1, :] = 1.0
         free_u[:, 0] = 0.0
         free_v[-1, :] = 0.0
-    dep_cols, dep_ptr, dep_rows = _dependent_arrays(C, r)
-    for idx in range(len(dep_cols)):
-        j = dep_cols[idx]
-        s = dep_ptr[idx + 1] - dep_ptr[idx]
-        free_v[:s, j] = 0.0
+    deps = _dependent_columns(C, r)
+    for j, rows in deps:
+        free_v[: len(rows), j] = 0.0
 
     zero_cols = [j for j, zr in enumerate(_zero_rows_by_column(C)) if zr]
     overfull = [j for j, zr in enumerate(_zero_rows_by_column(C)) if len(zr) > r - 1]
@@ -487,11 +475,11 @@ def _restart(C: SignPattern, r: int, params: SearchParams, k: int):
         U, V, pen = kernels.descent(
             U, V, S, margin_opt, 4.0,
             params.iters if attempt == 0 else max(500, params.iters // 10),
-            0.05, dep_cols, dep_ptr, dep_rows, free_u, free_v,
+            0.05, deps, free_u, free_v,
         )
         if zero_cells:
             U, V = _gauss_newton_zero_polish(U, V, S, zero_cells, var_index)
-        kernels.solve_dependent(U, V, dep_cols, dep_ptr, dep_rows)
+        kernels.solve_dependent(U, V, deps)
         if _check_signs(U @ V, C, params.margin, params.zero_tol):
             break
     else:
@@ -506,7 +494,7 @@ def _restart(C: SignPattern, r: int, params: SearchParams, k: int):
     except NumericalDegeneracy:
         return None
     Un, Vn = normalized.U.copy(), normalized.V.copy()
-    kernels.solve_dependent(Un, Vn, dep_cols, dep_ptr, dep_rows)
+    kernels.solve_dependent(Un, Vn, deps)
     B = Un @ Vn
     target = SignPattern(
         [

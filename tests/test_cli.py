@@ -59,6 +59,10 @@ class TestMr:
         assert code == 1  # bounds not tight without a realization search
         assert "mr in [3," in out
 
+    def test_negative_sns_cap(self, capsys, fxdir):
+        code, out, err = run(capsys, "mr", fxdir / "A0.pat", "--sns-cap", -1)
+        assert code == 2 and "sns_cap" in err
+
 
 class TestMr2:
     def test_yes(self, capsys, fxdir):
@@ -166,6 +170,24 @@ class TestGeometryCommands:
         code, out, err = run(capsys, "dual", cfg, "-o", tmp_path / "d.json")
         assert code == 2 and "translate" in err
 
+    def test_dual_sqrt5(self, capsys, tmp_path):
+        cfg = tmp_path / "q5.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "dim": 2,
+                    "sqrt": 5,
+                    "points": [[1, 1]],
+                    "hyperplanes": [[{"r": 0, "s": 1}, 1, 1]],
+                }
+            )
+        )
+        out_file = tmp_path / "dual.json"
+        code, out, _ = run(capsys, "dual", cfg, "-o", out_file)
+        assert code == 0
+        dual = load_configuration(out_file)
+        assert dual.field_d == 5 and dual.num_points == 1
+
     def test_render(self, capsys, fxdir, tmp_path):
         out_file = tmp_path / "a.svg"
         code, out, _ = run(capsys, "render", fxdir / "perles_config.json", "-o", out_file)
@@ -222,6 +244,13 @@ class TestErrorsAndSelfcheck:
         bad.write_text("{not json")
         code, out, err = run(capsys, "encode", bad)
         assert code == 2
+
+    def test_non_integer_dim(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"dim": "two", "points": [], "hyperplanes": []}))
+        code, out, err = run(capsys, "encode", bad)
+        assert code == 2
+        assert "dim" in err and "Traceback" not in err
 
     def test_selfcheck(self, capsys):
         code, out, _ = run(capsys, "selfcheck")

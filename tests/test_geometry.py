@@ -250,27 +250,39 @@ class TestDualize:
     def test_transpose_law(self):
         rng = np.random.default_rng(37)
         for _ in range(30):
-            C = random_origin_avoiding_config(rng)
-            result = dualize(C)
-            original = SignPattern(
-                [[side(p, h) for h in C.hyperplanes] for p in C.points]
-            )
-            dual_pattern = SignPattern(
-                [
-                    [side(p, h) for h in result.configuration.hyperplanes]
-                    for p in result.configuration.points
-                ]
-            )
-            flips = [
-                -1 if j in result.hyperplane_flips else 1 for j in range(original.n)
-            ]
-            adjusted = SignPattern(
-                [
-                    [flips[j] * original.entries[i][j] for j in range(original.n)]
-                    for i in range(original.m)
-                ]
-            )
-            assert dual_pattern == adjusted.transpose()
+            _assert_transpose_law(random_origin_avoiding_config(rng))
+
+    def test_transpose_law_sqrt5(self):
+        # the flipped hyperplane sqrt5 + x + y keeps its Q(sqrt5) context
+        root5 = QuadElem(0, 1, 5)
+        C = Configuration(
+            2,
+            [(1, 1), (0, root5), (-2, 1)],
+            [[root5, 1, 1], [-1, root5, 1], [-root5, 0, 1]],
+            5,
+        )
+        assert dualize(C).hyperplane_flips == (0,)
+        _assert_transpose_law(C)
+
+
+def _assert_transpose_law(C):
+    """The dual encodes to the transposed pattern with flipped columns negated."""
+    result = dualize(C)
+    original = SignPattern([[side(p, h) for h in C.hyperplanes] for p in C.points])
+    dual_pattern = SignPattern(
+        [
+            [side(p, h) for h in result.configuration.hyperplanes]
+            for p in result.configuration.points
+        ]
+    )
+    flips = [-1 if j in result.hyperplane_flips else 1 for j in range(original.n)]
+    adjusted = SignPattern(
+        [
+            [flips[j] * original.entries[i][j] for j in range(original.n)]
+            for i in range(original.m)
+        ]
+    )
+    assert dual_pattern == adjusted.transpose()
 
 
 def _parallel_mr2_config():

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from signrank import kernels
 
@@ -17,23 +16,12 @@ def _instance(seed, m=6, n=7, r=3, zero_prob=0.25):
 
 
 def _dependent_for(S, r):
-    cols, ptr, rows = [], [0], []
+    deps = []
     for j in range(S.shape[1]):
         zr = [i for i in range(S.shape[0]) if S[i, j] == 0]
         if 1 <= len(zr) <= r - 1:
-            cols.append(j)
-            rows.extend(zr)
-            ptr.append(len(rows))
-    return (
-        np.array(cols, dtype=np.int64),
-        np.array(ptr, dtype=np.int64),
-        np.array(rows, dtype=np.int64),
-    )
-
-
-needs_numba = pytest.mark.skipif(
-    kernels.penalty_grad_numba is None, reason="numba backend unavailable"
-)
+            deps.append((j, zr))
+    return deps
 
 
 class TestPenaltyGrad:
@@ -41,14 +29,14 @@ class TestPenaltyGrad:
         U = np.array([[1.0, 1.0]])
         V = np.array([[1.0, -1.0], [1.0, 1.0]])
         S = np.array([[1, 0]], dtype=np.int8)
-        pen, gU, gV = kernels.penalty_grad_numpy(U, V, S, 1e-2, 4.0)
+        pen, gU, gV = kernels.penalty_grad(U, V, S, 1e-2, 4.0)
         assert pen == 0.0
         assert not gU.any() and not gV.any()
 
     def test_gradients_match_central_differences(self):
         for seed in range(6):
             U, V, S = _instance(seed)
-            pen, gU, gV = kernels.penalty_grad_numpy(U, V, S, 0.3, 4.0)
+            pen, gU, gV = kernels.penalty_grad(U, V, S, 0.3, 4.0)
             h = 1e-6
             for arr, grad in ((U, gU), (V, gV)):
                 it = np.nditer(arr, flags=["multi_index"])
@@ -56,62 +44,41 @@ class TestPenaltyGrad:
                     idx = it.multi_index
                     orig = arr[idx]
                     arr[idx] = orig + h
-                    up = kernels.penalty_grad_numpy(U, V, S, 0.3, 4.0)[0]
+                    up = kernels.penalty_grad(U, V, S, 0.3, 4.0)[0]
                     arr[idx] = orig - h
-                    down = kernels.penalty_grad_numpy(U, V, S, 0.3, 4.0)[0]
+                    down = kernels.penalty_grad(U, V, S, 0.3, 4.0)[0]
                     arr[idx] = orig
                     fd = (up - down) / (2 * h)
                     assert abs(fd - grad[idx]) <= 1e-5 * max(1.0, abs(grad[idx]))
-
-    @needs_numba
-    def test_backends_agree(self):
-        for seed in range(10):
-            U, V, S = _instance(seed)
-            p1, gU1, gV1 = kernels.penalty_grad_numpy(U, V, S, 1e-2, 4.0)
-            p2, gU2, gV2 = kernels.penalty_grad_numba(U, V, S, 1e-2, 4.0)
-            assert abs(p1 - p2) <= 1e-12 * max(1.0, abs(p1))
-            assert np.allclose(gU1, gU2, atol=1e-12)
-            assert np.allclose(gV1, gV2, atol=1e-12)
 
 
 class TestSolveDependent:
     def test_zeros_become_exact(self):
         U, V, S = _instance(3, zero_prob=0.3)
-        dep = _dependent_for(S, 3)
-        kernels.solve_dependent_numpy(U, V, *dep)
+        deps = _dependent_for(S, 3)
+        assert deps
+        kernels.solve_dependent(U, V, deps)
         B = U @ V
-        for idx, j in enumerate(dep[0]):
-            for i in dep[2][dep[1][idx] : dep[1][idx + 1]]:
+        for j, rows in deps:
+            for i in rows:
                 assert abs(B[i, j]) < 1e-12
-
-    @needs_numba
-    def test_backends_agree(self):
-        for seed in range(10):
-            U, V, S = _instance(seed, zero_prob=0.3)
-            dep = _dependent_for(S, 3)
-            V1, V2 = V.copy(), V.copy()
-            kernels.solve_dependent_numpy(U, V1, *dep)
-            kernels.solve_dependent_numba(U, V2, *dep)
-            assert np.allclose(V1, V2, atol=1e-9)
 
 
 class TestDescent:
     def test_penalty_decreases(self):
         U, V, S = _instance(7)
-        dep = kernels.empty_dependent()
         free_u, free_v = np.ones_like(U), np.ones_like(V)
-        p0 = kernels.penalty_grad_numpy(U, V, S, 1e-2, 4.0)[0]
-        _, _, p1 = kernels.descent_numpy(
-            U.copy(), V.copy(), S, 1e-2, 4.0, 500, 0.05, *dep, free_u, free_v
+        p0 = kernels.penalty_grad(U, V, S, 1e-2, 4.0)[0]
+        _, _, p1 = kernels.descent(
+            U.copy(), V.copy(), S, 1e-2, 4.0, 500, 0.05, [], free_u, free_v
         )
         assert p1 <= p0
 
     def test_deterministic(self):
         U, V, S = _instance(8)
-        dep = kernels.empty_dependent()
         free_u, free_v = np.ones_like(U), np.ones_like(V)
         run = lambda: kernels.descent(
-            U.copy(), V.copy(), S, 1e-2, 4.0, 300, 0.05, *dep, free_u, free_v
+            U.copy(), V.copy(), S, 1e-2, 4.0, 300, 0.05, [], free_u, free_v
         )
         U1, V1, p1 = run()
         U2, V2, p2 = run()
@@ -124,9 +91,8 @@ class TestDescent:
         free_u, free_v = np.ones_like(U), np.ones_like(V)
         free_u[:, 0] = 0.0
         free_v[-1, :] = 0.0
-        dep = kernels.empty_dependent()
         U2, V2, _ = kernels.descent(
-            U.copy(), V.copy(), S, 1e-2, 4.0, 200, 0.05, *dep, free_u, free_v
+            U.copy(), V.copy(), S, 1e-2, 4.0, 200, 0.05, [], free_u, free_v
         )
         assert np.all(U2[:, 0] == 1.0)
         assert np.all(V2[-1, :] == 1.0)
