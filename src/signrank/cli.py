@@ -101,6 +101,7 @@ def _cmd_mr(args) -> int:
         try_rank=args.try_rank,
         seed=args.seed,
         restarts=args.restarts,
+        iters=args.iters,
         threads=args.threads,
     )
     bounds = mr_bounds(A, opts)
@@ -331,6 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--try-rank", type=int, default=None, help="also search a realization at this rank")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=64)
+    p.add_argument("--iters", type=int, default=5000)
     p.set_defaults(func=_cmd_mr)
 
     p = sub.add_parser("mr2", parents=[common], help="exact minimum-rank-2 decision")

@@ -493,9 +493,20 @@ def configuration_to_dict(C: Configuration) -> dict:
 def _integer_entry(doc: dict, key: str, default=None) -> int:
     value = doc.get(key, default)
     try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise DomainError(f"configuration {key!r} must be an integer, got {value!r}") from None
+        iv = int(value)
+    except (TypeError, ValueError, OverflowError):
+        iv = None
+    # int() truncates 2.5 and accepts True; neither is an integer entry
+    if iv is None or isinstance(value, bool) or (isinstance(value, float) and value != iv):
+        raise DomainError(f"configuration {key!r} must be an integer, got {value!r}")
+    return iv
+
+
+def _list_entry(doc: dict, key: str) -> list:
+    value = doc[key]
+    if not isinstance(value, list) or not all(isinstance(item, list) for item in value):
+        raise DomainError(f"configuration {key!r} must be a list of coordinate lists, got {value!r}")
+    return value
 
 
 def configuration_from_dict(doc: dict) -> Configuration:
@@ -506,10 +517,10 @@ def configuration_from_dict(doc: dict) -> Configuration:
         raise DomainError(f"configuration document missing keys {sorted(missing)}")
     field_d = _integer_entry(doc, "sqrt", 1)
     dim = _integer_entry(doc, "dim")
-    points = [[parse_scalar(x, field_d) for x in p] for p in doc["points"]]
+    points = [[parse_scalar(x, field_d) for x in p] for p in _list_entry(doc, "points")]
     hyperplanes = [
         OrientedHyperplane([parse_scalar(c, field_d) for c in h], field_d)
-        for h in doc["hyperplanes"]
+        for h in _list_entry(doc, "hyperplanes")
     ]
     return Configuration(dim, points, hyperplanes, field_d)
 

@@ -11,6 +11,7 @@ knows how to compute.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -451,22 +452,91 @@ def is_sns(A: SignPattern, cap: int = _SNS_CAP) -> bool:
     return walk(0, 1) and found_sign != 0
 
 
+# Elements in the largest per-chunk temporary of the SNS scan (2 MB as intp)
+_SCAN_BUDGET = 1 << 18
+# permutation tables kept between calls: k <= 8 is at most 40320 x 8 bytes;
+# the 36 MB 10! x 10 table of the largest size is rebuilt on each scan instead
+_CACHED_PERMUTATIONS = 8
+_PERMUTATIONS: dict = {}
+
+
+def _permutation_table(k: int):
+    """All k! permutations of range(k) in lexicographic order as int8 rows,
+    and their signs (+1 even, -1 odd) as int8."""
+    table = _PERMUTATIONS.get(k)
+    if table is None:
+        import numpy as np
+
+        flat = itertools.chain.from_iterable(itertools.permutations(range(k)))
+        perms = np.fromiter(flat, dtype=np.int8, count=math.factorial(k) * k).reshape(-1, k)
+        odd = np.zeros(len(perms), dtype=bool)
+        for a, b in itertools.combinations(range(k), 2):
+            odd ^= perms[:, a] > perms[:, b]
+        table = (perms, np.where(odd, np.int8(-1), np.int8(1)))
+        if k <= _CACHED_PERMUTATIONS:
+            _PERMUTATIONS[k] = table
+    return table
+
+
+def _first_sns(E, m: int, n: int, k: int):
+    """First k x k SNS submatrix of the int8 array E in lexicographic
+    (rows, cols) order, as (rows, cols) tuples, or None.
+
+    Each candidate's k x k submatrix is gathered once; its determinant
+    terms are the products of that submatrix along every permutation, one
+    factor per row.  A candidate is SNS when it has a nonzero term and its
+    terms are not of both signs.  Row combinations (drawn lazily), column
+    combinations and permutations are taken in chunks so that no per-chunk
+    temporary exceeds ``_SCAN_BUDGET`` elements; a chunk spans several row
+    combinations only when it holds every column combination, so the first
+    hit of a chunk is the first hit overall.
+    """
+    import numpy as np
+
+    perms, parity = _permutation_table(k)
+    cols = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp).reshape(-1, k)
+    p_step = min(len(perms), _SCAN_BUDGET)
+    c_step = max(1, min(len(cols), _SCAN_BUDGET // (p_step + k * k)))
+    r_step = max(1, _SCAN_BUDGET // ((p_step + k * k) * len(cols))) if c_step == len(cols) else 1
+    row_iter = itertools.combinations(range(m), k)
+    while True:
+        rows = np.array(list(itertools.islice(row_iter, r_step)), dtype=np.intp).reshape(-1, k)
+        if not len(rows):
+            return None
+        for c0 in range(0, len(cols), c_step):
+            block = cols[c0:c0 + c_step]
+            sub = E[rows[:, None, :, None], block[None, :, None, :]]
+            pos = np.zeros((len(rows), len(block)), dtype=bool)
+            neg = np.zeros_like(pos)
+            for p0 in range(0, len(perms), p_step):
+                chunk = perms[p0:p0 + p_step]
+                terms = parity[p0:p0 + p_step] * sub[:, :, 0, chunk[:, 0]]
+                for i in range(1, k):
+                    terms *= sub[:, :, i, chunk[:, i]]
+                pos |= (terms > 0).any(axis=-1)
+                neg |= (terms < 0).any(axis=-1)
+            hits = np.flatnonzero(pos != neg)
+            if hits.size:
+                r, c = divmod(int(hits[0]), len(block))
+                return tuple(int(i) for i in rows[r]), tuple(int(j) for j in block[c])
+
+
 def max_sns_submatrix(A: SignPattern, cap: int = 4):
     """Largest k <= cap with a k x k sign-nonsingular submatrix, plus one
-    witness (rows, cols).  Exponential in cap; intended for cap <= 8.
-    Returns (0, (), ()) for the zero pattern."""
-    best = (0, (), ())
+    witness (rows, cols): the first SNS k x k submatrix in lexicographic
+    (rows, cols) order.  Each size is one numpy scan over every candidate's
+    determinant terms, chunked to a bounded working set; the cost still
+    grows as C(m, k) C(n, k) k! k, and sizes above the ``is_sns`` cap of
+    10 raise ResourceExhausted.  Returns (0, (), ()) for the zero pattern."""
     upper = min(cap, A.m, A.n, term_rank(A))
+    if upper > _SNS_CAP:
+        raise ResourceExhausted(f"SNS scan capped at k <= {_SNS_CAP}, got {upper}")
+    E = A.to_array()
     for k in range(upper, 0, -1):
-        for rows in itertools.combinations(range(A.m), k):
-            for cols in itertools.combinations(range(A.n), k):
-                sub = A.submatrix(rows, cols)
-                if term_rank(sub) < k:
-                    continue
-                if is_sns(sub):
-                    return (k, rows, cols)
-        # nothing at size k; continue downward
-    return best
+        found = _first_sns(E, A.m, A.n, k)
+        if found is not None:
+            return (k, *found)
+    return (0, (), ())
 
 
 def is_mr1(A: SignPattern) -> bool:
@@ -485,17 +555,15 @@ class Mr2Result:
         return self.value
 
 
-_MR2_COLUMN_LIMIT = 24
-
-
-def is_mr2(A: SignPattern, column_limit: int = _MR2_COLUMN_LIMIT) -> Mr2Result:
+def is_mr2(A: SignPattern) -> Mr2Result:
     """Decide whether the minimum rank is exactly 2.
 
     The condensed pattern must (i) have at least two rows and columns,
     (ii) carry at most one zero per row and per column, and (iii) admit
     signatures and permutations making every row and column nondecreasing
-    (- entries before 0 before +).  Condition (iii) is searched by
-    backtracking over row/column signatures with incremental acyclicity
+    (- entries before 0 before +).  For (iii) the column signature is read
+    off row 0 (one candidate, see ``_row_pinned_signature``); the row
+    signature is searched by backtracking with incremental acyclicity
     checks on the two precedence digraphs the signing induces.
 
     On success the witness transforms the condensed pattern into the
@@ -503,10 +571,6 @@ def is_mr2(A: SignPattern, column_limit: int = _MR2_COLUMN_LIMIT) -> Mr2Result:
     """
     report = condense(A)
     C = report.condensed
-    if C.n > column_limit:
-        raise ResourceExhausted(
-            f"mr2 recognition limited to {column_limit} condensed columns, got {C.n}"
-        )
     if C.m < 2 or C.n < 2:
         return Mr2Result(False, None, report)
     for i in range(C.m):
@@ -515,7 +579,7 @@ def is_mr2(A: SignPattern, column_limit: int = _MR2_COLUMN_LIMIT) -> Mr2Result:
     for j in range(C.n):
         if C.col(j).count(0) > 1:
             return Mr2Result(False, None, report)
-    arrangement = _monotone_arrangement(C, allow_signs=True)
+    arrangement = _monotone_arrangement(C)
     if arrangement is None:
         return Mr2Result(False, None, report)
     return Mr2Result(True, arrangement, report)
@@ -544,16 +608,39 @@ def _acyclic_order(edges, size):
     return order if len(order) == size else None
 
 
-def _monotone_arrangement(C: SignPattern, allow_signs: bool, identity_only: bool = False):
+def _row_pinned_signature(C: SignPattern) -> tuple:
+    """The one column signature a monotone arrangement of C needs to try.
+
+    A monotone signing exists exactly when a rank-2 realization does.
+    Take one: row i a line at angle psi_i, column j a direction at angle
+    theta_j.  Cut the projective circle at row 0's line and move every
+    angle into [psi_0, psi_0 + pi) by signing its line; then each sign is
+    sign(theta_j - psi_i), nondecreasing once rows and columns are sorted,
+    and row 0 is all + but for a zero where theta_j = psi_0.  So if any
+    signing is monotone, one with c_j = C[0][j] is.  The column of a zero
+    in row 0 may take either sign: cutting just past psi_0 instead sends
+    row 0 and that column to the far end, flipping both and no other line.
+    It gets +, and the signature is normalized to c[0] = + (the global flip
+    of all row and column signs is invisible).
+    """
+    c = tuple(v or 1 for v in C.entries[0])
+    return c if c[0] > 0 else tuple(-v for v in c)
+
+
+def _monotone_arrangement(C: SignPattern, identity_only: bool = False):
     """Search signatures + permutations making all rows/columns nondecreasing.
 
     Returns an EquivalenceWitness (applying it to C yields the arranged
-    pattern) or None.  With identity_only, only permutations are tried.
+    pattern) or None.  The column signature is pinned by row 0
+    (``_row_pinned_signature``) and the row signs are searched by
+    backtracking.  With identity_only, only permutations are tried.
     """
     m, n = C.m, C.n
     E = C.entries
+    c = (1,) * n if identity_only else _row_pinned_signature(C)
+    d = [1] * m
 
-    def col_edges_for_row(i, d_i, c):
+    def col_edges_for_row(i, d_i):
         edges = []
         for j in range(n):
             vj = d_i * c[j] * E[i][j]
@@ -565,7 +652,7 @@ def _monotone_arrangement(C: SignPattern, allow_signs: bool, identity_only: bool
                     edges.append((k, j))
         return edges
 
-    def row_edges(d, c):
+    def row_edges():
         edges = []
         for j in range(n):
             for i in range(m):
@@ -578,56 +665,37 @@ def _monotone_arrangement(C: SignPattern, allow_signs: bool, identity_only: bool
                         edges.append((k, i))
         return edges
 
-    def has_cycle(edges):
-        return _acyclic_order(edges, n) is None
+    # backtrack over row signs with incremental column-digraph pruning
+    col_edges = []
 
-    def try_signing(c):
-        # backtrack over row signs with incremental column-digraph pruning
-        col_edge_stack = []
-
-        def rec(i):
-            if i == m:
-                r_edges = row_edges(d, c)
-                row_order = _acyclic_order(r_edges, m)
-                if row_order is None:
-                    return False
-                col_order = _acyclic_order([e for lst in col_edge_stack for e in lst], n)
-                if col_order is None:
-                    return False
-                result.append((tuple(d), tuple(c), tuple(row_order), tuple(col_order)))
-                return True
-            for d_i in ((1,) if identity_only else (1, -1)):
-                d[i] = d_i
-                new_edges = col_edges_for_row(i, d_i, c)
-                col_edge_stack.append(new_edges)
-                if not has_cycle([e for lst in col_edge_stack for e in lst]):
-                    if rec(i + 1):
-                        return True
-                col_edge_stack.pop()
-            return False
-
-        d = [1] * m
-        result = []
-        if rec(0):
-            return result[0]
+    def rec(i):
+        if i == m:
+            row_order = _acyclic_order(row_edges(), m)
+            if row_order is None:
+                return None
+            col_order = _acyclic_order(col_edges, n)
+            return None if col_order is None else (tuple(row_order), tuple(col_order))
+        for d_i in ((1,) if identity_only else (1, -1)):
+            d[i] = d_i
+            mark = len(col_edges)
+            col_edges.extend(col_edges_for_row(i, d_i))
+            if _acyclic_order(col_edges, n) is not None:
+                orders = rec(i + 1)
+                if orders is not None:
+                    return orders
+            del col_edges[mark:]
         return None
 
-    if identity_only or not allow_signs:
-        sign_space = iter([(1,) * n])
-    else:
-        # global flip of all row and column signs is invisible: pin c[0] = +
-        sign_space = ((1,) + rest for rest in itertools.product((1, -1), repeat=n - 1))
-    for c in sign_space:
-        found = try_signing(c)
-        if found is not None:
-            d, c_signs, row_order, col_order = found
-            return EquivalenceWitness(
-                row_perm=row_order,
-                col_perm=col_order,
-                row_signs=tuple(d[i] for i in row_order),
-                col_signs=tuple(c_signs[j] for j in col_order),
-            )
-    return None
+    orders = rec(0)
+    if orders is None:
+        return None
+    row_order, col_order = orders
+    return EquivalenceWitness(
+        row_perm=row_order,
+        col_perm=col_order,
+        row_signs=tuple(d[i] for i in row_order),
+        col_signs=tuple(c[j] for j in col_order),
+    )
 
 
 @dataclass

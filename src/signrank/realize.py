@@ -519,6 +519,10 @@ def search_realization(
     always inconclusive (it never certifies that no realization exists).
     """
     params = params or SearchParams()
+    if params.restarts < 0 or params.iters < 0:
+        raise DomainError(
+            f"restarts and iters must be >= 0, got {params.restarts} and {params.iters}"
+        )
     C = condense(A).condensed
     if r < 1:
         raise DomainError(f"rank must be >= 1, got {r}")
@@ -836,7 +840,7 @@ def has_direct_representation(
     if r == 2:
         if not is_mr2(A).value:
             return DirectRepresentation("no", None)
-        witness = _monotone_arrangement(C, allow_signs=False, identity_only=True)
+        witness = _monotone_arrangement(C, identity_only=True)
         if witness is None:
             return DirectRepresentation("no", None)
         return DirectRepresentation("yes", _realization_from_arrangement(C, witness))

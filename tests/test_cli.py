@@ -54,6 +54,17 @@ class TestMr:
         assert doc["lower"] == 2 and doc["upper"] == 2
         assert code == 0
 
+    def test_iters_reaches_search(self, capsys, fxdir, monkeypatch):
+        import signrank.realize
+
+        seen = []
+        monkeypatch.setattr(
+            signrank.realize, "search_realization", lambda C, r, params: seen.append(params)
+        )
+        code, out, _ = run(capsys, "mr", fxdir / "A0.pat", "--try-rank", 2, "--iters", 7)
+        assert code == 1
+        assert [p.iters for p in seen] == [7]
+
     def test_inconclusive_exit(self, capsys, fxdir):
         code, out, _ = run(capsys, "mr", fxdir / "A0.pat")
         assert code == 1  # bounds not tight without a realization search
@@ -251,6 +262,27 @@ class TestErrorsAndSelfcheck:
         code, out, err = run(capsys, "encode", bad)
         assert code == 2
         assert "dim" in err and "Traceback" not in err
+
+    def test_non_list_points(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"dim": 2, "points": 3, "hyperplanes": []}))
+        code, out, err = run(capsys, "encode", bad)
+        assert code == 2
+        assert "points" in err and "Traceback" not in err
+
+    def test_fractional_dim(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"dim": 2.5, "points": [], "hyperplanes": []}))
+        code, out, err = run(capsys, "encode", bad)
+        assert code == 2
+        assert "dim" in err and "2.5" in err
+
+    def test_negative_restarts(self, capsys, tmp_path):
+        pat = tmp_path / "p.pat"
+        pat.write_text("++\n")
+        code, out, err = run(capsys, "realize", pat, "--rank", 2, "--restarts", -1)
+        assert code == 2
+        assert "restarts" in err
 
     def test_selfcheck(self, capsys):
         code, out, _ = run(capsys, "selfcheck")

@@ -1,3 +1,6 @@
+import itertools
+from graphlib import CycleError, TopologicalSorter
+
 import numpy as np
 import pytest
 
@@ -59,6 +62,70 @@ def _replay_log(P: SignPattern, report):
         else:
             cols.remove(event.index)
     return P.submatrix(rows, cols)
+
+
+def _per_candidate_max_sns(A: SignPattern, cap: int):
+    """The former max_sns_submatrix: every k x k candidate in lexicographic
+    (rows, cols) order, skipped on deficient term rank, else tested with
+    is_sns."""
+    upper = min(cap, A.m, A.n, term_rank(A))
+    for k in range(upper, 0, -1):
+        for rows in itertools.combinations(range(A.m), k):
+            for cols in itertools.combinations(range(A.n), k):
+                sub = A.submatrix(rows, cols)
+                if term_rank(sub) < k:
+                    continue
+                if is_sns(sub):
+                    return (k, rows, cols)
+    return (0, (), ())
+
+
+def _orderable(lines) -> bool:
+    """Is there one order of the positions making every line nondecreasing?
+    True iff the precedence digraph of all lines is acyclic."""
+    graph = {p: set() for p in range(len(lines[0]))}
+    for line in lines:
+        for a, b in itertools.permutations(range(len(line)), 2):
+            if line[a] < line[b]:
+                graph[b].add(a)
+    try:
+        tuple(TopologicalSorter(graph).static_order())
+    except CycleError:
+        return False
+    return True
+
+
+def _exhaustive_mr2(P: SignPattern) -> bool:
+    """The former mr2 decision: every column signature with c[0] = + (the
+    global flip is invisible), then row signs by backtracking, pruned when
+    the signed rows admit no common column order."""
+    C = condense(P).condensed
+    m, n, E = C.m, C.n, C.entries
+    if m < 2 or n < 2:
+        return False
+    if any(row.count(0) > 1 for row in E) or any(col.count(0) > 1 for col in zip(*E)):
+        return False
+
+    def extend(c, rows):
+        if len(rows) == m:
+            return _orderable(list(zip(*rows)))
+        i = len(rows)
+        for d in (1, -1):
+            signed = rows + [tuple(d * c[j] * E[i][j] for j in range(n))]
+            if _orderable(signed) and extend(c, signed):
+                return True
+        return False
+
+    return any(
+        extend((1,) + tail, []) for tail in itertools.product((1, -1), repeat=n - 1)
+    )
+
+
+def _assert_nondecreasing(arranged: SignPattern):
+    for row in arranged.entries:
+        assert list(row) == sorted(row)
+    for col in zip(*arranged.entries):
+        assert list(col) == sorted(col)
 
 
 class TestCondense:
@@ -216,6 +283,24 @@ class TestMaxSns:
             if size:
                 assert is_sns(P.submatrix(rows, cols))
 
+    def test_matches_per_candidate_loop(self):
+        rng = np.random.default_rng(33)
+        for _ in range(300):
+            m, n = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+            density = float(rng.uniform(0.2, 1.0))
+            P = random_pattern(rng, m, n, 1.0 - density)
+            cap = int(rng.integers(0, 7))
+            found = max_sns_submatrix(P, cap)
+            assert found == _per_candidate_max_sns(P, cap)
+            size, rows, cols = found
+            if size:
+                assert permutation_sns(P.submatrix(rows, cols))
+
+    def test_scan_cap(self):
+        big = SignPattern([["+" if i == j else "0" for j in range(11)] for i in range(11)])
+        with pytest.raises(ResourceExhausted):
+            max_sns_submatrix(big, cap=11)
+
 
 class TestMr1Mr2:
     def test_single_plus(self):
@@ -237,13 +322,7 @@ class TestMr1Mr2:
 
     def test_witness_is_nondecreasing_arrangement(self):
         result = is_mr2(A1_PATTERN)
-        arranged = result.witness.apply(result.condensation.condensed)
-        for i in range(arranged.m):
-            row = arranged.row(i)
-            assert list(row) == sorted(row)
-        for j in range(arranged.n):
-            col = arranged.col(j)
-            assert list(col) == sorted(col)
+        _assert_nondecreasing(result.witness.apply(result.condensation.condensed))
 
     def test_mr1_mr2_mutually_exclusive(self):
         rng = np.random.default_rng(8)
@@ -251,13 +330,45 @@ class TestMr1Mr2:
             P = random_pattern(rng, int(rng.integers(1, 6)), int(rng.integers(1, 6)), 0.3)
             assert not (is_mr1(P) and is_mr2(P).value)
 
-    def test_column_limit(self):
-        # 25 pairwise distinct, non-opposite sign columns survive condensation
-        cols = [[1 if (j >> bit) & 1 else -1 for bit in range(6)] for j in range(25)]
-        wide = SignPattern(list(zip(*cols)))
-        assert condense(wide).condensed.n == 25
-        with pytest.raises(ResourceExhausted):
-            is_mr2(wide)
+    def test_decides_past_former_column_limit(self):
+        # a 30 x 30 staircase sign(i - j - 1/2), signed and permuted: mr 2
+        rng = np.random.default_rng(5)
+        stair = np.sign(np.subtract.outer(np.arange(30), np.arange(30) + 0.5)).astype(int)
+        planted = random_witness(rng, 30, 30).apply(SignPattern(stair.tolist()))
+        assert condense(planted).condensed.n == 30
+        result = is_mr2(planted)
+        assert result.value
+        _assert_nondecreasing(result.witness.apply(result.condensation.condensed))
+        # an SNS 3 x 3 block (so mr >= 3) beside 27 distinct zero-free columns
+        block = [[1, 1, 0], [-1, 1, 1], [0, -1, 1]]
+        rows = [
+            [block[i][j] if i < 3 else 1 for j in range(3)]
+            + [1 if (j >> i) & 1 else -1 for j in range(32, 59)]
+            for i in range(6)
+        ]
+        wide = SignPattern(rows)
+        assert condense(wide).condensed.n == 30
+        assert permutation_sns(wide.submatrix((0, 1, 2), (0, 1, 2)))
+        assert not is_mr2(wide).value
+
+    def test_matches_exhaustive_signature_search(self):
+        rng = np.random.default_rng(41)
+        for trial in range(400):
+            m, n = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+            if trial % 2:
+                # sign(u_i + v_j) with small integers: zeros where u_i = -v_j
+                u, v = rng.integers(-4, 5, size=m), rng.integers(-4, 5, size=n)
+                stair = SignPattern(np.sign(np.add.outer(u, v)).tolist())
+                P = random_witness(rng, m, n).apply(stair)
+            else:
+                P = random_pattern(rng, m, n, float(rng.uniform(0.0, 0.25)))
+            result = is_mr2(P)
+            C = result.condensation.condensed
+            assert result.value == _exhaustive_mr2(P)
+            if trial % 2 and min(C.m, C.n) >= 2:
+                assert result.value
+            if result.value:
+                _assert_nondecreasing(result.witness.apply(C))
 
     def test_tiny_instance_trichotomy(self):
         # with at most 3 rows, exactly one of mr=0 / mr=1 / mr=2 / mr=3 holds
