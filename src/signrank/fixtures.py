@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
 
 from .errors import FixtureCorrupt, SignRankError
 from .exactnum import QuadElem

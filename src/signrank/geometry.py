@@ -16,11 +16,11 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from .errors import DomainError, VerticalHyperplane
 from .exactnum import QuadElem, format_scalar, parse_scalar, quad_sign
-from .pattern import SignPattern, condense
+from .pattern import SignPattern
 
 Point = Tuple[QuadElem, ...]
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, PatternFormatError, ResourceExhausted
@@ -722,6 +722,12 @@ def mr_bounds(A: SignPattern, options: Optional[MrBoundsOptions] = None) -> MrBo
     opts = options or MrBoundsOptions()
     if opts.sns_cap < 0:
         raise DomainError(f"sns_cap must be >= 0, got {opts.sns_cap}")
+    if opts.restarts < 0 or opts.iters < 0:
+        raise DomainError(
+            f"restarts and iters must be >= 0, got {opts.restarts} and {opts.iters}"
+        )
+    if opts.try_rank is not None and opts.try_rank < 1:
+        raise DomainError(f"try_rank must be >= 1, got {opts.try_rank}")
     if A.is_zero():
         return MrBounds(0, 0, (("exact", 0, "zero pattern"),))
 

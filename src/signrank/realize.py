@@ -12,7 +12,6 @@ doubling denominator schedule.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -273,85 +272,41 @@ def _zero_rows_by_column(A: SignPattern):
     return [tuple(i for i in range(A.m) if A.entries[i][j] == 0) for j in range(A.n)]
 
 
-def _is_exact(value) -> bool:
-    return not isinstance(value, float) and not isinstance(value, np.floating)
-
-
 def solve_zero_columns(U, A: SignPattern, j: int, free_values: Sequence = ()):
     """Dependent entries (v_1j, ..., v_sj) making the zero rows of column j
     vanish exactly, given the free entries (v_{s+1,j}, ..., v_{r-1,j}) and
     the normal-form convention v_rj = 1.
 
-    Exact arithmetic when U and the free values are exact (int/Fraction);
-    floats otherwise.  The s x s coefficient matrix is built from columns
-    1..s of the zero rows of U; if it is singular the caller is expected to
-    re-perturb the free entries of U and retry.
+    Exact: every entry is read as ``Fraction(x)`` (a float at its exact
+    binary value) and the solution is a tuple of Fractions.  The s x s
+    coefficient matrix is built from columns 1..s of the zero rows of U; if
+    it is singular the caller is expected to re-perturb the free entries of
+    U and retry.
     """
-    U_rows = [list(row) for row in U]
-    r = len(U_rows[0])
-    rows = [i for i in range(A.m) if A.entries[i][j] == 0]
+    rows = [[Fraction(x) for x in U[i]] for i in range(A.m) if A.entries[i][j] == 0]
     s = len(rows)
     if s == 0:
         return ()
+    r = len(rows[0])
     if s > r - 1:
         raise Overdetermined(j, s, r - 1)
     if len(free_values) != r - 1 - s:
         raise DomainError(
             f"column {j + 1} needs {r - 1 - s} free values, got {len(free_values)}"
         )
-    exact = all(_is_exact(x) for row in U_rows for x in row) and all(
-        _is_exact(x) for x in free_values
-    )
-    if exact:
-        M = [[Fraction(U_rows[i][k]) for k in range(s)] for i in rows]
-        rhs = []
-        for i in rows:
-            acc = Fraction(U_rows[i][r - 1])
-            for k in range(s, r - 1):
-                acc += Fraction(U_rows[i][k]) * Fraction(free_values[k - s])
-            rhs.append(-acc)
-        sol = _exact_solve(M, rhs)
-        if sol is None:
-            raise SingularSystem(f"coefficient matrix of column {j + 1} is singular")
-        return tuple(sol)
-    M = np.array([[float(U_rows[i][k]) for k in range(s)] for i in rows])
-    rhs = np.array(
-        [
-            -(
-                float(U_rows[i][r - 1])
-                + sum(float(U_rows[i][k]) * float(free_values[k - s]) for k in range(s, r - 1))
-            )
-            for i in rows
-        ]
-    )
-    scale = np.max(np.abs(M)) + 1e-300
-    if abs(np.linalg.det(M)) < 1e-12 * scale**s:
-        raise SingularSystem(f"coefficient matrix of column {j + 1} is numerically singular")
-    return tuple(float(x) for x in np.linalg.solve(M, rhs))
-
-
-def _exact_solve(M, rhs):
-    """Fraction Gaussian elimination; None when singular."""
-    s = len(M)
-    M = [row[:] + [rhs[i]] for i, row in enumerate(M)]
-    for col in range(s):
-        piv = next((row for row in range(col, s) if M[row][col] != 0), None)
-        if piv is None:
-            return None
-        M[col], M[piv] = M[piv], M[col]
-        inv = M[col][col]
-        for row in range(col + 1, s):
-            if M[row][col] != 0:
-                f = M[row][col] / inv
-                for k in range(col, s + 1):
-                    M[row][k] -= f * M[col][k]
+    free = [Fraction(x) for x in free_values]
+    system = []
+    for row in rows:
+        rhs = row[r - 1] + sum(row[k] * free[k - s] for k in range(s, r - 1))
+        system.append(row[:s] + [-rhs])
+    echelon, pivots = _bareiss_echelon(system)
+    if pivots != list(range(s)):
+        raise SingularSystem(f"coefficient matrix of column {j + 1} is singular")
     sol = [Fraction(0)] * s
-    for col in range(s - 1, -1, -1):
-        acc = M[col][s]
-        for k in range(col + 1, s):
-            acc -= M[col][k] * sol[k]
-        sol[col] = acc / M[col][col]
-    return sol
+    for k in range(s - 1, -1, -1):
+        row = echelon[k]
+        sol[k] = Fraction(row[s] - sum(row[l] * sol[l] for l in range(k + 1, s)), row[k])
+    return tuple(sol)
 
 
 # ---------------------------------------------------------------------------
@@ -406,18 +361,15 @@ def _gauss_newton_zero_polish(U, V, S, zero_cells, var_index, max_iter=30):
     return U, V
 
 
-def _check_signs(B: np.ndarray, C: SignPattern, margin: float, zero_tol: float) -> bool:
-    for i in range(C.m):
-        for j in range(C.n):
-            s = C.entries[i][j]
-            b = B[i, j]
-            if s > 0 and b < margin / 2:
-                return False
-            if s < 0 and b > -margin / 2:
-                return False
-            if s == 0 and abs(b) > zero_tol:
-                return False
-    return True
+def _check_signs(B: np.ndarray, S: np.ndarray, margin: float, zero_tol: float) -> bool:
+    """True when b >= margin/2 where S > 0, b <= -margin/2 where S < 0 and
+    |b| <= zero_tol where S == 0."""
+    wrong = (
+        ((S > 0) & (B < margin / 2))
+        | ((S < 0) & (B > -margin / 2))
+        | ((S == 0) & (np.abs(B) > zero_tol))
+    )
+    return not wrong.any()
 
 
 def _restart(C: SignPattern, r: int, params: SearchParams, k: int):
@@ -480,7 +432,7 @@ def _restart(C: SignPattern, r: int, params: SearchParams, k: int):
         if zero_cells:
             U, V = _gauss_newton_zero_polish(U, V, S, zero_cells, var_index)
         kernels.solve_dependent(U, V, deps)
-        if _check_signs(U @ V, C, params.margin, params.zero_tol):
+        if _check_signs(U @ V, S, params.margin, params.zero_tol):
             break
     else:
         return None
@@ -495,14 +447,8 @@ def _restart(C: SignPattern, r: int, params: SearchParams, k: int):
         return None
     Un, Vn = normalized.U.copy(), normalized.V.copy()
     kernels.solve_dependent(Un, Vn, deps)
-    B = Un @ Vn
-    target = SignPattern(
-        [
-            [normalized.row_signs[i] * C.entries[i][j] * normalized.col_signs[j] for j in range(n)]
-            for i in range(m)
-        ]
-    )
-    if not _check_signs(B, target, 4 * params.zero_tol, params.zero_tol):
+    target = S * np.outer(normalized.row_signs, normalized.col_signs)
+    if not _check_signs(Un @ Vn, target, 4 * params.zero_tol, params.zero_tol):
         return None
     return Realization(r, Un, Vn)
 
@@ -579,10 +525,7 @@ class RationalCertificate:
     target: SignPattern
 
     def verify(self) -> bool:
-        signs = SignPattern(
-            [[(v > 0) - (v < 0) for v in row] for row in self.matrix]
-        )
-        return signs == self.target and rational_rank(self.matrix) == self.rank
+        return _sign_pattern(self.matrix) == self.target and rational_rank(self.matrix) == self.rank
 
     def to_dict(self) -> dict:
         from .exactnum import format_rational
@@ -618,40 +561,50 @@ def save_certificate(cert: RationalCertificate, path) -> None:
         fh.write("\n")
 
 
-def rational_rank(M) -> int:
-    """Exact rank by fraction-free (Bareiss-style) elimination.
+def _bareiss_echelon(M):
+    """Fraction-free row echelon form (Bareiss, Math. Comp. 22, 1968).
 
-    Rows are cleared to integers first; pivoting scans for any nonzero
-    entry, so degenerate inputs are handled exactly."""
-    rows = [list(row) for row in M]
-    if not rows or not rows[0]:
-        return 0
+    Each row is first scaled to integers; the returned integer rows are
+    linear combinations of the input rows with the same row space, so an
+    augmented system keeps its solutions.  ``pivots`` holds the pivot column
+    of each leading row; pivoting scans for any nonzero entry, so degenerate
+    inputs are handled exactly."""
     work = []
-    for row in rows:
+    for row in M:
         fracs = [Fraction(x) for x in row]
-        lcm = 1
-        for f in fracs:
-            lcm = lcm * f.denominator // math.gcd(lcm, f.denominator)
+        lcm = math.lcm(*(f.denominator for f in fracs))
         work.append([int(f * lcm) for f in fracs])
-    m, n = len(work), len(work[0])
-    rank = 0
+    m = len(work)
+    n = len(work[0]) if work else 0
+    pivots = []
     prev = 1
-    pr = 0
     for pc in range(n):
+        pr = len(pivots)
+        if pr == m:
+            break
         piv = next((i for i in range(pr, m) if work[i][pc] != 0), None)
         if piv is None:
             continue
         work[pr], work[piv] = work[piv], work[pr]
+        top = work[pr]
+        p = top[pc]
         for i in range(pr + 1, m):
-            for jj in range(pc + 1, n):
-                work[i][jj] = (work[pr][pc] * work[i][jj] - work[i][pc] * work[pr][jj]) // prev
-            work[i][pc] = 0
-        prev = work[pr][pc]
-        pr += 1
-        rank += 1
-        if pr == m:
-            break
-    return rank
+            row = work[i]
+            a = row[pc]
+            row[pc + 1:] = [(p * x - a * y) // prev for x, y in zip(row[pc + 1:], top[pc + 1:])]
+            row[pc] = 0
+        prev = p
+        pivots.append(pc)
+    return work, pivots
+
+
+def rational_rank(M) -> int:
+    """Exact rank: the pivot count of the fraction-free echelon form."""
+    return len(_bareiss_echelon(M)[1])
+
+
+def _sign_pattern(matrix) -> SignPattern:
+    return SignPattern([[(v > 0) - (v < 0) for v in row] for row in matrix])
 
 
 def _round_matrix(M: np.ndarray, cap: int, fixed_first_col=False, fixed_last_row=False):
@@ -737,26 +690,18 @@ def rationalize(A: SignPattern, real: Realization) -> RationalCertificate:
                 [sum(Ur[i][k] * Vr[k][j] for k in range(r)) for j in range(C.n)]
                 for i in range(C.m)
             ]
-            match = all(
-                ((product[i][j] > 0) - (product[i][j] < 0)) == signed.entries[i][j]
-                for i in range(C.m)
-                for j in range(C.n)
-            )
-            if match:
+            if _sign_pattern(product) == signed:
                 unsigned = [
                     [product[i][j] * d1[i] * d2[j] for j in range(C.n)]
                     for i in range(C.m)
                 ]
                 full = _expand_condensed_matrix(unsigned, A, report)
+                # the certificate's one exact rank; verify() stays the
+                # independent check that callers run
                 rank = rational_rank(full)
-                if rank > r:
-                    raise AssertionError("certificate rank exceeded factor width")
-                cert = RationalCertificate(
-                    tuple(tuple(row) for row in full), rank, A
-                )
-                if not cert.verify():
-                    raise AssertionError("internal error: certificate failed verification")
-                return cert
+                if rank > r or _sign_pattern(full) != A:
+                    raise AssertionError("internal error: certificate failed its self-check")
+                return RationalCertificate(tuple(tuple(row) for row in full), rank, A)
         t *= 2
     raise PrecisionExhausted(
         "denominator schedule exhausted at 2^64 without an exact sign match"

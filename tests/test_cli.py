@@ -74,6 +74,17 @@ class TestMr:
         code, out, err = run(capsys, "mr", fxdir / "A0.pat", "--sns-cap", -1)
         assert code == 2 and "sns_cap" in err
 
+    @pytest.mark.parametrize(
+        "option, value, name",
+        [("--restarts", -1, "restarts"), ("--iters", -5, "iters"), ("--try-rank", 0, "try_rank")],
+    )
+    def test_bad_search_option_without_search(self, capsys, tmp_path, option, value, name):
+        # ++/+- has mr 2, so no search runs: the options are checked up front
+        pat = tmp_path / "p.pat"
+        pat.write_text("++\n+-\n")
+        code, out, err = run(capsys, "mr", pat, option, value)
+        assert code == 2 and name in err
+
 
 class TestMr2:
     def test_yes(self, capsys, fxdir):

@@ -85,10 +85,54 @@ class TestSolveZeroColumns:
             solve_zero_columns(U, A, 0)
 
     def test_float_path(self):
+        # floats enter at their exact binary value and the solve stays exact
         U = [[1.0, 2.0, 5.0]]
         A = SignPattern(["0"])
-        (v,) = solve_zero_columns(U, A, 0, free_values=[3.0])
-        assert isinstance(v, float) and abs(v + 11.0) < 1e-12
+        assert solve_zero_columns(U, A, 0, free_values=[3.0]) == (Fraction(-11),)
+        (v,) = solve_zero_columns(np.array([[1.0, 0.1, 0.3]]), A, 0, free_values=[np.float64(0.7)])
+        assert v == -(Fraction(0.3) + Fraction(0.1) * Fraction(0.7))
+
+    def test_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = np.random.default_rng(83)
+
+        def entry(integer):
+            if integer:
+                return int(rng.integers(-4, 5))
+            return Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 6)))
+
+        singular = 0
+        for trial in range(160):
+            s = int(rng.integers(1, 5))
+            r = s + 1 + int(rng.integers(0, 3))
+            m = s + int(rng.integers(0, 3))
+            integer = trial % 2 == 0
+            U = [[entry(integer) for _ in range(r)] for _ in range(m)]
+            zero_rows = sorted(int(i) for i in rng.choice(m, s, replace=False))
+            if trial % 3 == 0:
+                # plant a singular system: the last zero row's leading s
+                # entries become a combination of the other zero rows' (zero
+                # when s = 1)
+                last = zero_rows[-1]
+                coeffs = [entry(integer) for _ in zero_rows[:-1]]
+                U[last][:s] = [
+                    sum((c * U[i][k] for c, i in zip(coeffs, zero_rows)), Fraction(0))
+                    for k in range(s)
+                ]
+            A = SignPattern([[0 if i in zero_rows else 1] for i in range(m)])
+            free = [entry(integer) for _ in range(r - 1 - s)]
+            M = sympy.Matrix([[sympy.Rational(U[i][k]) for k in range(s)] for i in zero_rows])
+            if M.det() == 0:
+                singular += 1
+                with pytest.raises(SingularSystem):
+                    solve_zero_columns(U, A, 0, free)
+                continue
+            sol = solve_zero_columns(U, A, 0, free)
+            assert all(type(v) is Fraction for v in sol)
+            column = list(sol) + free + [1]
+            for i in zero_rows:
+                assert sum(U[i][k] * column[k] for k in range(r)) == 0
+        assert 50 <= singular < 160
 
     def test_overdetermined_column(self):
         U = [[1, 1], [1, 2], [1, 3]]
@@ -170,6 +214,19 @@ class TestRationalize:
         assert cert.rank <= 3
         assert cert.verify()
         assert sympy_rank(cert.matrix) == cert.rank
+
+    def test_rank_computed_once(self, monkeypatch):
+        import signrank.realize
+
+        calls = []
+        original = signrank.realize.rational_rank
+        monkeypatch.setattr(
+            signrank.realize, "rational_rank", lambda M: calls.append(M) or original(M)
+        )
+        real = search_realization(FIG21_PATTERN, 3, SearchParams(seed=4))
+        cert = rationalize(FIG21_PATTERN, real)
+        assert len(calls) == 1
+        assert cert.verify() and len(calls) == 2
 
     def test_a0_overdetermined(self):
         real = search_realization(A0_PATTERN, 3, SearchParams(seed=0))
