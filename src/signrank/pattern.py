@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .errors import DomainError, PatternFormatError, ResourceExhausted
 
 _CHAR_TO_INT = {"+": 1, "-": -1, "0": 0}
@@ -115,8 +117,6 @@ class SignPattern:
         )
 
     def to_array(self):
-        import numpy as np
-
         return np.array(self.entries, dtype=np.int8).reshape(self.m, self.n)
 
     def __eq__(self, other):
@@ -465,8 +465,6 @@ def _permutation_table(k: int):
     and their signs (+1 even, -1 odd) as int8."""
     table = _PERMUTATIONS.get(k)
     if table is None:
-        import numpy as np
-
         flat = itertools.chain.from_iterable(itertools.permutations(range(k)))
         perms = np.fromiter(flat, dtype=np.int8, count=math.factorial(k) * k).reshape(-1, k)
         odd = np.zeros(len(perms), dtype=bool)
@@ -491,8 +489,6 @@ def _first_sns(E, m: int, n: int, k: int):
     combinations only when it holds every column combination, so the first
     hit of a chunk is the first hit overall.
     """
-    import numpy as np
-
     perms, parity = _permutation_table(k)
     cols = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp).reshape(-1, k)
     p_step = min(len(perms), _SCAN_BUDGET)
@@ -563,8 +559,8 @@ def is_mr2(A: SignPattern) -> Mr2Result:
     signatures and permutations making every row and column nondecreasing
     (- entries before 0 before +).  For (iii) the column signature is read
     off row 0 (one candidate, see ``_row_pinned_signature``); the row
-    signature is searched by backtracking with incremental acyclicity
-    checks on the two precedence digraphs the signing induces.
+    signature follows from pairwise row tests and one sign propagation
+    (``_monotone_arrangement``), so the decision takes O(m^2 n).
 
     On success the witness transforms the condensed pattern into the
     nondecreasing arrangement.
@@ -583,29 +579,6 @@ def is_mr2(A: SignPattern) -> Mr2Result:
     if arrangement is None:
         return Mr2Result(False, None, report)
     return Mr2Result(True, arrangement, report)
-
-
-def _acyclic_order(edges, size):
-    """Deterministic topological order (min index first) or None on a cycle."""
-    outs = [set() for _ in range(size)]
-    indeg = [0] * size
-    for a, b in edges:
-        if b not in outs[a]:
-            outs[a].add(b)
-            indeg[b] += 1
-    import heapq
-
-    ready = [v for v in range(size) if indeg[v] == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        v = heapq.heappop(ready)
-        order.append(v)
-        for w in sorted(outs[v]):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(ready, w)
-    return order if len(order) == size else None
 
 
 def _row_pinned_signature(C: SignPattern) -> tuple:
@@ -628,73 +601,69 @@ def _row_pinned_signature(C: SignPattern) -> tuple:
 
 
 def _monotone_arrangement(C: SignPattern, identity_only: bool = False):
-    """Search signatures + permutations making all rows/columns nondecreasing.
+    """Signatures and permutations making every row and column of C
+    nondecreasing, as an EquivalenceWitness (applying it to C yields the
+    arranged pattern), or None.  C is condensed, with at most one zero per
+    row and per column (``is_mr2`` checks this first).
 
-    Returns an EquivalenceWitness (applying it to C yields the arranged
-    pattern) or None.  The column signature is pinned by row 0
-    (``_row_pinned_signature``) and the row signs are searched by
-    backtracking.  With identity_only, only permutations are tried.
+    The column signature c is pinned by row 0 (``_row_pinned_signature``);
+    with identity_only, c and the row signs d are all +.  Given d, let
+    S = d C c.  A row order makes every column nondecreasing exactly when
+    the signed rows form a chain under entry-wise <=, i.e. when no
+    difference S_a - S_b of two rows has entries of both signs.  A column
+    order makes every row nondecreasing exactly when the down-sets
+    {j : S_ij <= t} of all rows form a chain under inclusion, and a family
+    is a chain iff each two of its members are nested.  The down-sets of
+    rows a and b fail to nest iff two columns cross (S_aj < S_ak but
+    S_bj > S_bk); with S_a <= S_b a crossing forces S_ak = S_bk = 0, two
+    zeros in column k, so the chain of rows also gives the column order.
+    Hence d works iff every pair of signed rows is comparable.  Negating
+    both rows of a pair keeps its answer, so it depends on d_a d_b alone:
+    with T = C c the pair tests T_a - T_b for equal signs and T_a + T_b for
+    opposite signs, and so forces equal signs, forces opposite signs,
+    allows both or allows neither.  Giving the lowest row of each
+    component + and propagating the forced parities finds the first valid
+    d in (+, -) order, or a contradiction.  No two signed rows and no two
+    signed columns of a condensed pattern are equal, so along a valid
+    arrangement the line sums strictly increase and each order is the one
+    sort by sums.
     """
-    m, n = C.m, C.n
-    E = C.entries
-    c = (1,) * n if identity_only else _row_pinned_signature(C)
-    d = [1] * m
+    m = C.m
+    c = np.array((1,) * C.n if identity_only else _row_pinned_signature(C), dtype=np.int8)
+    T = C.to_array() * c
 
-    def col_edges_for_row(i, d_i):
-        edges = []
-        for j in range(n):
-            vj = d_i * c[j] * E[i][j]
-            for k in range(j + 1, n):
-                vk = d_i * c[k] * E[i][k]
-                if vj < vk:
-                    edges.append((j, k))
-                elif vk < vj:
-                    edges.append((k, j))
-        return edges
+    def comparable(diff):
+        return ~((diff < 0).any(axis=2) & (diff > 0).any(axis=2))
 
-    def row_edges():
-        edges = []
-        for j in range(n):
-            for i in range(m):
-                vi = d[i] * c[j] * E[i][j]
-                for k in range(i + 1, m):
-                    vk = d[k] * c[j] * E[k][j]
-                    if vi < vk:
-                        edges.append((i, k))
-                    elif vk < vi:
-                        edges.append((k, i))
-        return edges
-
-    # backtrack over row signs with incremental column-digraph pruning
-    col_edges = []
-
-    def rec(i):
-        if i == m:
-            row_order = _acyclic_order(row_edges(), m)
-            if row_order is None:
-                return None
-            col_order = _acyclic_order(col_edges, n)
-            return None if col_order is None else (tuple(row_order), tuple(col_order))
-        for d_i in ((1,) if identity_only else (1, -1)):
-            d[i] = d_i
-            mark = len(col_edges)
-            col_edges.extend(col_edges_for_row(i, d_i))
-            if _acyclic_order(col_edges, n) is not None:
-                orders = rec(i + 1)
-                if orders is not None:
-                    return orders
-            del col_edges[mark:]
+    same = comparable(T[:, None, :] - T[None, :, :])
+    opposite = np.zeros_like(same) if identity_only else comparable(T[:, None, :] + T[None, :, :])
+    if not (same | opposite).all():
         return None
-
-    orders = rec(0)
-    if orders is None:
+    parity = same.astype(np.int8) - opposite  # +1 equal, -1 opposite, 0 free
+    forced = parity.tolist()
+    d = [0] * m
+    for root in range(m):
+        if d[root]:
+            continue
+        d[root] = 1
+        stack = [root]
+        while stack:
+            a = stack.pop()
+            for b, p in enumerate(forced[a]):
+                if p and not d[b]:
+                    d[b] = d[a] * p
+                    stack.append(b)
+    d = np.array(d, dtype=np.int8)
+    if (parity * np.outer(d, d) < 0).any():
         return None
-    row_order, col_order = orders
+    S = T * d[:, None]
+    row_order = np.argsort(S.sum(axis=1), kind="stable")
+    col_order = np.argsort(S.sum(axis=0), kind="stable")
     return EquivalenceWitness(
-        row_perm=row_order,
-        col_perm=col_order,
-        row_signs=tuple(d[i] for i in row_order),
-        col_signs=tuple(c[j] for j in col_order),
+        row_perm=tuple(row_order.tolist()),
+        col_perm=tuple(col_order.tolist()),
+        row_signs=tuple(d[row_order].tolist()),
+        col_signs=tuple(c[col_order].tolist()),
     )
 
 

@@ -189,8 +189,7 @@ def _normalize_factors(U0: np.ndarray, V0: np.ndarray, rng: np.random.Generator,
                        attempts: int = 64) -> NormalizedFactorization:
     """Rotate the inner factor space so U's leading column and V's trailing
     row are bounded away from zero, then scale rows/columns to exact ones."""
-    m, r = U0.shape
-    n = V0.shape[1]
+    r = U0.shape[1]
     if r < 2:
         raise DomainError("normal form needs rank >= 2")
     row_norm = np.linalg.norm(U0, axis=1)
@@ -313,9 +312,10 @@ def solve_zero_columns(U, A: SignPattern, j: int, free_values: Sequence = ()):
 # Numerical search
 
 
-def _dependent_columns(C: SignPattern, r: int):
-    """(column, zero_rows) pairs for columns whose zeros are solvable (1 <= s <= r-1)."""
-    return [(j, list(zr)) for j, zr in enumerate(_zero_rows_by_column(C)) if 1 <= len(zr) < r]
+def _dependent_columns(zero_rows, r: int):
+    """(column, zero_rows) pairs for columns whose zeros are solvable
+    (1 <= s <= r-1), from the zero rows of each column."""
+    return [(j, list(zr)) for j, zr in enumerate(zero_rows) if 1 <= len(zr) < r]
 
 
 def _gauss_newton_zero_polish(U, V, S, zero_cells, var_index, max_iter=30):
@@ -401,12 +401,12 @@ def _restart(C: SignPattern, r: int, params: SearchParams, k: int):
         V[-1, :] = 1.0
         free_u[:, 0] = 0.0
         free_v[-1, :] = 0.0
-    deps = _dependent_columns(C, r)
+    zero_rows = _zero_rows_by_column(C)
+    deps = _dependent_columns(zero_rows, r)
     for j, rows in deps:
         free_v[: len(rows), j] = 0.0
 
-    zero_cols = [j for j, zr in enumerate(_zero_rows_by_column(C)) if zr]
-    overfull = [j for j, zr in enumerate(_zero_rows_by_column(C)) if len(zr) > r - 1]
+    zero_cols = [j for j, zr in enumerate(zero_rows) if zr]
     zero_cells = [(i, j) for j in zero_cols for i in range(m) if C.entries[i][j] == 0]
 
     var_index = []
@@ -818,6 +818,6 @@ def _realization_from_arrangement(C: SignPattern, witness) -> Realization:
     U = np.array([[1.0, float(u_by_row[i])] for i in range(C.m)])
     V = np.array([[float(v_by_col[j]) for j in range(n)], [1.0] * n])
     real = Realization(2, U, V)
-    if signature_between(C, real.signed_pattern()) != ((1,) * C.m, (1,) * n):
+    if real.signed_pattern() != C:
         raise AssertionError("internal error: direct witness failed validation")
     return real

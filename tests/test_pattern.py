@@ -19,6 +19,7 @@ from signrank.pattern import (
     mr_bounds,
     term_rank,
 )
+from signrank.realize import has_direct_representation
 
 from conftest import (
     factorial_term_rank,
@@ -119,6 +120,27 @@ def _exhaustive_mr2(P: SignPattern) -> bool:
     return any(
         extend((1,) + tail, []) for tail in itertools.product((1, -1), repeat=n - 1)
     )
+
+
+def _mr2_trials():
+    """Seeded (family, pattern) inputs for the mr2 oracles, up to 8 x 8:
+    sparse random patterns, planted staircases sign(u_i + v_j) (mr <= 2),
+    and planted staircases with one entry changed (near rank 2)."""
+    rng = np.random.default_rng(41)
+    for trial in range(600):
+        m, n = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+        family = ("random", "staircase", "changed")[trial % 3]
+        if family == "random":
+            P = random_pattern(rng, m, n, float(rng.uniform(0.0, 0.25)))
+        else:
+            # sign(u_i + v_j) with small integers: zeros where u_i = -v_j
+            u, v = rng.integers(-4, 5, size=m), rng.integers(-4, 5, size=n)
+            stair = np.sign(np.add.outer(u, v))
+            if family == "changed":
+                i, j = int(rng.integers(m)), int(rng.integers(n))
+                stair[i, j] = rng.choice([s for s in (-1, 0, 1) if s != stair[i, j]])
+            P = random_witness(rng, m, n).apply(SignPattern(stair.tolist()))
+        yield family, P
 
 
 def _assert_nondecreasing(arranged: SignPattern):
@@ -352,23 +374,27 @@ class TestMr1Mr2:
         assert not is_mr2(wide).value
 
     def test_matches_exhaustive_signature_search(self):
-        rng = np.random.default_rng(41)
-        for trial in range(400):
-            m, n = int(rng.integers(2, 9)), int(rng.integers(2, 9))
-            if trial % 2:
-                # sign(u_i + v_j) with small integers: zeros where u_i = -v_j
-                u, v = rng.integers(-4, 5, size=m), rng.integers(-4, 5, size=n)
-                stair = SignPattern(np.sign(np.add.outer(u, v)).tolist())
-                P = random_witness(rng, m, n).apply(stair)
-            else:
-                P = random_pattern(rng, m, n, float(rng.uniform(0.0, 0.25)))
+        for family, P in _mr2_trials():
             result = is_mr2(P)
             C = result.condensation.condensed
             assert result.value == _exhaustive_mr2(P)
-            if trial % 2 and min(C.m, C.n) >= 2:
+            if family == "staircase" and min(C.m, C.n) >= 2:
                 assert result.value
             if result.value:
                 _assert_nondecreasing(result.witness.apply(C))
+
+    def test_direct_arrangement_matches_unsigned_orders(self):
+        # has_direct_representation(., 2) arranges with identity signatures:
+        # yes iff mr = 2 and the condensed rows and columns, unsigned, can
+        # each be ordered
+        for _, P in _mr2_trials():
+            C = condense(P).condensed
+            expected = (
+                _exhaustive_mr2(P)
+                and _orderable(C.entries)
+                and _orderable(list(zip(*C.entries)))
+            )
+            assert (has_direct_representation(P, 2).status == "yes") == expected
 
     def test_tiny_instance_trichotomy(self):
         # with at most 3 rows, exactly one of mr=0 / mr=1 / mr=2 / mr=3 holds
