@@ -184,8 +184,10 @@ def _cmd_rationalize(args) -> int:
         cert_t = realize_mod.rationalize(
             A.transpose(), realize_mod.transpose_realization(real)
         )
-        matrix = tuple(zip(*cert_t.matrix))
-        cert = realize_mod.RationalCertificate(matrix, cert_t.rank, A)
+        U_t, V_t = cert_t.factors
+        cert = realize_mod.RationalCertificate(
+            tuple(zip(*cert_t.matrix)), cert_t.rank, A, (tuple(zip(*V_t)), tuple(zip(*U_t)))
+        )
     else:
         cert = realize_mod.rationalize(A, real)
     if not cert.verify():

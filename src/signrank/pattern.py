@@ -735,7 +735,12 @@ def mr_bounds(A: SignPattern, options: Optional[MrBoundsOptions] = None) -> MrBo
     lower = max(v for kind, v, _ in evidence if kind == "lower")
     upper = min(v for kind, v, _ in evidence if kind == "upper")
 
-    if opts.try_rank is not None and opts.try_rank < upper:
+    if opts.try_rank is not None and opts.try_rank < lower:
+        evidence.append(
+            ("note", None, f"rank {opts.try_rank} is below the proven lower bound {lower}; "
+                            "no search run")
+        )
+    elif opts.try_rank is not None and opts.try_rank < upper:
         from . import realize
 
         params = realize.SearchParams(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -518,34 +519,63 @@ def transpose_realization(real: Realization) -> Realization:
 class RationalCertificate:
     """Exact rational matrix whose signs equal the target pattern, plus its
     exact rank: a machine-checkable witness that the rational minimum rank
-    is at most that rank."""
+    is at most that rank.
+
+    ``factors`` = (U, V) are exact rational factors with U V == matrix; the
+    rank is then proven from them (``_factored_rank``).  A certificate
+    without them, as files written before they were stored are, is checked
+    by eliminating the matrix itself."""
 
     matrix: tuple  # tuple of tuples of Fraction
     rank: int
     target: SignPattern
+    factors: Optional[tuple] = None  # (U, V), tuples of tuples of Fraction
+
+    def __post_init__(self):
+        if self.factors is None:
+            return
+        U, V = self.factors
+        if (len(U) != len(self.matrix) or any(len(row) != len(V) for row in U)
+                or any(len(row) != self.target.n for row in V)):
+            raise DomainError("certificate factors have inconsistent shapes")
 
     def verify(self) -> bool:
-        return _sign_pattern(self.matrix) == self.target and rational_rank(self.matrix) == self.rank
+        if _sign_pattern(self.matrix) != self.target:
+            return False
+        if self.factors is None:
+            return rational_rank(self.matrix) == self.rank
+        U, V = self.factors
+        return (_exact_product(U, V) == self.matrix
+                and _factored_rank(U, V, self.matrix) == self.rank)
 
     def to_dict(self) -> dict:
         from .exactnum import format_rational
 
-        return {
+        def text(M):
+            return [[format_rational(v) for v in row] for row in M]
+
+        doc = {
             "rank": self.rank,
             "target": self.target.to_text().splitlines(),
-            "matrix": [[format_rational(v) for v in row] for row in self.matrix],
+            "matrix": text(self.matrix),
         }
+        if self.factors is not None:
+            doc["U"], doc["V"] = (text(F) for F in self.factors)
+        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RationalCertificate":
         from .exactnum import parse_rational
 
+        def exact(M):
+            return tuple(tuple(parse_rational(v) for v in row) for row in M)
+
         try:
-            matrix = tuple(
-                tuple(parse_rational(v) for v in row) for row in doc["matrix"]
-            )
+            factors = None
+            if "U" in doc or "V" in doc:
+                factors = (exact(doc["U"]), exact(doc["V"]))
             target = SignPattern(doc["target"])
-            return cls(matrix, int(doc["rank"]), target)
+            return cls(exact(doc["matrix"]), int(doc["rank"]), target, factors)
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed certificate document: {exc}") from None
 
@@ -603,6 +633,37 @@ def rational_rank(M) -> int:
     return len(_bareiss_echelon(M)[1])
 
 
+def _factored_rank(U, V, matrix) -> int:
+    """Exact rank of ``matrix`` == U V, with r = len(V) inner dimensions.
+
+    The shapes give rank <= r and Sylvester's inequality gives rank(U V) >=
+    rank U + rank V - r, so factors both of rank r prove rank r with two
+    eliminations of the small factors.  Only a rank-deficient factor falls
+    back to eliminating the matrix."""
+    r = len(V)
+    if rational_rank(U) == r and rational_rank(V) == r:
+        return r
+    return rational_rank(matrix)
+
+
+def _exact_product(U, V) -> tuple:
+    """U V over Q as a tuple of tuples of Fraction.  Each row of U and each
+    column of V is scaled to integers by the lcm of its denominators, so the
+    sums run in int and each entry builds one Fraction."""
+    def integral(lines):
+        out = []
+        for line in lines:
+            lcm = math.lcm(*(x.denominator for x in line))
+            out.append(([x.numerator * (lcm // x.denominator) for x in line], lcm))
+        return out
+
+    cols = integral(zip(*V))
+    return tuple(
+        tuple(Fraction(sum(map(operator.mul, u, v)), lu * lv) for v, lv in cols)
+        for u, lu in integral(U)
+    )
+
+
 def _sign_pattern(matrix) -> SignPattern:
     return SignPattern([[(v > 0) - (v < 0) for v in row] for row in matrix])
 
@@ -629,8 +690,9 @@ def rationalize(A: SignPattern, real: Realization) -> RationalCertificate:
     the original pattern).  Free entries are rounded with denominator cap
     2^t (t = 16, doubling to 64); dependent entries of each zero-carrying
     column are solved exactly; singular coefficient matrices trigger exact
-    re-perturbation of the relevant U entries.  The certificate is expanded
-    back to the shape of the original pattern and carries its exact rank.
+    re-perturbation of the relevant U entries.  The exact factors are
+    expanded back to the shape of the original pattern; the certificate
+    stores them with their product and its exact rank, proven from them.
     """
     report = condense(A)
     C = report.condensed
@@ -686,67 +748,41 @@ def rationalize(A: SignPattern, real: Realization) -> RationalCertificate:
             break
         if solved_pair is not None:
             Ur, Vr = solved_pair
-            product = [
-                [sum(Ur[i][k] * Vr[k][j] for k in range(r)) for j in range(C.n)]
-                for i in range(C.m)
-            ]
-            if _sign_pattern(product) == signed:
-                unsigned = [
-                    [product[i][j] * d1[i] * d2[j] for j in range(C.n)]
-                    for i in range(C.m)
-                ]
-                full = _expand_condensed_matrix(unsigned, A, report)
+            U = _expand_lines(Ur, d1, report, "row", r)
+            V = tuple(zip(*_expand_lines(tuple(zip(*Vr)), d2, report, "col", r)))
+            full = _exact_product(U, V)
+            if _sign_pattern(full) == A:
                 # the certificate's one exact rank; verify() stays the
                 # independent check that callers run
-                rank = rational_rank(full)
-                if rank > r or _sign_pattern(full) != A:
-                    raise AssertionError("internal error: certificate failed its self-check")
-                return RationalCertificate(tuple(tuple(row) for row in full), rank, A)
+                return RationalCertificate(full, _factored_rank(U, V, full), A, (U, V))
         t *= 2
     raise PrecisionExhausted(
         "denominator schedule exhausted at 2^64 without an exact sign match"
     )
 
 
-def _expand_condensed_matrix(M, A: SignPattern, report: CondensationReport):
-    """Reinsert deleted rows/columns: zero lines become zero, duplicates copy
-    their surviving representative, opposites copy its negation."""
-    row_rep = {orig: (pos, 1) for pos, orig in enumerate(report.kept_rows)}
-    col_rep = {orig: (pos, 1) for pos, orig in enumerate(report.kept_cols)}
-
-    def resolve(events_axis, rep, idx):
-        # follow survivor chains recorded in the deletion log
-        sign = 1
-        current = idx
-        guard = 0
-        while current not in rep:
-            event = next(
-                (e for e in report.log if e.axis == events_axis and e.index == current),
-                None,
-            )
-            if event is None or event.kind == "zero":
-                return None
-            if event.kind == "opposite":
-                sign = -sign
-            current = event.survivor
-            guard += 1
-            if guard > len(report.log) + 1:
-                return None
-        pos, base_sign = rep[current]
-        return pos, sign * base_sign
-
-    full = []
-    for i in range(A.m):
-        row = []
-        ri = resolve("row", row_rep, i)
-        for j in range(A.n):
-            cj = resolve("col", col_rep, j)
-            if ri is None or cj is None:
-                row.append(Fraction(0))
+def _expand_lines(lines, signs, report: CondensationReport, axis: str, width: int) -> tuple:
+    """A factor's lines for every original row (axis "row") or column
+    ("col") from its condensed lines: kept line p becomes signs[p] *
+    lines[p], a deleted duplicate copies its survivor, an opposite negates
+    it, and a zero line is zero.  Survivors are always earlier lines, so
+    one pass in index order follows every chain in the deletion log."""
+    kept = report.kept_rows if axis == "row" else report.kept_cols
+    position = {orig: pos for pos, orig in enumerate(kept)}
+    deleted = {e.index: e for e in report.log if e.axis == axis}
+    out = []
+    for idx in range(len(kept) + len(deleted)):
+        if idx in position:
+            p = position[idx]
+            line, negate = lines[p], signs[p] < 0
+        else:
+            event = deleted[idx]
+            if event.kind == "zero":
+                line, negate = (Fraction(0),) * width, False
             else:
-                row.append(M[ri[0]][cj[0]] * ri[1] * cj[1])
-        full.append(row)
-    return full
+                line, negate = out[event.survivor], event.kind == "opposite"
+        out.append(tuple(-x for x in line) if negate else tuple(line))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

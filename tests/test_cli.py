@@ -61,9 +61,23 @@ class TestMr:
         monkeypatch.setattr(
             signrank.realize, "search_realization", lambda C, r, params: seen.append(params)
         )
-        code, out, _ = run(capsys, "mr", fxdir / "A0.pat", "--try-rank", 2, "--iters", 7)
+        # rank 3 is A0's proven lower bound and below its upper bound, so it is searched
+        code, out, _ = run(capsys, "mr", fxdir / "A0.pat", "--try-rank", 3, "--iters", 7)
         assert code == 1
         assert [p.iters for p in seen] == [7]
+
+    def test_try_rank_below_lower_bound_skips_search(self, capsys, fxdir, monkeypatch):
+        import signrank.realize
+
+        def fail(*args):
+            raise AssertionError("searched below the proven lower bound")
+
+        monkeypatch.setattr(signrank.realize, "search_realization", fail)
+        code, out, _ = run(capsys, "mr", fxdir / "A0.pat", "--try-rank", 2, "--json")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["lower"] == 3
+        assert ["note", None, "rank 2 is below the proven lower bound 3; no search run"] in doc["evidence"]
 
     def test_inconclusive_exit(self, capsys, fxdir):
         code, out, _ = run(capsys, "mr", fxdir / "A0.pat")
@@ -144,6 +158,9 @@ class TestRealizeRationalize:
         )
         assert code == 0
         cert = load_certificate(cert_file)
+        assert cert.factors is not None
+        U, V = cert.factors
+        assert len(U) == 4 and len(V) == 3 and len(V[0]) == 4
         assert cert.verify()
 
     def test_not_found_exit(self, capsys, tmp_path):

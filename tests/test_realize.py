@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from signrank.fixtures import A0_PATTERN, A1_PATTERN, A2_PATTERN, FIG21_PATTERN
 from signrank.geometry import encode_configuration
 from signrank.pattern import SignPattern, condense
 from signrank.realize import (
+    RationalCertificate,
     Realization,
     SearchParams,
     has_direct_representation,
@@ -216,6 +218,9 @@ class TestRationalize:
         assert sympy_rank(cert.matrix) == cert.rank
 
     def test_rank_computed_once(self, monkeypatch):
+        # the rank is proven from the factors: rationalize ranks U (m x r)
+        # and V (r x n) once each, verify() once more each, and no call
+        # eliminates a matrix larger than r in both dimensions
         import signrank.realize
 
         calls = []
@@ -223,10 +228,12 @@ class TestRationalize:
         monkeypatch.setattr(
             signrank.realize, "rational_rank", lambda M: calls.append(M) or original(M)
         )
-        real = search_realization(FIG21_PATTERN, 3, SearchParams(seed=4))
-        cert = rationalize(FIG21_PATTERN, real)
-        assert len(calls) == 1
-        assert cert.verify() and len(calls) == 2
+        P, real = _planted_instance(np.random.default_rng(5), 3)
+        assert min(P.m, P.n) > 3
+        cert = rationalize(P, real)
+        assert len(calls) == 2
+        assert cert.verify() and len(calls) == 4
+        assert all(len(M) <= 3 or len(M[0]) <= 3 for M in calls)
 
     def test_a0_overdetermined(self):
         real = search_realization(A0_PATTERN, 3, SearchParams(seed=0))
@@ -300,6 +307,146 @@ class TestRationalize:
         signs = SignPattern([[(v > 0) - (v < 0) for v in row] for row in transposed])
         assert signs == P
         assert rational_rank(transposed) == cert_t.rank <= 3
+
+
+def _planted_instance(rng, r):
+    """A pattern sgn(U V) for Gaussian normal-form factors at rank r with up
+    to r-1 planted zeros per column, with zero, duplicate and opposite rows
+    and columns mixed in (as zero, copied and negated factor lines), and a
+    normal-form realization of its condensed form."""
+    while True:
+        m, n = int(rng.integers(r + 1, r + 6)), int(rng.integers(r + 1, r + 6))
+        U = rng.standard_normal((m, r))
+        U[:, 0] = 1.0
+        V = rng.standard_normal((r, n))
+        V[-1, :] = 1.0
+        zero = np.zeros((m, n), dtype=bool)
+        max_zeros = int(rng.integers(0, r))
+        for j in range(n):
+            s = int(rng.integers(0, max_zeros + 1))
+            if s:
+                rows = rng.choice(m, s, replace=False)
+                V[:s, j] = np.linalg.solve(U[rows][:, :s], -(U[rows][:, s:] @ V[s:, j]))
+                zero[rows, j] = True
+        for _ in range(int(rng.integers(0, 4))):
+            kind, src = int(rng.integers(0, 3)), int(rng.integers(0, len(U)))
+            pos = int(rng.integers(0, len(U) + 1))
+            line = (0.0, 1.0, -1.0)[kind] * U[src]
+            U = np.insert(U, pos, line, axis=0)
+            zero = np.insert(zero, pos, zero[src] | (kind == 0), axis=0)
+        for _ in range(int(rng.integers(0, 4))):
+            kind, src = int(rng.integers(0, 3)), int(rng.integers(0, V.shape[1]))
+            pos = int(rng.integers(0, V.shape[1] + 1))
+            line = (0.0, 1.0, -1.0)[kind] * V[:, src]
+            V = np.insert(V, pos, line, axis=1)
+            zero = np.insert(zero, pos, zero[:, src] | (kind == 0), axis=1)
+        B = U @ V
+        if np.any(np.abs(B[~zero]) < 1e-6) or np.any(np.abs(B[zero]) > 1e-11):
+            continue
+        P = SignPattern(np.where(zero, 0, np.sign(B)).astype(int).tolist())
+        report = condense(P)
+        if len(report.kept_rows) <= r or len(report.kept_cols) <= r:
+            continue
+        # kept lines are base lines or their negations: rescale to normal form
+        Uk = U[list(report.kept_rows)]
+        Vk = V[:, list(report.kept_cols)]
+        return P, Realization(r, Uk / Uk[:, :1], Vk / Vk[-1:, :])
+
+
+def _fraction_product(U, V):
+    return tuple(
+        tuple(sum((u * v for u, v in zip(row, col)), Fraction(0)) for col in zip(*V))
+        for row in U
+    )
+
+
+class TestFactoredCertificates:
+    def test_planted_ranks_against_sympy(self):
+        rng = np.random.default_rng(2024)
+        redundant = 0
+        for k in range(64):
+            r = 2 + k % 4
+            P, real = _planted_instance(rng, r)
+            redundant += condense(P).condensed != P
+            cert = rationalize(P, real)
+            U, V = cert.factors
+            assert len(U) == P.m and len(V) == r and all(len(row) == P.n for row in V)
+            assert _fraction_product(U, V) == cert.matrix
+            assert cert.rank == sympy_rank(cert.matrix) == r
+            assert cert.verify()
+        assert redundant >= 40
+
+    def test_json_round_trip_adds_factors(self):
+        real = search_realization(FIG21_PATTERN, 3, SearchParams(seed=4))
+        cert = rationalize(FIG21_PATTERN, real)
+        doc = cert.to_dict()
+        assert set(doc) == {"rank", "target", "matrix", "U", "V"}
+        back = RationalCertificate.from_dict(doc)
+        assert back == cert and back.verify()
+
+    def test_old_format_verifies_by_elimination(self, monkeypatch):
+        import signrank.realize
+
+        real = search_realization(FIG21_PATTERN, 3, SearchParams(seed=4))
+        doc = rationalize(FIG21_PATTERN, real).to_dict()
+        del doc["U"], doc["V"]
+        old = RationalCertificate.from_dict(doc)
+        assert old.factors is None
+        calls = []
+        original = signrank.realize.rational_rank
+        monkeypatch.setattr(
+            signrank.realize, "rational_rank", lambda M: calls.append(M) or original(M)
+        )
+        assert old.verify()
+        assert calls == [old.matrix]
+        assert not replace(old, rank=old.rank - 1).verify()
+
+    def test_tampering_fails_verify(self):
+        real = search_realization(FIG21_PATTERN, 3, SearchParams(seed=4))
+        cert = rationalize(FIG21_PATTERN, real)
+        assert cert.verify()
+        U, V = cert.factors
+        i, j = next((i, j) for i, row in enumerate(cert.matrix) for j, v in enumerate(row) if v)
+        # one matrix entry doubled: its sign is kept, so only U V == matrix catches it
+        matrix = [list(row) for row in cert.matrix]
+        matrix[i][j] *= 2
+        tampered = replace(cert, matrix=tuple(map(tuple, matrix)))
+        assert tampered.target == cert.target and not tampered.verify()
+        # one factor entry changed
+        U2 = [list(row) for row in U]
+        U2[i][1] += Fraction(1, 3)
+        assert not replace(cert, factors=(tuple(map(tuple, U2)), V)).verify()
+        # a wrong rank claim
+        assert not replace(cert, rank=cert.rank - 1).verify()
+        assert not replace(cert, rank=cert.rank + 1).verify()
+        # factors of the wrong shape are rejected on construction
+        with pytest.raises(DomainError):
+            replace(cert, factors=(U[1:], V))
+        with pytest.raises(DomainError):
+            replace(cert, factors=(tuple(row[:2] for row in U), V))
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_rank_deficient_factor_falls_back(self, monkeypatch, transpose):
+        import signrank.realize
+
+        # U has two equal columns, so U V has rank 2 although r = 3; the
+        # transpose puts the deficient factor on the right
+        U = tuple(tuple(map(Fraction, row)) for row in [(1, 1, 0), (2, 2, 1), (3, 3, -1), (1, 1, 2)])
+        V = tuple(tuple(map(Fraction, row)) for row in [(1, 0, 2, -1), (0, 1, -1, 3), (2, -1, 1, 1)])
+        if transpose:
+            U, V = tuple(zip(*V)), tuple(zip(*U))
+        matrix = _fraction_product(U, V)
+        target = SignPattern([[(v > 0) - (v < 0) for v in row] for row in matrix])
+        assert sympy_rank(matrix) == 2
+        calls = []
+        original = signrank.realize.rational_rank
+        monkeypatch.setattr(
+            signrank.realize, "rational_rank", lambda M: calls.append(M) or original(M)
+        )
+        cert = RationalCertificate(matrix, 2, target, (U, V))
+        assert cert.verify()
+        assert calls[-1] == matrix
+        assert not replace(cert, rank=3).verify()
 
 
 class TestRationalRank:
