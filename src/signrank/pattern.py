@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -38,8 +39,11 @@ class SignPattern:
                         raise DomainError(f"invalid sign character {value!r}")
                     converted.append(_CHAR_TO_INT[value])
                 else:
-                    iv = int(value)
-                    if iv not in (-1, 0, 1):
+                    try:
+                        iv = int(value)
+                    except (TypeError, ValueError, OverflowError):  # not a number, NaN, infinity
+                        iv = None
+                    if iv != value or iv not in (-1, 0, 1):
                         raise DomainError(f"invalid sign value {value!r}")
                     converted.append(iv)
             grid.append(tuple(converted))
@@ -152,76 +156,46 @@ class CondensationReport:
     log: tuple
 
 
-def condense(A: SignPattern) -> CondensationReport:
-    """Delete zero lines and duplicate/opposite lines until stable.
+def _sweep(lines, axis: str, log: list) -> list:
+    """One pass over the lines of one axis: log and drop zero lines and
+    every line equal or opposite to an earlier kept one; return the kept
+    indices.
 
-    Scans rows top to bottom then columns left to right, always removing the
-    lower of two matching rows and the righter of two matching columns, and
-    repeats until a full sweep removes nothing.  The zero pattern condenses
-    to the 0x0 empty pattern.
+    A line whose first nonzero is ``lead`` is keyed by itself if lead > 0,
+    else by its negation, so two lines match up to sign exactly when their
+    keys agree.  Kept lines never match each other, so the first kept line
+    with a key is the only one a later line can match, and it is stored as
+    (index, lead): equal leads make a duplicate, unequal ones an opposite.
     """
-    rows = list(range(A.m))
-    cols = list(range(A.n))
+    first = {}
+    for i, v in enumerate(lines):
+        lead = next((x for x in v if x), 0)
+        if not lead:
+            log.append(DeletionEvent(axis, "zero", i))
+            continue
+        key = v if lead > 0 else tuple([-x for x in v])
+        k, k_lead = first.setdefault(key, (i, lead))
+        if k != i:
+            log.append(DeletionEvent(axis, "duplicate" if k_lead == lead else "opposite", i, k))
+    return [k for k, _ in first.values()]
+
+
+def condense(A: SignPattern) -> CondensationReport:
+    """Delete zero lines and duplicate/opposite lines.
+
+    Sweeps rows top to bottom, then columns left to right, always removing
+    the lower of two matching rows and the righter of two matching columns;
+    each sweep is one O(mn) dict-keyed pass (``_sweep``).  Both sweeps read
+    the whole pattern and one sweep per axis is the fixed point: a deleted
+    row is zero or equal or opposite to a kept row, so it decides no
+    comparison between columns, and likewise for a deleted column.  The
+    zero pattern condenses to the 0x0 empty pattern.
+    """
+    E = A.entries
     log = []
-
-    def row_vec(i):
-        return tuple(A.entries[i][j] for j in cols)
-
-    def col_vec(j):
-        return tuple(A.entries[i][j] for i in rows)
-
-    changed = True
-    while changed:
-        changed = False
-        kept = []
-        for i in rows:
-            v = row_vec(i)
-            if all(x == 0 for x in v):
-                log.append(DeletionEvent("row", "zero", i))
-                changed = True
-                continue
-            dup = None
-            for k in kept:
-                w = row_vec(k)
-                if w == v:
-                    dup = DeletionEvent("row", "duplicate", i, k)
-                    break
-                if tuple(-x for x in w) == v:
-                    dup = DeletionEvent("row", "opposite", i, k)
-                    break
-            if dup is not None:
-                log.append(dup)
-                changed = True
-            else:
-                kept.append(i)
-        rows = kept
-
-        kept = []
-        for j in cols:
-            v = col_vec(j)
-            if all(x == 0 for x in v):
-                log.append(DeletionEvent("col", "zero", j))
-                changed = True
-                continue
-            dup = None
-            for k in kept:
-                w = col_vec(k)
-                if w == v:
-                    dup = DeletionEvent("col", "duplicate", j, k)
-                    break
-                if tuple(-x for x in w) == v:
-                    dup = DeletionEvent("col", "opposite", j, k)
-                    break
-            if dup is not None:
-                log.append(dup)
-                changed = True
-            else:
-                kept.append(j)
-        cols = kept
-
-    if not rows or not cols:
-        rows, cols = [], []
-    condensed = SignPattern([[A.entries[i][j] for j in cols] for i in rows])
+    rows = _sweep(E, "row", log)
+    cols = _sweep(zip(*E), "col", log)
+    condensed = SignPattern([[E[i][j] for j in cols] for i in rows])
     return CondensationReport(condensed, tuple(rows), tuple(cols), tuple(log))
 
 
@@ -277,7 +251,7 @@ def is_equivalent(
         return None
     m, n = A.m, A.n
     if m == 0 or n == 0:
-        return EquivalenceWitness(tuple(range(m)), tuple(range(n)), (1,) * m, (1,) * n)
+        return EquivalenceWitness.identity(m, n)
 
     prof_a = [_row_profile(A, k) for k in range(m)]
     prof_b = [_row_profile(B, i) for i in range(m)]
@@ -289,8 +263,6 @@ def is_equivalent(
     nodes = 0
 
     # assign B rows in a most-discriminating order: rare profiles first
-    from collections import Counter
-
     freq = Counter(prof_b)
     order = sorted(range(m), key=lambda i: (freq[prof_b[i]], prof_b[i], i))
 
@@ -700,7 +672,8 @@ def mr_bounds(A: SignPattern, options: Optional[MrBoundsOptions] = None) -> MrBo
     if A.is_zero():
         return MrBounds(0, 0, (("exact", 0, "zero pattern"),))
 
-    report = condense(A)
+    mr2 = is_mr2(A)
+    report = mr2.condensation
     C = report.condensed
     evidence = [
         ("lower", 1, "nonzero pattern"),
@@ -710,11 +683,9 @@ def mr_bounds(A: SignPattern, options: Optional[MrBoundsOptions] = None) -> MrBo
     tr = term_rank(C)
     evidence.append(("upper", tr, f"term rank {tr}"))
 
-    if is_mr1(A):
+    if C.m == 1 and C.n == 1:
         evidence.append(("exact", 1, "condensed pattern is 1x1"))
         return MrBounds(1, 1, tuple(evidence))
-
-    mr2 = is_mr2(A)
     if mr2.value:
         evidence.append(("exact", 2, "nondecreasing arrangement exists"))
         return MrBounds(2, 2, tuple(evidence))

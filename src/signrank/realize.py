@@ -64,6 +64,8 @@ class Realization:
         object.__setattr__(self, "V", V)
         if U.ndim != 2 or V.ndim != 2 or U.shape[1] != self.r or V.shape[0] != self.r:
             raise DomainError("realization factors have inconsistent shapes")
+        if not (np.isfinite(U).all() and np.isfinite(V).all()):
+            raise DomainError("realization factors must be finite")
         if U.shape[0] and not np.all(U[:, 0] == 1.0):
             raise DomainError("realization violates normal form: U's first column must be ones")
         if V.shape[1] and not np.all(V[-1, :] == 1.0):
@@ -812,22 +814,23 @@ def has_direct_representation(
     """
     from .pattern import _monotone_arrangement, is_mr2
 
-    report = condense(A)
-    C = report.condensed
     if r == 1:
+        C = condense(A).condensed
         if C.m == 1 and C.n == 1 and C.entries[0][0] == 1:
             return DirectRepresentation("yes", Realization(1, np.ones((1, 1)), np.ones((1, 1))))
         return DirectRepresentation("no", None)
     if r == 2:
-        if not is_mr2(A).value:
+        mr2 = is_mr2(A)
+        if not mr2.value:
             return DirectRepresentation("no", None)
+        C = mr2.condensation.condensed
         witness = _monotone_arrangement(C, identity_only=True)
         if witness is None:
             return DirectRepresentation("no", None)
         return DirectRepresentation("yes", _realization_from_arrangement(C, witness))
     params = params or SearchParams()
     params = replace(params, direct=True)
-    found = search_realization(C, r, params)
+    found = search_realization(A, r, params)
     if found is not None:
         return DirectRepresentation("yes", found)
     return DirectRepresentation("unknown", None)

@@ -52,6 +52,8 @@ def render_svg(C: Configuration, bbox: Optional[Sequence[float]] = None) -> str:
     if C.dim != 2:
         raise DomainError("SVG rendering supports planar configurations only")
     box = tuple(float(v) for v in bbox) if bbox is not None else _auto_bbox(C)
+    if not all(math.isfinite(v) for v in box):
+        raise DomainError(f"bounding box must be finite, got {box}")
     x0, y0, x1, y1 = box
     if x1 <= x0 or y1 <= y0:
         raise DomainError(f"degenerate bounding box {box}")

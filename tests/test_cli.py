@@ -253,6 +253,16 @@ class TestGeometryCommands:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("bbox", ["nan,0,1,1", "0,0,inf,1"])
+    def test_render_non_finite_bbox(self, capsys, fxdir, tmp_path, bbox):
+        out_file = tmp_path / "d.svg"
+        code, _, err = run(
+            capsys, "render", fxdir / "fig21_config.json", "-o", out_file, "--bbox", bbox,
+        )
+        assert code == 2
+        assert "finite" in err
+        assert not out_file.exists()
+
 
 class TestEquiv:
     def test_equivalent(self, capsys, fxdir):

@@ -4,9 +4,12 @@ from graphlib import CycleError, TopologicalSorter
 import numpy as np
 import pytest
 
+from signrank import pattern, realize
 from signrank.errors import DomainError, PatternFormatError, ResourceExhausted
 from signrank.fixtures import A0_PATTERN, A1_PATTERN, A2_PATTERN
 from signrank.pattern import (
+    CondensationReport,
+    DeletionEvent,
     EquivalenceWitness,
     MrBoundsOptions,
     SignPattern,
@@ -53,6 +56,12 @@ class TestTextFormat:
         with pytest.raises(DomainError):
             SignPattern([[2]])
 
+    def test_fractional_values_rejected(self):
+        for value in (0.5, -1.7, 1.25, float("nan"), float("inf"), None):
+            with pytest.raises(DomainError):
+                SignPattern([[value, 1]])
+        assert SignPattern(np.sign([[-2.5, 0.0, 3.0]])) == SignPattern(["-0+"])
+
 
 def _replay_log(P: SignPattern, report):
     rows = list(range(P.m))
@@ -63,6 +72,95 @@ def _replay_log(P: SignPattern, report):
         else:
             cols.remove(event.index)
     return P.submatrix(rows, cols)
+
+
+def _reference_condense(A: SignPattern) -> CondensationReport:
+    """The former condense: each line compared with every kept line of its
+    axis, O(m^2 n) per sweep, rows then columns until a pass deletes
+    nothing."""
+    rows = list(range(A.m))
+    cols = list(range(A.n))
+    log = []
+
+    def row_vec(i):
+        return tuple(A.entries[i][j] for j in cols)
+
+    def col_vec(j):
+        return tuple(A.entries[i][j] for i in rows)
+
+    changed = True
+    while changed:
+        changed = False
+        kept = []
+        for i in rows:
+            v = row_vec(i)
+            if all(x == 0 for x in v):
+                log.append(DeletionEvent("row", "zero", i))
+                changed = True
+                continue
+            dup = None
+            for k in kept:
+                w = row_vec(k)
+                if w == v:
+                    dup = DeletionEvent("row", "duplicate", i, k)
+                    break
+                if tuple(-x for x in w) == v:
+                    dup = DeletionEvent("row", "opposite", i, k)
+                    break
+            if dup is not None:
+                log.append(dup)
+                changed = True
+            else:
+                kept.append(i)
+        rows = kept
+
+        kept = []
+        for j in cols:
+            v = col_vec(j)
+            if all(x == 0 for x in v):
+                log.append(DeletionEvent("col", "zero", j))
+                changed = True
+                continue
+            dup = None
+            for k in kept:
+                w = col_vec(k)
+                if w == v:
+                    dup = DeletionEvent("col", "duplicate", j, k)
+                    break
+                if tuple(-x for x in w) == v:
+                    dup = DeletionEvent("col", "opposite", j, k)
+                    break
+            if dup is not None:
+                log.append(dup)
+                changed = True
+            else:
+                kept.append(j)
+        cols = kept
+
+    if not rows or not cols:
+        rows, cols = [], []
+    condensed = SignPattern([[A.entries[i][j] for j in cols] for i in rows])
+    return CondensationReport(condensed, tuple(rows), tuple(cols), tuple(log))
+
+
+def _redundant_patterns(count: int, seed: int):
+    """Seeded patterns of 0-9 rows and 0-9 columns: a random core of up to
+    6 x 6 with zero, duplicate and opposite rows and columns inserted at
+    random positions (0 to 3 per axis)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m, n = int(rng.integers(0, 7)), int(rng.integers(0, 7))
+        E = random_pattern(rng, m, n, float(rng.uniform(0.0, 0.6))).to_array().reshape(m, n)
+        for axis in (0, 1):
+            for _ in range(int(rng.integers(0, 4))):
+                size = E.shape[axis]
+                kind = int(rng.integers(3)) if size else 0
+                if kind == 0:
+                    line = np.zeros(E.shape[1 - axis], dtype=E.dtype)
+                else:
+                    line = np.take(E, int(rng.integers(size)), axis=axis) * (1 if kind == 1 else -1)
+                E = np.insert(E, int(rng.integers(size + 1)), line, axis=axis)
+        yield SignPattern(E.tolist())
 
 
 def _per_candidate_max_sns(A: SignPattern, cap: int):
@@ -189,6 +287,39 @@ class TestCondense:
             P = random_pattern(rng, int(rng.integers(1, 7)), int(rng.integers(1, 7)), 0.35)
             once = condense(P).condensed
             assert condense(once).condensed == once
+
+    def test_matches_reference_condense(self):
+        kinds = set()
+        for P in _redundant_patterns(2500, seed=71):
+            report = condense(P)
+            assert report == _reference_condense(P)
+            kinds.update((e.axis, e.kind) for e in report.log)
+        assert kinds == {(a, k) for a in ("row", "col") for k in ("zero", "duplicate", "opposite")}
+
+
+@pytest.fixture
+def condense_calls(monkeypatch):
+    """Patterns passed to condense, counted wherever a module holds it."""
+    calls = []
+    original = pattern.condense
+
+    def counted(A):
+        calls.append(A)
+        return original(A)
+
+    for module in (pattern, realize):
+        monkeypatch.setattr(module, "condense", counted)
+    return calls
+
+
+class TestCondenseOnce:
+    def test_mr_bounds(self, condense_calls):
+        mr_bounds(A0_PATTERN)
+        assert len(condense_calls) == 1
+
+    def test_direct_representation_rank2(self, condense_calls):
+        assert has_direct_representation(SignPattern(["--+", "-0+", "-++"]), 2).status == "yes"
+        assert len(condense_calls) == 1
 
 
 class TestEquivalence:

@@ -201,6 +201,15 @@ class TestRealizationDocument:
         with pytest.raises(DomainError):
             Realization(2, np.array([[1.0, 1.0]]), np.array([[1.0], [2.0]]))
 
+    def test_non_finite_factors_rejected(self):
+        for U, V in (
+            ([[1.0, np.nan]], [[1.0], [1.0]]),
+            ([[1.0, 1.0]], [[np.inf], [1.0]]),
+            ([[1.0, -np.inf]], [[1.0], [1.0]]),
+        ):
+            with pytest.raises(DomainError):
+                Realization(2, U, V)
+
 
 class TestRationalize:
     def test_a1_certificate(self):
