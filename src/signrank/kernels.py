@@ -1,10 +1,11 @@
 """Hot numeric kernels for the realization search (numpy).
 
 ``penalty_grad`` evaluates the sign-fitting penalty and its analytic
-gradients; ``solve_dependent`` pins the dependent entries of zero-carrying
-columns by solving their small linear systems in place; ``descent`` runs the
-adaptive gradient loop.  ``deps`` lists ``(j, rows)`` pairs, ``rows`` a list
-of the zero-target row indices of column j, solved through V[:len(rows), j].
+gradients; ``descent`` runs the adaptive gradient loop over the entries that
+``free_u`` and ``free_v`` leave free.  Zero targets are only penalized here:
+the search polishes them afterwards and ``rationalize`` makes them exact.
+``solve_dependent`` has no caller in the package; it stays because the
+benchmark's tracer looks the name up.
 
 The penalty for target signs S over B = U @ V with margin t and zero weight w:
 
@@ -35,7 +36,8 @@ def penalty_grad(U, V, S, margin, zero_weight):
 
 def solve_dependent(U, V, deps):
     """Solve V[:s, j] so the zero-target rows of column j vanish exactly.
-    Returns the number of columns skipped for singularity."""
+    Returns the number of columns skipped for singularity.  Unused by the
+    search; kept only because ``perfbench/tracing.py`` traces this name."""
     skipped = 0
     for j, rows in deps:
         s = len(rows)
@@ -49,23 +51,15 @@ def solve_dependent(U, V, deps):
     return skipped
 
 
-# descent's own calls go through these bindings, so wrapping the public
-# names (as the benchmark's tracer does) counts only the callers' calls
-_penalty_grad = penalty_grad
-_solve_dependent = solve_dependent
-
-
-def descent(U, V, S, margin, zero_weight, iters, lr0, deps, free_u, free_v):
+def descent(U, V, S, margin, zero_weight, iters, lr0, free_u, free_v):
     lr = lr0
-    _solve_dependent(U, V, deps)
-    pen, gU, gV = _penalty_grad(U, V, S, margin, zero_weight)
+    pen, gU, gV = penalty_grad(U, V, S, margin, zero_weight)
     for _ in range(iters):
         if pen < 1e-22 or lr < 1e-14:
             break
         U2 = U - lr * gU * free_u
         V2 = V - lr * gV * free_v
-        _solve_dependent(U2, V2, deps)
-        pen2, gU2, gV2 = _penalty_grad(U2, V2, S, margin, zero_weight)
+        pen2, gU2, gV2 = penalty_grad(U2, V2, S, margin, zero_weight)
         if pen2 <= pen:
             U, V, pen, gU, gV = U2, V2, pen2, gU2, gV2
             lr *= 1.05

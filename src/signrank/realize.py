@@ -267,7 +267,7 @@ def normalize_factorization(B, r: int, seed: int = 0,
 
 
 # ---------------------------------------------------------------------------
-# Zero-column solves (shared by the search and by rationalize)
+# Exact zero-column solves (used by rationalize)
 
 
 def _zero_rows_by_column(A: SignPattern):
@@ -315,48 +315,36 @@ def solve_zero_columns(U, A: SignPattern, j: int, free_values: Sequence = ()):
 # Numerical search
 
 
-def _dependent_columns(zero_rows, r: int):
-    """(column, zero_rows) pairs for columns whose zeros are solvable
-    (1 <= s <= r-1), from the zero rows of each column."""
-    return [(j, list(zr)) for j, zr in enumerate(zero_rows) if 1 <= len(zr) < r]
-
-
-def _gauss_newton_zero_polish(U, V, S, zero_cells, var_index, max_iter=30):
+def _gauss_newton_zero_polish(U, V, zero_cells, var_index, max_iter=30):
     """Drive the listed zero-target products to ~1e-13 by damped
-    Gauss-Newton over the selected free entries."""
+    Gauss-Newton over the selected free entries: ``var_index`` lists
+    (0, i, k) for U[i, k] and (1, k, j) for V[k, j]."""
     if not zero_cells:
         return U, V
-
-    def residuals():
-        B = U @ V
-        return np.array([B[i, j] for i, j in zero_cells])
-
-    res = residuals()
+    ci, cj = np.array(zero_cells).T
+    kind, va, vb = np.array(var_index).T
+    on_u = kind == 0
+    ua, ub, vk, vj = va[on_u], vb[on_u], va[~on_u], vb[~on_u]
+    # d(UV)[i, j]/dU[i, k] = V[k, j] and d(UV)[i, j]/dV[k, j] = U[i, k]
+    hit_u = ci[:, None] == ua[None, :]
+    hit_v = cj[:, None] == vj[None, :]
+    J = np.zeros((len(ci), len(kind)))
+    res = (U @ V)[ci, cj]
     for _ in range(max_iter):
         if np.max(np.abs(res)) < 1e-13:
             break
-        J = np.zeros((len(zero_cells), len(var_index)))
-        for row, (i, j) in enumerate(zero_cells):
-            for col, (kind, a, b) in enumerate(var_index):
-                if kind == 0 and a == i:  # U[i, b]
-                    J[row, col] = V[b, j]
-                elif kind == 1 and b == j:  # V[a, j]
-                    J[row, col] = U[i, a]
+        J[:, on_u] = np.where(hit_u, V[ub[None, :], cj[:, None]], 0.0)
+        J[:, ~on_u] = np.where(hit_v, U[ci[:, None], vk[None, :]], 0.0)
         step, *_ = np.linalg.lstsq(J, -res, rcond=None)
         scale = 1.0
         base = np.linalg.norm(res)
         for _ in range(20):
             U2, V2 = U.copy(), V.copy()
-            for col, (kind, a, b) in enumerate(var_index):
-                if kind == 0:
-                    U2[a, b] += scale * step[col]
-                else:
-                    V2[a, b] += scale * step[col]
-            B2 = U2 @ V2
-            new = np.linalg.norm([B2[i, j] for i, j in zero_cells])
-            if new < base:
-                U, V = U2, V2
-                res = residuals()
+            U2[ua, ub] += scale * step[on_u]
+            V2[vk, vj] += scale * step[~on_u]
+            new = (U2 @ V2)[ci, cj]
+            if np.linalg.norm(new) < base:
+                U, V, res = U2, V2, new
                 break
             scale *= 0.5
         else:
@@ -404,24 +392,11 @@ def _restart(C: SignPattern, r: int, params: SearchParams, k: int):
         V[-1, :] = 1.0
         free_u[:, 0] = 0.0
         free_v[-1, :] = 0.0
-    zero_rows = _zero_rows_by_column(C)
-    deps = _dependent_columns(zero_rows, r)
-    for j, rows in deps:
-        free_v[: len(rows), j] = 0.0
-
-    zero_cols = [j for j, zr in enumerate(zero_rows) if zr]
-    zero_cells = [(i, j) for j in zero_cols for i in range(m) if C.entries[i][j] == 0]
-
-    var_index = []
-    if zero_cells:
-        zero_rows_involved = sorted({i for i, _ in zero_cells})
-        for i in zero_rows_involved:
-            for kcol in range(0 if not params.direct else 1, r):
-                var_index.append((0, i, kcol))
-        last_v = r if not params.direct else r - 1
-        for j in zero_cols:
-            for a in range(last_v):
-                var_index.append((1, a, j))
+    zero_cells = [(i, j) for j in range(n) for i in range(m) if C.entries[i][j] == 0]
+    # the polish moves the zero cells' U rows and V columns, minus the pins
+    pinned = int(params.direct)
+    var_index = [(0, i, k) for i in sorted({i for i, _ in zero_cells}) for k in range(pinned, r)]
+    var_index += [(1, k, j) for j in sorted({j for _, j in zero_cells}) for k in range(r - pinned)]
 
     # optimize against an amplified margin so the hinge terms keep real
     # gradient pressure; acceptance is still judged at params.margin
@@ -430,11 +405,9 @@ def _restart(C: SignPattern, r: int, params: SearchParams, k: int):
         U, V, pen = kernels.descent(
             U, V, S, margin_opt, 4.0,
             params.iters if attempt == 0 else max(500, params.iters // 10),
-            0.05, deps, free_u, free_v,
+            0.05, free_u, free_v,
         )
-        if zero_cells:
-            U, V = _gauss_newton_zero_polish(U, V, S, zero_cells, var_index)
-        kernels.solve_dependent(U, V, deps)
+        U, V = _gauss_newton_zero_polish(U, V, zero_cells, var_index)
         if _check_signs(U @ V, S, params.margin, params.zero_tol):
             break
     else:
@@ -448,8 +421,7 @@ def _restart(C: SignPattern, r: int, params: SearchParams, k: int):
         normalized = _normalize_factors(U, V, rng)
     except NumericalDegeneracy:
         return None
-    Un, Vn = normalized.U.copy(), normalized.V.copy()
-    kernels.solve_dependent(Un, Vn, deps)
+    Un, Vn = normalized.U, normalized.V
     target = S * np.outer(normalized.row_signs, normalized.col_signs)
     if not _check_signs(Un @ Vn, target, 4 * params.zero_tol, params.zero_tol):
         return None

@@ -48,6 +48,13 @@ class TestMr:
         assert out.startswith("mr = 3")
         assert "SNS" in out and "realization" in out
 
+    def test_a0_rank4_realized(self, capsys, fxdir):
+        code, out, _ = run(capsys, "mr", fxdir / "A0.pat", "--try-rank", 4, "--json")
+        assert code == 1  # lower is 3, so the bounds are not tight
+        doc = json.loads(out)
+        assert doc["lower"] == 3 and doc["upper"] == 4
+        assert ["upper", 4, "numerical realization at rank 4"] in doc["evidence"]
+
     def test_json_bounds(self, capsys, fxdir):
         code, out, _ = run(capsys, "mr", fxdir / "A1.pat", "--json")
         doc = json.loads(out)

@@ -70,7 +70,7 @@ class TestDescent:
         free_u, free_v = np.ones_like(U), np.ones_like(V)
         p0 = kernels.penalty_grad(U, V, S, 1e-2, 4.0)[0]
         _, _, p1 = kernels.descent(
-            U.copy(), V.copy(), S, 1e-2, 4.0, 500, 0.05, [], free_u, free_v
+            U.copy(), V.copy(), S, 1e-2, 4.0, 500, 0.05, free_u, free_v
         )
         assert p1 <= p0
 
@@ -78,7 +78,7 @@ class TestDescent:
         U, V, S = _instance(8)
         free_u, free_v = np.ones_like(U), np.ones_like(V)
         run = lambda: kernels.descent(
-            U.copy(), V.copy(), S, 1e-2, 4.0, 300, 0.05, [], free_u, free_v
+            U.copy(), V.copy(), S, 1e-2, 4.0, 300, 0.05, free_u, free_v
         )
         U1, V1, p1 = run()
         U2, V2, p2 = run()
@@ -92,7 +92,7 @@ class TestDescent:
         free_u[:, 0] = 0.0
         free_v[-1, :] = 0.0
         U2, V2, _ = kernels.descent(
-            U.copy(), V.copy(), S, 1e-2, 4.0, 200, 0.05, [], free_u, free_v
+            U.copy(), V.copy(), S, 1e-2, 4.0, 200, 0.05, free_u, free_v
         )
         assert np.all(U2[:, 0] == 1.0)
         assert np.all(V2[-1, :] == 1.0)

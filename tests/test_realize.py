@@ -174,6 +174,21 @@ class TestSearch:
         r2 = search_realization(A0_PATTERN, 3, SearchParams(seed=3, threads=4))
         assert np.array_equal(r1.U, r2.U) and np.array_equal(r1.V, r2.V)
 
+    def test_planted_zeros_all_found(self):
+        # every pattern is realizable at r; its zeros are left to the polish
+        rng = np.random.default_rng(7)
+        for k in range(24):
+            r = 3 + k % 3
+            P, _ = _planted_instance(rng, r)
+            real = search_realization(P, r, SearchParams(restarts=8, iters=1500, seed=k))
+            assert real is not None, k
+            assert rationalize(P, real).verify()
+
+    def test_a0_rank4(self):
+        real = search_realization(A0_PATTERN, 4)
+        assert real is not None and real.r == 4
+        assert signature_between(A0_PATTERN, real.signed_pattern()) is not None
+
     def test_rank_below_one_rejected(self):
         with pytest.raises(DomainError):
             search_realization(A1_PATTERN, 0)
@@ -182,6 +197,33 @@ class TestSearch:
         real = search_realization(A2_PATTERN, 2, SearchParams(seed=9))
         assert np.all(real.U[:, 0] == 1.0)
         assert np.all(real.V[-1, :] == 1.0)
+
+
+class TestZeroPolish:
+    def test_converges_quadratically(self):
+        # the zero constraints are bilinear in U and V, so Gauss-Newton with
+        # the exact Jacobian takes a 1e-3 perturbation of a planted zero set
+        # to 1e-13 within 3 steps; a wrong Jacobian needs more
+        from signrank import realize
+
+        rng = np.random.default_rng(11)
+        polished = 0
+        for k in range(30):
+            r = 2 + k % 4
+            P, real = _planted_instance(rng, r)
+            S = condense(P).condensed.to_array()
+            cells = [(i, j) for j in range(S.shape[1]) for i in range(S.shape[0]) if S[i, j] == 0]
+            if not cells:
+                continue
+            var_index = [(0, i, a) for i in sorted({i for i, _ in cells}) for a in range(r)]
+            var_index += [(1, a, j) for j in sorted({j for _, j in cells}) for a in range(r)]
+            U = real.U + 1e-3 * rng.standard_normal(real.U.shape)
+            V = real.V + 1e-3 * rng.standard_normal(real.V.shape)
+            U, V = realize._gauss_newton_zero_polish(U, V, cells, var_index, max_iter=3)
+            B = U @ V
+            assert max(abs(B[i, j]) for i, j in cells) < 1e-13, k
+            polished += 1
+        assert polished >= 15
 
 
 class TestRealizationDocument:
