@@ -163,12 +163,17 @@ def _cmd_realize(args) -> int:
     )
     real = realize_mod.search_realization(A, args.rank, params)
     if real is None:
-        _emit(
-            args,
-            {"found": False},
-            f"no rank-{args.rank} realization found within "
-            f"{args.restarts} restarts (inconclusive)",
-        )
+        # ranks 1 and 2 are decided exactly; the search above that is not
+        exact = args.rank <= 2
+        if not exact:
+            text = (f"no rank-{args.rank} realization found within "
+                    f"{args.restarts} restarts (inconclusive)")
+        elif args.direct:
+            text = f"no direct rank-{args.rank} realization exists (decided exactly)"
+        else:
+            text = (f"no rank-{args.rank} realization exists "
+                    f"(mr > {args.rank}, decided exactly)")
+        _emit(args, {"found": False, "exact": exact}, text)
         return EXIT_NEGATIVE
     if args.output:
         realize_mod.save_realization(real, args.output)

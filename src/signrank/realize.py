@@ -8,6 +8,12 @@ carry them).  ``search_realization`` looks for one numerically;
 ``rationalize`` upgrades it to an exact rational matrix certificate by
 rounding the free entries and solving the zero constraints exactly, with a
 doubling denominator schedule.
+
+Ranks 1 and 2 are decided exactly, so there ``search_realization`` builds
+its answer from the condensation and the monotone arrangement of
+``pattern.is_mr2`` and runs no descent: None proves that no rank-r
+realization exists.  The randomized search, and its budget of restarts and
+iterations, serves r >= 3 only, where None is inconclusive.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from .errors import (
     SingularSystem,
 )
 from .exactnum import rational_round
-from .pattern import CondensationReport, SignPattern, condense
+from .pattern import CondensationReport, SignPattern, _monotone_arrangement, condense, is_mr2
 
 DEFAULT_ZERO_TOL = 1e-9
 DEFAULT_MARGIN = 1e-2
@@ -431,28 +437,30 @@ def _restart(C: SignPattern, r: int, params: SearchParams, k: int):
 def search_realization(
     A: SignPattern, r: int, params: Optional[SearchParams] = None
 ) -> Optional[Realization]:
-    """Randomized penalty search for a rank-r sign realization.
+    """A rank-r sign realization of the condensed pattern of A, or None.
 
-    The pattern is condensed first.  Restart k draws its generator from
-    seed XOR k, so results are bit-identical for a fixed seed regardless of
-    the thread count: restarts are evaluated in fixed-size chunks and the
-    successful restart of smallest index wins.  Failure returns None and is
-    always inconclusive (it never certifies that no realization exists).
+    r = 1 and r = 2 are decided exactly (``_exact_low_rank``): None proves
+    that no realization exists (in direct mode: none with identity
+    signatures), and ``restarts``, ``iters``, ``seed`` and ``threads`` are
+    not used.  For r >= 3 a randomized penalty search runs.  Restart k
+    draws its generator from seed XOR k, so results are bit-identical for a
+    fixed seed regardless of the thread count: restarts are evaluated in
+    fixed-size chunks and the successful restart of smallest index wins.
+    Failure there returns None and is always inconclusive (it never
+    certifies that no realization exists).
     """
     params = params or SearchParams()
     if params.restarts < 0 or params.iters < 0:
         raise DomainError(
             f"restarts and iters must be >= 0, got {params.restarts} and {params.iters}"
         )
-    C = condense(A).condensed
     if r < 1:
         raise DomainError(f"rank must be >= 1, got {r}")
+    if r <= 2:
+        return _exact_low_rank(A, r, params.direct)
+    C = condense(A).condensed
     if C.m == 0:
-        return Realization(max(r, 1), np.ones((0, max(r, 1))), np.ones((max(r, 1), 0)))
-    if r == 1:
-        if C.m == 1 and C.n == 1:
-            return Realization(1, np.ones((1, 1)), np.ones((1, 1)))
-        return None
+        return Realization(r, np.ones((0, r)), np.ones((r, 0)))
 
     workers = max(1, int(params.threads))
     indices = range(params.restarts)
@@ -470,6 +478,32 @@ def search_realization(
                 if res is not None:
                     return res
     return None
+
+
+def _exact_low_rank(A: SignPattern, r: int, direct: bool) -> Optional[Realization]:
+    """``search_realization`` at r = 1 or 2, from the exact deciders, with
+    one condensation.
+
+    A 1x1 condensed pattern [s] (mr = 1) has the closed forms U = V = [[1]]
+    at r = 1, whose product + matches s only up to signature (so direct
+    mode needs s = +), and U = [[1, s - 1]], V = [[1], [1]] at r = 2, whose
+    product is s.  At r = 2 a pattern with mr = 2 is realized from the
+    monotone arrangement of ``is_mr2``, or in direct mode from the
+    identity-signed one, which may not exist.  Every other pattern has
+    mr > r."""
+    mr2 = is_mr2(A) if r == 2 else None
+    C = (condense(A) if mr2 is None else mr2.condensation).condensed
+    if C.m == 0:
+        return Realization(r, np.ones((0, r)), np.ones((r, 0)))
+    if C.m == 1 and C.n == 1:
+        s = C.entries[0][0]
+        if r == 2:
+            return Realization(2, np.array([[1.0, s - 1.0]]), np.ones((2, 1)))
+        return None if direct and s < 0 else Realization(1, np.ones((1, 1)), np.ones((1, 1)))
+    if mr2 is None or not mr2.value:
+        return None
+    witness = _monotone_arrangement(C, identity_only=True) if direct else mr2.witness
+    return None if witness is None else _realization_from_arrangement(C, witness)
 
 
 def transpose_realization(real: Realization) -> Realization:
@@ -784,8 +818,6 @@ def has_direct_representation(
     with the normal form pinned; success means yes, exhaustion means
     unknown (never a proof of no).
     """
-    from .pattern import _monotone_arrangement, is_mr2
-
     if r == 1:
         C = condense(A).condensed
         if C.m == 1 and C.n == 1 and C.entries[0][0] == 1:
@@ -809,17 +841,25 @@ def has_direct_representation(
 
 
 def _realization_from_arrangement(C: SignPattern, witness) -> Realization:
-    """Exact rank-2 witness from a nondecreasing identity arrangement:
-    column at arranged position q gets value q+1 and each row crosses from
-    - to + at its zero (or between its last - and first +), so the products
-    v_j + u_i realize every sign."""
+    """Exact rank-2 realization from a monotone arrangement of C (an
+    ``is_mr2`` witness, or an identity-signed one for direct mode).
+
+    The witness's row signs d and column signs c turn C into S = d C c,
+    whose rows are nondecreasing in the witness's column order: the column
+    at arranged position q gets value q+1 and each row crosses from - to +
+    at its zero (or between its last - and first +), so the products
+    v_j + u_i realize S.  Like every search result, the product's own
+    signs carry the signature."""
+    d = dict(zip(witness.row_perm, witness.row_signs))
+    c = dict(zip(witness.col_perm, witness.col_signs))
+    S = SignPattern([[d[i] * C.entries[i][j] * c[j] for j in range(C.n)] for i in range(C.m)])
     n = C.n
     v_by_col = {}
     for pos, j in enumerate(witness.col_perm):
         v_by_col[j] = Fraction(pos + 1)
     u_by_row = {}
     for i in range(C.m):
-        arranged = [(v_by_col[j], C.entries[i][j]) for j in witness.col_perm]
+        arranged = [(v_by_col[j], S.entries[i][j]) for j in witness.col_perm]
         zero_at = next((v for v, s in arranged if s == 0), None)
         if zero_at is not None:
             u_by_row[i] = -zero_at
@@ -829,6 +869,6 @@ def _realization_from_arrangement(C: SignPattern, witness) -> Realization:
     U = np.array([[1.0, float(u_by_row[i])] for i in range(C.m)])
     V = np.array([[float(v_by_col[j]) for j in range(n)], [1.0] * n])
     real = Realization(2, U, V)
-    if real.signed_pattern() != C:
-        raise AssertionError("internal error: direct witness failed validation")
+    if real.signed_pattern() != S:
+        raise AssertionError("internal error: rank-2 witness failed validation")
     return real

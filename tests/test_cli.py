@@ -174,7 +174,29 @@ class TestRealizeRationalize:
         pat = tmp_path / "diag.pat"
         pat.write_text("+0\n0+\n")
         code, out, _ = run(capsys, "realize", pat, "--rank", 1, "-o", tmp_path / "x.json")
-        assert code == 1 and "inconclusive" in out
+        assert code == 1 and "no rank-1 realization exists (mr > 1, decided exactly)" in out
+        assert not (tmp_path / "x.json").exists()
+
+    def test_exact_and_inconclusive_answers(self, capsys, fxdir):
+        code, out, _ = run(capsys, "realize", fxdir / "A0.pat", "--rank", 2, "--json")
+        assert code == 1 and json.loads(out) == {"found": False, "exact": True}
+        code, out, _ = run(capsys, "realize", fxdir / "A0.pat", "--rank", 2)
+        assert "no rank-2 realization exists (mr > 2, decided exactly)" in out
+        code, out, _ = run(capsys, "realize", fxdir / "A0.pat", "--rank", 3,
+                           "--restarts", 0, "--json")
+        assert code == 1 and json.loads(out) == {"found": False, "exact": False}
+        code, out, _ = run(capsys, "realize", fxdir / "A0.pat", "--rank", 3, "--restarts", 0)
+        assert code == 1 and "within 0 restarts (inconclusive)" in out
+
+    def test_direct_rank1_negative(self, capsys, tmp_path):
+        pat = tmp_path / "neg.pat"
+        pat.write_text("--\n--\n")
+        out_file = tmp_path / "neg.real.json"
+        code, out, _ = run(capsys, "realize", pat, "--rank", 1, "--direct", "-o", out_file)
+        assert code == 1 and "no direct rank-1 realization exists" in out
+        assert not out_file.exists()
+        code, _, _ = run(capsys, "realize", pat, "--rank", 1, "-o", out_file)
+        assert code == 0 and load_realization(out_file).product.tolist() == [[1.0]]
 
 
 class TestGeometryCommands:

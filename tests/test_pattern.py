@@ -321,6 +321,14 @@ class TestCondenseOnce:
         assert has_direct_representation(SignPattern(["--+", "-0+", "-++"]), 2).status == "yes"
         assert len(condense_calls) == 1
 
+    def test_search_realization_rank2(self, condense_calls):
+        # decided from is_mr2's condensation: one condense, no search budget
+        params = realize.SearchParams(restarts=0)
+        assert realize.search_realization(A1_PATTERN, 2, params) is not None
+        assert len(condense_calls) == 1
+        assert realize.search_realization(A0_PATTERN, 2, params) is None
+        assert len(condense_calls) == 2
+
 
 class TestEquivalence:
     def test_identity(self):

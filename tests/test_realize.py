@@ -1,9 +1,11 @@
+import itertools
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from signrank import kernels
 from signrank.errors import (
     DomainError,
     Overdetermined,
@@ -12,7 +14,7 @@ from signrank.errors import (
 )
 from signrank.fixtures import A0_PATTERN, A1_PATTERN, A2_PATTERN, FIG21_PATTERN
 from signrank.geometry import encode_configuration
-from signrank.pattern import SignPattern, condense
+from signrank.pattern import SignPattern, condense, is_mr2
 from signrank.realize import (
     RationalCertificate,
     Realization,
@@ -27,7 +29,14 @@ from signrank.realize import (
     transpose_realization,
 )
 
-from conftest import random_planar_config, sympy_rank
+from conftest import (
+    permutation_sns,
+    random_pattern,
+    random_planar_config,
+    random_witness,
+    rank_one_signs,
+    sympy_rank,
+)
 
 
 class TestNormalizeFactorization:
@@ -189,6 +198,16 @@ class TestSearch:
         assert real is not None and real.r == 4
         assert signature_between(A0_PATTERN, real.signed_pattern()) is not None
 
+    def test_direct_rank1_needs_plus(self):
+        # [-] is realized at rank 1 only with a signature: U = V = [[1]]
+        # multiply to +
+        neg, pos = SignPattern(["--", "--"]), SignPattern(["++"])
+        assert search_realization(neg, 1, SearchParams(direct=True)) is None
+        assert has_direct_representation(neg, 1).status == "no"
+        real = search_realization(pos, 1, SearchParams(direct=True))
+        assert real.product.tolist() == [[1.0]]
+        assert search_realization(neg, 1).product.tolist() == [[1.0]]
+
     def test_rank_below_one_rejected(self):
         with pytest.raises(DomainError):
             search_realization(A1_PATTERN, 0)
@@ -197,6 +216,86 @@ class TestSearch:
         real = search_realization(A2_PATTERN, 2, SearchParams(seed=9))
         assert np.all(real.U[:, 0] == 1.0)
         assert np.all(real.V[-1, :] == 1.0)
+
+
+def _low_rank_trials():
+    """Seeded patterns with zeros, 2..7 x 2..7: random ones at 20% zeros
+    (mostly mr > 2) and planted sign(u_i + v_j) staircases under a random
+    signature and permutation (mr <= 2)."""
+    rng = np.random.default_rng(2024)
+    for trial in range(420):
+        m, n = int(rng.integers(2, 8)), int(rng.integers(2, 8))
+        if trial % 2 == 0:
+            yield False, random_pattern(rng, m, n, 0.2)
+        else:
+            u, v = rng.integers(-4, 5, size=m), rng.integers(-4, 5, size=n)
+            stair = SignPattern(np.sign(np.add.outer(u, v)).tolist())
+            yield True, random_witness(rng, m, n).apply(stair)
+
+
+def _assert_low_rank_answer(P, r):
+    """search_realization(P, r) for r <= 2, checked against the exact
+    deciders in both modes; returns whether it found one."""
+    C = condense(P).condensed
+    real = search_realization(P, r)
+    direct = search_realization(P, r, SearchParams(direct=True))
+    for found in (real, direct):
+        if found is not None:
+            assert found.r == r and found.U.shape == (C.m, r) and found.V.shape == (r, C.n)
+            assert np.all(found.U[:, 0] == 1.0) and np.all(found.V[-1, :] == 1.0)
+    if real is not None:
+        assert signature_between(C, real.signed_pattern()) is not None
+    if direct is not None:
+        assert direct.signed_pattern() == C
+    if r == 2 and is_mr2(P).value:
+        assert has_direct_representation(P, 2).status == ("yes" if direct else "no")
+    return real is not None
+
+
+class TestExactLowRank:
+    """search_realization decides r = 1 and 2 exactly, with no descent."""
+
+    def test_zero_free_3x3_against_oracle(self):
+        # zero-free 3x3: mr = 1 iff rank-one signs, mr = 3 iff SNS, else 2
+        for signs in itertools.product((1, -1), repeat=9):
+            P = SignPattern([signs[0:3], signs[3:6], signs[6:9]])
+            mr_at_most_2 = rank_one_signs(P) or not permutation_sns(P)
+            assert _assert_low_rank_answer(P, 2) == mr_at_most_2, P.to_text()
+            assert _assert_low_rank_answer(P, 1) == rank_one_signs(P), P.to_text()
+
+    def test_patterns_with_zeros(self):
+        counts = {True: 0, False: 0}
+        for planted, P in _low_rank_trials():
+            C = condense(P).condensed
+            one_by_one = C.m == 1 and C.n == 1
+            found = _assert_low_rank_answer(P, 2)
+            assert found == (is_mr2(P).value or one_by_one), P.to_text()
+            assert found or not planted, P.to_text()
+            assert _assert_low_rank_answer(P, 1) == one_by_one
+            counts[found] += 1
+        assert min(counts.values()) >= 100, counts
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_rank1_pattern_at_rank2(self, sign):
+        P = SignPattern([[sign, -sign], [sign, -sign]])
+        for direct in (False, True):
+            real = search_realization(P, 2, SearchParams(direct=direct))
+            assert real.product.tolist() == [[float(sign)]]
+
+    def test_descent_never_runs(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("descent ran for r <= 2")
+
+        monkeypatch.setattr(kernels, "descent", refuse)
+        plus, minus = SignPattern(["+"]), SignPattern(["-"])
+        for P in (A0_PATTERN, A1_PATTERN, A2_PATTERN, plus, minus):
+            for r in (1, 2):
+                for params in (SearchParams(), SearchParams(restarts=0),
+                               SearchParams(direct=True)):
+                    search_realization(P, r, params)
+        # the search budget does not apply: no restart is needed to find it
+        assert search_realization(A1_PATTERN, 2, SearchParams(restarts=0)) is not None
+        assert search_realization(A0_PATTERN, 2, SearchParams(restarts=0)) is None
 
 
 class TestZeroPolish:
