@@ -4,7 +4,13 @@ Bounds with exact certificates for the minimum rank of sign patterns,
 exact encodings between sign patterns and point-hyperplane configurations,
 and rationalization of floating-point realizations into exact rational
 witnesses.
+
+The names from ``realize`` (the numeric search and the exact certificates)
+are re-exported lazily: ``realize``, and numpy with it, loads on the first
+access to one of them, so importing the package or its CLI does not.
 """
+
+import importlib
 
 from .errors import (
     DomainError,
@@ -48,17 +54,18 @@ from .pattern import (
     mr_bounds,
     term_rank,
 )
-from .realize import (
-    RationalCertificate,
-    Realization,
-    SearchParams,
-    has_direct_representation,
-    normalize_factorization,
-    rational_rank,
-    rationalize,
-    search_realization,
-    solve_zero_columns,
-)
+
+_REALIZE_NAMES = frozenset({
+    "RationalCertificate",
+    "Realization",
+    "SearchParams",
+    "has_direct_representation",
+    "normalize_factorization",
+    "rational_rank",
+    "rationalize",
+    "search_realization",
+    "solve_zero_columns",
+})
 
 __version__ = "0.1.0"
 
@@ -112,3 +119,18 @@ __all__ = [
     "search_realization",
     "solve_zero_columns",
 ]
+
+
+def __getattr__(name):
+    # read from the module on each access (no caching here), so that a name
+    # patched on ``realize`` is seen through the package too
+    if name == "realize" or name in _REALIZE_NAMES:
+        # not ``from . import realize``: its hasattr check on this package
+        # would call back into this function before the import runs
+        realize = importlib.import_module(".realize", __name__)
+        return realize if name == "realize" else getattr(realize, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 negative or inconclusive result, 2 input error,
 3 resource exhausted.  ``--json`` switches stdout to a stable
 machine-readable document.
+
+``realize`` (and numpy with it) is imported only by the subcommands that
+search or certify, so the pure-Python ones start without loading numpy.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import os
 import sys
 
 from . import fixtures as fixtures_mod
-from . import realize as realize_mod
 from .errors import (
     DomainError,
     FixtureCorrupt,
@@ -35,6 +37,7 @@ from .pattern import (
     condense,
     is_equivalent,
     is_mr2,
+    is_sns,
     load_pattern,
     mr_bounds,
     save_pattern,
@@ -153,15 +156,17 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_realize(args) -> int:
+    from . import realize
+
     A = load_pattern(args.pattern)
-    params = realize_mod.SearchParams(
+    params = realize.SearchParams(
         restarts=args.restarts,
         iters=args.iters,
         seed=args.seed,
         threads=args.threads,
         direct=args.direct,
     )
-    real = realize_mod.search_realization(A, args.rank, params)
+    real = realize.search_realization(A, args.rank, params)
     if real is None:
         # ranks 1 and 2 are decided exactly; the search above that is not
         exact = args.rank <= 2
@@ -176,29 +181,31 @@ def _cmd_realize(args) -> int:
         _emit(args, {"found": False, "exact": exact}, text)
         return EXIT_NEGATIVE
     if args.output:
-        realize_mod.save_realization(real, args.output)
+        realize.save_realization(real, args.output)
     doc = {"found": True, "r": real.r, "margin": real.margin(), "output": args.output}
     _emit(args, doc, f"rank-{real.r} realization found (margin {real.margin():.3g})")
     return EXIT_OK
 
 
 def _cmd_rationalize(args) -> int:
+    from . import realize
+
     A = load_pattern(args.pattern)
-    real = realize_mod.load_realization(getattr(args, "from"))
+    real = realize.load_realization(getattr(args, "from"))
     if args.by_rows:
-        cert_t = realize_mod.rationalize(
-            A.transpose(), realize_mod.transpose_realization(real)
+        cert_t = realize.rationalize(
+            A.transpose(), realize.transpose_realization(real)
         )
         U_t, V_t = cert_t.factors
-        cert = realize_mod.RationalCertificate(
+        cert = realize.RationalCertificate(
             tuple(zip(*cert_t.matrix)), cert_t.rank, A, (tuple(zip(*V_t)), tuple(zip(*U_t)))
         )
     else:
-        cert = realize_mod.rationalize(A, real)
+        cert = realize.rationalize(A, real)
     if not cert.verify():
         raise SignRankError("internal error: certificate failed re-verification")
     if args.output:
-        realize_mod.save_certificate(cert, args.output)
+        realize.save_certificate(cert, args.output)
     doc = {"rank": cert.rank, "verified": True, "output": args.output}
     _emit(
         args,
@@ -293,8 +300,6 @@ def _cmd_fixtures(args) -> int:
 def _cmd_selfcheck(args) -> int:
     report = fixtures_mod.derive_perles_check()
     A0 = fixtures_mod.fixture("A0").payload
-    from .pattern import is_sns
-
     checks = list(report.checks)
     sub = A0.submatrix((3, 4, 5), (6, 7, 8))
     if not is_sns(sub):
@@ -414,8 +419,12 @@ def main(argv=None) -> int:
     except (PatternFormatError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # a missing file, a directory or an unreadable file given as a path
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not UTF-8 text: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON input: {exc}", file=sys.stderr)

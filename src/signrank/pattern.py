@@ -6,6 +6,10 @@ permutation/signature equivalence with explicit witnesses, the term rank
 (= maximum rank of the class), sign nonsingularity, exact recognition of
 minimum rank <= 2, and an aggregator combining every bound this package
 knows how to compute.
+
+numpy is imported inside the functions that compute with it (the SNS scan,
+the monotone arrangement behind ``is_mr2`` and ``SignPattern.to_array``),
+so parsing, condensation and equivalence run without loading it.
 """
 
 from __future__ import annotations
@@ -15,8 +19,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 from .errors import DomainError, PatternFormatError, ResourceExhausted
 
@@ -121,6 +123,8 @@ class SignPattern:
         )
 
     def to_array(self):
+        import numpy as np
+
         return np.array(self.entries, dtype=np.int8).reshape(self.m, self.n)
 
     def __eq__(self, other):
@@ -437,6 +441,8 @@ def _permutation_table(k: int):
     and their signs (+1 even, -1 odd) as int8."""
     table = _PERMUTATIONS.get(k)
     if table is None:
+        import numpy as np
+
         flat = itertools.chain.from_iterable(itertools.permutations(range(k)))
         perms = np.fromiter(flat, dtype=np.int8, count=math.factorial(k) * k).reshape(-1, k)
         odd = np.zeros(len(perms), dtype=bool)
@@ -461,6 +467,8 @@ def _first_sns(E, m: int, n: int, k: int):
     combinations only when it holds every column combination, so the first
     hit of a chunk is the first hit overall.
     """
+    import numpy as np
+
     perms, parity = _permutation_table(k)
     cols = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp).reshape(-1, k)
     p_step = min(len(perms), _SCAN_BUDGET)
@@ -600,6 +608,8 @@ def _monotone_arrangement(C: SignPattern, identity_only: bool = False):
     arrangement the line sums strictly increase and each order is the one
     sort by sums.
     """
+    import numpy as np
+
     m = C.m
     c = np.array((1,) * C.n if identity_only else _row_pinned_signature(C), dtype=np.int8)
     T = C.to_array() * c

@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 import operator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -470,6 +469,8 @@ def search_realization(
             if found is not None:
                 return found
         return None
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for chunk_start in range(0, params.restarts, workers):
             chunk = list(range(chunk_start, min(chunk_start + workers, params.restarts)))

@@ -351,6 +351,42 @@ class TestErrorsAndSelfcheck:
         assert code == 2
         assert "restarts" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mr", "{bad}.pat"],
+            ["condense", "{bad}.pat"],
+            ["equiv", "{bad}.pat", "{bad}.pat"],
+            ["encode", "{bad}.json"],
+            ["render", "{bad}.json", "-o", "{tmp}/out.svg"],
+            ["rationalize", "{fx}/A1.pat", "--from", "{bad}.json"],
+        ],
+        ids=["mr-pat", "condense-pat", "equiv-pat", "encode-json", "render-json", "from-json"],
+    )
+    def test_non_utf8_input(self, capsys, fxdir, tmp_path, argv):
+        for suffix in (".pat", ".json"):
+            (tmp_path / f"bad{suffix}").write_bytes(b"\xff\xfe+\n")
+        argv = [a.format(bad=tmp_path / "bad", tmp=tmp_path, fx=fxdir) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:") and "UTF-8" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["condense", "{fx}"],
+            ["dual", "{fx}", "-o", "{tmp}/y.json"],
+            ["rationalize", "{fx}/A1.pat", "--from", "{fx}"],
+        ],
+        ids=["pattern", "config", "from"],
+    )
+    def test_directory_as_input(self, capsys, fxdir, tmp_path, argv):
+        argv = [a.format(tmp=tmp_path, fx=fxdir) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:") and "directory" in err and "Traceback" not in err
+        assert not (tmp_path / "y.json").exists()
+
     def test_selfcheck(self, capsys):
         code, out, _ = run(capsys, "selfcheck")
         assert code == 0
