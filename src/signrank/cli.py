@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import fixtures as fixtures_mod
@@ -48,16 +47,6 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_RESOURCES = 3
-
-
-def _default_threads() -> int:
-    env = os.environ.get("SIGNRANK_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def _emit(args, document: dict, text: str) -> None:
@@ -105,7 +94,6 @@ def _cmd_mr(args) -> int:
         seed=args.seed,
         restarts=args.restarts,
         iters=args.iters,
-        threads=args.threads,
     )
     bounds = mr_bounds(A, opts)
     # the most specific evidence for each bound is recorded last
@@ -163,7 +151,6 @@ def _cmd_realize(args) -> int:
         restarts=args.restarts,
         iters=args.iters,
         seed=args.seed,
-        threads=args.threads,
         direct=args.direct,
     )
     real = realize.search_realization(A, args.rank, params)
@@ -191,17 +178,7 @@ def _cmd_rationalize(args) -> int:
     from . import realize
 
     A = load_pattern(args.pattern)
-    real = realize.load_realization(getattr(args, "from"))
-    if args.by_rows:
-        cert_t = realize.rationalize(
-            A.transpose(), realize.transpose_realization(real)
-        )
-        U_t, V_t = cert_t.factors
-        cert = realize.RationalCertificate(
-            tuple(zip(*cert_t.matrix)), cert_t.rank, A, (tuple(zip(*V_t)), tuple(zip(*U_t)))
-        )
-    else:
-        cert = realize.rationalize(A, real)
+    cert = realize.rationalize(A, realize.load_realization(getattr(args, "from")))
     if not cert.verify():
         raise SignRankError("internal error: certificate failed re-verification")
     if args.output:
@@ -323,13 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=_default_threads(),
-        help="worker threads for randomized searches (default: all cores, "
-        "or SIGNRANK_THREADS); results do not depend on this",
-    )
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -369,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rationalize", parents=[common], help="exact rational certificate from a realization")
     p.add_argument("pattern")
     p.add_argument("--from", required=True, help="realization file")
-    p.add_argument("--by-rows", action="store_true", help="apply the row-wise variant (transpose route)")
     p.add_argument("-o", "--output", help="write the certificate here")
     p.set_defaults(func=_cmd_rationalize)
 

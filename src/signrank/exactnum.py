@@ -242,6 +242,18 @@ def parse_rational(text) -> Fraction:
         raise DomainError(f"malformed rational {text!r}: {exc}") from None
 
 
+def parse_integer(value, what: str) -> int:
+    """An integer field of a document: ``int(value)`` unless that would
+    truncate a float such as 2.5 or read a bool, which name no integer."""
+    try:
+        iv = int(value)
+    except (TypeError, ValueError, OverflowError):
+        iv = None
+    if iv is None or isinstance(value, bool) or (isinstance(value, float) and value != iv):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    return iv
+
+
 def format_rational(value: Fraction):
     value = _as_fraction(value)
     if value.denominator == 1:

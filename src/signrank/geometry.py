@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
 
 from .errors import DomainError, VerticalHyperplane
-from .exactnum import QuadElem, format_scalar, parse_scalar, quad_sign
+from .exactnum import QuadElem, format_scalar, parse_integer, parse_scalar, quad_sign
 from .pattern import SignPattern
 
 Point = Tuple[QuadElem, ...]
@@ -490,18 +490,6 @@ def configuration_to_dict(C: Configuration) -> dict:
     return doc
 
 
-def _integer_entry(doc: dict, key: str, default=None) -> int:
-    value = doc.get(key, default)
-    try:
-        iv = int(value)
-    except (TypeError, ValueError, OverflowError):
-        iv = None
-    # int() truncates 2.5 and accepts True; neither is an integer entry
-    if iv is None or isinstance(value, bool) or (isinstance(value, float) and value != iv):
-        raise DomainError(f"configuration {key!r} must be an integer, got {value!r}")
-    return iv
-
-
 def _list_entry(doc: dict, key: str) -> list:
     value = doc[key]
     if not isinstance(value, list) or not all(isinstance(item, list) for item in value):
@@ -515,8 +503,8 @@ def configuration_from_dict(doc: dict) -> Configuration:
     missing = {"dim", "points", "hyperplanes"} - set(doc)
     if missing:
         raise DomainError(f"configuration document missing keys {sorted(missing)}")
-    field_d = _integer_entry(doc, "sqrt", 1)
-    dim = _integer_entry(doc, "dim")
+    field_d = parse_integer(doc.get("sqrt", 1), "configuration 'sqrt'")
+    dim = parse_integer(doc.get("dim"), "configuration 'dim'")
     points = [[parse_scalar(x, field_d) for x in p] for p in _list_entry(doc, "points")]
     hyperplanes = [
         OrientedHyperplane([parse_scalar(c, field_d) for c in h], field_d)

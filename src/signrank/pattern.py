@@ -656,7 +656,6 @@ class MrBoundsOptions:
     seed: int = 0
     restarts: int = 64
     iters: int = 5000
-    threads: int = 1
 
 
 @dataclass(frozen=True)
@@ -724,9 +723,7 @@ def mr_bounds(A: SignPattern, options: Optional[MrBoundsOptions] = None) -> MrBo
     elif opts.try_rank is not None and opts.try_rank < upper:
         from . import realize
 
-        params = realize.SearchParams(
-            seed=opts.seed, restarts=opts.restarts, iters=opts.iters, threads=opts.threads
-        )
+        params = realize.SearchParams(seed=opts.seed, restarts=opts.restarts, iters=opts.iters)
         found = realize.search_realization(C, opts.try_rank, params)
         if found is not None:
             evidence.append(("upper", found.r, f"numerical realization at rank {found.r}"))

@@ -36,7 +36,7 @@ from .errors import (
     RankMismatch,
     SingularSystem,
 )
-from .exactnum import rational_round
+from .exactnum import parse_integer, rational_round
 from .pattern import CondensationReport, SignPattern, _monotone_arrangement, condense, is_mr2
 
 DEFAULT_ZERO_TOL = 1e-9
@@ -45,6 +45,11 @@ DEFAULT_MARGIN = 1e-2
 
 @dataclass
 class SearchParams:
+    """Search budget and acceptance thresholds.
+
+    ``threads`` is ignored: restarts run one after another.  It is kept only
+    so that existing callers that pass it keep working."""
+
     margin: float = DEFAULT_MARGIN
     restarts: int = 64
     iters: int = 5000
@@ -97,7 +102,8 @@ class Realization:
     @classmethod
     def from_dict(cls, doc: dict) -> "Realization":
         try:
-            return cls(int(doc["r"]), np.array(doc["U"], dtype=float), np.array(doc["V"], dtype=float))
+            r = parse_integer(doc["r"], "'r'")
+            return cls(r, np.array(doc["U"], dtype=float), np.array(doc["V"], dtype=float))
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed realization document: {exc}") from None
 
@@ -440,13 +446,12 @@ def search_realization(
 
     r = 1 and r = 2 are decided exactly (``_exact_low_rank``): None proves
     that no realization exists (in direct mode: none with identity
-    signatures), and ``restarts``, ``iters``, ``seed`` and ``threads`` are
-    not used.  For r >= 3 a randomized penalty search runs.  Restart k
-    draws its generator from seed XOR k, so results are bit-identical for a
-    fixed seed regardless of the thread count: restarts are evaluated in
-    fixed-size chunks and the successful restart of smallest index wins.
-    Failure there returns None and is always inconclusive (it never
-    certifies that no realization exists).
+    signatures), and ``restarts``, ``iters`` and ``seed`` are not used.  For
+    r >= 3 a randomized penalty search runs its restarts in order: restart
+    k draws its generator from seed XOR k, and the first one that succeeds
+    is returned, so a fixed seed gives a bit-identical result.  Failure
+    there returns None and is always inconclusive (it never certifies that
+    no realization exists).
     """
     params = params or SearchParams()
     if params.restarts < 0 or params.iters < 0:
@@ -460,24 +465,10 @@ def search_realization(
     C = condense(A).condensed
     if C.m == 0:
         return Realization(r, np.ones((0, r)), np.ones((r, 0)))
-
-    workers = max(1, int(params.threads))
-    indices = range(params.restarts)
-    if workers == 1:
-        for k in indices:
-            found = _restart(C, r, params, k)
-            if found is not None:
-                return found
-        return None
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for chunk_start in range(0, params.restarts, workers):
-            chunk = list(range(chunk_start, min(chunk_start + workers, params.restarts)))
-            results = list(pool.map(lambda k: _restart(C, r, params, k), chunk))
-            for res in results:
-                if res is not None:
-                    return res
+    for k in range(params.restarts):
+        found = _restart(C, r, params, k)
+        if found is not None:
+            return found
     return None
 
 
@@ -554,7 +545,7 @@ class RationalCertificate:
         if self.factors is None:
             return rational_rank(self.matrix) == self.rank
         U, V = self.factors
-        return (_exact_product(U, V) == self.matrix
+        return (_product_equals(U, V, self.matrix)
                 and _factored_rank(U, V, self.matrix) == self.rank)
 
     def to_dict(self) -> dict:
@@ -584,7 +575,8 @@ class RationalCertificate:
             if "U" in doc or "V" in doc:
                 factors = (exact(doc["U"]), exact(doc["V"]))
             target = SignPattern(doc["target"])
-            return cls(exact(doc["matrix"]), int(doc["rank"]), target, factors)
+            rank = parse_integer(doc["rank"], "'rank'")
+            return cls(exact(doc["matrix"]), rank, target, factors)
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed certificate document: {exc}") from None
 
@@ -655,21 +647,36 @@ def _factored_rank(U, V, matrix) -> int:
     return rational_rank(matrix)
 
 
+def _integral(lines) -> list:
+    """Each line of rationals as (integers, lcm): the line scaled to
+    integers by the lcm of its denominators."""
+    out = []
+    for line in lines:
+        lcm = math.lcm(*(x.denominator for x in line))
+        out.append(([x.numerator * (lcm // x.denominator) for x in line], lcm))
+    return out
+
+
 def _exact_product(U, V) -> tuple:
     """U V over Q as a tuple of tuples of Fraction.  Each row of U and each
-    column of V is scaled to integers by the lcm of its denominators, so the
-    sums run in int and each entry builds one Fraction."""
-    def integral(lines):
-        out = []
-        for line in lines:
-            lcm = math.lcm(*(x.denominator for x in line))
-            out.append(([x.numerator * (lcm // x.denominator) for x in line], lcm))
-        return out
-
-    cols = integral(zip(*V))
+    column of V is scaled to integers (``_integral``), so the sums run in
+    int and each entry builds one Fraction."""
+    cols = _integral(zip(*V))
     return tuple(
         tuple(Fraction(sum(map(operator.mul, u, v)), lu * lv) for v, lv in cols)
-        for u, lu in integral(U)
+        for u, lu in _integral(U)
+    )
+
+
+def _product_equals(U, V, matrix) -> bool:
+    """U V == matrix over Q, with no Fraction built: entry (i, j) of U V is
+    the integer dot product over lu * lv (``_integral``), so it equals p/q
+    exactly when dot * q == p * lu * lv."""
+    rows, cols = _integral(U), _integral(zip(*V))
+    return [len(line) for line in matrix] == [len(cols)] * len(rows) and all(
+        sum(map(operator.mul, u, v)) * x.denominator == x.numerator * lu * lv
+        for (u, lu), line in zip(rows, matrix)
+        for (v, lv), x in zip(cols, line)
     )
 
 
@@ -694,9 +701,12 @@ def _round_matrix(M: np.ndarray, cap: int, fixed_first_col=False, fixed_last_row
 def rationalize(A: SignPattern, real: Realization) -> RationalCertificate:
     """Upgrade a floating realization to an exact rational certificate.
 
-    Works on the condensed pattern; every column there must carry at most
-    r-1 zeros (otherwise Overdetermined names the first offending column of
-    the original pattern).  Free entries are rounded with denominator cap
+    Works on the condensed pattern, where every column must carry at most
+    r-1 zeros.  If some column carries more but every row carries at most
+    r-1, the rows are used instead, since mr(A) = mr(A^T): A^T is certified
+    from ``transpose_realization(real)`` and the certificate is transposed
+    back.  If neither fits, Overdetermined names the first over-full column
+    of the original pattern.  Free entries are rounded with denominator cap
     2^t (t = 16, doubling to 64); dependent entries of each zero-carrying
     column are solved exactly; singular coefficient matrices trigger exact
     re-perturbation of the relevant U entries.  The exact factors are
@@ -712,9 +722,15 @@ def rationalize(A: SignPattern, real: Realization) -> RationalCertificate:
             f"but the condensed pattern is {C.m}x{C.n}"
         )
     zero_rows = _zero_rows_by_column(C)
-    for j, zr in enumerate(zero_rows):
-        if len(zr) > r - 1:
-            raise Overdetermined(report.kept_cols[j], len(zr), r - 1)
+    over = next((j for j, zr in enumerate(zero_rows) if len(zr) > r - 1), None)
+    if over is not None:
+        if any(row.count(0) > r - 1 for row in C.entries):
+            raise Overdetermined(report.kept_cols[over], len(zero_rows[over]), r - 1)
+        cert = rationalize(A.transpose(), transpose_realization(real))
+        U, V = cert.factors
+        return RationalCertificate(
+            tuple(zip(*cert.matrix)), cert.rank, A, (tuple(zip(*V)), tuple(zip(*U)))
+        )
 
     signed = real.signed_pattern()
     signs = signature_between(C, signed)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -161,7 +162,7 @@ class TestRealizeRationalize:
         assert code == 0
         cert_file = tmp_path / "p.cert.json"
         code, *_ = run(
-            capsys, "rationalize", pat, "--from", real_file, "--by-rows", "-o", cert_file
+            capsys, "rationalize", pat, "--from", real_file, "-o", cert_file
         )
         assert code == 0
         cert = load_certificate(cert_file)
@@ -169,6 +170,35 @@ class TestRealizeRationalize:
         U, V = cert.factors
         assert len(U) == 4 and len(V) == 3 and len(V[0]) == 4
         assert cert.verify()
+
+    # sha256 of the realization files that the search wrote when it still
+    # ran restarts on a thread pool, identical for --threads 1 and 2
+    # (x86-64, numpy 2.4.6); the plain restart loop must write the same bytes
+    PINNED_SHA256 = {
+        (3, 0): "cae5508d10ef2e715fa4d76a3c4501cfb70f7ec370f63ef59a6bc15a0dcfd7b3",
+        (3, 1): "77c8d3c96673077dee3adef271aa4a122b03eb2513a3c664f3218e9832d07ad1",
+        (3, 2): "4017fb16f863800deb392db8e42f60d92c2f26e6975319a5229d45e29d23822c",
+        (3, 3): "76225cd8adfcfd98ebed67e01946e6bbcf35da8710c0ec9780839a6d785cfee1",
+        (4, 0): "b27554c61279e565b35b8cbc7813e5ade0f2877b98fd6dfa71f7d634d68ff450",
+        (4, 1): "55c1a280cc5636af8c15c7e697cf919e26365682104d3b739a7c5955fa3336d5",
+        (4, 2): "6c56b21e9a537cc8ee1d4903ac4c432eabce9bb5e1138bb47ebabd447cd87ff8",
+        (4, 3): "8464f05fa0edc56d9100a5d819a036427731bc369cf1a2a8c5f2798a91f5538b",
+    }
+
+    @pytest.mark.parametrize("rank, seed", sorted(PINNED_SHA256))
+    def test_realization_bytes_unchanged(self, capsys, fxdir, tmp_path, rank, seed):
+        out = tmp_path / "a0.real.json"
+        code, *_ = run(capsys, "realize", fxdir / "A0.pat", "--rank", rank, "--seed", seed,
+                       "-o", out)
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINNED_SHA256[rank, seed]
+
+    def test_non_integer_r_exits_2(self, capsys, fxdir, tmp_path):
+        bad = tmp_path / "bad.real.json"
+        bad.write_text(json.dumps({"r": 2.5, "U": [[1.0, 2.0]], "V": [[1.0], [1.0]]}))
+        code, out, err = run(capsys, "rationalize", fxdir / "A1.pat", "--from", bad)
+        assert code == 2
+        assert "'r' must be an integer, got 2.5" in err and "Traceback" not in err
 
     def test_not_found_exit(self, capsys, tmp_path):
         pat = tmp_path / "diag.pat"

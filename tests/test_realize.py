@@ -178,11 +178,6 @@ class TestSearch:
         r2 = search_realization(FIG21_PATTERN, 3, p)
         assert np.array_equal(r1.U, r2.U) and np.array_equal(r1.V, r2.V)
 
-    def test_thread_count_does_not_change_result(self):
-        r1 = search_realization(A0_PATTERN, 3, SearchParams(seed=3, threads=1))
-        r2 = search_realization(A0_PATTERN, 3, SearchParams(seed=3, threads=4))
-        assert np.array_equal(r1.U, r2.U) and np.array_equal(r1.V, r2.V)
-
     def test_planted_zeros_all_found(self):
         # every pattern is realizable at r; its zeros are left to the polish
         rng = np.random.default_rng(7)
@@ -342,6 +337,16 @@ class TestRealizationDocument:
         with pytest.raises(DomainError):
             Realization(2, np.array([[1.0, 1.0]]), np.array([[1.0], [2.0]]))
 
+    @pytest.mark.parametrize("r", [2.5, True, 1.9, "two", None])
+    def test_non_integer_r_rejected(self, r):
+        doc = {"r": r, "U": [[1.0, 2.0]], "V": [[1.0], [1.0]]}
+        with pytest.raises(DomainError, match="'r' must be an integer"):
+            Realization.from_dict(doc)
+
+    def test_integral_float_r_accepted(self):
+        doc = {"r": 2.0, "U": [[1.0, 2.0]], "V": [[1.0], [1.0]]}
+        assert Realization.from_dict(doc).r == 2
+
     def test_non_finite_factors_rejected(self):
         for U, V in (
             ([[1.0, np.nan]], [[1.0], [1.0]]),
@@ -386,6 +391,9 @@ class TestRationalize:
         assert all(len(M) <= 3 or len(M[0]) <= 3 for M in calls)
 
     def test_a0_overdetermined(self):
+        # every condensed row has >= 3 zeros too, so the rows cannot stand
+        # in for the columns at r = 3
+        assert min(row.count(0) for row in condense(A0_PATTERN).condensed.entries) >= 3
         real = search_realization(A0_PATTERN, 3, SearchParams(seed=0))
         with pytest.raises(Overdetermined) as exc:
             rationalize(A0_PATTERN, real)
@@ -443,20 +451,37 @@ class TestRationalize:
 
     def test_transpose_route(self):
         # column 1 has 3 zeros (too many for r = 3) but every row has at
-        # most one, so the row-wise variant goes through the transpose
+        # most one, so rationalize takes the rows: its certificate is the
+        # explicit transpose route's, transposed back
         P = SignPattern(["0+++", "0-++", "0+-+", "++++"])
         assert condense(P).condensed == P
         assert max(P.col(j).count(0) for j in range(P.n)) > 2
         real = search_realization(P, 3, SearchParams(seed=8))
         assert real is not None
-        with pytest.raises(Overdetermined):
-            rationalize(P, real)
         cert_t = rationalize(P.transpose(), transpose_realization(real))
         assert cert_t.verify()
         transposed = tuple(zip(*cert_t.matrix))
         signs = SignPattern([[(v > 0) - (v < 0) for v in row] for row in transposed])
         assert signs == P
         assert rational_rank(transposed) == cert_t.rank <= 3
+        cert = rationalize(P, real)
+        assert cert.verify()
+        U_t, V_t = cert_t.factors
+        assert cert == RationalCertificate(
+            transposed, cert_t.rank, P, (tuple(zip(*V_t)), tuple(zip(*U_t)))
+        )
+
+    def test_rows_through_condensation(self):
+        # the row-fit pattern above padded with an opposite column, an
+        # opposite row and a zero row: the transposed certificate expands
+        # back to the original shape
+        padded = SignPattern(["0+++-", "0-++-", "0+-+-", "++++-", "0---+", "00000"])
+        real = search_realization(padded, 3, SearchParams(seed=8))
+        cert = rationalize(padded, real)
+        assert cert.verify() and cert.target == padded
+        U, V = cert.factors
+        assert (len(U), len(V), len(V[0])) == (6, 3, 5)
+        assert cert.rank == sympy_rank(cert.matrix) == 3
 
 
 def _planted_instance(rng, r):
@@ -550,6 +575,14 @@ class TestFactoredCertificates:
         assert old.verify()
         assert calls == [old.matrix]
         assert not replace(old, rank=old.rank - 1).verify()
+
+    @pytest.mark.parametrize("rank", [1.9, 2.5, True, "3/1"])
+    def test_non_integer_rank_rejected(self, rank):
+        real = search_realization(FIG21_PATTERN, 3, SearchParams(seed=4))
+        doc = rationalize(FIG21_PATTERN, real).to_dict()
+        assert RationalCertificate.from_dict(dict(doc, rank=float(doc["rank"]))).verify()
+        with pytest.raises(DomainError, match="'rank' must be an integer"):
+            RationalCertificate.from_dict(dict(doc, rank=rank))
 
     def test_tampering_fails_verify(self):
         real = search_realization(FIG21_PATTERN, 3, SearchParams(seed=4))

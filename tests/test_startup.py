@@ -1,5 +1,5 @@
-"""Start-up cost: numpy, ``signrank.realize`` and the thread pool load only
-for the work that needs them.
+"""Start-up cost: numpy and ``signrank.realize`` load only for the work that
+needs them, and nothing loads ``concurrent.futures``.
 
 pytest itself has already imported numpy, so every check runs in a fresh
 interpreter and reports what that interpreter loaded.
@@ -85,13 +85,12 @@ def test_numeric_subcommands_still_work(fxdir, tmp_path):
     assert mr.returncode == 1 and json.loads(mr.stdout)["lower"] == 3, mr.stderr
     mr2 = cli(tmp_path, "mr2", fxdir / "A1.pat", "--json")
     assert mr2.returncode == 0 and json.loads(mr2.stdout)["mr2"] is True, mr2.stderr
-    # rank 3 with two threads: the search runs its restarts on the pool
+    # rank 3 runs the randomized search; the columns do not fit, the rows do
     pat = tmp_path / "p.pat"
     pat.write_text("0+++\n0-++\n0+-+\n++++\n")
-    real = cli(tmp_path, "realize", pat, "--rank", 3, "--threads", 2, "-o", "p.real.json")
+    real = cli(tmp_path, "realize", pat, "--rank", 3, "-o", "p.real.json")
     assert real.returncode == 0, real.stderr
-    cert = cli(tmp_path, "rationalize", pat, "--from", "p.real.json", "--by-rows",
-               "-o", "p.cert.json")
+    cert = cli(tmp_path, "rationalize", pat, "--from", "p.real.json", "-o", "p.cert.json")
     assert cert.returncode == 0, cert.stderr
     assert load_certificate(tmp_path / "p.cert.json").verify()
 
