@@ -19,7 +19,6 @@ from .errors import (
     DomainError,
     FixtureCorrupt,
     Overdetermined,
-    PatternFormatError,
     PrecisionExhausted,
     ResourceExhausted,
     SignRankError,
@@ -379,29 +378,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (Overdetermined, PrecisionExhausted) as exc:
+    except (Overdetermined, PrecisionExhausted, FixtureCorrupt) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
     except ResourceExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCES
-    except (PatternFormatError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
-        # a missing file, a directory or an unreadable file given as a path
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except UnicodeDecodeError as exc:
         print(f"error: input is not UTF-8 text: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON input: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except FixtureCorrupt as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
-    except SignRankError as exc:
+    except (OSError, SignRankError) as exc:
+        # every other input error, and a missing file, a directory or an
+        # unreadable file given as a path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -232,6 +232,9 @@ def rational_round(x: float, max_denominator: int) -> Fraction:
 
 
 def parse_rational(text) -> Fraction:
+    """A rational from its text "p/q" or an integer; a bool names no number."""
+    if isinstance(text, bool):
+        raise DomainError(f"expected rational text, got {text!r}")
     if isinstance(text, Integral):
         return Fraction(int(text))
     if not isinstance(text, str):

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence, Tuple
 
 from .errors import DomainError, VerticalHyperplane
 from .exactnum import QuadElem, format_scalar, parse_integer, parse_scalar, quad_sign
-from .pattern import SignPattern
+from .pattern import SignPattern, condense
 
 Point = Tuple[QuadElem, ...]
 
@@ -217,23 +217,18 @@ class SimplicityViolation:
 
 def is_simple(C: Configuration):
     """A configuration is simple iff its encoded pattern is condensed.
-    Returns (bool, violations) naming each failed condition."""
-    P = encode_configuration(C)
+    Returns (bool, violations): one violation per line that ``condense``
+    deletes, rows (points) first.  A zero line fails condition 3 or 4; a
+    duplicate or opposite line fails condition 1 or 2 with the pair
+    (survivor, index), so each deleted line is named once, against the
+    earliest line it matches."""
     violations = []
-    for i, k in itertools.combinations(range(P.m), 2):
-        a, b = P.row(i), P.row(k)
-        if a == b or tuple(-x for x in a) == b:
-            violations.append(SimplicityViolation(1, (i, k)))
-    for j, l in itertools.combinations(range(P.n), 2):
-        a, b = P.col(j), P.col(l)
-        if a == b or tuple(-x for x in a) == b:
-            violations.append(SimplicityViolation(2, (j, l)))
-    for i in range(P.m):
-        if all(v == 0 for v in P.row(i)):
-            violations.append(SimplicityViolation(3, (i,)))
-    for j in range(P.n):
-        if all(v == 0 for v in P.col(j)):
-            violations.append(SimplicityViolation(4, (j,)))
+    for e in condense(encode_configuration(C)).log:
+        row = e.axis == "row"
+        if e.kind == "zero":
+            violations.append(SimplicityViolation(3 if row else 4, (e.index,)))
+        else:
+            violations.append(SimplicityViolation(1 if row else 2, (e.survivor, e.index)))
     return (not violations, tuple(violations))
 
 
@@ -319,9 +314,6 @@ def translate(C: Configuration, v: Sequence) -> Configuration:
 class DualizationResult:
     configuration: Configuration
     hyperplane_flips: tuple  # hyperplanes re-oriented before taking poles
-
-    def __iter__(self):
-        return iter((self.configuration, self.hyperplane_flips))
 
 
 def dualize(C: Configuration) -> DualizationResult:

@@ -240,16 +240,19 @@ def _row_profile(P: SignPattern, i: int):
     return (len(zero_cols), tuple(co))
 
 
-def is_equivalent(
-    A: SignPattern, B: SignPattern, node_budget: int = 2_000_000
-) -> Optional[EquivalenceWitness]:
+# search nodes ``is_equivalent`` visits before giving up
+_NODE_BUDGET = 2_000_000
+
+
+def is_equivalent(A: SignPattern, B: SignPattern) -> Optional[EquivalenceWitness]:
     """Search for permutation sign patterns P1, P2 and signatures D1, D2 with
     B = P1 D1 A D2 P2; returns a witness or None.
 
     Backtracks over row assignments (B row -> A row with a sign), propagating
     column compatibility; the first assigned row's sign is pinned to + since
     the global flip of all row and column signs is invisible.  Intended for
-    m, n <= 12; raises ResourceExhausted past ``node_budget`` search nodes.
+    m, n <= 12; raises ResourceExhausted past ``_NODE_BUDGET`` (2,000,000)
+    search nodes.
     """
     if A.m != B.m or A.n != B.n:
         return None
@@ -294,9 +297,9 @@ def is_equivalent(
     def assign(pos: int):
         nonlocal nodes
         nodes += 1
-        if nodes > node_budget:
+        if nodes > _NODE_BUDGET:
             raise ResourceExhausted(
-                f"equivalence search exceeded node budget {node_budget}"
+                f"equivalence search exceeded node budget {_NODE_BUDGET}"
             )
         if pos == m:
             return column_assignment() is not None
@@ -384,17 +387,18 @@ def term_rank(A: SignPattern) -> int:
 _SNS_CAP = 10
 
 
-def is_sns(A: SignPattern, cap: int = _SNS_CAP) -> bool:
+def is_sns(A: SignPattern) -> bool:
     """True iff the determinant expansion has at least one nonzero term and
     all nonzero terms share one sign (so every matrix in the class is
-    nonsingular).  Enumerates nonzero-product permutations; n <= ``cap``."""
+    nonsingular).  Enumerates nonzero-product permutations; n above
+    ``_SNS_CAP`` (10) raises ResourceExhausted."""
     if A.m != A.n:
         raise DomainError(f"sign nonsingularity needs a square pattern, got {A.m}x{A.n}")
     n = A.n
     if n == 0:
         raise DomainError("sign nonsingularity is undefined for the empty pattern")
-    if n > cap:
-        raise ResourceExhausted(f"is_sns capped at n <= {cap}, got {n}")
+    if n > _SNS_CAP:
+        raise ResourceExhausted(f"is_sns capped at n <= {_SNS_CAP}, got {n}")
     if term_rank(A) < n:
         return False  # no nonzero term at all
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -45,18 +45,19 @@ DEFAULT_MARGIN = 1e-2
 
 @dataclass
 class SearchParams:
-    """Search budget and acceptance thresholds.
+    """Search budget: restarts, descent iterations per restart and the seed
+    they derive from; ``direct`` pins identity signatures.  A result is
+    accepted at the fixed thresholds ``DEFAULT_MARGIN`` and
+    ``DEFAULT_ZERO_TOL``.
 
     ``threads`` is ignored: restarts run one after another.  It is kept only
     so that existing callers that pass it keep working."""
 
-    margin: float = DEFAULT_MARGIN
     restarts: int = 64
     iters: int = 5000
     seed: int = 0
     threads: int = 1
     direct: bool = False
-    zero_tol: float = DEFAULT_ZERO_TOL
 
 
 @dataclass(frozen=True)
@@ -85,15 +86,15 @@ class Realization:
     def product(self) -> np.ndarray:
         return self.U @ self.V
 
-    def signed_pattern(self, zero_tol: float = DEFAULT_ZERO_TOL) -> SignPattern:
+    def signed_pattern(self) -> SignPattern:
         B = self.product
         return SignPattern(
-            [[0 if abs(b) <= zero_tol else (1 if b > 0 else -1) for b in row] for row in B]
+            [[0 if abs(b) <= DEFAULT_ZERO_TOL else (1 if b > 0 else -1) for b in row] for row in B]
         )
 
-    def margin(self, zero_tol: float = DEFAULT_ZERO_TOL) -> float:
+    def margin(self) -> float:
         B = np.abs(self.product)
-        nz = B[B > zero_tol]
+        nz = B[B > DEFAULT_ZERO_TOL]
         return float(nz.min()) if nz.size else math.inf
 
     def to_dict(self) -> dict:
@@ -185,9 +186,6 @@ class NormalizedFactorization:
     row_scales: np.ndarray  # signed: U V == diag(row_scales) B diag(col_scales)
     col_scales: np.ndarray
 
-    def __iter__(self):
-        return iter((self.row_signs, self.U, self.V, self.col_signs))
-
 
 def _plane_rotation(r: int, k: int, theta: float) -> np.ndarray:
     R = np.eye(r)
@@ -199,8 +197,8 @@ def _plane_rotation(r: int, k: int, theta: float) -> np.ndarray:
     return R
 
 
-def _normalize_factors(U0: np.ndarray, V0: np.ndarray, rng: np.random.Generator,
-                       attempts: int = 64) -> NormalizedFactorization:
+def _normalize_factors(U0: np.ndarray, V0: np.ndarray,
+                       rng: np.random.Generator) -> NormalizedFactorization:
     """Rotate the inner factor space so U's leading column and V's trailing
     row are bounded away from zero, then scale rows/columns to exact ones."""
     r = U0.shape[1]
@@ -213,7 +211,7 @@ def _normalize_factors(U0: np.ndarray, V0: np.ndarray, rng: np.random.Generator,
 
     best = None
     best_quality = -1.0
-    for _ in range(attempts):
+    for _ in range(64):
         Q = np.eye(r)
         for k in range(1, r):
             Q = _plane_rotation(r, k, rng.uniform(0.0, 2.0 * math.pi)) @ Q
@@ -249,14 +247,16 @@ def _normalize_factors(U0: np.ndarray, V0: np.ndarray, rng: np.random.Generator,
     )
 
 
-def normalize_factorization(B, r: int, seed: int = 0,
-                            rank_tol: float = 1e-8) -> NormalizedFactorization:
+def normalize_factorization(B, r: int) -> NormalizedFactorization:
     """Factor a numerically rank-r matrix into the ones-bordered normal form.
 
     U V approximates diag(row_scales) B diag(col_scales); the returned sign
     vectors are the signs of those diagonals, so sgn(U V) equals the
-    signature-adjusted sign pattern of B.
+    signature-adjusted sign pattern of B.  B has rank r when sigma_r exceeds
+    1e-8 sigma_1 and sigma_(r+1) stays below 1e-4 sigma_1; the rotations
+    draw from seed 0.
     """
+    rank_tol = 1e-8
     B = np.asarray(B, dtype=float)
     if B.ndim != 2:
         raise DomainError("expected a 2-d matrix")
@@ -273,8 +273,7 @@ def normalize_factorization(B, r: int, seed: int = 0,
     root = np.sqrt(svals[:r])
     U0 = Usvd[:, :r] * root[None, :]
     V0 = root[:, None] * Vt[:r]
-    rng = np.random.default_rng(seed)
-    return _normalize_factors(U0, V0, rng)
+    return _normalize_factors(U0, V0, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -410,16 +409,15 @@ def _restart(C: SignPattern, r: int, params: SearchParams, k: int):
     var_index += [(1, k, j) for j in sorted({j for _, j in zero_cells}) for k in range(r - pinned)]
 
     # optimize against an amplified margin so the hinge terms keep real
-    # gradient pressure; acceptance is still judged at params.margin
-    margin_opt = max(params.margin, 0.25)
+    # gradient pressure; acceptance is still judged at DEFAULT_MARGIN
     for attempt in range(3):
         U, V, pen = kernels.descent(
-            U, V, S, margin_opt, 4.0,
+            U, V, S, 0.25, 4.0,
             params.iters if attempt == 0 else max(500, params.iters // 10),
             0.05, free_u, free_v,
         )
         U, V = _gauss_newton_zero_polish(U, V, zero_cells, var_index)
-        if _check_signs(U @ V, S, params.margin, params.zero_tol):
+        if _check_signs(U @ V, S, DEFAULT_MARGIN, DEFAULT_ZERO_TOL):
             break
     else:
         return None
@@ -434,7 +432,7 @@ def _restart(C: SignPattern, r: int, params: SearchParams, k: int):
         return None
     Un, Vn = normalized.U, normalized.V
     target = S * np.outer(normalized.row_signs, normalized.col_signs)
-    if not _check_signs(Un @ Vn, target, 4 * params.zero_tol, params.zero_tol):
+    if not _check_signs(Un @ Vn, target, 4 * DEFAULT_ZERO_TOL, DEFAULT_ZERO_TOL):
         return None
     return Realization(r, Un, Vn)
 
@@ -684,18 +682,10 @@ def _sign_pattern(matrix) -> SignPattern:
     return SignPattern([[(v > 0) - (v < 0) for v in row] for row in matrix])
 
 
-def _round_matrix(M: np.ndarray, cap: int, fixed_first_col=False, fixed_last_row=False):
-    m, n = M.shape
-    out = [[Fraction(0)] * n for _ in range(m)]
-    for i in range(m):
-        for j in range(n):
-            if fixed_first_col and j == 0:
-                out[i][j] = Fraction(1)
-            elif fixed_last_row and i == m - 1:
-                out[i][j] = Fraction(1)
-            else:
-                out[i][j] = rational_round(float(M[i, j]), cap)
-    return out
+def _round_matrix(M: np.ndarray, cap: int):
+    """Each entry rounded to denominator <= cap.  A normal form's pinned
+    ones stay exact: ``rational_round(1.0, cap)`` is Fraction(1)."""
+    return [[rational_round(float(x), cap) for x in row] for row in M]
 
 
 def rationalize(A: SignPattern, real: Realization) -> RationalCertificate:
@@ -745,8 +735,8 @@ def rationalize(A: SignPattern, real: Realization) -> RationalCertificate:
     t = 16
     while t <= 64:
         cap = 1 << t
-        base_U = _round_matrix(real.U, cap, fixed_first_col=True)
-        base_V = _round_matrix(real.V, cap, fixed_last_row=True)
+        base_U = _round_matrix(real.U, cap)
+        base_V = _round_matrix(real.V, cap)
         solved_pair = None
         for attempt in range(32):
             Ur = [row[:] for row in base_U]
@@ -819,13 +809,8 @@ class DirectRepresentation:
     status: str  # "yes", "no", "unknown"
     witness: Optional[Realization]
 
-    def __bool__(self):
-        return self.status == "yes"
 
-
-def has_direct_representation(
-    A: SignPattern, r: int, params: Optional[SearchParams] = None
-) -> DirectRepresentation:
+def has_direct_representation(A: SignPattern, r: int) -> DirectRepresentation:
     """Can the minimum-rank normal form be reached without signatures?
 
     r = 2 is decided exactly: the pattern must have minimum rank 2 and its
@@ -833,7 +818,8 @@ def has_direct_representation(
     making every row and column nondecreasing; an exact witness realization
     is built from that arrangement.  For r >= 3 the numerical search runs
     with the normal form pinned; success means yes, exhaustion means
-    unknown (never a proof of no).
+    unknown (never a proof of no).  The search runs with the default
+    ``SearchParams`` budget.
     """
     if r == 1:
         C = condense(A).condensed
@@ -849,9 +835,7 @@ def has_direct_representation(
         if witness is None:
             return DirectRepresentation("no", None)
         return DirectRepresentation("yes", _realization_from_arrangement(C, witness))
-    params = params or SearchParams()
-    params = replace(params, direct=True)
-    found = search_realization(A, r, params)
+    found = search_realization(A, r, SearchParams(direct=True))
     if found is not None:
         return DirectRepresentation("yes", found)
     return DirectRepresentation("unknown", None)

@@ -92,6 +92,20 @@ class TestMr:
         assert code == 1  # bounds not tight without a realization search
         assert "mr in [3," in out
 
+    def test_sns_cap_past_scan_limit_exits_3(self, capsys, tmp_path):
+        # a zero-free 12x12 pattern that stays 12x12 after condensing and is
+        # not mr 2, so the SNS scan runs and refuses k = 11
+        rows = [
+            "--+------++-", "++-+-++--+--", "-+---+++-+--", "+-+++++-++--",
+            "+--+-+--+--+", "-++++--+++++", "+--++-----+-", "+--+++-++-+-",
+            "-++++++++++-", "+-++++++-+++", "-+-+++---++-", "++-+---+++++",
+        ]
+        pat = tmp_path / "p.pat"
+        pat.write_text("\n".join(rows) + "\n")
+        code, out, err = run(capsys, "mr", pat, "--sns-cap", 11)
+        assert code == 3
+        assert err.startswith("error:") and "capped" in err and "Traceback" not in err
+
     def test_negative_sns_cap(self, capsys, fxdir):
         code, out, err = run(capsys, "mr", fxdir / "A0.pat", "--sns-cap", -1)
         assert code == 2 and "sns_cap" in err
@@ -359,6 +373,13 @@ class TestErrorsAndSelfcheck:
         code, out, err = run(capsys, "encode", bad)
         assert code == 2
         assert "dim" in err and "Traceback" not in err
+
+    def test_bool_coordinate(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"dim": 2, "points": [[True, 0]], "hyperplanes": [[1, 1, 1]]}))
+        code, out, err = run(capsys, "encode", bad)
+        assert code == 2
+        assert err.startswith("error:") and "True" in err and "Traceback" not in err
 
     def test_non_list_points(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

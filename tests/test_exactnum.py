@@ -166,6 +166,11 @@ class TestScalarSyntax:
         with pytest.raises(DomainError):
             parse_rational("abc")
 
+    def test_bool_rejected(self):
+        # bool is an Integral, but a JSON true names no number
+        with pytest.raises(DomainError):
+            parse_rational(True)
+
     def test_quad_object(self):
         q = parse_scalar({"r": "1/2", "s": "-3/4"}, 5)
         assert q == QuadElem(Fraction(1, 2), Fraction(-3, 4), 5)

@@ -151,6 +151,14 @@ class TestSimple:
         assert not simple
         assert {v.condition for v in violations} == {3, 4}
 
+    def test_each_deleted_line_named_once(self):
+        # three coincident points: the second and third each against the
+        # first, never against each other
+        C = Configuration(2, [(0, 1), (0, 1), (0, 1)], [[0, 1, 1]])
+        simple, violations = is_simple(C)
+        assert not simple
+        assert [(v.condition, v.indices) for v in violations] == [(1, (0, 1)), (1, (0, 2))]
+
     def test_matches_condensation(self):
         rng = np.random.default_rng(19)
         for _ in range(40):

@@ -370,12 +370,13 @@ class TestEquivalence:
     def test_size_mismatch_is_absent_not_error(self):
         assert is_equivalent(SignPattern(["+"]), SignPattern(["++"])) is None
 
-    def test_node_budget(self):
+    def test_node_budget(self, monkeypatch):
+        monkeypatch.setattr(pattern, "_NODE_BUDGET", 2)
         rng = np.random.default_rng(1)
         A = random_pattern(rng, 7, 7, 0.0)
         B = random_witness(rng, 7, 7).apply(A)
         with pytest.raises(ResourceExhausted):
-            is_equivalent(A, B, node_budget=2)
+            is_equivalent(A, B)
 
 
 class TestTermRank:

@@ -584,6 +584,14 @@ class TestFactoredCertificates:
         with pytest.raises(DomainError, match="'rank' must be an integer"):
             RationalCertificate.from_dict(dict(doc, rank=rank))
 
+    def test_bool_entry_rejected(self):
+        doc = {"rank": 1, "target": ["+"], "matrix": [[1]]}
+        assert RationalCertificate.from_dict(doc).verify()
+        with pytest.raises(DomainError, match="True"):
+            RationalCertificate.from_dict(dict(doc, matrix=[[True]]))
+        with pytest.raises(DomainError, match="True"):
+            RationalCertificate.from_dict(dict(doc, U=[[True]], V=[[1]]))
+
     def test_tampering_fails_verify(self):
         real = search_realization(FIG21_PATTERN, 3, SearchParams(seed=4))
         cert = rationalize(FIG21_PATTERN, real)
