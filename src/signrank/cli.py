@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import fixtures as fixtures_mod
@@ -168,8 +169,12 @@ def _cmd_realize(args) -> int:
         return EXIT_NEGATIVE
     if args.output:
         realize.save_realization(real, args.output)
-    doc = {"found": True, "r": real.r, "margin": real.margin(), "output": args.output}
-    _emit(args, doc, f"rank-{real.r} realization found (margin {real.margin():.3g})")
+    # a realization with no nonzero product has an infinite margin, which
+    # JSON cannot carry
+    margin = real.margin()
+    doc = {"found": True, "r": real.r, "margin": margin if math.isfinite(margin) else None,
+           "output": args.output}
+    _emit(args, doc, f"rank-{real.r} realization found (margin {margin:.3g})")
     return EXIT_OK
 
 

@@ -48,8 +48,8 @@ class NumericalDegeneracy(SignRankError):
 
 
 class SingularSystem(SignRankError):
-    """The coefficient matrix of a zero-column solve is singular; the caller
-    should re-perturb the free entries and retry."""
+    """No column with v_rj = 1 passes through the zero rows of a zero-column
+    solve: the rows' echelon form pivots on the last coordinate."""
 
 
 class Overdetermined(SignRankError):

@@ -6,7 +6,7 @@ exactly ones, and sgn(U V) matches the pattern up to row/column signatures
 (which this module recovers rather than stores -- the product's own signs
 carry them).  ``search_realization`` looks for one numerically;
 ``rationalize`` upgrades it to an exact rational matrix certificate by
-rounding the free entries and solving the zero constraints exactly, with a
+rounding the factors and solving the zero constraints exactly, with a
 doubling denominator schedule.
 
 Ranks 1 and 2 are decided exactly, so there ``search_realization`` builds
@@ -45,8 +45,10 @@ DEFAULT_MARGIN = 1e-2
 
 @dataclass
 class SearchParams:
-    """Search budget: restarts, descent iterations per restart and the seed
-    they derive from; ``direct`` pins identity signatures.  A result is
+    """Search budget: restarts and the seed they derive from; ``direct``
+    pins identity signatures.  ``iters`` is the whole descent budget of one
+    restart: it runs one descent of ``iters`` steps (0 means no descent),
+    polishes the zeros once and checks the signs once.  A result is
     accepted at the fixed thresholds ``DEFAULT_MARGIN`` and
     ``DEFAULT_ZERO_TOL``.
 
@@ -104,7 +106,9 @@ class Realization:
     def from_dict(cls, doc: dict) -> "Realization":
         try:
             r = parse_integer(doc["r"], "'r'")
-            return cls(r, np.array(doc["U"], dtype=float), np.array(doc["V"], dtype=float))
+            # an empty condensation has no rows of U, which JSON cannot shape
+            U = np.empty((0, r)) if doc["U"] == [] else np.array(doc["U"], dtype=float)
+            return cls(r, U, np.array(doc["V"], dtype=float))
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed realization document: {exc}") from None
 
@@ -280,45 +284,34 @@ def normalize_factorization(B, r: int) -> NormalizedFactorization:
 # Exact zero-column solves (used by rationalize)
 
 
-def _zero_rows_by_column(A: SignPattern):
-    return [tuple(i for i in range(A.m) if A.entries[i][j] == 0) for j in range(A.n)]
+def solve_zero_columns(U, A: SignPattern, j: int, column: Sequence) -> tuple:
+    """Column j of V, given as its r entries (v_1j, ..., v_rj), with the
+    entries that make the zero rows of column j vanish solved exactly.
 
-
-def solve_zero_columns(U, A: SignPattern, j: int, free_values: Sequence = ()):
-    """Dependent entries (v_1j, ..., v_sj) making the zero rows of column j
-    vanish exactly, given the free entries (v_{s+1,j}, ..., v_{r-1,j}) and
-    the normal-form convention v_rj = 1.
+    The zero rows of U are brought to fraction-free echelon form
+    (``_bareiss_echelon``); the coordinates among the first r-1 that it
+    pivots on are solved, and every other entry, v_rj included, is kept as
+    given.  With the leading s x s block of the zero rows nonsingular, the
+    solved entries are v_1j, ..., v_sj.  SingularSystem means that no column
+    with this v_rj passes through the zero rows: a pivot lands on the last
+    coordinate.  More than r-1 zero rows raise Overdetermined.
 
     Exact: every entry is read as ``Fraction(x)`` (a float at its exact
-    binary value) and the solution is a tuple of Fractions.  The s x s
-    coefficient matrix is built from columns 1..s of the zero rows of U; if
-    it is singular the caller is expected to re-perturb the free entries of
-    U and retry.
+    binary value) and the result is a tuple of r Fractions.
     """
-    rows = [[Fraction(x) for x in U[i]] for i in range(A.m) if A.entries[i][j] == 0]
-    s = len(rows)
-    if s == 0:
-        return ()
-    r = len(rows[0])
-    if s > r - 1:
-        raise Overdetermined(j, s, r - 1)
-    if len(free_values) != r - 1 - s:
-        raise DomainError(
-            f"column {j + 1} needs {r - 1 - s} free values, got {len(free_values)}"
-        )
-    free = [Fraction(x) for x in free_values]
-    system = []
-    for row in rows:
-        rhs = row[r - 1] + sum(row[k] * free[k - s] for k in range(s, r - 1))
-        system.append(row[:s] + [-rhs])
-    echelon, pivots = _bareiss_echelon(system)
-    if pivots != list(range(s)):
-        raise SingularSystem(f"coefficient matrix of column {j + 1} is singular")
-    sol = [Fraction(0)] * s
-    for k in range(s - 1, -1, -1):
-        row = echelon[k]
-        sol[k] = Fraction(row[s] - sum(row[l] * sol[l] for l in range(k + 1, s)), row[k])
-    return tuple(sol)
+    column = [Fraction(x) for x in column]
+    rows = [U[i] for i in range(A.m) if A.entries[i][j] == 0]
+    if not rows:
+        return tuple(column)
+    r = len(column)
+    if len(rows) > r - 1:
+        raise Overdetermined(j, len(rows), r - 1)
+    echelon, pivots = _bareiss_echelon(rows)
+    if pivots and pivots[-1] == r - 1:
+        raise SingularSystem(f"no column {j + 1} passes through its zero rows")
+    for row, p in reversed(list(zip(echelon, pivots))):
+        column[p] = Fraction(-sum(row[k] * column[k] for k in range(p + 1, r)), row[p])
+    return tuple(column)
 
 
 # ---------------------------------------------------------------------------
@@ -410,16 +403,9 @@ def _restart(C: SignPattern, r: int, params: SearchParams, k: int):
 
     # optimize against an amplified margin so the hinge terms keep real
     # gradient pressure; acceptance is still judged at DEFAULT_MARGIN
-    for attempt in range(3):
-        U, V, pen = kernels.descent(
-            U, V, S, 0.25, 4.0,
-            params.iters if attempt == 0 else max(500, params.iters // 10),
-            0.05, free_u, free_v,
-        )
-        U, V = _gauss_newton_zero_polish(U, V, zero_cells, var_index)
-        if _check_signs(U @ V, S, DEFAULT_MARGIN, DEFAULT_ZERO_TOL):
-            break
-    else:
+    U, V, _ = kernels.descent(U, V, S, 0.25, 4.0, params.iters, 0.05, free_u, free_v)
+    U, V = _gauss_newton_zero_polish(U, V, zero_cells, var_index)
+    if not _check_signs(U @ V, S, DEFAULT_MARGIN, DEFAULT_ZERO_TOL):
         return None
 
     if params.direct:
@@ -696,12 +682,19 @@ def rationalize(A: SignPattern, real: Realization) -> RationalCertificate:
     r-1, the rows are used instead, since mr(A) = mr(A^T): A^T is certified
     from ``transpose_realization(real)`` and the certificate is transposed
     back.  If neither fits, Overdetermined names the first over-full column
-    of the original pattern.  Free entries are rounded with denominator cap
-    2^t (t = 16, doubling to 64); dependent entries of each zero-carrying
-    column are solved exactly; singular coefficient matrices trigger exact
-    re-perturbation of the relevant U entries.  The exact factors are
-    expanded back to the shape of the original pattern; the certificate
-    stores them with their product and its exact rank, proven from them.
+    of the original pattern.
+
+    Every entry of U and V is rounded to denominator cap 2^t (t = 16,
+    doubling to 64), and U is kept as rounded: no point is moved.  Each
+    column that carries zeros is then solved exactly through its zero rows
+    (``solve_zero_columns``): the coordinates its echelon form pivots on are
+    solved, the others keep their rounded values.  A cap at which some
+    column cannot pass through its rounded zero rows (SingularSystem), or
+    whose exact product has the wrong signs, gives way to the next cap;
+    PrecisionExhausted follows 2^64.  No random numbers are drawn.  The
+    exact factors are expanded back to the shape of the original pattern;
+    the certificate stores them with their product and its exact rank,
+    proven from them.
     """
     report = condense(A)
     C = report.condensed
@@ -711,19 +704,18 @@ def rationalize(A: SignPattern, real: Realization) -> RationalCertificate:
             f"realization is {real.U.shape[0]}x{real.V.shape[1]}, "
             f"but the condensed pattern is {C.m}x{C.n}"
         )
-    zero_rows = _zero_rows_by_column(C)
-    over = next((j for j, zr in enumerate(zero_rows) if len(zr) > r - 1), None)
+    zeros = [col.count(0) for col in zip(*C.entries)]
+    over = next((j for j, s in enumerate(zeros) if s > r - 1), None)
     if over is not None:
         if any(row.count(0) > r - 1 for row in C.entries):
-            raise Overdetermined(report.kept_cols[over], len(zero_rows[over]), r - 1)
+            raise Overdetermined(report.kept_cols[over], zeros[over], r - 1)
         cert = rationalize(A.transpose(), transpose_realization(real))
         U, V = cert.factors
         return RationalCertificate(
             tuple(zip(*cert.matrix)), cert.rank, A, (tuple(zip(*V)), tuple(zip(*U)))
         )
 
-    signed = real.signed_pattern()
-    signs = signature_between(C, signed)
+    signs = signature_between(C, real.signed_pattern())
     if signs is None:
         raise DomainError(
             "realization does not realize the pattern (no signature carries "
@@ -731,48 +723,25 @@ def rationalize(A: SignPattern, real: Realization) -> RationalCertificate:
         )
     d1, d2 = signs
 
-    rng = np.random.default_rng(0x5EED)
-    t = 16
-    while t <= 64:
+    for t in (16, 32, 64):
         cap = 1 << t
-        base_U = _round_matrix(real.U, cap)
-        base_V = _round_matrix(real.V, cap)
-        solved_pair = None
-        for attempt in range(32):
-            Ur = [row[:] for row in base_U]
-            Vr = [row[:] for row in base_V]
-            if attempt:
-                # a singular system means the rounded U landed on a measure-
-                # zero set: re-perturb the feeding entries by <= 2^-t
-                for zr in zero_rows:
-                    for i in zr:
-                        for k in range(1, r):
-                            Ur[i][k] += Fraction(int(rng.integers(-cap, cap + 1)), cap * cap)
-            try:
-                for j, zr in enumerate(zero_rows):
-                    s = len(zr)
-                    if s == 0:
-                        continue
-                    free_vals = [Vr[k][j] for k in range(s, r - 1)]
-                    solved = solve_zero_columns(Ur, signed, j, free_vals)
-                    for k, value in enumerate(solved):
-                        Vr[k][j] = value
-            except SingularSystem:
-                continue
-            solved_pair = (Ur, Vr)
-            break
-        if solved_pair is not None:
-            Ur, Vr = solved_pair
-            U = _expand_lines(Ur, d1, report, "row", r)
-            V = tuple(zip(*_expand_lines(tuple(zip(*Vr)), d2, report, "col", r)))
-            full = _exact_product(U, V)
-            if _sign_pattern(full) == A:
-                # the certificate's one exact rank; verify() stays the
-                # independent check that callers run
-                return RationalCertificate(full, _factored_rank(U, V, full), A, (U, V))
-        t *= 2
+        Ur = _round_matrix(real.U, cap)
+        columns = list(zip(*_round_matrix(real.V, cap)))
+        try:
+            for j, s in enumerate(zeros):
+                if s:
+                    columns[j] = solve_zero_columns(Ur, C, j, columns[j])
+        except SingularSystem:
+            continue
+        U = _expand_lines(Ur, d1, report, "row", r)
+        V = tuple(zip(*_expand_lines(columns, d2, report, "col", r)))
+        full = _exact_product(U, V)
+        if _sign_pattern(full) == A:
+            # the certificate's one exact rank; verify() stays the
+            # independent check that callers run
+            return RationalCertificate(full, _factored_rank(U, V, full), A, (U, V))
     raise PrecisionExhausted(
-        "denominator schedule exhausted at 2^64 without an exact sign match"
+        "denominator schedule exhausted at 2^64 without exact zeros and signs"
     )
 
 

@@ -17,9 +17,17 @@ def fxdir(tmp_path_factory):
     return path
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def run(capsys, *argv):
+    """Exit code, stdout and stderr of one CLI call; a ``--json`` stdout
+    must be valid JSON (NaN and Infinity are not)."""
     code = main([str(a) for a in argv])
     out = capsys.readouterr()
+    if "--json" in argv and out.out:
+        json.loads(out.out, parse_constant=_reject_constant)
     return code, out.out, out.err
 
 
@@ -184,6 +192,45 @@ class TestRealizeRationalize:
         U, V = cert.factors
         assert len(U) == 4 and len(V) == 3 and len(V[0]) == 4
         assert cert.verify()
+
+    def test_empty_condensation_round_trip(self, capsys, tmp_path):
+        pat = tmp_path / "z.pat"
+        pat.write_text("00\n00\n")
+        real_file = tmp_path / "z.real.json"
+        code, out, _ = run(capsys, "realize", pat, "--rank", 3, "-o", real_file, "--json")
+        assert code == 0
+        assert json.loads(out)["margin"] is None  # no nonzero product
+        cert_file = tmp_path / "z.cert.json"
+        code, out, err = run(capsys, "rationalize", pat, "--from", real_file, "-o", cert_file)
+        assert code == 0, err
+        cert = load_certificate(cert_file)
+        assert cert.verify() and cert.rank == 0
+
+    # an integer rank-4 realization whose two zero rows in column 1 share
+    # their second coordinate: the leading 2 x 2 block of column 1 is
+    # singular, and the exact solve pivots past it
+    SINGULAR_BLOCK = {
+        "U": [[1, 1, 1, 2], [1, -1, -3, -2], [1, -3, 3, -2], [1, 2, 3, -2], [1, 1, -3, -3],
+              [1, -3, -1, 1], [1, -3, -2, -3], [1, 1, -2, 3]],
+        "V": [[1, 1, 0, 3, -2, 3, -1, -2], [2, -1, 0, 3, -2, 0, 0, 3],
+              [-4, 2, 0, -3, -2, 1, 3, 0], [1, 1, 1, 1, 1, 1, 1, 1]],
+    }
+
+    def test_singular_leading_block(self, capsys, tmp_path):
+        U, V = self.SINGULAR_BLOCK["U"], self.SINGULAR_BLOCK["V"]
+        product = [[sum(u[k] * V[k][j] for k in range(4)) for j in range(8)] for u in U]
+        pat = tmp_path / "p.pat"
+        pat.write_text(SignPattern(
+            [[(x > 0) - (x < 0) for x in row] for row in product]).to_text() + "\n")
+        real_file = tmp_path / "p.real.json"
+        real_file.write_text(json.dumps({"r": 4, **self.SINGULAR_BLOCK}))
+        cert_file = tmp_path / "p.cert.json"
+        code, out, err = run(capsys, "rationalize", pat, "--from", real_file, "-o", cert_file)
+        assert code == 0 and "Traceback" not in err
+        cert = load_certificate(cert_file)
+        assert cert.verify()
+        for row, kept in zip(cert.factors[0], U):
+            assert list(row) in (kept, [-x for x in kept])
 
     # sha256 of the realization files that the search wrote when it still
     # ran restarts on a thread pool, identical for --threads 1 and 2

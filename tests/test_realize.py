@@ -20,9 +20,11 @@ from signrank.realize import (
     Realization,
     SearchParams,
     has_direct_representation,
+    load_realization,
     normalize_factorization,
     rational_rank,
     rationalize,
+    save_realization,
     search_realization,
     signature_between,
     solve_zero_columns,
@@ -82,26 +84,41 @@ class TestSolveZeroColumns:
     def test_single_zero(self):
         U = [[1, 2, 5]]
         A = SignPattern(["0"])
-        assert solve_zero_columns(U, A, 0, free_values=[Fraction(3)]) == (Fraction(-11),)
+        assert solve_zero_columns(U, A, 0, [7, 3, 1]) == (Fraction(-11), Fraction(3), Fraction(1))
 
     def test_two_zeros_fully_determined(self):
         U = [[1, 0, 0], [1, 1, 1]]
         A = SignPattern(["0", "0"])
-        assert solve_zero_columns(U, A, 0) == (Fraction(0), Fraction(-1))
+        assert solve_zero_columns(U, A, 0, [7, 7, 1]) == (Fraction(0), Fraction(-1), Fraction(1))
 
     def test_singular_when_second_coordinates_collide(self):
+        # r = 3: the rows differ only in the last coordinate, so no column
+        # with v_3 = 1 passes through both
         U = [[1, 2, 9], [1, 2, 7]]
         A = SignPattern(["0", "0"])
         with pytest.raises(SingularSystem):
-            solve_zero_columns(U, A, 0)
+            solve_zero_columns(U, A, 0, [0, 0, 1])
+        # r = 4: the echelon form pivots on the third coordinate instead of
+        # the second, which keeps its value
+        U = [[1, 2, 9, 3], [1, 2, 7, 5]]
+        v = solve_zero_columns(U, A, 0, [0, 5, 0, 1])
+        assert v == (Fraction(-22), Fraction(5), Fraction(1), Fraction(1))
+        assert all(sum(Fraction(a) * b for a, b in zip(row, v)) == 0 for row in U)
 
     def test_float_path(self):
         # floats enter at their exact binary value and the solve stays exact
         U = [[1.0, 2.0, 5.0]]
         A = SignPattern(["0"])
-        assert solve_zero_columns(U, A, 0, free_values=[3.0]) == (Fraction(-11),)
-        (v,) = solve_zero_columns(np.array([[1.0, 0.1, 0.3]]), A, 0, free_values=[np.float64(0.7)])
+        assert solve_zero_columns(U, A, 0, [0.0, 3.0, 1.0]) == (
+            Fraction(-11), Fraction(3), Fraction(1))
+        v, w, one = solve_zero_columns(
+            np.array([[1.0, 0.1, 0.3]]), A, 0, [0.0, np.float64(0.7), 1.0])
         assert v == -(Fraction(0.3) + Fraction(0.1) * Fraction(0.7))
+        assert (w, one) == (Fraction(0.7), 1)
+
+    def test_no_zero_rows_keeps_column(self):
+        assert solve_zero_columns([[1, 2, 5]], SignPattern(["+"]), 0, [0.5, 3, 1]) == (
+            Fraction(1, 2), Fraction(3), Fraction(1))
 
     def test_against_sympy(self):
         sympy = pytest.importorskip("sympy")
@@ -112,44 +129,57 @@ class TestSolveZeroColumns:
                 return int(rng.integers(-4, 5))
             return Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 6)))
 
-        singular = 0
+        singular = planted_solved = 0
         for trial in range(160):
             s = int(rng.integers(1, 5))
             r = s + 1 + int(rng.integers(0, 3))
             m = s + int(rng.integers(0, 3))
             integer = trial % 2 == 0
             U = [[entry(integer) for _ in range(r)] for _ in range(m)]
+            for row in U:
+                row[0] = 1
             zero_rows = sorted(int(i) for i in rng.choice(m, s, replace=False))
-            if trial % 3 == 0:
-                # plant a singular system: the last zero row's leading s
-                # entries become a combination of the other zero rows' (zero
-                # when s = 1)
+            planted = trial % 3 == 0
+            if planted:
+                # plant a singular leading block: the last zero row's leading
+                # s entries become an affine combination of the other zero
+                # rows' (its first entry stays 1; equal to the other row's
+                # when s = 2, and [1] is never singular, so s = 1 skips)
                 last = zero_rows[-1]
-                coeffs = [entry(integer) for _ in zero_rows[:-1]]
-                U[last][:s] = [
-                    sum((c * U[i][k] for c, i in zip(coeffs, zero_rows)), Fraction(0))
-                    for k in range(s)
-                ]
+                coeffs = [entry(integer) for _ in zero_rows[:-2]]
+                coeffs.append(1 - sum(coeffs, Fraction(0)))
+                if s >= 2:
+                    U[last][:s] = [
+                        sum((c * U[i][k] for c, i in zip(coeffs, zero_rows)), Fraction(0))
+                        for k in range(s)
+                    ]
             A = SignPattern([[0 if i in zero_rows else 1] for i in range(m)])
-            free = [entry(integer) for _ in range(r - 1 - s)]
-            M = sympy.Matrix([[sympy.Rational(U[i][k]) for k in range(s)] for i in zero_rows])
-            if M.det() == 0:
+            column = [entry(integer) for _ in range(r - 1)] + [1]
+            Z = sympy.Matrix([[sympy.Rational(U[i][k]) for k in range(r)] for i in zero_rows])
+            coef, rhs = Z[:, : r - 1], -Z[:, r - 1]
+            if coef.rank() < coef.row_join(rhs).rank():
                 singular += 1
                 with pytest.raises(SingularSystem):
-                    solve_zero_columns(U, A, 0, free)
+                    solve_zero_columns(U, A, 0, column)
                 continue
-            sol = solve_zero_columns(U, A, 0, free)
-            assert all(type(v) is Fraction for v in sol)
-            column = list(sol) + free + [1]
+            sol = solve_zero_columns(U, A, 0, column)
+            assert all(type(v) is Fraction for v in sol) and len(sol) == r
             for i in zero_rows:
-                assert sum(U[i][k] * column[k] for k in range(r)) == 0
-        assert 50 <= singular < 160
+                assert sum(U[i][k] * sol[k] for k in range(r)) == 0
+            changed = [k for k in range(r) if sol[k] != column[k]]
+            assert sol[-1] == 1 and len(changed) <= s
+            if Z[:, :s].det() != 0:
+                # a nonsingular leading block: the first s entries are solved
+                assert all(k < s for k in changed)
+            elif s < r - 1:
+                planted_solved += 1
+        assert singular >= 8 and planted_solved >= 10
 
     def test_overdetermined_column(self):
         U = [[1, 1], [1, 2], [1, 3]]
         A = SignPattern(["0", "0", "0"])
         with pytest.raises(Overdetermined):
-            solve_zero_columns(U, A, 0)
+            solve_zero_columns(U, A, 0, [0, 1])
 
 
 class TestSearch:
@@ -192,6 +222,23 @@ class TestSearch:
         real = search_realization(A0_PATTERN, 4)
         assert real is not None and real.r == 4
         assert signature_between(A0_PATTERN, real.signed_pattern()) is not None
+
+    def test_failing_restart_descends_once(self, monkeypatch):
+        # a 4x4 SNS pattern has mr = 4, so every rank-3 restart fails; each
+        # runs one descent of exactly `iters` steps
+        P = SignPattern(["-+00", "--+0", "---+", "----"])
+        seen = []
+        original = kernels.descent
+
+        def recording(U, V, S, margin, zero_weight, iters, *rest):
+            seen.append(iters)
+            return original(U, V, S, margin, zero_weight, iters, *rest)
+
+        monkeypatch.setattr(kernels, "descent", recording)
+        assert search_realization(P, 3, SearchParams(restarts=1, iters=40)) is None
+        assert seen == [40]
+        assert search_realization(P, 3, SearchParams(restarts=2, iters=0)) is None
+        assert seen == [40, 0, 0]
 
     def test_direct_rank1_needs_plus(self):
         # [-] is realized at rank 1 only with a signature: U = V = [[1]]
@@ -347,6 +394,17 @@ class TestRealizationDocument:
         doc = {"r": 2.0, "U": [[1.0, 2.0]], "V": [[1.0], [1.0]]}
         assert Realization.from_dict(doc).r == 2
 
+    def test_empty_condensation_round_trip(self, tmp_path):
+        # "U": [] carries no row width; it is read as a 0 x r matrix
+        real = search_realization(SignPattern(["00", "00"]), 3)
+        path = tmp_path / "z.real.json"
+        save_realization(real, path)
+        back = load_realization(path)
+        assert back.U.shape == (0, 3) and back.V.shape == (3, 0)
+        assert Realization.from_dict({"r": 2, "U": [[1.0, 2.0]], "V": [[1.0], [1.0]]}).U.shape == (1, 2)
+        with pytest.raises(DomainError, match="inconsistent shapes"):
+            Realization.from_dict({"r": 2, "U": [1.0, 2.0], "V": [[1.0], [1.0]]})
+
     def test_non_finite_factors_rejected(self):
         for U, V in (
             ([[1.0, np.nan]], [[1.0], [1.0]]),
@@ -389,6 +447,45 @@ class TestRationalize:
         assert len(calls) == 2
         assert cert.verify() and len(calls) == 4
         assert all(len(M) <= 3 or len(M[0]) <= 3 for M in calls)
+
+    def test_draws_no_random_numbers(self, monkeypatch):
+        instances = [_planted_instance(np.random.default_rng(k), 3 + k % 3) for k in range(6)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("rationalize drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        for P, real in instances:
+            assert rationalize(P, real).verify()
+
+    def test_singular_leading_block_keeps_points(self):
+        # zero rows 1 and 2 of column 1 share their second coordinate, so
+        # the leading 2 x 2 block is singular; the solve pivots on the third
+        # coordinate, and every point of U stays where it was
+        U = np.array([[1, 0, -1, 1], [1, -2, 1, 1], [1, -2, -1, -1], [1, 2, 3, 0], [1, 1, -1, -2],
+                      [1, 1, -3, 3]], dtype=float)
+        V = np.array([[2, 1, -3, 3, -1, 2], [1, 2, -3, 0, -1, 1], [-1, -2, 1, 3, -1, -3],
+                      [1, 1, 1, 1, 1, 1]], dtype=float)
+        B = U @ V
+        assert B[1, 0] == B[2, 0] == 0 and np.count_nonzero(B) == B.size - 2
+        P = SignPattern(np.sign(B).astype(int).tolist())
+        assert condense(P).condensed == P
+        cert = rationalize(P, Realization(4, U, V))
+        assert cert.verify() and sympy_rank(cert.matrix) == cert.rank
+        assert [tuple(map(float, row)) for row in cert.factors[0]] == [tuple(row) for row in U]
+
+    def test_denominator_cap_doubles(self):
+        # at cap 2^16 row 1 rounds to (1, 1/2, 0) and its product with
+        # column 1, 2^-21, to zero; the certificate comes from a finer cap
+        U = np.array([[1, 0.5 + 2.0**-20, -(2.0**-21)], [1, -1, 3], [1, 3, -3], [1, 2, 2], [1, 0, -1]])
+        V = np.array([[-0.5, -2, 2, -3, -1], [1, 2, 2, 1, 3], [1, 1, 1, 1, 1]])
+        B = U @ V
+        assert B[0, 0] == 2.0**-21 and np.all(B != 0)
+        P = SignPattern(np.sign(B).astype(int).tolist())
+        assert condense(P).condensed == P
+        cert = rationalize(P, Realization(3, U, V))
+        assert cert.verify() and sympy_rank(cert.matrix) == cert.rank
+        assert max(x.denominator for F in cert.factors for row in F for x in row) > 2**16
 
     def test_a0_overdetermined(self):
         # every condensed row has >= 3 zeros too, so the rows cannot stand
