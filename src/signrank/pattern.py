@@ -680,6 +680,8 @@ def mr_bounds(A: SignPattern, options: Optional[MrBoundsOptions] = None) -> MrBo
         raise DomainError(
             f"restarts and iters must be >= 0, got {opts.restarts} and {opts.iters}"
         )
+    if opts.seed < 0:
+        raise DomainError(f"seed must be >= 0, got {opts.seed}")
     if opts.try_rank is not None and opts.try_rank < 1:
         raise DomainError(f"try_rank must be >= 1, got {opts.try_rank}")
     if A.is_zero():

@@ -45,11 +45,11 @@ DEFAULT_MARGIN = 1e-2
 
 @dataclass
 class SearchParams:
-    """Search budget: restarts and the seed they derive from; ``direct``
-    pins identity signatures.  ``iters`` is the whole descent budget of one
-    restart: it runs one descent of ``iters`` steps (0 means no descent),
-    polishes the zeros once and checks the signs once.  A result is
-    accepted at the fixed thresholds ``DEFAULT_MARGIN`` and
+    """Search budget: restarts and the seed (>= 0) they derive from;
+    ``direct`` pins identity signatures.  ``iters`` is the whole descent
+    budget of one restart: it runs one descent of ``iters`` steps (0 means
+    no descent), polishes the zeros once and checks the signs once.  A
+    result is accepted at the fixed thresholds ``DEFAULT_MARGIN`` and
     ``DEFAULT_ZERO_TOL``.
 
     ``threads`` is ignored: restarts run one after another.  It is kept only
@@ -442,6 +442,8 @@ def search_realization(
         raise DomainError(
             f"restarts and iters must be >= 0, got {params.restarts} and {params.iters}"
         )
+    if params.seed < 0:
+        raise DomainError(f"seed must be >= 0, got {params.seed}")
     if r < 1:
         raise DomainError(f"rank must be >= 1, got {r}")
     if r <= 2:

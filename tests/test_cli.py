@@ -234,7 +234,10 @@ class TestRealizeRationalize:
 
     # sha256 of the realization files that the search wrote when it still
     # ran restarts on a thread pool, identical for --threads 1 and 2
-    # (x86-64, numpy 2.4.6); the plain restart loop must write the same bytes
+    # (x86-64, numpy 2.4.6); the plain restart loop must write the same bytes.
+    # A key (rank, seed) realizes A0; (rank, seed, "direct") realizes A0 with
+    # --direct and (rank, seed, "planted") realizes PLANTED_ZEROS, both pinned
+    # from the per-step-mask descent kernel before its masks were hoisted
     PINNED_SHA256 = {
         (3, 0): "cae5508d10ef2e715fa4d76a3c4501cfb70f7ec370f63ef59a6bc15a0dcfd7b3",
         (3, 1): "77c8d3c96673077dee3adef271aa4a122b03eb2513a3c664f3218e9832d07ad1",
@@ -244,15 +247,29 @@ class TestRealizeRationalize:
         (4, 1): "55c1a280cc5636af8c15c7e697cf919e26365682104d3b739a7c5955fa3336d5",
         (4, 2): "6c56b21e9a537cc8ee1d4903ac4c432eabce9bb5e1138bb47ebabd447cd87ff8",
         (4, 3): "8464f05fa0edc56d9100a5d819a036427731bc369cf1a2a8c5f2798a91f5538b",
+        (3, 0, "direct"): "b0d85c6cbb105ca514dc6728412e14984846cb96ae64cdc8adf13d09ff695546",
+        (4, 0, "planted"): "1269426a840ccacfdf9798509130fda7846d5913b0f5dcc71e98ca6a62c67469",
     }
 
-    @pytest.mark.parametrize("rank, seed", sorted(PINNED_SHA256))
-    def test_realization_bytes_unchanged(self, capsys, fxdir, tmp_path, rank, seed):
+    # 18 zeros planted at rank 4 (normal-form Gaussian factors, up to three
+    # zeros per column), already condensed
+    PLANTED_ZEROS = ["-+-----+0", "0+-+--0++", "-+0+--++0", "++++-0++-",
+                     "-+0--0--0", "0++0+++0-", "0++--++--", "-00-00+0-"]
+
+    @pytest.mark.parametrize("key", sorted(PINNED_SHA256), ids=lambda k: "-".join(map(str, k)))
+    def test_realization_bytes_unchanged(self, capsys, fxdir, tmp_path, key):
+        rank, seed, *variant = key
+        pat, extra = fxdir / "A0.pat", []
+        if variant == ["direct"]:
+            extra = ["--direct"]
+        elif variant == ["planted"]:
+            pat = tmp_path / "planted.pat"
+            pat.write_text("\n".join(self.PLANTED_ZEROS) + "\n")
         out = tmp_path / "a0.real.json"
-        code, *_ = run(capsys, "realize", fxdir / "A0.pat", "--rank", rank, "--seed", seed,
+        code, *_ = run(capsys, "realize", pat, "--rank", rank, "--seed", seed, *extra,
                        "-o", out)
         assert code == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINNED_SHA256[rank, seed]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINNED_SHA256[key]
 
     def test_non_integer_r_exits_2(self, capsys, fxdir, tmp_path):
         bad = tmp_path / "bad.real.json"
@@ -448,6 +465,13 @@ class TestErrorsAndSelfcheck:
         code, out, err = run(capsys, "realize", pat, "--rank", 2, "--restarts", -1)
         assert code == 2
         assert "restarts" in err
+
+    @pytest.mark.parametrize("command", [["realize", "--rank", 3], ["mr", "--try-rank", 3]],
+                             ids=["realize", "mr"])
+    def test_negative_seed(self, capsys, fxdir, command):
+        code, out, err = run(capsys, command[0], fxdir / "A0.pat", *command[1:], "--seed", -1)
+        assert code == 2
+        assert "seed must be >= 0, got -1" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv",

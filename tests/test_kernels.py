@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 
 from signrank import kernels
@@ -96,3 +98,79 @@ class TestDescent:
         )
         assert np.all(U2[:, 0] == 1.0)
         assert np.all(V2[-1, :] == 1.0)
+
+
+def _reference_penalty_grad(U, V, S, margin, zero_weight):
+    """The penalty as first written: boolean masks rebuilt on every call,
+    ``np.where`` residuals and ``np.sum`` reductions."""
+    B = U @ V
+    pos = S > 0
+    neg = S < 0
+    zer = S == 0
+    rp = np.where(pos, np.maximum(0.0, margin - B), 0.0)
+    rn = np.where(neg, np.maximum(0.0, B + margin), 0.0)
+    rz = np.where(zer, B, 0.0)
+    pen = float(np.sum(rp * rp) + np.sum(rn * rn) + zero_weight * np.sum(rz * rz))
+    gB = -2.0 * rp + 2.0 * rn + (2.0 * zero_weight) * rz
+    return pen, gB @ V.T, U.T @ gB
+
+
+def _reference_descent(U, V, S, margin, zero_weight, iters, lr0, free_u, free_v):
+    """The descent loop over ``_reference_penalty_grad``; also names the
+    rule that stopped it."""
+    lr = lr0
+    pen, gU, gV = _reference_penalty_grad(U, V, S, margin, zero_weight)
+    for _ in range(iters):
+        if pen < 1e-22:
+            return U, V, pen, "pen"
+        if lr < 1e-14:
+            return U, V, pen, "lr"
+        U2 = U - lr * gU * free_u
+        V2 = V - lr * gV * free_v
+        pen2, gU2, gV2 = _reference_penalty_grad(U2, V2, S, margin, zero_weight)
+        if pen2 <= pen:
+            U, V, pen, gU, gV = U2, V2, pen2, gU2, gV2
+            lr *= 1.05
+        else:
+            lr *= 0.5
+    return U, V, pen, "iters"
+
+
+class TestBitIdentity:
+    """``kernels.descent`` must take every accept/reject decision the
+    reference takes, so its factors and penalty equal it bit for bit."""
+
+    @staticmethod
+    def _cases():
+        for seed in range(30):
+            if seed < 10:  # zero targets, budget runs out
+                U, V, S = _instance(seed, m=5 + seed % 3, n=6 + seed % 4)
+                iters = 300
+            elif seed < 20:  # zero-free, mostly satisfied: pen reaches 0
+                U, V, S = _instance(seed, m=4 + seed % 3, n=5, zero_prob=0.0)
+                iters = 4000
+            else:  # a badly scaled start: lr halves below 1e-14
+                U, V, S = _instance(seed, zero_prob=0.25 + 0.05 * (seed % 3))
+                U, V = U * 1e8, V * 1e8
+                iters = 4000
+            free_u, free_v = np.ones_like(U), np.ones_like(V)
+            if seed % 3 == 0:  # the direct mode's normal-form pins
+                U[:, 0] = V[-1, :] = 1.0
+                free_u[:, 0] = free_v[-1, :] = 0.0
+            yield U, V, S, (0.25, 4.0, iters, 0.05, free_u, free_v)
+
+    def test_descent_equals_reference(self):
+        stops = Counter()
+        for U, V, S, args in self._cases():
+            Ur, Vr, pr, stop = _reference_descent(U.copy(), V.copy(), S, *args)
+            Uk, Vk, pk = kernels.descent(U.copy(), V.copy(), S, *args)
+            assert np.array_equal(Uk, Ur) and np.array_equal(Vk, Vr)
+            assert pk == pr
+            stops[stop] += 1
+        assert set(stops) == {"pen", "lr", "iters"}, stops
+
+    def test_penalty_grad_equals_reference(self):
+        for U, V, S, (margin, zero_weight, *_) in self._cases():
+            pen, gU, gV = kernels.penalty_grad(U, V, S, margin, zero_weight)
+            pr, gUr, gVr = _reference_penalty_grad(U, V, S, margin, zero_weight)
+            assert pen == pr and np.array_equal(gU, gUr) and np.array_equal(gV, gVr)

@@ -254,6 +254,13 @@ class TestSearch:
         with pytest.raises(DomainError):
             search_realization(A1_PATTERN, 0)
 
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_negative_seed_rejected(self, r):
+        # restart k seeds its generator with seed ^ k, which numpy refuses
+        # when negative; the exact ranks reject it as well, like restarts
+        with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+            search_realization(A0_PATTERN, r, SearchParams(seed=-1))
+
     def test_normal_form_guaranteed(self):
         real = search_realization(A2_PATTERN, 2, SearchParams(seed=9))
         assert np.all(real.U[:, 0] == 1.0)
