@@ -2,8 +2,9 @@
 
 Rationals are ``fractions.Fraction`` (always reduced, arbitrary precision).
 A :class:`QuadElem` represents ``r + s*sqrt(d)`` with rational r, s and a
-fixed square-free positive integer d shared by every element combined in one
-expression; d = 1 degenerates to a plain rational (s is folded into r).
+square-free positive integer d.  The field belongs to the element: a rational
+element (s = 0) always has d = 1, so d only means something when s != 0, and
+two elements combine unless both have radical parts over different d.
 
 Sign determination never touches floating point: the sign of ``r + s*sqrt(d)``
 is decided by comparing ``r*r`` against ``d*s*s`` with case analysis on the
@@ -59,15 +60,13 @@ class QuadElem:
     d: int = 1
 
     def __eq__(self, other):
-        if isinstance(other, QuadElem):
-            if self.s == 0 and other.s == 0:
-                return self.r == other.r
-            return self.d == other.d and self.r == other.r and self.s == other.s
         if isinstance(other, (Integral, Fraction, float)):
             try:
-                return self == QuadElem.lift(other, self.d)
+                other = QuadElem.lift(other)
             except DomainError:
                 return NotImplemented
+        if isinstance(other, QuadElem):
+            return self.r == other.r and self.s == other.s and self.d == other.d
         return NotImplemented
 
     def __hash__(self):
@@ -80,46 +79,42 @@ class QuadElem:
         object.__setattr__(self, "s", _as_fraction(self.s))
         if not isinstance(self.d, Integral) or not _is_square_free(int(self.d)):
             raise DomainError(f"field index must be a square-free positive integer, got {self.d!r}")
-        object.__setattr__(self, "d", int(self.d))
-        if self.d == 1 and self.s != 0:
+        d = int(self.d)
+        if self.s == 0:
+            d = 1  # a rational belongs to no radical
+        elif d == 1:
             # sqrt(1) = 1: fold the radical part so representation stays unique
             object.__setattr__(self, "r", self.r + self.s)
             object.__setattr__(self, "s", Fraction(0))
+        object.__setattr__(self, "d", d)
 
     @classmethod
-    def lift(cls, value, d: int = 1) -> "QuadElem":
-        """Embed a rational-like value (or re-context a rational QuadElem)."""
+    def lift(cls, value) -> "QuadElem":
+        """A QuadElem unchanged, or any rational-like value embedded."""
         if isinstance(value, QuadElem):
-            if value.d == d or value.s == 0:
-                return cls(value.r, value.s, d if value.s == 0 else value.d)
-            raise DomainError(f"cannot mix sqrt({value.d}) element into sqrt({d}) context")
-        return cls(_as_fraction(value), Fraction(0), d)
+            return value
+        return cls(value)
 
-    def _coerce(self, other) -> "QuadElem":
-        if isinstance(other, QuadElem):
-            if other.d == self.d:
-                return other
-            if other.s == 0:
-                return QuadElem(other.r, 0, self.d)
-            if self.s == 0:
-                return other  # self will be lifted by the caller via reflection
+    def _pair(self, other) -> tuple["QuadElem", int]:
+        """The other operand as a QuadElem and the field d of the result;
+        d = 1 marks a rational, so only two radicals can clash."""
+        if not isinstance(other, QuadElem):
+            other = QuadElem(other)
+        if other.d == 1:
+            return other, self.d
+        if self.d != 1 and self.d != other.d:
             raise DomainError(f"cannot combine sqrt({self.d}) and sqrt({other.d}) elements")
-        return QuadElem(_as_fraction(other), Fraction(0), self.d)
-
-    def _pair(self, other) -> tuple["QuadElem", "QuadElem"]:
-        b = self._coerce(other)
-        a = self if b.d == self.d else QuadElem(self.r, 0, b.d)
-        return a, b
+        return other, other.d
 
     def __add__(self, other):
-        a, b = self._pair(other)
-        return QuadElem(a.r + b.r, a.s + b.s, b.d)
+        b, d = self._pair(other)
+        return QuadElem(self.r + b.r, self.s + b.s, d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        return QuadElem(a.r - b.r, a.s - b.s, b.d)
+        b, d = self._pair(other)
+        return QuadElem(self.r - b.r, self.s - b.s, d)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -128,22 +123,22 @@ class QuadElem:
         return QuadElem(-self.r, -self.s, self.d)
 
     def __mul__(self, other):
-        a, b = self._pair(other)
-        return QuadElem(a.r * b.r + a.s * b.s * b.d, a.r * b.s + a.s * b.r, b.d)
+        b, d = self._pair(other)
+        return QuadElem(self.r * b.r + self.s * b.s * d, self.r * b.s + self.s * b.r, d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        a, b = self._pair(other)
+        b = QuadElem.lift(other)
         if b.is_zero():
             raise DomainError("division by zero quadratic element")
         norm = b.r * b.r - b.d * b.s * b.s
         # 1/(r + s*sqrt(d)) = (r - s*sqrt(d)) / (r^2 - d s^2)
         inv = QuadElem(b.r / norm, -b.s / norm, b.d)
-        return a * inv
+        return self * inv
 
     def __rtruediv__(self, other):
-        return QuadElem.lift(other, self.d) / self
+        return QuadElem.lift(other) / self
 
     def conjugate(self) -> "QuadElem":
         return QuadElem(self.r, -self.s, self.d)
@@ -155,20 +150,16 @@ class QuadElem:
         return quad_sign(self)
 
     def __lt__(self, other):
-        a, b = self._pair(other)
-        return (a - b).sign() < 0
+        return (self - other).sign() < 0
 
     def __le__(self, other):
-        a, b = self._pair(other)
-        return (a - b).sign() <= 0
+        return (self - other).sign() <= 0
 
     def __gt__(self, other):
-        a, b = self._pair(other)
-        return (a - b).sign() > 0
+        return (self - other).sign() > 0
 
     def __ge__(self, other):
-        a, b = self._pair(other)
-        return (a - b).sign() >= 0
+        return (self - other).sign() >= 0
 
     def __float__(self):
         return float(self.r) + float(self.s) * math.sqrt(self.d)
@@ -265,7 +256,8 @@ def format_rational(value: Fraction):
 
 
 def parse_scalar(obj, d: int = 1) -> QuadElem:
-    """Parse the JSON form of a scalar into a QuadElem in context d."""
+    """Parse the JSON form of a scalar into a QuadElem; d is the radical of
+    its {"r", "s"} form."""
     if isinstance(obj, dict):
         unknown = set(obj) - {"r", "s"}
         if unknown:

@@ -118,7 +118,7 @@ def _perles_config() -> Configuration:
         (one, _q5(-1), one),  # l8: p4 p6 p8
         (_q5(F(-3, 11), F(-2, 11)), _q5(F(-3, 11), F(-2, 11)), one),  # l9: p4 p5 p9
     ]
-    return Configuration(2, points, lines, field_d=5)
+    return Configuration(2, points, lines)
 
 
 _FIXTURES = {

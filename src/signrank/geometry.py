@@ -1,6 +1,8 @@
 """Exact point-hyperplane configurations and their sign-pattern encodings.
 
 A configuration lives in dimension d with coordinates in Q(sqrt(field_d)).
+Each QuadElem carries its own radical, so field_d is read off the scalars
+(1 when all are rational); two different radicals raise DomainError.
 Hyperplanes are oriented: the coefficient vector (c0, c1, ..., cd) denotes
 {x : c0 + c1 x1 + ... + cd xd = 0} with the positive side where the
 evaluation is positive.  Coefficient vectors differing by a positive scalar
@@ -25,8 +27,8 @@ from .pattern import SignPattern, condense
 Point = Tuple[QuadElem, ...]
 
 
-def _lift_all(values, d: int) -> tuple:
-    return tuple(QuadElem.lift(v, d) for v in values)
+def _lift_all(values) -> tuple:
+    return tuple(QuadElem.lift(v) for v in values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,8 +37,8 @@ class OrientedHyperplane:
 
     coeffs: tuple
 
-    def __init__(self, coeffs: Iterable, field_d: int = 1):
-        coeffs = _lift_all(coeffs, field_d)
+    def __init__(self, coeffs: Iterable):
+        coeffs = _lift_all(coeffs)
         if len(coeffs) < 2:
             raise DomainError("a hyperplane needs at least two coefficients")
         if all(c.is_zero() for c in coeffs[1:]):
@@ -52,10 +54,6 @@ class OrientedHyperplane:
     @property
     def dim(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def field_d(self) -> int:
-        return max(c.d for c in self.coeffs)
 
     def is_vertical(self) -> bool:
         return self.coeffs[-1].is_zero()
@@ -74,7 +72,7 @@ class OrientedHyperplane:
         return acc
 
     def reversed_orientation(self) -> "OrientedHyperplane":
-        return OrientedHyperplane([-c for c in self.coeffs], self.field_d)
+        return OrientedHyperplane([-c for c in self.coeffs])
 
     def rightward(self) -> tuple["OrientedHyperplane", bool]:
         """Rightward presentation (cd = +1) and whether a flip was needed."""
@@ -96,31 +94,36 @@ class OrientedHyperplane:
 
 @dataclass(frozen=True, eq=False)
 class Configuration:
-    """Labeled points and oriented hyperplanes sharing one field context."""
+    """Labeled points and oriented hyperplanes over the one field of their scalars."""
 
     dim: int
     field_d: int
     points: tuple
     hyperplanes: tuple
 
-    def __init__(self, dim: int, points: Iterable, hyperplanes: Iterable, field_d: int = 1):
+    def __init__(self, dim: int, points: Iterable, hyperplanes: Iterable):
         if dim < 1:
             raise DomainError(f"configuration dimension must be >= 1, got {dim}")
-        pts = tuple(_lift_all(p, field_d) for p in points)
+        pts = tuple(_lift_all(p) for p in points)
         for p in pts:
             if len(p) != dim:
                 raise DomainError(f"point {p} does not have dimension {dim}")
         hyps = []
         for h in hyperplanes:
             if not isinstance(h, OrientedHyperplane):
-                h = OrientedHyperplane(h, field_d)
+                h = OrientedHyperplane(h)
             if h.dim != dim:
                 raise DomainError(f"hyperplane of dimension {h.dim}, expected {dim}")
-            for c in h.coeffs:
-                QuadElem.lift(c, field_d)  # context check
             hyps.append(h)
+        # rational scalars have d = 1; every radical part must share one d
+        radicals = {x.d for p in pts for x in p} | {c.d for h in hyps for c in h.coeffs}
+        radicals.discard(1)
+        if len(radicals) > 1:
+            raise DomainError(
+                f"cannot mix sqrt({min(radicals)}) and sqrt({max(radicals)}) scalars"
+            )
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "field_d", field_d)
+        object.__setattr__(self, "field_d", max(radicals, default=1))
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "hyperplanes", tuple(hyps))
 
@@ -168,14 +171,14 @@ def encode_configuration(C: Configuration) -> SignPattern:
     )
 
 
-def from_factorization(U, V, field_d: int = 1) -> Configuration:
+def from_factorization(U, V) -> Configuration:
     """Configuration of a normal-form factor pair: row i of U = (1, u_i2,
     ..., u_ir) becomes the point (u_i2, ..., u_ir); column j of V =
     (v_1j, ..., v_{r-1,j}, 1) becomes the hyperplane with those coefficients.
     The encoded pattern of the result equals sgn(UV) entry-wise.
     """
-    U = [ _lift_all(row, field_d) for row in U ]
-    V = [ _lift_all(row, field_d) for row in V ]
+    U = [_lift_all(row) for row in U]
+    V = [_lift_all(row) for row in V]
     if not U or not V:
         raise DomainError("factors must be nonempty")
     r = len(U[0])
@@ -187,16 +190,14 @@ def from_factorization(U, V, field_d: int = 1) -> Configuration:
     if any(len(row) != n for row in V):
         raise DomainError("ragged V")
     for i, row in enumerate(U):
-        if row[0] != QuadElem.lift(1, field_d):
+        if row[0] != 1:
             raise DomainError(f"U row {i + 1} does not start with an exact 1")
     for j in range(n):
-        if V[r - 1][j] != QuadElem.lift(1, field_d):
+        if V[r - 1][j] != 1:
             raise DomainError(f"V column {j + 1} does not end with an exact 1")
     points = [row[1:] for row in U]
-    hyperplanes = [
-        OrientedHyperplane([V[k][j] for k in range(r)], field_d) for j in range(n)
-    ]
-    return Configuration(r - 1, points, hyperplanes, field_d)
+    hyperplanes = [[V[k][j] for k in range(r)] for j in range(n)]
+    return Configuration(r - 1, points, hyperplanes)
 
 
 @dataclass(frozen=True)
@@ -255,14 +256,14 @@ def rotate(C: Configuration, cos, sin) -> Configuration:
     encoded pattern) are unchanged because normals rotate with the points."""
     if C.dim != 2:
         raise DomainError("exact rotation implemented for planar configurations only")
-    cos = QuadElem.lift(cos, C.field_d)
-    sin = QuadElem.lift(sin, C.field_d)
+    cos = QuadElem.lift(cos)
+    sin = QuadElem.lift(sin)
     pts = [(cos * x - sin * y, sin * x + cos * y) for x, y in C.points]
     hyps = []
     for h in C.hyperplanes:
         c0, c1, c2 = h.coeffs
-        hyps.append(OrientedHyperplane((c0, cos * c1 - sin * c2, sin * c1 + cos * c2), C.field_d))
-    return Configuration(2, pts, hyps, C.field_d)
+        hyps.append((c0, cos * c1 - sin * c2, sin * c1 + cos * c2))
+    return Configuration(2, pts, hyps)
 
 
 def avoid_vertical(C: Configuration) -> tuple[Configuration, RotationReport]:
@@ -290,14 +291,14 @@ def avoid_vertical(C: Configuration) -> tuple[Configuration, RotationReport]:
             hyps.append(right)
             if flipped:
                 flips.append(j)
-        result = Configuration(2, rotated.points, hyps, C.field_d)
+        result = Configuration(2, rotated.points, hyps)
         return result, RotationReport(t, cos, sin, tuple(flips))
     raise AssertionError("unreachable: admissible rotation always exists")
 
 
 def translate(C: Configuration, v: Sequence) -> Configuration:
     """Shift points by v and adjust c0 so every evaluation is unchanged."""
-    v = _lift_all(v, C.field_d)
+    v = _lift_all(v)
     if len(v) != C.dim:
         raise DomainError(f"translation vector of dimension {len(v)}, expected {C.dim}")
     pts = [tuple(x + dx for x, dx in zip(p, v)) for p in C.points]
@@ -306,8 +307,8 @@ def translate(C: Configuration, v: Sequence) -> Configuration:
         shift = h.coeffs[0]
         for c, dx in zip(h.coeffs[1:], v):
             shift = shift - c * dx
-        hyps.append(OrientedHyperplane((shift,) + h.coeffs[1:], C.field_d))
-    return Configuration(C.dim, pts, hyps, C.field_d)
+        hyps.append((shift,) + h.coeffs[1:])
+    return Configuration(C.dim, pts, hyps)
 
 
 @dataclass(frozen=True)
@@ -325,14 +326,14 @@ def dualize(C: Configuration) -> DualizationResult:
     pole point.  The encoded pattern of the dual equals the transpose of the
     original pattern after negating the flipped columns.
     """
-    one = QuadElem.lift(1, C.field_d)
+    one = QuadElem(1)
     new_hyps = []
     for i, p in enumerate(C.points):
         if all(x.is_zero() for x in p):
             raise DomainError(
                 f"point {i + 1} is the origin; translate the configuration first"
             )
-        new_hyps.append(OrientedHyperplane((-one,) + tuple(p), C.field_d))
+        new_hyps.append((-one,) + tuple(p))
     new_pts = []
     flips = []
     for j, h in enumerate(C.hyperplanes):
@@ -347,7 +348,7 @@ def dualize(C: Configuration) -> DualizationResult:
             c0 = h.coeffs[0]
         new_pts.append(tuple(-c / c0 for c in h.coeffs[1:]))
     return DualizationResult(
-        Configuration(C.dim, new_pts, new_hyps, C.field_d), tuple(flips)
+        Configuration(C.dim, new_pts, new_hyps), tuple(flips)
     )
 
 
@@ -366,13 +367,10 @@ def _pad_dimension(C: Configuration, target_dim: int) -> Configuration:
     delta = target_dim - C.dim
     if delta == 0:
         return C
-    zero = QuadElem.lift(0, C.field_d)
+    zero = QuadElem(0)
     pts = [(zero,) * delta + p for p in C.points]
-    hyps = [
-        OrientedHyperplane((h.coeffs[0],) + (zero,) * delta + h.coeffs[1:], C.field_d)
-        for h in C.hyperplanes
-    ]
-    return Configuration(target_dim, pts, hyps, C.field_d)
+    hyps = [(h.coeffs[0],) + (zero,) * delta + h.coeffs[1:] for h in C.hyperplanes]
+    return Configuration(target_dim, pts, hyps)
 
 
 def stack(C1: Configuration, C2: Configuration) -> Configuration:
@@ -381,20 +379,14 @@ def stack(C1: Configuration, C2: Configuration) -> Configuration:
     below every C1 hyperplane.  The encoded pattern of the result is the
     block pattern [[A1, +], [-, A2]].
 
-    Both inputs must encode condensed patterns, use compatible field
-    contexts, and present every hyperplane rightward (cd = +1); the "far
-    above" offset is computed exactly from the crossing requirements.
+    Both inputs must encode condensed patterns, share their radical unless
+    one is rational, and present every hyperplane rightward (cd = +1); the
+    "far above" offset is computed exactly from the crossing requirements.
     """
-    field_d = C1.field_d
-    if C1.field_d != C2.field_d:
-        if C1.field_d == 1:
-            field_d = C2.field_d
-        elif C2.field_d == 1:
-            field_d = C1.field_d
-        else:
-            raise DomainError(
-                f"cannot stack sqrt({C1.field_d}) and sqrt({C2.field_d}) configurations"
-            )
+    if C1.field_d != C2.field_d and 1 not in (C1.field_d, C2.field_d):
+        raise DomainError(
+            f"cannot stack sqrt({C1.field_d}) and sqrt({C2.field_d}) configurations"
+        )
     for name, cfg in (("first", C1), ("second", C2)):
         for j, h in enumerate(cfg.hyperplanes):
             if h.is_vertical():
@@ -412,12 +404,8 @@ def stack(C1: Configuration, C2: Configuration) -> Configuration:
             )
 
     dim = max(C1.dim, C2.dim)
-    top = _pad_dimension(
-        Configuration(C1.dim, C1.points, C1.hyperplanes, field_d), dim
-    )
-    bottom = _pad_dimension(
-        Configuration(C2.dim, C2.points, C2.hyperplanes, field_d), dim
-    )
+    top = _pad_dimension(C1, dim)
+    bottom = _pad_dimension(C2, dim)
 
     # every rightward hyperplane gains exactly +delta at a point shifted up
     # by delta, and its own shift lowers evaluations of fixed points by delta
@@ -430,13 +418,11 @@ def stack(C1: Configuration, C2: Configuration) -> Configuration:
             requirements.append(h.evaluate(p))  # need eval - delta < 0
     delta = _exact_max(requirements, 0) + 1
 
-    shift = (QuadElem.lift(0, field_d),) * (dim - 1) + (delta,)
-    lifted = translate(top, shift)
+    lifted = translate(top, (0,) * (dim - 1) + (delta,))
     return Configuration(
         dim,
         lifted.points + bottom.points,
         lifted.hyperplanes + bottom.hyperplanes,
-        field_d,
     )
 
 
@@ -468,7 +454,8 @@ def incidence_structure(A: SignPattern) -> IncidenceStructure:
 
 # Configuration file format (JSON): {"dim": 2, "sqrt": 5, "points": [...],
 # "hyperplanes": [...]} with scalars in the shared textual syntax; "sqrt"
-# omitted means plain rationals.
+# names the radical of the {"r", "s"} scalars and is written only when some
+# scalar has a radical part.
 
 
 def configuration_to_dict(C: Configuration) -> dict:
@@ -499,10 +486,9 @@ def configuration_from_dict(doc: dict) -> Configuration:
     dim = parse_integer(doc.get("dim"), "configuration 'dim'")
     points = [[parse_scalar(x, field_d) for x in p] for p in _list_entry(doc, "points")]
     hyperplanes = [
-        OrientedHyperplane([parse_scalar(c, field_d) for c in h], field_d)
-        for h in _list_entry(doc, "hyperplanes")
+        [parse_scalar(c, field_d) for c in h] for h in _list_entry(doc, "hyperplanes")
     ]
-    return Configuration(dim, points, hyperplanes, field_d)
+    return Configuration(dim, points, hyperplanes)
 
 
 def load_configuration(path) -> Configuration:

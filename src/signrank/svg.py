@@ -13,9 +13,24 @@ _CANVAS = 640.0
 _PAD = 0.15
 
 
-def _auto_bbox(C: Configuration):
-    xs = [float(x) for x, _ in C.points] or [0.0]
-    ys = [float(y) for _, y in C.points] or [0.0]
+def _floats(values, what: str) -> tuple:
+    """Float coordinates for drawing; an exact entry beyond the float range
+    raises DomainError naming it rather than drawing at infinity."""
+    out = []
+    for k, v in enumerate(values, 1):
+        try:
+            f = float(v)
+        except OverflowError:
+            f = math.inf
+        if not math.isfinite(f):
+            raise DomainError(f"{what} {k} is too large to draw as a float")
+        out.append(f)
+    return tuple(out)
+
+
+def _auto_bbox(points):
+    xs = [x for x, _ in points] or [0.0]
+    ys = [y for _, y in points] or [0.0]
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     span = max(x1 - x0, y1 - y0, 1.0)
@@ -51,7 +66,12 @@ def render_svg(C: Configuration, bbox: Optional[Sequence[float]] = None) -> str:
     """SVG 1.1 document for a planar configuration."""
     if C.dim != 2:
         raise DomainError("SVG rendering supports planar configurations only")
-    box = tuple(float(v) for v in bbox) if bbox is not None else _auto_bbox(C)
+    points = [_floats(p, f"point {i + 1} coordinate") for i, p in enumerate(C.points)]
+    lines = [
+        _floats(h.coeffs, f"hyperplane {j + 1} coefficient")
+        for j, h in enumerate(C.hyperplanes)
+    ]
+    box = tuple(float(v) for v in bbox) if bbox is not None else _auto_bbox(points)
     if not all(math.isfinite(v) for v in box):
         raise DomainError(f"bounding box must be finite, got {box}")
     x0, y0, x1, y1 = box
@@ -71,8 +91,7 @@ def render_svg(C: Configuration, bbox: Optional[Sequence[float]] = None) -> str:
         '<rect width="100%" height="100%" fill="white"/>',
     ]
 
-    for j, h in enumerate(C.hyperplanes):
-        c0, c1, c2 = (float(c) for c in h.coeffs)
+    for j, (c0, c1, c2) in enumerate(lines):
         seg = _clip_line(c0, c1, c2, box)
         if seg is None:
             continue
@@ -101,8 +120,8 @@ def render_svg(C: Configuration, bbox: Optional[Sequence[float]] = None) -> str:
             f'fill="#3465a4">l{j + 1}</text>'
         )
 
-    for i, (x, y) in enumerate(C.points):
-        px, py = to_px(float(x), float(y))
+    for i, (x, y) in enumerate(points):
+        px, py = to_px(x, y)
         parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="3.5" fill="#cc0000"/>')
         parts.append(
             f'<text x="{px + 5:.2f}" y="{py - 5:.2f}" font-size="13" '

@@ -383,6 +383,24 @@ class TestGeometryCommands:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "point, line, name",
+        [
+            (["1" + "0" * 400, 0], [0, 0, 1], "point 1 coordinate 1"),
+            ([0, 1], ["1" + "0" * 400, 0, 1], "hyperplane 1 coefficient 1"),
+        ],
+        ids=["point", "hyperplane"],
+    )
+    def test_render_beyond_float_range(self, capsys, tmp_path, point, line, name):
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps({"dim": 2, "points": [point], "hyperplanes": [line]}))
+        out_file = tmp_path / "huge.svg"
+        code, _, err = run(capsys, "render", cfg, "-o", out_file)
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert name in err and "Traceback" not in err
+        assert not out_file.exists()
+
     def test_render_bad_bbox(self, capsys, fxdir, tmp_path):
         code, out, err = run(
             capsys, "render", fxdir / "fig21_config.json", "-o", tmp_path / "c.svg",

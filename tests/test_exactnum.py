@@ -105,6 +105,18 @@ class TestQuadArithmetic:
         q = QuadElem(2, 3, 1)
         assert q.s == 0 and q.r == 5
 
+    def test_rational_element_has_d_one(self):
+        q = QuadElem(3, 0, 5)
+        assert q == QuadElem(3) and hash(q) == hash(QuadElem(3))
+        assert q.d == 1
+        # a radical part that cancels leaves a rational with d = 1 too
+        assert (QuadElem(1, 1, 5) - QuadElem(0, 1, 5)).d == 1
+
+    def test_lift_keeps_elements(self):
+        phi = QuadElem(Fraction(1, 2), Fraction(1, 2), 5)
+        assert QuadElem.lift(phi) is phi
+        assert QuadElem.lift("2/3") == QuadElem(Fraction(2, 3))
+
     def test_d_must_be_square_free(self):
         with pytest.raises(DomainError):
             QuadElem(1, 1, 8)

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from signrank.errors import SignRankError
@@ -71,6 +74,15 @@ class TestDerivedConfigurations:
         assert report.witness is not None
         names = [name for name, _ in report.checks]
         assert "incidence" in names and "degrees" in names
+
+    def test_derive_perles_tool(self, capsys):
+        pytest.importorskip("sympy")
+        path = Path(__file__).resolve().parent.parent / "tools" / "derive_perles.py"
+        spec = importlib.util.spec_from_file_location("derive_perles", path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        assert tool.main() == 0
+        assert "encoding equals A0 entry-for-entry: OK" in capsys.readouterr().out
 
     def test_perles_equals_a0(self):
         assert encode_configuration(fixture("perles_config").payload) == fixture("A0").payload

@@ -44,8 +44,8 @@ class TestSide:
     def test_golden_ratio_point(self):
         # (phi, 2) against y = x: 2 - phi = (3 - sqrt5)/2 > 0 since 9 > 5
         phi = QuadElem(Fraction(1, 2), Fraction(1, 2), 5)
-        h = OrientedHyperplane([0, -1, 1], 5)
-        assert side((phi, QuadElem.lift(2, 5)), h) == 1
+        h = OrientedHyperplane([0, -1, 1])
+        assert side((phi, QuadElem.lift(2)), h) == 1
 
     def test_dimension_mismatch(self):
         h = OrientedHyperplane([0, 0, 1])
@@ -267,7 +267,6 @@ class TestDualize:
             2,
             [(1, 1), (0, root5), (-2, 1)],
             [[root5, 1, 1], [-1, root5, 1], [-root5, 0, 1]],
-            5,
         )
         assert dualize(C).hyperplane_flips == (0,)
         _assert_transpose_law(C)
@@ -384,3 +383,64 @@ class TestConfigurationIO:
     def test_missing_keys(self):
         with pytest.raises(DomainError):
             configuration_from_dict({"dim": 2})
+
+    def test_sqrt_written_only_for_radical_scalars(self):
+        # "sqrt" names the radical of {"r", "s"} scalars; with none it goes
+        doc = {"dim": 2, "sqrt": 5, "points": [[1, 2]], "hyperplanes": [[0, 0, 1]]}
+        C = configuration_from_dict(doc)
+        assert C.field_d == 1
+        assert "sqrt" not in configuration_to_dict(C)
+        assert encode_configuration(C) == SignPattern(["+"])
+
+
+_ROOT2 = QuadElem(0, 1, 2)
+_ROOT5 = QuadElem(0, 1, 5)
+
+
+class TestDerivedField:
+    """The field of a configuration is read off its scalars."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Configuration(2, [(_ROOT5, 1)], [[0, 0, 1]]),
+            lambda: Configuration(2, [], [OrientedHyperplane([_ROOT5, 0, 1])]),
+        ],
+        ids=["point", "hyperplane"],
+    )
+    def test_radical_scalar_sets_field(self, build):
+        assert build().field_d == 5
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Configuration(2, [(_ROOT2, 1)], [[_ROOT5, 0, 1]]),
+            lambda: stack(
+                Configuration(2, [(_ROOT2, 1), (0, 3)], [[-2, 0, 1], [0, 0, 1]]),
+                Configuration(2, [(_ROOT5, 1), (0, 3)], [[-2, 0, 1], [0, 0, 1]]),
+            ),
+        ],
+        ids=["construct", "stack"],
+    )
+    def test_two_radicals_rejected(self, build):
+        with pytest.raises(DomainError, match="sqrt"):
+            build()
+
+    @pytest.mark.parametrize(
+        "transform",
+        [
+            lambda C: rotate(C, Fraction(3, 5), Fraction(4, 5)),
+            lambda C: translate(C, (Fraction(1, 3), Fraction(1, 7))),
+            lambda C: avoid_vertical(C)[0],
+            lambda C: dualize(translate(C, (Fraction(1, 3), Fraction(1, 7)))).configuration,
+            lambda C: stack(C, _parallel_mr2_config()),
+            lambda C: stack(_parallel_mr2_config(), C),
+        ],
+        ids=["rotate", "translate", "avoid_vertical", "dualize", "stack", "stack_under"],
+    )
+    def test_perles_transforms_keep_field(self, transform):
+        C = transform(fixture("perles_config").payload)
+        assert C.field_d == 5
+        doc = json.loads(json.dumps(configuration_to_dict(C)))
+        assert doc["sqrt"] == 5
+        assert configuration_from_dict(doc) == C

@@ -137,7 +137,7 @@ def verify(d_val, e_val, a_val, c_val, h_val) -> bool:
         line(points[5], points[7]),  # l8: p6 p8
         line(points[4], points[8]),  # l9: p5 p9
     ]
-    C = Configuration(2, points, lines, 5)
+    C = Configuration(2, points, lines)
     encoded = encode_configuration(C)
     if encoded != A0_PATTERN:
         print("MISMATCH: encoding differs from A0")
