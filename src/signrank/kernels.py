@@ -12,6 +12,13 @@ The penalty for target signs S over B = U @ V with margin t and zero weight
 w, its three sums reduced separately and added in this order:
 
     sum_{S=+} max(0, t - b)^2 + sum_{S=-} max(0, b + t)^2 + w * sum_{S=0} b^2
+
+``iters`` caps the steps of one descent; it stops earlier for one of two
+reasons.  *Cleared*: every hinge residual is at most ``CLEARED * t`` and
+every zero residual is below ``HANDOFF``, which is all the zero polish that
+follows needs.  *Stalled*: every ``STALL_WINDOW`` steps the penalty is
+compared with the previous check, and a fall of less than ``STALL_DROP``
+(relative) ends the descent.  The third reason is the cap itself.
 """
 
 from __future__ import annotations
@@ -19,6 +26,11 @@ from __future__ import annotations
 import numpy as np
 
 BACKEND = "numpy"
+
+CLEARED = 0.5
+HANDOFF = 1e-2
+STALL_WINDOW = 100
+STALL_DROP = 0.005
 
 
 def _masks(S):
@@ -33,11 +45,13 @@ def _penalty(U, V, masks, margin, zero_weight):
     rz = B * zer
     pen = float((rp * rp).sum() + (rn * rn).sum() + zero_weight * (rz * rz).sum())
     gB = -2.0 * rp + 2.0 * rn + (2.0 * zero_weight) * rz
-    return pen, gB @ V.T, U.T @ gB
+    limit = CLEARED * margin
+    cleared = bool(rp.max() <= limit and rn.max() <= limit and np.abs(rz).max() < HANDOFF)
+    return pen, gB @ V.T, U.T @ gB, cleared
 
 
 def penalty_grad(U, V, S, margin, zero_weight):
-    return _penalty(U, V, _masks(S), margin, zero_weight)
+    return _penalty(U, V, _masks(S), margin, zero_weight)[:3]
 
 
 def solve_dependent(U, V, deps):
@@ -62,15 +76,20 @@ def descent(U, V, S, margin, zero_weight, iters, lr0, free_u, free_v):
     # multiplying by 1.0 changes no bit: an all-free factor skips its mask
     free_u, free_v = (None if (f == 1.0).all() else f for f in (free_u, free_v))
     lr = lr0
-    pen, gU, gV = _penalty(U, V, masks, margin, zero_weight)
-    for _ in range(iters):
-        if pen < 1e-22 or lr < 1e-14:
+    pen, gU, gV, cleared = _penalty(U, V, masks, margin, zero_weight)
+    checked = pen
+    for step in range(iters):
+        if cleared:
             break
+        if step and step % STALL_WINDOW == 0:
+            if pen > (1.0 - STALL_DROP) * checked:
+                break
+            checked = pen
         U2 = U - (lr * gU if free_u is None else lr * gU * free_u)
         V2 = V - (lr * gV if free_v is None else lr * gV * free_v)
-        pen2, gU2, gV2 = _penalty(U2, V2, masks, margin, zero_weight)
+        pen2, gU2, gV2, cleared2 = _penalty(U2, V2, masks, margin, zero_weight)
         if pen2 <= pen:
-            U, V, pen, gU, gV = U2, V2, pen2, gU2, gV2
+            U, V, pen, gU, gV, cleared = U2, V2, pen2, gU2, gV2, cleared2
             lr *= 1.05
         else:
             lr *= 0.5

@@ -46,10 +46,12 @@ DEFAULT_MARGIN = 1e-2
 @dataclass
 class SearchParams:
     """Search budget: restarts and the seed (>= 0) they derive from;
-    ``direct`` pins identity signatures.  ``iters`` is the whole descent
-    budget of one restart: it runs one descent of ``iters`` steps (0 means
-    no descent), polishes the zeros once and checks the signs once.  A
-    result is accepted at the fixed thresholds ``DEFAULT_MARGIN`` and
+    ``direct`` pins identity signatures.  ``iters`` caps the one descent
+    that each restart runs (0 means no descent) before it polishes the zeros
+    once and checks the signs once.  The descent stops before the cap once
+    its signs are cleared or its penalty stalls (``kernels.descent``), so
+    raising ``iters`` changes only restarts that reach the cap.  A result is
+    accepted at the fixed thresholds ``DEFAULT_MARGIN`` and
     ``DEFAULT_ZERO_TOL``.
 
     ``threads`` is ignored: restarts run one after another.  It is kept only
@@ -366,13 +368,15 @@ def _check_signs(B: np.ndarray, S: np.ndarray, margin: float, zero_tol: float) -
     return not wrong.any()
 
 
-def _restart(C: SignPattern, r: int, params: SearchParams, k: int):
+def _restart(S: np.ndarray, r: int, params: SearchParams, k: int, free_u, free_v,
+             zero_cells, var_index):
     rng = np.random.default_rng(params.seed ^ k)
-    m, n = C.m, C.n
-    S = C.to_array()
+    m, n = S.shape
     if params.direct:
         U = rng.standard_normal((m, r))
         V = rng.standard_normal((r, n))
+        U[:, 0] = 1.0
+        V[-1, :] = 1.0
     else:
         # start from the best rank-r approximation of a random matrix that
         # already carries the target signs: descent then only repairs the
@@ -388,18 +392,6 @@ def _restart(C: SignPattern, r: int, params: SearchParams, k: int):
         if width < r:
             U[:, width:] = 0.1 * rng.standard_normal((m, r - width))
             V[width:, :] = 0.1 * rng.standard_normal((r - width, n))
-    free_u = np.ones((m, r))
-    free_v = np.ones((r, n))
-    if params.direct:
-        U[:, 0] = 1.0
-        V[-1, :] = 1.0
-        free_u[:, 0] = 0.0
-        free_v[-1, :] = 0.0
-    zero_cells = [(i, j) for j in range(n) for i in range(m) if C.entries[i][j] == 0]
-    # the polish moves the zero cells' U rows and V columns, minus the pins
-    pinned = int(params.direct)
-    var_index = [(0, i, k) for i in sorted({i for i, _ in zero_cells}) for k in range(pinned, r)]
-    var_index += [(1, k, j) for j in sorted({j for _, j in zero_cells}) for k in range(r - pinned)]
 
     # optimize against an amplified margin so the hinge terms keep real
     # gradient pressure; acceptance is still judged at DEFAULT_MARGIN
@@ -451,8 +443,21 @@ def search_realization(
     C = condense(A).condensed
     if C.m == 0:
         return Realization(r, np.ones((0, r)), np.ones((r, 0)))
+    # what every restart shares; none of it draws from a restart's generator
+    S = C.to_array()
+    m, n = S.shape
+    free_u = np.ones((m, r))
+    free_v = np.ones((r, n))
+    if params.direct:
+        free_u[:, 0] = 0.0
+        free_v[-1, :] = 0.0
+    zero_cells = [(i, j) for j in range(n) for i in range(m) if C.entries[i][j] == 0]
+    # the polish moves the zero cells' U rows and V columns, minus the pins
+    pinned = int(params.direct)
+    var_index = [(0, i, k) for i in sorted({i for i, _ in zero_cells}) for k in range(pinned, r)]
+    var_index += [(1, k, j) for j in sorted({j for _, j in zero_cells}) for k in range(r - pinned)]
     for k in range(params.restarts):
-        found = _restart(C, r, params, k)
+        found = _restart(S, r, params, k, free_u, free_v, zero_cells, var_index)
         if found is not None:
             return found
     return None

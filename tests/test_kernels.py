@@ -1,6 +1,7 @@
 from collections import Counter
 
 import numpy as np
+import pytest
 
 from signrank import kernels
 
@@ -67,6 +68,46 @@ class TestSolveDependent:
 
 
 class TestDescent:
+    @staticmethod
+    def _satisfiable():
+        # the signs of a random rank-3 product, without zeros
+        rng = np.random.default_rng(0)
+        S = np.sign(rng.standard_normal((7, 3)) @ rng.standard_normal((3, 8))).astype(np.int8)
+        return rng.standard_normal((7, 3)), rng.standard_normal((3, 8)), S
+
+    @staticmethod
+    def _unreachable():
+        # a 3x3 SNS pattern has minimum rank 3, so no rank-2 product fits it
+        rng = np.random.default_rng(4)
+        S = np.array([[-1, 1, 0], [-1, -1, 1], [-1, -1, -1]], dtype=np.int8)
+        return rng.standard_normal((3, 2)), rng.standard_normal((2, 3)), S
+
+    @staticmethod
+    def _descend(U, V, S, iters):
+        free_u, free_v = np.ones_like(U), np.ones_like(V)
+        return kernels.descent(U.copy(), V.copy(), S, 0.25, 4.0, iters, 0.05, free_u, free_v)
+
+    @pytest.mark.parametrize("case", ["_satisfiable", "_unreachable"])
+    def test_early_stop_ignores_budget(self, case):
+        # the descent stops on cleared signs or on a stall inside the
+        # smaller budget, so ten times the budget gives the same bytes
+        U, V, S = getattr(self, case)()
+        U1, V1, p1 = self._descend(U, V, S, 4000)
+        U2, V2, p2 = self._descend(U, V, S, 40000)
+        assert U1.tobytes() == U2.tobytes() and V1.tobytes() == V2.tobytes() and p1 == p2
+
+    def test_cleared_stop_leaves_hinges_within_limit(self):
+        U0, V0, S = self._satisfiable()
+        U, V, _ = self._descend(U0, V0, S, 4000)
+        B = U @ V
+        limit = kernels.CLEARED * 0.25
+        assert (0.25 - B[S > 0] <= limit).all() and (B[S < 0] + 0.25 <= limit).all()
+
+    def test_unreachable_target_stalls(self):
+        U0, V0, S = self._unreachable()
+        U, V, pen = self._descend(U0, V0, S, 4000)
+        assert pen > 0.0 and not _reference_cleared(U, V, S, 0.25)
+
     def test_penalty_decreases(self):
         U, V, S = _instance(7)
         free_u, free_v = np.ones_like(U), np.ones_like(V)
@@ -115,16 +156,31 @@ def _reference_penalty_grad(U, V, S, margin, zero_weight):
     return pen, gB @ V.T, U.T @ gB
 
 
+def _reference_cleared(U, V, S, margin):
+    """Every hinge residual within ``CLEARED * margin`` and every zero
+    residual below ``HANDOFF``, read off boolean-indexed entries."""
+    B = U @ V
+    limit = kernels.CLEARED * margin
+    return bool(
+        (np.maximum(0.0, margin - B[S > 0]) <= limit).all()
+        and (np.maximum(0.0, B[S < 0] + margin) <= limit).all()
+        and (np.abs(B[S == 0]) < kernels.HANDOFF).all()
+    )
+
+
 def _reference_descent(U, V, S, margin, zero_weight, iters, lr0, free_u, free_v):
     """The descent loop over ``_reference_penalty_grad``; also names the
     rule that stopped it."""
     lr = lr0
     pen, gU, gV = _reference_penalty_grad(U, V, S, margin, zero_weight)
-    for _ in range(iters):
-        if pen < 1e-22:
-            return U, V, pen, "pen"
-        if lr < 1e-14:
-            return U, V, pen, "lr"
+    checked = pen
+    for step in range(iters):
+        if _reference_cleared(U, V, S, margin):
+            return U, V, pen, "cleared"
+        if step and step % kernels.STALL_WINDOW == 0:
+            if pen > (1.0 - kernels.STALL_DROP) * checked:
+                return U, V, pen, "stalled"
+            checked = pen
         U2 = U - lr * gU * free_u
         V2 = V - lr * gV * free_v
         pen2, gU2, gV2 = _reference_penalty_grad(U2, V2, S, margin, zero_weight)
@@ -137,19 +193,20 @@ def _reference_descent(U, V, S, margin, zero_weight, iters, lr0, free_u, free_v)
 
 
 class TestBitIdentity:
-    """``kernels.descent`` must take every accept/reject decision the
-    reference takes, so its factors and penalty equal it bit for bit."""
+    """``kernels.descent`` must take every accept/reject decision and stop
+    at every step the reference takes, so its factors and penalty equal it
+    bit for bit."""
 
     @staticmethod
     def _cases():
         for seed in range(30):
-            if seed < 10:  # zero targets, budget runs out
+            if seed < 10:  # zero targets, mostly still descending at 300 steps
                 U, V, S = _instance(seed, m=5 + seed % 3, n=6 + seed % 4)
                 iters = 300
-            elif seed < 20:  # zero-free, mostly satisfied: pen reaches 0
+            elif seed < 20:  # zero-free, mostly satisfiable: the signs clear
                 U, V, S = _instance(seed, m=4 + seed % 3, n=5, zero_prob=0.0)
                 iters = 4000
-            else:  # a badly scaled start: lr halves below 1e-14
+            else:  # a badly scaled start: lr halves, then the penalty stalls or crawls
                 U, V, S = _instance(seed, zero_prob=0.25 + 0.05 * (seed % 3))
                 U, V = U * 1e8, V * 1e8
                 iters = 4000
@@ -167,7 +224,7 @@ class TestBitIdentity:
             assert np.array_equal(Uk, Ur) and np.array_equal(Vk, Vr)
             assert pk == pr
             stops[stop] += 1
-        assert set(stops) == {"pen", "lr", "iters"}, stops
+        assert set(stops) == {"cleared", "stalled", "iters"}, stops
 
     def test_penalty_grad_equals_reference(self):
         for U, V, S, (margin, zero_weight, *_) in self._cases():

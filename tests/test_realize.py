@@ -223,9 +223,19 @@ class TestSearch:
         assert real is not None and real.r == 4
         assert signature_between(A0_PATTERN, real.signed_pattern()) is not None
 
+    def test_a0_deletions_rank3(self):
+        # deleting any one line of A0 leaves an SNS 3x3, so mr = 3 exactly
+        rows = A0_PATTERN.entries
+        deletions = [SignPattern(rows[:i] + rows[i + 1:]) for i in range(9)]
+        deletions += [SignPattern([row[:j] + row[j + 1:] for row in rows]) for j in range(9)]
+        for k, D in enumerate(deletions):
+            real = search_realization(D, 3, SearchParams(seed=0))
+            assert real is not None, k
+            assert signature_between(condense(D).condensed, real.signed_pattern()) is not None, k
+
     def test_failing_restart_descends_once(self, monkeypatch):
         # a 4x4 SNS pattern has mr = 4, so every rank-3 restart fails; each
-        # runs one descent of exactly `iters` steps
+        # runs one descent, capped at `iters` steps
         P = SignPattern(["-+00", "--+0", "---+", "----"])
         seen = []
         original = kernels.descent
