@@ -14,6 +14,7 @@ so parsing, condensation and equivalence run without loading it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -432,88 +433,163 @@ def is_sns(A: SignPattern) -> bool:
     return walk(0, 1) and found_sign != 0
 
 
-# Elements in the largest per-chunk temporary of the SNS scan (2 MB as intp)
+# Candidates times Laplace splits in one chunk of the SNS scan
 _SCAN_BUDGET = 1 << 18
-# permutation tables kept between calls: k <= 8 is at most 40320 x 8 bytes;
-# the 36 MB 10! x 10 table of the largest size is rebuilt on each scan instead
-_CACHED_PERMUTATIONS = 8
-_PERMUTATIONS: dict = {}
+# (n, k) shapes whose split ranks (_split_ranks) are kept between scans
+_LAYOUTS = 32
+
+# Term-sign codes: the value 1 is set when some determinant term of a block
+# is positive, 2 when some term is negative (0: no nonzero term).  A block
+# is SNS exactly when its code is 1 or 2.  A product of two blocks' terms is
+# read off two 4-bit forms: the top block's code c enters as c | c << 2 and
+# the bottom block's as c | swap(c) << 2 (halves exchanged when the split's
+# permutation is odd), so in their AND bits 0-1 flag a positive product and
+# bits 2-3 a negative one.  _CODE maps such a 4-bit OR back to a code.
+_TOP_FORM = (0, 5, 10, 15)
+_BOTTOM_FORMS = ((0, 9, 6, 15), (0, 6, 9, 15))  # even, odd split
+_CODE = (0, 1, 1, 1, 2, 3, 3, 3, 2, 3, 3, 3, 2, 3, 3, 3)
 
 
-def _permutation_table(k: int):
-    """All k! permutations of range(k) in lexicographic order as int8 rows,
-    and their signs (+1 even, -1 odd) as int8."""
-    table = _PERMUTATIONS.get(k)
-    if table is None:
-        import numpy as np
-
-        flat = itertools.chain.from_iterable(itertools.permutations(range(k)))
-        perms = np.fromiter(flat, dtype=np.int8, count=math.factorial(k) * k).reshape(-1, k)
-        odd = np.zeros(len(perms), dtype=bool)
-        for a, b in itertools.combinations(range(k), 2):
-            odd ^= perms[:, a] > perms[:, b]
-        table = (perms, np.where(odd, np.int8(-1), np.int8(1)))
-        if k <= _CACHED_PERMUTATIONS:
-            _PERMUTATIONS[k] = table
-    return table
-
-
-def _first_sns(E, m: int, n: int, k: int):
-    """First k x k SNS submatrix of the int8 array E in lexicographic
-    (rows, cols) order, as (rows, cols) tuples, or None.
-
-    Each candidate's k x k submatrix is gathered once; its determinant
-    terms are the products of that submatrix along every permutation, one
-    factor per row.  A candidate is SNS when it has a nonzero term and its
-    terms are not of both signs.  Row combinations (drawn lazily), column
-    combinations and permutations are taken in chunks so that no per-chunk
-    temporary exceeds ``_SCAN_BUDGET`` elements; a chunk spans several row
-    combinations only when it holds every column combination, so the first
-    hit of a chunk is the first hit overall.
-    """
+def _subsets(n: int, k: int):
+    """The k-subsets of range(n) in lexicographic order, one per row."""
     import numpy as np
 
-    perms, parity = _permutation_table(k)
-    cols = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp).reshape(-1, k)
-    p_step = min(len(perms), _SCAN_BUDGET)
-    c_step = max(1, min(len(cols), _SCAN_BUDGET // (p_step + k * k)))
-    r_step = max(1, _SCAN_BUDGET // ((p_step + k * k) * len(cols))) if c_step == len(cols) else 1
-    row_iter = itertools.combinations(range(m), k)
-    while True:
-        rows = np.array(list(itertools.islice(row_iter, r_step)), dtype=np.intp).reshape(-1, k)
-        if not len(rows):
-            return None
-        for c0 in range(0, len(cols), c_step):
-            block = cols[c0:c0 + c_step]
-            sub = E[rows[:, None, :, None], block[None, :, None, :]]
-            pos = np.zeros((len(rows), len(block)), dtype=bool)
-            neg = np.zeros_like(pos)
-            for p0 in range(0, len(perms), p_step):
-                chunk = perms[p0:p0 + p_step]
-                terms = parity[p0:p0 + p_step] * sub[:, :, 0, chunk[:, 0]]
-                for i in range(1, k):
-                    terms *= sub[:, :, i, chunk[:, i]]
-                pos |= (terms > 0).any(axis=-1)
-                neg |= (terms < 0).any(axis=-1)
-            hits = np.flatnonzero(pos != neg)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+    return np.fromiter(flat, dtype=np.intp, count=math.comb(n, k) * k).reshape(-1, k)
+
+
+def _unrank(rank: int, n: int, k: int) -> tuple:
+    """The k-subset of range(n) with the given lexicographic rank."""
+    return next(itertools.islice(itertools.combinations(range(n), k), rank, None))
+
+
+@functools.lru_cache(maxsize=_LAYOUTS)
+def _split_ranks(n: int, k: int):
+    """Laplace splits of every k-subset of range(n): each split gives h =
+    k // 2 of its positions to the top block and the rest to the bottom.
+    Returns (top, bottom), both (C(k, h), C(n, k)) and split-major: the
+    lexicographic ranks of the split's two parts among the subsets of their
+    size, by the combinatorial number system (c_1 < ... < c_s has rank
+    C(n, s) - 1 - sum_i C(n - 1 - c_i, s + 1 - i)).  Bottom ranks are
+    doubled, plus 1 for a split whose permutation is odd.  Split 0 keeps
+    the first h positions on top and is even."""
+    import numpy as np
+
+    h = k // 2
+    splits = _subsets(k, h)
+    rest = _subsets(k, k - h)[::-1]  # complements reverse lexicographic order
+    odd = (splits.sum(axis=1) + h * (h + 3) // 2) % 2  # parity of 1-based index sums
+    binom = np.array([[math.comb(x, j) for j in range(k + 1)] for x in range(n)], dtype=np.intp)
+    # weights[p, j] = C(n - 1 - c_p, j) for position p of every k-subset
+    weights = np.ascontiguousarray(binom[n - 1 - _subsets(n, k)].transpose(1, 2, 0))
+
+    def ranks(parts):
+        s = parts.shape[1]
+        return math.comb(n, s) - 1 - sum(weights[parts[:, i], s - i] for i in range(s))
+
+    top = ranks(splits)
+    bottom = 2 * ranks(rest) + odd[:, None]
+    top.flags.writeable = bottom.flags.writeable = False
+    return top, bottom
+
+
+class _TermSigns:
+    """Term-sign codes of the square submatrices of one m x n pattern.
+
+    ``tables[s]`` holds the code of every s x s submatrix, indexed by the
+    lexicographic ranks of its row and column subsets.  Size 1 is read off
+    the entries; a larger size is built on first use from two smaller ones
+    and kept, so every size of one ``max_sns_submatrix`` call shares them.
+    """
+
+    def __init__(self, E):
+        import numpy as np
+
+        self.m, self.n = E.shape
+        # a + entry is one positive term (code 1), a - entry one negative (2)
+        self.tables = {1: (E % 3).astype(np.uint8)}
+
+    def table(self, s: int):
+        import numpy as np
+
+        table = self.tables.get(s)
+        if table is None:
+            table = np.empty((math.comb(self.m, s), math.comb(self.n, s)), dtype=np.uint8)
+            for r, c, codes in self.chunks(s):
+                table[r:r + len(codes), c:c + codes.shape[1]] = codes
+            self.tables[s] = table
+        return table
+
+    def chunks(self, k: int):
+        """Codes of the k x k submatrices in chunks of consecutive
+        candidates in lexicographic (rows, cols) order.  Yields (r, c,
+        codes): codes[a, b] belongs to the rows of rank r + a and the
+        columns of rank c + b.
+
+        Generalized Laplace expansion along the first h = k // 2 rows: the
+        terms of a candidate are, over the C(k, h) ways to give h of its
+        columns to those rows, the products of a top h x h block's terms
+        and a bottom (k-h) x (k-h) block's terms, negated when the split is
+        odd.  A chunk spans several row subsets only when it holds every
+        column subset, and its candidates times splits stay within
+        ``_SCAN_BUDGET``.
+        """
+        import numpy as np
+
+        h = k // 2
+        top = np.array(_TOP_FORM, dtype=np.uint8)[self.table(h)]
+        # column 2j holds the even form of bottom code j, column 2j + 1 the odd
+        bottom = np.array(_BOTTOM_FORMS, dtype=np.uint8).T[self.table(k - h)]
+        bottom = bottom.reshape(len(bottom), -1)
+        row_top, row_bottom = _split_ranks(self.m, k)
+        row_top, row_bottom = row_top[0], row_bottom[0] // 2  # split 0: the first h rows
+        col_top, col_bottom = _split_ranks(self.n, k)
+        code = np.array(_CODE, dtype=np.uint8)
+
+        n_splits, n_cols = col_top.shape
+        c_step = max(1, min(n_cols, _SCAN_BUDGET // n_splits))
+        r_step = max(1, _SCAN_BUDGET // (n_splits * n_cols)) if c_step == n_cols else 1
+        for r in range(0, len(row_top), r_step):
+            top_rows = top[row_top[r:r + r_step]]
+            bottom_rows = bottom[row_bottom[r:r + r_step]]
+            for c in range(0, n_cols, c_step):
+                block = slice(c, c + c_step)
+                terms = top_rows[:, col_top[0, block]] & bottom_rows[:, col_bottom[0, block]]
+                for j in range(1, n_splits):
+                    terms |= top_rows[:, col_top[j, block]] & bottom_rows[:, col_bottom[j, block]]
+                yield r, c, code[terms]
+
+    def first_sns(self, k: int):
+        """First k x k SNS submatrix in lexicographic (rows, cols) order, as
+        (rows, cols) tuples, or None.  A size whose table exists is read
+        from it; any other is scanned chunk by chunk up to the first hit."""
+        import numpy as np
+
+        chunks = [(0, 0, self.tables[k])] if k in self.tables else self.chunks(k)
+        for r, c, codes in chunks:
+            hits = np.flatnonzero((codes == 1) | (codes == 2))
             if hits.size:
-                r, c = divmod(int(hits[0]), len(block))
-                return tuple(int(i) for i in rows[r]), tuple(int(j) for j in block[c])
+                a, b = divmod(int(hits[0]), codes.shape[1])
+                return _unrank(r + a, self.m, k), _unrank(c + b, self.n, k)
+        return None
 
 
 def max_sns_submatrix(A: SignPattern, cap: int = 4):
     """Largest k <= cap with a k x k sign-nonsingular submatrix, plus one
     witness (rows, cols): the first SNS k x k submatrix in lexicographic
-    (rows, cols) order.  Each size is one numpy scan over every candidate's
-    determinant terms, chunked to a bounded working set; the cost still
-    grows as C(m, k) C(n, k) k! k, and sizes above the ``is_sns`` cap of
-    10 raise ResourceExhausted.  Returns (0, (), ()) for the zero pattern."""
+    (rows, cols) order.  Each candidate's set of term signs comes from a
+    Laplace split into two half-size blocks (``_TermSigns.chunks``), whose
+    code tables are built once per call from the 1 x 1 signs and shared by
+    every size.  A size costs C(m, k) C(n, k) C(k, k // 2) plus the
+    half-size tables, C(m, h) C(n, h) C(h, h // 2) for each size h they
+    need; sizes above the ``is_sns`` cap of 10 raise ResourceExhausted.
+    Returns (0, (), ()) for the zero pattern."""
     upper = min(cap, A.m, A.n, term_rank(A))
     if upper > _SNS_CAP:
         raise ResourceExhausted(f"SNS scan capped at k <= {_SNS_CAP}, got {upper}")
-    E = A.to_array()
+    signs = _TermSigns(A.to_array())
     for k in range(upper, 0, -1):
-        found = _first_sns(E, A.m, A.n, k)
+        found = signs.first_sns(k)
         if found is not None:
             return (k, *found)
     return (0, (), ())

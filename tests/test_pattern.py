@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from graphlib import CycleError, TopologicalSorter
 
 import numpy as np
@@ -457,6 +458,73 @@ class TestMaxSns:
             size, rows, cols = found
             if size:
                 assert permutation_sns(P.submatrix(rows, cols))
+
+    def test_high_caps_match_per_candidate_loop(self):
+        # caps 7-10 on 8-10 lines: every top-level size 7..10 is scanned in
+        # full (its own Laplace split, odd sizes included) before a hit
+        rng = np.random.default_rng(60)
+        scanned = set()
+        for _ in range(12):
+            m, n = int(rng.integers(8, 11)), int(rng.integers(8, 11))
+            P = random_pattern(rng, m, n, float(rng.uniform(0.4, 0.6)))
+            cap = int(rng.integers(7, 11))
+            found = max_sns_submatrix(P, cap)
+            assert found == _per_candidate_max_sns(P, cap)
+            scanned.update(range(found[0] + 1, min(cap, m, n, term_rank(P)) + 1))
+        assert {7, 8, 9, 10} <= scanned
+
+    def test_small_chunks_match_per_candidate_loop(self, monkeypatch):
+        # budgets below one row of candidates split the columns into blocks;
+        # sizes 3 and up are scanned chunk by chunk, not read from a table
+        rng = np.random.default_rng(45)
+        for budget in (1, 7, 50):
+            monkeypatch.setattr(pattern, "_SCAN_BUDGET", budget)
+            for _ in range(20):
+                m, n = int(rng.integers(3, 8)), int(rng.integers(3, 8))
+                P = random_pattern(rng, m, n, float(rng.uniform(0.2, 0.7)))
+                cap = int(rng.integers(3, 6))
+                assert max_sns_submatrix(P, cap) == _per_candidate_max_sns(P, cap)
+
+    def test_more_than_63_lines(self):
+        # the only SNS 2 x 2 sits on lines 64 and 65
+        tall = SignPattern(["00"] * 64 + ["+0", "0+"])
+        assert max_sns_submatrix(tall, 2) == (2, (64, 65), (0, 1))
+        assert max_sns_submatrix(tall.transpose(), 2) == (2, (0, 1), (64, 65))
+        rng = np.random.default_rng(35)
+        for shape in ((66, 2), (2, 66)):
+            P = random_pattern(rng, *shape, 0.9)
+            assert max_sns_submatrix(P, 2) == _per_candidate_max_sns(P, 2)
+
+    def test_zero_free_10x10_at_cap_10(self):
+        # a zero-free SNS block is at most 2 x 2, so every size 10..3 is
+        # scanned in full; the half-size tables keep the working set small
+        P = random_pattern(np.random.default_rng(37), 10, 10, 0.0)
+        tracemalloc.start()
+        try:
+            found = max_sns_submatrix(P, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found == _per_candidate_max_sns(P, 2)
+        assert peak < 8 * 2**20
+
+    def test_every_3x3_against_permutation_expansion(self):
+        # negating a pattern keeps SNS, so a + first nonzero covers them all
+        count = 0
+        for entries in itertools.product((-1, 0, 1), repeat=9):
+            if next((v for v in entries if v), 1) < 0:
+                continue
+            P = SignPattern([entries[0:3], entries[3:6], entries[6:9]])
+            assert (max_sns_submatrix(P, 3)[0] == 3) == permutation_sns(P)
+            count += 1
+        assert count == 9842
+
+    def test_random_4x4_5x5_against_permutation_expansion(self):
+        rng = np.random.default_rng(39)
+        for trial in range(2000):
+            n = 4 + trial % 2
+            P = random_pattern(rng, n, n, float(rng.uniform(0.2, 0.8)))
+            assert (max_sns_submatrix(P, n)[0] == n) == permutation_sns(P)
 
     def test_scan_cap(self):
         big = SignPattern([["+" if i == j else "0" for j in range(11)] for i in range(11)])
