@@ -204,17 +204,39 @@ def quad_sign(x) -> int:
 def rational_round(x: float, max_denominator: int) -> Fraction:
     """Best rational approximation of ``x`` with denominator <= max_denominator.
 
-    Continued-fraction convergent; among equally good approximations the one
-    with the smaller denominator is returned.
+    The integer continued fraction of x = n/d (a float read exactly by
+    ``as_integer_ratio``) runs until the next convergent's denominator would
+    pass the cap; the answer is then the last convergent p1/q1 or the
+    semiconvergent below the cap, whichever is closer to x.  A tie goes to
+    p1/q1, the smaller denominator (at cap 1 both are 1, and p1/q1 is the
+    floor of x).  This is ``Fraction.limit_denominator``'s algorithm and tie
+    rule, with the distances compared in int.
     """
     if max_denominator < 1:
         raise DomainError(f"max_denominator must be >= 1, got {max_denominator}")
-    if isinstance(x, float) and not math.isfinite(x):
-        raise DomainError(f"cannot round non-finite value {x!r}")
-    exact = _as_fraction(x)
-    if exact.denominator <= max_denominator:
-        return exact
-    return exact.limit_denominator(max_denominator)
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            raise DomainError(f"cannot round non-finite value {x!r}")
+        n, d = x.as_integer_ratio()
+    else:
+        n, d = _as_fraction(x).as_integer_ratio()
+    if d <= max_denominator:
+        return Fraction(n, d)
+    denominator = d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > max_denominator:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    # the two candidates lie on either side of x, 1 / (q1 (q0 + k q1)) apart,
+    # and p1/q1 is d / (q1 denominator) from x
+    k = (max_denominator - q0) // q1
+    if 2 * d * (q0 + k * q1) <= denominator:
+        return Fraction(p1, q1)
+    return Fraction(p0 + k * p1, q0 + k * q1)
 
 
 # Textual scalar syntax shared by every file format: "p/q" for rationals

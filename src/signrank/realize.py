@@ -531,13 +531,19 @@ class RationalCertificate:
             raise DomainError("certificate factors have inconsistent shapes")
 
     def verify(self) -> bool:
-        if _sign_pattern(self.matrix) != self.target:
+        """Three independent checks: the matrix's signs are the target's,
+        U V == matrix, and the claimed rank is the matrix's.  Entries may be
+        int, float or Fraction; a non-finite float fails."""
+        try:
+            if _sign_pattern(self.matrix) != self.target.entries:
+                return False
+            if self.factors is None:
+                return rational_rank(self.matrix) == self.rank
+            U, V = self.factors
+            return (_product_equals(U, V, self.matrix)
+                    and _factored_rank(U, V, self.matrix) == self.rank)
+        except (OverflowError, ValueError):  # inf or nan: no exact value
             return False
-        if self.factors is None:
-            return rational_rank(self.matrix) == self.rank
-        U, V = self.factors
-        return (_product_equals(U, V, self.matrix)
-                and _factored_rank(U, V, self.matrix) == self.rank)
 
     def to_dict(self) -> dict:
         from .exactnum import format_rational
@@ -629,34 +635,32 @@ def _factored_rank(U, V, matrix) -> int:
     """Exact rank of ``matrix`` == U V, with r = len(V) inner dimensions.
 
     The shapes give rank <= r and Sylvester's inequality gives rank(U V) >=
-    rank U + rank V - r, so factors both of rank r prove rank r with two
-    eliminations of the small factors.  Only a rank-deficient factor falls
-    back to eliminating the matrix."""
+    rank U + rank V - r, so factors both of rank r prove rank r: from a
+    nonzero leading r x r minor of each factor (the first r rows of U, the
+    first r columns of V), else elimination of the factor.  Only a
+    rank-deficient factor falls back to eliminating the matrix."""
     r = len(V)
-    if rational_rank(U) == r and rational_rank(V) == r:
+    if _full_rank(U, r) and _full_rank(list(zip(*V)), r):
         return r
     return rational_rank(matrix)
 
 
+def _full_rank(lines, r: int) -> bool:
+    """Whether the lines span r dimensions: a nonsingular leading r x r
+    block proves it with one small elimination."""
+    return rational_rank(lines[:r]) == r or rational_rank(lines) == r
+
+
 def _integral(lines) -> list:
     """Each line of rationals as (integers, lcm): the line scaled to
-    integers by the lcm of its denominators."""
+    integers by the lcm of its denominators.  Entries are read by
+    ``as_integer_ratio``, which int, float and Fraction all have."""
     out = []
     for line in lines:
-        lcm = math.lcm(*(x.denominator for x in line))
-        out.append(([x.numerator * (lcm // x.denominator) for x in line], lcm))
+        ratios = [x.as_integer_ratio() for x in line]
+        lcm = math.lcm(*(q for _, q in ratios))
+        out.append(([p * (lcm // q) for p, q in ratios], lcm))
     return out
-
-
-def _exact_product(U, V) -> tuple:
-    """U V over Q as a tuple of tuples of Fraction.  Each row of U and each
-    column of V is scaled to integers (``_integral``), so the sums run in
-    int and each entry builds one Fraction."""
-    cols = _integral(zip(*V))
-    return tuple(
-        tuple(Fraction(sum(map(operator.mul, u, v)), lu * lv) for v, lv in cols)
-        for u, lu in _integral(U)
-    )
 
 
 def _product_equals(U, V, matrix) -> bool:
@@ -665,14 +669,19 @@ def _product_equals(U, V, matrix) -> bool:
     exactly when dot * q == p * lu * lv."""
     rows, cols = _integral(U), _integral(zip(*V))
     return [len(line) for line in matrix] == [len(cols)] * len(rows) and all(
-        sum(map(operator.mul, u, v)) * x.denominator == x.numerator * lu * lv
+        sum(map(operator.mul, u, v)) * q == p * lu * lv
         for (u, lu), line in zip(rows, matrix)
-        for (v, lv), x in zip(cols, line)
+        for (v, lv), (p, q) in zip(cols, (x.as_integer_ratio() for x in line))
     )
 
 
-def _sign_pattern(matrix) -> SignPattern:
-    return SignPattern([[(v > 0) - (v < 0) for v in row] for row in matrix])
+def _sign_pattern(matrix) -> tuple:
+    """The signs of a matrix as a tuple of tuples of -1/0/1, read from the
+    numerators (denominators are positive)."""
+    return tuple(
+        tuple((p > 0) - (p < 0) for p, _ in (x.as_integer_ratio() for x in row))
+        for row in matrix
+    )
 
 
 def _round_matrix(M: np.ndarray, cap: int):
@@ -699,9 +708,11 @@ def rationalize(A: SignPattern, real: Realization) -> RationalCertificate:
     column cannot pass through its rounded zero rows (SingularSystem), or
     whose exact product has the wrong signs, gives way to the next cap;
     PrecisionExhausted follows 2^64.  No random numbers are drawn.  The
-    exact factors are expanded back to the shape of the original pattern;
-    the certificate stores them with their product and its exact rank,
-    proven from them.
+    exact factors are expanded back to the shape of the original pattern.
+    The signs are checked on the integer products of their lines scaled to
+    integers (``_integral``), before the matrix is built: only a cap that
+    passes builds its Fractions.  The certificate stores the factors with
+    their product and its exact rank, proven from them.
     """
     report = condense(A)
     C = report.condensed
@@ -742,8 +753,16 @@ def rationalize(A: SignPattern, real: Realization) -> RationalCertificate:
             continue
         U = _expand_lines(Ur, d1, report, "row", r)
         V = tuple(zip(*_expand_lines(columns, d2, report, "col", r)))
-        full = _exact_product(U, V)
-        if _sign_pattern(full) == A:
+        # entry (i, j) of U V is dot / (lu lv) with lu, lv > 0 (``_integral``),
+        # so its sign is the dot product's: the signs are checked in int and
+        # the Fractions are built only for a cap that passes
+        rows, cols = _integral(U), _integral(zip(*V))
+        dots = [[sum(map(operator.mul, u, v)) for v, _ in cols] for u, _ in rows]
+        if _sign_pattern(dots) == A.entries:
+            full = tuple(
+                tuple(Fraction(dot, lu * lv) for dot, (_, lv) in zip(line, cols))
+                for line, (_, lu) in zip(dots, rows)
+            )
             # the certificate's one exact rank; verify() stays the
             # independent check that callers run
             return RationalCertificate(full, _factored_rank(U, V, full), A, (U, V))

@@ -132,6 +132,8 @@ class TestQuadArithmetic:
 
 
 class TestRationalRound:
+    CAPS = (1, 2, 3, 10, 1000, 2**16, 2**32, 2**64)
+
     def test_half(self):
         assert rational_round(0.5, 10) == Fraction(1, 2)
 
@@ -142,14 +144,16 @@ class TestRationalRound:
         assert rational_round(0.3333333, 10) == Fraction(1, 3)
 
     def test_non_finite(self):
-        with pytest.raises(DomainError):
-            rational_round(float("inf"), 10)
-        with pytest.raises(DomainError):
-            rational_round(float("nan"), 10)
+        for x in (math.inf, -math.inf, math.nan):
+            for cap in self.CAPS:
+                with pytest.raises(DomainError):
+                    rational_round(x, cap)
 
     def test_bad_cap(self):
-        with pytest.raises(DomainError):
-            rational_round(0.5, 0)
+        for x in (0.5, 3, Fraction(1, 3), "1/3"):
+            for cap in (0, -1):
+                with pytest.raises(DomainError):
+                    rational_round(x, cap)
 
     def test_optimal_against_exhaustive_search(self):
         rng = np.random.default_rng(5)
@@ -162,6 +166,22 @@ class TestRationalRound:
             for q in range(1, cap + 1):
                 p = round(x * q)
                 assert err <= abs(Fraction(x) - Fraction(p, q))
+
+    def test_matches_limit_denominator(self):
+        # the integer continued fraction against Fraction's own rounding,
+        # tie rule included: 0.5, 1.5 and -2.5 tie at cap 1
+        rng = np.random.default_rng(18)
+        xs = 10.0 ** rng.uniform(-8, 6, size=20_000) * rng.choice([-1.0, 1.0], size=20_000)
+        specials = [0.0, -0.0, 5e-324, 0.5, 1.5, -2.5, 1 / 3]
+        for x in specials + xs.tolist():
+            for cap in self.CAPS:
+                got, want = rational_round(x, cap), Fraction(x).limit_denominator(cap)
+                assert (got.numerator, got.denominator) == (want.numerator, want.denominator), (x, cap)
+
+    def test_exact_inputs(self):
+        for x in (7, -3, Fraction(355, 113), Fraction(-22, 7), "355/113", "-1/3"):
+            for cap in self.CAPS:
+                assert rational_round(x, cap) == Fraction(x).limit_denominator(cap), (x, cap)
 
 
 class TestScalarSyntax:

@@ -1,4 +1,5 @@
 import itertools
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -448,9 +449,9 @@ class TestRationalize:
         assert sympy_rank(cert.matrix) == cert.rank
 
     def test_rank_computed_once(self, monkeypatch):
-        # the rank is proven from the factors: rationalize ranks U (m x r)
-        # and V (r x n) once each, verify() once more each, and no call
-        # eliminates a matrix larger than r in both dimensions
+        # the rank is proven from the factors' leading r x r minors:
+        # rationalize ranks one block of U and one of V, verify() once more
+        # each, and every call eliminates a matrix of at most r x r
         import signrank.realize
 
         calls = []
@@ -463,7 +464,7 @@ class TestRationalize:
         cert = rationalize(P, real)
         assert len(calls) == 2
         assert cert.verify() and len(calls) == 4
-        assert all(len(M) <= 3 or len(M[0]) <= 3 for M in calls)
+        assert all(len(M) <= 3 and all(len(line) <= 3 for line in M) for M in calls)
 
     def test_draws_no_random_numbers(self, monkeypatch):
         instances = [_planted_instance(np.random.default_rng(k), 3 + k % 3) for k in range(6)]
@@ -730,6 +731,27 @@ class TestFactoredCertificates:
         with pytest.raises(DomainError):
             replace(cert, factors=(tuple(row[:2] for row in U), V))
 
+    def test_singular_leading_minor_falls_back(self, monkeypatch):
+        # a duplicate of the first row, restored by the expansion, makes U's
+        # leading r x r block singular although U has rank r: the proof
+        # eliminates the whole of U and still finds rank r
+        import signrank.realize
+
+        P, real = _planted_instance(np.random.default_rng(5), 3)
+        doubled = SignPattern((P.entries[0],) + P.entries)
+        assert condense(doubled).condensed == condense(P).condensed
+        cert = rationalize(doubled, real)
+        U, V = cert.factors
+        assert U[0] == U[1] and rational_rank(U[:3]) < 3
+        calls = []
+        original = signrank.realize.rational_rank
+        monkeypatch.setattr(
+            signrank.realize, "rational_rank", lambda M: calls.append(M) or original(M)
+        )
+        assert cert.verify() and cert.rank == sympy_rank(cert.matrix) == 3
+        assert [len(M) for M in calls] == [3, len(U), 3]
+        assert not replace(cert, rank=2).verify()
+
     @pytest.mark.parametrize("transpose", [False, True])
     def test_rank_deficient_factor_falls_back(self, monkeypatch, transpose):
         import signrank.realize
@@ -752,6 +774,90 @@ class TestFactoredCertificates:
         assert cert.verify()
         assert calls[-1] == matrix
         assert not replace(cert, rank=3).verify()
+
+
+class TestPlainNumberCertificates:
+    # a certificate built in code may hold int or float entries: every
+    # finite one is read at its exact value, and a non-finite one fails
+    U = ((1, 0.5), (1.0, -2), (1, Fraction(1, 4)))
+    V = ((0.25, -1, 3), (1, 1.0, 1))
+
+    def certificate(self, factored):
+        matrix = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*self.V))
+                       for row in self.U)
+        target = SignPattern([[(v > 0) - (v < 0) for v in row] for row in matrix])
+        return RationalCertificate(matrix, 2, target, (self.U, self.V) if factored else None)
+
+    @pytest.mark.parametrize("factored", [False, True])
+    def test_floats_verify(self, factored):
+        cert = self.certificate(factored)
+        assert any(type(v) is float for row in cert.matrix for v in row)
+        assert cert.verify() is True
+        assert cert.target == SignPattern(["+-+", "--+", "+-+"])
+        assert replace(cert, rank=1).verify() is False
+
+    @pytest.mark.parametrize("factored", [False, True])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_fails(self, factored, bad):
+        cert = self.certificate(factored)
+        matrix = (cert.matrix[0][:2] + (bad,),) + cert.matrix[1:]
+        assert replace(cert, matrix=matrix).verify() is False
+        if factored:
+            U = ((1, bad),) + self.U[1:]
+            assert replace(cert, factors=(U, self.V)).verify() is False
+
+
+class TestPinnedCertificates:
+    # sha256 of the certificate files that save_certificate writes (x86-64,
+    # numpy 2.4.6).  ("A1",) and ("fig21",) certify searched realizations.
+    # ("planted", seed, r) certifies _planted_instance(default_rng(seed), r):
+    # each but (16, 3) is expanded back through its condensation, and (0, 3),
+    # (4, 4) and (11, 5) condense to zero-free patterns.  ("transposed",
+    # seed, r) certifies the transpose of such an instance; a column of it
+    # carries more than r-1 zeros, so it takes the transpose route
+    PINNED_SHA256 = {
+        ("A1",):
+            "bda61a8ceefc9905a70c1f405d6223adfb2e1442d33c55b20fe445f93be6ac2e",
+        ("fig21",):
+            "421a2e50e070fc9a34057a30f1695330131b302e0159ee04a9e204ccef8ec990",
+        ("planted", 0, 3):
+            "ae3d07be279884f273553d56944e9d50a3ce1df3bb59e6651054f23c080bb0b3",
+        ("planted", 1, 4):
+            "fc407141d78888da5f0a76e2a52521abbf658988a80e954b22084810675d2993",
+        ("planted", 4, 4):
+            "9616e8eaa2736517c37449eabd7c60d46cccdedc73438913cf1efc6d444eab68",
+        ("planted", 2, 5):
+            "07b1079dbc237028376166cc7c8a7a165ea35e66f915244ee6234a01d8408ba8",
+        ("planted", 11, 5):
+            "5bc7e7350d9c2c6f1b944fb800033c691cb2a801f491c91de0b2ad6bf60b7b36",
+        ("planted", 16, 3):
+            "4cf94d0ebaaeb1054c1c0addef9f6f7cba94e55bd508e12e09ad87192e695095",
+        ("transposed", 10, 3):
+            "b8373275707a9b931a5992718166f079e020a411a2a408a086eb052c9fc1c208",
+        ("transposed", 24, 4):
+            "0da90e2de91851c0e610165ecc96309eb4f5f78a6cf1bd1f23e01b4fd545e30b",
+    }
+
+    @pytest.mark.parametrize("key", sorted(PINNED_SHA256, key=str),
+                             ids=lambda k: "-".join(map(str, k)))
+    def test_certificate_bytes_unchanged(self, tmp_path, key):
+        import hashlib
+
+        from signrank.realize import save_certificate
+
+        if key == ("A1",):
+            P, real = A1_PATTERN, search_realization(A1_PATTERN, 2, SearchParams(seed=1))
+        elif key == ("fig21",):
+            P, real = FIG21_PATTERN, search_realization(FIG21_PATTERN, 3, SearchParams(seed=4))
+        else:
+            P, real = _planted_instance(np.random.default_rng(key[1]), key[2])
+            if key[0] == "transposed":
+                P, real = P.transpose(), transpose_realization(real)
+        cert = rationalize(P, real)
+        assert cert.verify()
+        path = tmp_path / "c.cert.json"
+        save_certificate(cert, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PINNED_SHA256[key]
 
 
 class TestRationalRank:
