@@ -19,7 +19,6 @@ from .errors import (
     Overdetermined,
     PatternFormatError,
     PrecisionExhausted,
-    RankMismatch,
     ResourceExhausted,
     SignRankError,
     SingularSystem,
@@ -60,7 +59,6 @@ _REALIZE_NAMES = frozenset({
     "Realization",
     "SearchParams",
     "has_direct_representation",
-    "normalize_factorization",
     "rational_rank",
     "rationalize",
     "search_realization",
@@ -76,7 +74,6 @@ __all__ = [
     "Overdetermined",
     "PatternFormatError",
     "PrecisionExhausted",
-    "RankMismatch",
     "ResourceExhausted",
     "SignRankError",
     "SingularSystem",
@@ -113,7 +110,6 @@ __all__ = [
     "Realization",
     "SearchParams",
     "has_direct_representation",
-    "normalize_factorization",
     "rational_rank",
     "rationalize",
     "search_realization",

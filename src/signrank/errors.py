@@ -39,10 +39,6 @@ class VerticalHyperplane(DomainError):
         )
 
 
-class RankMismatch(SignRankError):
-    """Numerical rank of the input matrix differs from the requested rank."""
-
-
 class NumericalDegeneracy(SignRankError):
     """Randomized rotation retries failed to reach a non-degenerate state."""
 

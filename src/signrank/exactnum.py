@@ -270,11 +270,10 @@ def parse_integer(value, what: str) -> int:
     return iv
 
 
-def format_rational(value: Fraction):
-    value = _as_fraction(value)
-    if value.denominator == 1:
-        return int(value)
-    return f"{value.numerator}/{value.denominator}"
+def format_rational(p: int, q: int):
+    """The JSON form of p/q, an ``as_integer_ratio`` pair: the int p when
+    q is 1, else the text "p/q".  ``int`` makes a numpy integer writable."""
+    return int(p) if q == 1 else f"{p}/{q}"
 
 
 def parse_scalar(obj, d: int = 1) -> QuadElem:
@@ -291,8 +290,8 @@ def parse_scalar(obj, d: int = 1) -> QuadElem:
 
 
 def format_scalar(value: QuadElem):
-    if not isinstance(value, QuadElem):
-        return format_rational(value)
+    value = QuadElem.lift(value)
     if value.s == 0:
-        return format_rational(value.r)
-    return {"r": format_rational(value.r), "s": format_rational(value.s)}
+        return format_rational(*value.r.as_integer_ratio())
+    return {"r": format_rational(*value.r.as_integer_ratio()),
+            "s": format_rational(*value.s.as_integer_ratio())}

@@ -7,9 +7,13 @@ permutation/signature equivalence with explicit witnesses, the term rank
 minimum rank <= 2, and an aggregator combining every bound this package
 knows how to compute.
 
+Sign nonsingularity has one semantics, a block's 2-bit term-sign code:
+``is_sns`` reads it off a memoized first-row expansion, the SNS scan off
+Laplace splits into half-size blocks.
+
 numpy is imported inside the functions that compute with it (the SNS scan,
 the monotone arrangement behind ``is_mr2`` and ``SignPattern.to_array``),
-so parsing, condensation and equivalence run without loading it.
+so parsing, condensation, equivalence and ``is_sns`` run without loading it.
 """
 
 from __future__ import annotations
@@ -391,8 +395,10 @@ _SNS_CAP = 10
 def is_sns(A: SignPattern) -> bool:
     """True iff the determinant expansion has at least one nonzero term and
     all nonzero terms share one sign (so every matrix in the class is
-    nonsingular).  Enumerates nonzero-product permutations; n above
-    ``_SNS_CAP`` (10) raises ResourceExhausted."""
+    nonsingular): its term-sign code (``_TermSigns``) is 1 or 2.  The code
+    comes from expansion along the first row in pure Python, memoized on
+    the columns left to the rows below; a cofactor of negative sign swaps
+    its two bits.  n above ``_SNS_CAP`` (10) raises ResourceExhausted."""
     if A.m != A.n:
         raise DomainError(f"sign nonsingularity needs a square pattern, got {A.m}x{A.n}")
     n = A.n
@@ -400,37 +406,24 @@ def is_sns(A: SignPattern) -> bool:
         raise DomainError("sign nonsingularity is undefined for the empty pattern")
     if n > _SNS_CAP:
         raise ResourceExhausted(f"is_sns capped at n <= {_SNS_CAP}, got {n}")
-    if term_rank(A) < n:
-        return False  # no nonzero term at all
+    E = A.entries
 
-    found_sign = 0
-    used = [False] * n
-
-    def walk(i, parity_sign):
-        nonlocal found_sign
+    @functools.cache
+    def code(i: int, cols: int) -> int:
+        # rows i.. on the columns whose bits are set in cols (n - i of them)
         if i == n:
-            if found_sign == 0:
-                found_sign = parity_sign
-                return True
-            return parity_sign == found_sign
+            return 1  # the empty product: one positive term
+        out = 0
+        sign = 1  # (-1)^p for the p-th kept column
         for j in range(n):
-            if used[j] or A.entries[i][j] == 0:
-                continue
-            used[j] = True
-            # row-order parity: count inversions incrementally via sign flips
-            ok = walk(i + 1, parity_sign * A.entries[i][j] * _transposition_sign(used, j))
-            used[j] = False
-            if not ok:
-                return False
-        return True
+            if cols >> j & 1:
+                if E[i][j]:
+                    c = code(i + 1, cols & ~(1 << j))
+                    out |= c if E[i][j] == sign else (c & 1) << 1 | c >> 1
+                sign = -sign
+        return out
 
-    def _transposition_sign(used_flags, j):
-        # parity contribution of placing column j at the current row: one
-        # factor -1 per already-used column with larger index
-        inversions = sum(1 for k in range(j + 1, n) if used_flags[k])
-        return -1 if inversions % 2 else 1
-
-    return walk(0, 1) and found_sign != 0
+    return code(0, (1 << n) - 1) in (1, 2)
 
 
 # Candidates times Laplace splits in one chunk of the SNS scan

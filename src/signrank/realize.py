@@ -33,10 +33,9 @@ from .errors import (
     NumericalDegeneracy,
     Overdetermined,
     PrecisionExhausted,
-    RankMismatch,
     SingularSystem,
 )
-from .exactnum import parse_integer, rational_round
+from .exactnum import _as_fraction, format_rational, parse_integer, rational_round
 from .pattern import CondensationReport, SignPattern, _monotone_arrangement, condense, is_mr2
 
 DEFAULT_ZERO_TOL = 1e-9
@@ -129,20 +128,16 @@ def save_realization(real: Realization, path) -> None:
 def signature_between(P: SignPattern, Q: SignPattern):
     """Signs (d1, d2) with Q = d1 * P * d2 entry-wise, or None.
 
-    Requires equal shapes and equal zero sets; the signs are recovered by
-    propagation over the nonzero cells and verified everywhere.
+    The signs are propagated over the cells nonzero in both patterns, each
+    component of rows and columns starting from its lowest row at +, and
+    then every cell is checked once: that check rejects unequal zero sets
+    and any conflict the propagation passed over.
     """
     if P.m != Q.m or P.n != Q.n:
         return None
     m, n = P.m, P.n
-    ratio = [[0] * n for _ in range(m)]
-    for i in range(m):
-        for j in range(n):
-            a, b = P.entries[i][j], Q.entries[i][j]
-            if (a == 0) != (b == 0):
-                return None
-            if a != 0:
-                ratio[i][j] = a * b
+    # P_ij Q_ij: the sign d1_i d2_j must take, or 0 where either is zero
+    ratio = [[a * b for a, b in zip(p, q)] for p, q in zip(P.entries, Q.entries)]
     d1 = [0] * m
     d2 = [0] * n
     for i in range(m):
@@ -154,24 +149,15 @@ def signature_between(P: SignPattern, Q: SignPattern):
             kind, idx = stack.pop()
             if kind == "row":
                 for j in range(n):
-                    if ratio[idx][j]:
-                        need = ratio[idx][j] * d1[idx]
-                        if d2[j] == 0:
-                            d2[j] = need
-                            stack.append(("col", j))
-                        elif d2[j] != need:
-                            return None
+                    if ratio[idx][j] and not d2[j]:
+                        d2[j] = ratio[idx][j] * d1[idx]
+                        stack.append(("col", j))
             else:
                 for k in range(m):
-                    if ratio[k][idx]:
-                        need = ratio[k][idx] * d2[idx]
-                        if d1[k] == 0:
-                            d1[k] = need
-                            stack.append(("row", k))
-                        elif d1[k] != need:
-                            return None
-    d2 = [v if v else 1 for v in d2]
-    d1 = [v if v else 1 for v in d1]
+                    if ratio[k][idx] and not d1[k]:
+                        d1[k] = ratio[k][idx] * d2[idx]
+                        stack.append(("row", k))
+    d2 = [v or 1 for v in d2]
     for i in range(m):
         for j in range(n):
             if Q.entries[i][j] != d1[i] * P.entries[i][j] * d2[j]:
@@ -181,16 +167,6 @@ def signature_between(P: SignPattern, Q: SignPattern):
 
 # ---------------------------------------------------------------------------
 # Ones-bordered normal form
-
-
-@dataclass(frozen=True)
-class NormalizedFactorization:
-    row_signs: tuple
-    U: np.ndarray
-    V: np.ndarray
-    col_signs: tuple
-    row_scales: np.ndarray  # signed: U V == diag(row_scales) B diag(col_scales)
-    col_scales: np.ndarray
 
 
 def _plane_rotation(r: int, k: int, theta: float) -> np.ndarray:
@@ -203,10 +179,11 @@ def _plane_rotation(r: int, k: int, theta: float) -> np.ndarray:
     return R
 
 
-def _normalize_factors(U0: np.ndarray, V0: np.ndarray,
-                       rng: np.random.Generator) -> NormalizedFactorization:
+def _normalize_factors(U0: np.ndarray, V0: np.ndarray, rng: np.random.Generator) -> tuple:
     """Rotate the inner factor space so U's leading column and V's trailing
-    row are bounded away from zero, then scale rows/columns to exact ones."""
+    row are bounded away from zero, then scale rows/columns to exact ones.
+    Returns (U, V, row_signs, col_signs): U V is U0 V0 with its rows and
+    columns scaled, and the signs (+-1.0) are those of the scales."""
     r = U0.shape[1]
     if r < 2:
         raise DomainError("normal form needs rank >= 2")
@@ -243,43 +220,7 @@ def _normalize_factors(U0: np.ndarray, V0: np.ndarray,
     V = V * col_scales[None, :]
     U[:, 0] = 1.0
     V[-1, :] = 1.0
-    return NormalizedFactorization(
-        row_signs=tuple(int(np.sign(s)) for s in row_scales),
-        U=U,
-        V=V,
-        col_signs=tuple(int(np.sign(s)) for s in col_scales),
-        row_scales=row_scales,
-        col_scales=col_scales,
-    )
-
-
-def normalize_factorization(B, r: int) -> NormalizedFactorization:
-    """Factor a numerically rank-r matrix into the ones-bordered normal form.
-
-    U V approximates diag(row_scales) B diag(col_scales); the returned sign
-    vectors are the signs of those diagonals, so sgn(U V) equals the
-    signature-adjusted sign pattern of B.  B has rank r when sigma_r exceeds
-    1e-8 sigma_1 and sigma_(r+1) stays below 1e-4 sigma_1; the rotations
-    draw from seed 0.
-    """
-    rank_tol = 1e-8
-    B = np.asarray(B, dtype=float)
-    if B.ndim != 2:
-        raise DomainError("expected a 2-d matrix")
-    if r < 2:
-        raise DomainError(f"normal form needs rank >= 2, got {r}")
-    Usvd, svals, Vt = np.linalg.svd(B, full_matrices=False)
-    if r > len(svals) or svals[r - 1] <= rank_tol * (svals[0] if svals.size else 1.0):
-        raise RankMismatch(f"matrix has numerical rank < requested {r}")
-    if r < len(svals) and svals[r] > math.sqrt(rank_tol) * svals[0]:
-        raise RankMismatch(
-            f"matrix has numerical rank > requested {r} "
-            f"(sigma_{r + 1}/sigma_1 = {svals[r] / svals[0]:.2e})"
-        )
-    root = np.sqrt(svals[:r])
-    U0 = Usvd[:, :r] * root[None, :]
-    V0 = root[:, None] * Vt[:r]
-    return _normalize_factors(U0, V0, np.random.default_rng(0))
+    return U, V, np.sign(row_scales), np.sign(col_scales)
 
 
 # ---------------------------------------------------------------------------
@@ -405,14 +346,13 @@ def _restart(S: np.ndarray, r: int, params: SearchParams, k: int, free_u, free_v
 
     # fold the implicit signatures away: rotate/scale into normal form
     try:
-        normalized = _normalize_factors(U, V, rng)
+        U, V, row_signs, col_signs = _normalize_factors(U, V, rng)
     except NumericalDegeneracy:
         return None
-    Un, Vn = normalized.U, normalized.V
-    target = S * np.outer(normalized.row_signs, normalized.col_signs)
-    if not _check_signs(Un @ Vn, target, 4 * DEFAULT_ZERO_TOL, DEFAULT_ZERO_TOL):
+    target = S * np.outer(row_signs, col_signs)
+    if not _check_signs(U @ V, target, 4 * DEFAULT_ZERO_TOL, DEFAULT_ZERO_TOL):
         return None
-    return Realization(r, Un, Vn)
+    return Realization(r, U, V)
 
 
 def search_realization(
@@ -533,7 +473,8 @@ class RationalCertificate:
     def verify(self) -> bool:
         """Three independent checks: the matrix's signs are the target's,
         U V == matrix, and the claimed rank is the matrix's.  Entries may be
-        int, float or Fraction; a non-finite float fails."""
+        any rational number ``_ratios`` reads (int, float, Fraction, a numpy
+        integer); a non-finite float fails."""
         try:
             if _sign_pattern(self.matrix) != self.target.entries:
                 return False
@@ -546,10 +487,8 @@ class RationalCertificate:
             return False
 
     def to_dict(self) -> dict:
-        from .exactnum import format_rational
-
         def text(M):
-            return [[format_rational(v) for v in row] for row in M]
+            return [[format_rational(p, q) for p, q in _ratios(row)] for row in M]
 
         doc = {
             "rank": self.rank,
@@ -651,13 +590,22 @@ def _full_rank(lines, r: int) -> bool:
     return rational_rank(lines[:r]) == r or rational_rank(lines) == r
 
 
+def _ratios(line) -> list:
+    """Each entry of a line as its integer ratio (p, q), q > 0.  A line
+    with an entry lacking ``as_integer_ratio`` (a numpy integer) or a
+    non-finite float is read by ``_as_fraction``, which rejects the latter."""
+    try:
+        return [x.as_integer_ratio() for x in line]
+    except (AttributeError, OverflowError, ValueError):
+        return [_as_fraction(x).as_integer_ratio() for x in line]
+
+
 def _integral(lines) -> list:
     """Each line of rationals as (integers, lcm): the line scaled to
-    integers by the lcm of its denominators.  Entries are read by
-    ``as_integer_ratio``, which int, float and Fraction all have."""
+    integers by the lcm of its denominators (``_ratios``)."""
     out = []
     for line in lines:
-        ratios = [x.as_integer_ratio() for x in line]
+        ratios = _ratios(line)
         lcm = math.lcm(*(q for _, q in ratios))
         out.append(([p * (lcm // q) for p, q in ratios], lcm))
     return out
@@ -671,7 +619,7 @@ def _product_equals(U, V, matrix) -> bool:
     return [len(line) for line in matrix] == [len(cols)] * len(rows) and all(
         sum(map(operator.mul, u, v)) * q == p * lu * lv
         for (u, lu), line in zip(rows, matrix)
-        for (v, lv), (p, q) in zip(cols, (x.as_integer_ratio() for x in line))
+        for (v, lv), (p, q) in zip(cols, _ratios(line))
     )
 
 
@@ -679,7 +627,7 @@ def _sign_pattern(matrix) -> tuple:
     """The signs of a matrix as a tuple of tuples of -1/0/1, read from the
     numerators (denominators are positive)."""
     return tuple(
-        tuple((p > 0) - (p < 0) for p, _ in (x.as_integer_ratio() for x in row))
+        tuple((p > 0) - (p < 0) for p, _ in _ratios(row))
         for row in matrix
     )
 
@@ -808,32 +756,18 @@ class DirectRepresentation:
 def has_direct_representation(A: SignPattern, r: int) -> DirectRepresentation:
     """Can the minimum-rank normal form be reached without signatures?
 
-    r = 2 is decided exactly: the pattern must have minimum rank 2 and its
-    condensed form must admit permutations alone (identity signatures)
-    making every row and column nondecreasing; an exact witness realization
-    is built from that arrangement.  For r >= 3 the numerical search runs
-    with the normal form pinned; success means yes, exhaustion means
-    unknown (never a proof of no).  The search runs with the default
-    ``SearchParams`` budget.
+    The search runs with the normal form pinned (``SearchParams(direct=True)``,
+    its default budget).  r = 1 and r = 2 are exact, as the search is there:
+    no realization means no, and so does one with fewer than r condensed
+    rows or columns, since then mr < r.  At r = 2 the witness is built from
+    the identity-signed monotone arrangement of the condensed pattern.  For
+    r >= 3 success means yes and exhaustion means unknown (never a proof of
+    no).
     """
-    if r == 1:
-        C = condense(A).condensed
-        if C.m == 1 and C.n == 1 and C.entries[0][0] == 1:
-            return DirectRepresentation("yes", Realization(1, np.ones((1, 1)), np.ones((1, 1))))
-        return DirectRepresentation("no", None)
-    if r == 2:
-        mr2 = is_mr2(A)
-        if not mr2.value:
-            return DirectRepresentation("no", None)
-        C = mr2.condensation.condensed
-        witness = _monotone_arrangement(C, identity_only=True)
-        if witness is None:
-            return DirectRepresentation("no", None)
-        return DirectRepresentation("yes", _realization_from_arrangement(C, witness))
     found = search_realization(A, r, SearchParams(direct=True))
-    if found is not None:
+    if found is not None and (r >= 3 or min(found.U.shape[0], found.V.shape[1]) >= r):
         return DirectRepresentation("yes", found)
-    return DirectRepresentation("unknown", None)
+    return DirectRepresentation("no" if r <= 2 else "unknown", None)
 
 
 def _realization_from_arrangement(C: SignPattern, witness) -> Realization:

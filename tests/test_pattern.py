@@ -425,6 +425,27 @@ class TestSns:
             P = random_pattern(rng, n, n, 0.4)
             assert is_sns(P) == permutation_sns(P)
 
+    def test_random_6x6_7x7_against_permutation_expansion(self):
+        rng = np.random.default_rng(22)
+        hits = 0
+        for trial in range(60):
+            n = 6 + trial % 2
+            P = random_pattern(rng, n, n, float(rng.uniform(0.5, 0.8)))
+            expected = permutation_sns(P)
+            assert is_sns(P) == expected
+            hits += expected
+        assert 0 < hits < 60
+
+    def test_hessenberg_10x10(self):
+        # + on and below the diagonal, - just above it: all 2^9 nonzero
+        # terms of the determinant are positive; flipping one entry below
+        # the diagonal breaks that
+        n = 10
+        H = [[1 if j <= i else (-1 if j == i + 1 else 0) for j in range(n)] for i in range(n)]
+        assert is_sns(SignPattern(H)) and permutation_sns(SignPattern(H))
+        H[5][2] = -1
+        assert not is_sns(SignPattern(H))
+
 
 class TestMaxSns:
     def test_all_plus(self):
@@ -515,7 +536,9 @@ class TestMaxSns:
             if next((v for v in entries if v), 1) < 0:
                 continue
             P = SignPattern([entries[0:3], entries[3:6], entries[6:9]])
-            assert (max_sns_submatrix(P, 3)[0] == 3) == permutation_sns(P)
+            expected = permutation_sns(P)
+            assert (max_sns_submatrix(P, 3)[0] == 3) == expected
+            assert is_sns(P) == expected
             count += 1
         assert count == 9842
 

@@ -9,8 +9,8 @@ import pytest
 from signrank import kernels
 from signrank.errors import (
     DomainError,
+    NumericalDegeneracy,
     Overdetermined,
-    RankMismatch,
     SingularSystem,
 )
 from signrank.fixtures import A0_PATTERN, A1_PATTERN, A2_PATTERN, FIG21_PATTERN
@@ -21,8 +21,8 @@ from signrank.realize import (
     Realization,
     SearchParams,
     has_direct_representation,
+    _normalize_factors,
     load_realization,
-    normalize_factorization,
     rational_rank,
     rationalize,
     save_realization,
@@ -42,43 +42,57 @@ from conftest import (
 )
 
 
-class TestNormalizeFactorization:
-    def test_random_rank3_reconstruction(self):
+class TestNormalizeFactors:
+    def test_scaled_product_and_signs(self):
+        # U V is U0 V0 with row i scaled by a_i and column j by b_j, and the
+        # returned signs are those of a and b: the ratio (U V) / (U0 V0) is
+        # the rank-one outer(a, b), with signs outer(row_signs, col_signs)
         rng = np.random.default_rng(0)
-        B = rng.standard_normal((7, 3)) @ rng.standard_normal((3, 6))
-        nf = normalize_factorization(B, 3)
-        assert np.all(nf.U[:, 0] == 1.0)
-        assert np.all(nf.V[-1, :] == 1.0)
-        scaled = np.diag(nf.row_scales) @ B @ np.diag(nf.col_scales)
-        err = np.linalg.norm(scaled - nf.U @ nf.V) / np.linalg.norm(scaled)
-        assert err < 1e-9
+        for m, n, r in ((7, 6, 3), (5, 5, 2), (6, 8, 4)):
+            while True:
+                U0, V0 = rng.standard_normal((m, r)), rng.standard_normal((r, n))
+                if np.abs(U0 @ V0).min() > 0.1:
+                    break
+            U, V, row_signs, col_signs = _normalize_factors(U0, V0, np.random.default_rng(1))
+            assert np.all(U[:, 0] == 1.0) and np.all(V[-1, :] == 1.0)
+            ratio = (U @ V) / (U0 @ V0)
+            assert np.allclose(ratio * ratio[0, 0], np.outer(ratio[:, 0], ratio[0, :]), rtol=1e-8)
+            assert np.array_equal(np.sign(ratio), np.outer(row_signs, col_signs))
+        with pytest.raises(NumericalDegeneracy):
+            _normalize_factors(np.zeros((2, 3)), np.ones((3, 2)), np.random.default_rng(1))
 
-    def test_sign_vectors_match_scales(self):
-        rng = np.random.default_rng(1)
-        B = rng.standard_normal((5, 2)) @ rng.standard_normal((2, 5))
-        nf = normalize_factorization(B, 2)
-        assert nf.row_signs == tuple(int(np.sign(s)) for s in nf.row_scales)
-        assert nf.col_signs == tuple(int(np.sign(s)) for s in nf.col_scales)
 
-    def test_negative_leading_entry_forces_negative_sign(self):
-        # B = u v^T with u's first entry negative: row 1 must flip
-        u = np.array([[-2.0], [1.0], [3.0]])
-        v = np.array([[1.0, 2.0, 1.0]])
-        B = u @ v + np.outer([0.1, 0.2, -0.3], [1.0, -1.0, 2.0])
-        nf = normalize_factorization(B, 2)
-        scaled = np.diag(nf.row_scales) @ B @ np.diag(nf.col_scales)
-        assert np.allclose(scaled, nf.U @ nf.V, atol=1e-9)
-
-    def test_rank_mismatch_low(self):
-        B = np.outer([1.0, 2.0], [3.0, 4.0, 5.0])
-        with pytest.raises(RankMismatch):
-            normalize_factorization(B, 2)
-
-    def test_rank_mismatch_high(self):
-        rng = np.random.default_rng(2)
-        B = rng.standard_normal((5, 5))
-        with pytest.raises(RankMismatch):
-            normalize_factorization(B, 2)
+class TestSignatureBetween:
+    def test_against_every_signature(self):
+        # brute force over all 2^(m+n) signatures: None exactly when none
+        # carries P onto Q, and a returned pair does; Q is a signed copy of
+        # P, such a copy with one cell changed (often its zero set), or an
+        # unrelated pattern
+        rng = np.random.default_rng(44)
+        found = 0
+        for trial in range(600):
+            m, n = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            P = random_pattern(rng, m, n, 0.3)
+            E = np.array(P.entries).reshape(m, n)
+            E = E * np.outer(rng.choice([-1, 1], size=m), rng.choice([-1, 1], size=n))
+            if trial % 3 == 1:
+                E[rng.integers(m), rng.integers(n)] = rng.choice([-1, 0, 1])
+            Q = SignPattern(E.tolist()) if trial % 3 < 2 else random_pattern(rng, m, n, 0.3)
+            exists = any(
+                all(Q.entries[i][j] == d1[i] * P.entries[i][j] * d2[j]
+                    for i in range(m) for j in range(n))
+                for d1 in itertools.product((1, -1), repeat=m)
+                for d2 in itertools.product((1, -1), repeat=n)
+            )
+            signs = signature_between(P, Q)
+            assert (signs is not None) == exists
+            if signs is not None:
+                d1, d2 = signs
+                assert all(Q.entries[i][j] == d1[i] * P.entries[i][j] * d2[j]
+                           for i in range(m) for j in range(n))
+                found += 1
+        assert 200 < found < 600
+        assert signature_between(SignPattern(["+0"]), SignPattern(["+", "0"])) is None
 
 
 class TestSolveZeroColumns:
@@ -797,6 +811,22 @@ class TestPlainNumberCertificates:
         assert replace(cert, rank=1).verify() is False
 
     @pytest.mark.parametrize("factored", [False, True])
+    def test_numpy_integers_verify(self, factored):
+        # entries straight from an integer numpy product; tampering keeps the
+        # signs, so only the product (factored) or the rank (not) catches it
+        U, V = np.array([[1, 2], [1, -1], [1, 0]]), np.array([[3, -1, 1], [1, 1, 1]])
+        matrix = tuple(map(tuple, U @ V))
+        assert type(matrix[0][0]) is np.int64
+        target = SignPattern(np.sign(U @ V).tolist())
+        factors = (tuple(map(tuple, U)), tuple(map(tuple, V))) if factored else None
+        cert = RationalCertificate(matrix, 2, target, factors)
+        assert cert.verify() is True
+        assert cert.to_dict()["matrix"] == (U @ V).tolist()
+        tampered = ((matrix[0][0] + np.int64(1),) + matrix[0][1:],) + matrix[1:]
+        assert rational_rank(tampered) == 3
+        assert replace(cert, matrix=tampered).verify() is False
+
+    @pytest.mark.parametrize("factored", [False, True])
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_fails(self, factored, bad):
         cert = self.certificate(factored)
@@ -915,6 +945,27 @@ class TestDirectRepresentation:
 
     def test_wrong_rank_is_no(self):
         assert has_direct_representation(SignPattern(["++", "++"]), 2).status == "no"
+
+    # sha256 over the status and the witness (shapes, then the bytes of U and
+    # V) at r = 1 and r = 2 of every 2x2 and then every 2x3 pattern, in
+    # itertools.product order over (-1, 0, 1) (x86-64, numpy 2.4.6).  1108
+    # answers are no and 512 yes
+    PINNED_SHA256 = "1bfed3de9858f4ba632b12cd11d4ccfd054b480f96f38672c5f9f6ccd89908f2"
+
+    def test_small_patterns_pinned(self):
+        import hashlib
+
+        h = hashlib.sha256()
+        for m, n in ((2, 2), (2, 3)):
+            for signs in itertools.product((-1, 0, 1), repeat=m * n):
+                P = SignPattern([signs[i * n:(i + 1) * n] for i in range(m)])
+                for r in (1, 2):
+                    result = has_direct_representation(P, r)
+                    h.update(result.status.encode())
+                    W = result.witness
+                    if W is not None:
+                        h.update(repr((W.U.shape, W.V.shape)).encode() + W.U.tobytes() + W.V.tobytes())
+        assert h.hexdigest() == self.PINNED_SHA256
 
 
 class TestGradientProperty:
