@@ -42,22 +42,54 @@ from conftest import (
 )
 
 
-class TestNormalizeFactors:
-    def test_scaled_product_and_signs(self):
-        # U V is U0 V0 with row i scaled by a_i and column j by b_j, and the
-        # returned signs are those of a and b: the ratio (U V) / (U0 V0) is
-        # the rank-one outer(a, b), with signs outer(row_signs, col_signs)
+def _nonzero_factors(rng, m, n, r):
+    # U0 V0 with every entry away from zero, so (U V) / (U0 V0) is defined
+    while True:
+        U0, V0 = rng.standard_normal((m, r)), rng.standard_normal((r, n))
+        if np.abs(U0 @ V0).min() > 0.1:
+            return U0, V0
+
+
+class TestNormalizeFactorization:
+    # _normalize_factors is the float normal form: U V is U0 V0 with row i
+    # scaled by a_i and column j by b_j, U's leading column and V's
+    # trailing row are exact ones, and the returned signs are those of a, b
+
+    def test_random_rank3_reconstruction(self):
         rng = np.random.default_rng(0)
         for m, n, r in ((7, 6, 3), (5, 5, 2), (6, 8, 4)):
-            while True:
-                U0, V0 = rng.standard_normal((m, r)), rng.standard_normal((r, n))
-                if np.abs(U0 @ V0).min() > 0.1:
-                    break
-            U, V, row_signs, col_signs = _normalize_factors(U0, V0, np.random.default_rng(1))
+            U0, V0 = _nonzero_factors(rng, m, n, r)
+            U, V, _, _ = _normalize_factors(U0, V0, np.random.default_rng(1))
             assert np.all(U[:, 0] == 1.0) and np.all(V[-1, :] == 1.0)
+            # the ratio is the rank-one outer(a, b)
             ratio = (U @ V) / (U0 @ V0)
             assert np.allclose(ratio * ratio[0, 0], np.outer(ratio[:, 0], ratio[0, :]), rtol=1e-8)
+
+    def test_sign_vectors_match_scales(self):
+        rng = np.random.default_rng(1)
+        for m, n, r in ((5, 5, 2), (7, 6, 3)):
+            U0, V0 = _nonzero_factors(rng, m, n, r)
+            U, V, row_signs, col_signs = _normalize_factors(U0, V0, np.random.default_rng(2))
+            assert set(row_signs) <= {-1.0, 1.0} and set(col_signs) <= {-1.0, 1.0}
+            ratio = (U @ V) / (U0 @ V0)
             assert np.array_equal(np.sign(ratio), np.outer(row_signs, col_signs))
+
+    def test_negative_leading_entry_forces_negative_sign(self):
+        # row 1 of U0 is -2 times row 0 and column 2 of V0 is -3 times
+        # column 0: whatever rotation is drawn, their leading entries have
+        # opposite signs, so their scales (and signs) do, and they
+        # normalize to the same row and column
+        rng = np.random.default_rng(3)
+        U0, V0 = _nonzero_factors(rng, 4, 4, 3)
+        U0[1] = -2.0 * U0[0]
+        V0[:, 2] = -3.0 * V0[:, 0]
+        U, V, row_signs, col_signs = _normalize_factors(U0, V0, np.random.default_rng(4))
+        assert row_signs[1] == -row_signs[0] and col_signs[2] == -col_signs[0]
+        assert np.allclose(U[1], U[0]) and np.allclose(V[:, 2], V[:, 0])
+        ratio = (U @ V) / (U0 @ V0)
+        assert np.array_equal(np.sign(ratio), np.outer(row_signs, col_signs))
+
+    def test_zero_row_raises(self):
         with pytest.raises(NumericalDegeneracy):
             _normalize_factors(np.zeros((2, 3)), np.ones((3, 2)), np.random.default_rng(1))
 
