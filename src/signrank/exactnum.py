@@ -2,9 +2,10 @@
 
 Rationals are ``fractions.Fraction`` (always reduced, arbitrary precision).
 A :class:`QuadElem` represents ``r + s*sqrt(d)`` with rational r, s and a
-square-free positive integer d.  The field belongs to the element: a rational
-element (s = 0) always has d = 1, so d only means something when s != 0, and
-two elements combine unless both have radical parts over different d.
+square-free positive integer d of at most ``MAX_RADICAL`` (10^15).  The field
+belongs to the element: a rational element (s = 0) always has d = 1, so d
+only means something, and is only checked, when s != 0; two elements combine
+unless both have radical parts over different d.
 
 Sign determination never touches floating point: the sign of ``r + s*sqrt(d)``
 is decided by comparing ``r*r`` against ``d*s*s`` with case analysis on the
@@ -13,6 +14,7 @@ signs of r and s.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,15 +25,31 @@ from .errors import DomainError
 Rational = Fraction
 
 
+# The largest radical d: its square-free test divides by p up to d^(1/3)
+# <= 10^5, a few milliseconds.
+MAX_RADICAL = 10**15
+
+
 def _is_square_free(d: int) -> bool:
-    if d < 1:
-        return False
-    k = 2
-    while k * k <= d:
-        if d % (k * k) == 0:
-            return False
-        k += 1
-    return True
+    # take out each prime p with p^3 <= what is left of d: the cofactor has
+    # at most two prime factors, so it is square-free unless it is a square
+    p = 2
+    while p * p * p <= d:
+        if d % p == 0:
+            d //= p
+            if d % p == 0:
+                return False
+        p += 1
+    return d == 1 or math.isqrt(d) ** 2 != d
+
+
+@functools.lru_cache(maxsize=256)
+def check_radical(d) -> int:
+    """d as an int if it is a square-free integer in 1..MAX_RADICAL, else
+    DomainError.  Memoized: every radical QuadElem checks its d."""
+    if not isinstance(d, Integral) or not 1 <= d <= MAX_RADICAL or not _is_square_free(int(d)):
+        raise DomainError(f"field index must be a square-free integer in 1..10^15, got {d!r}")
+    return int(d)
 
 
 def _as_fraction(value) -> Fraction:
@@ -77,12 +95,9 @@ class QuadElem:
     def __post_init__(self):
         object.__setattr__(self, "r", _as_fraction(self.r))
         object.__setattr__(self, "s", _as_fraction(self.s))
-        if not isinstance(self.d, Integral) or not _is_square_free(int(self.d)):
-            raise DomainError(f"field index must be a square-free positive integer, got {self.d!r}")
-        d = int(self.d)
-        if self.s == 0:
-            d = 1  # a rational belongs to no radical
-        elif d == 1:
+        # a rational belongs to no radical, so only a radical part checks d
+        d = 1 if self.s == 0 else check_radical(self.d)
+        if d == 1 and self.s != 0:
             # sqrt(1) = 1: fold the radical part so representation stays unique
             object.__setattr__(self, "r", self.r + self.s)
             object.__setattr__(self, "s", Fraction(0))
@@ -139,9 +154,6 @@ class QuadElem:
 
     def __rtruediv__(self, other):
         return QuadElem.lift(other) / self
-
-    def conjugate(self) -> "QuadElem":
-        return QuadElem(self.r, -self.s, self.d)
 
     def is_zero(self) -> bool:
         return self.r == 0 and self.s == 0
@@ -271,9 +283,9 @@ def parse_integer(value, what: str) -> int:
 
 
 def format_rational(p: int, q: int):
-    """The JSON form of p/q, an ``as_integer_ratio`` pair: the int p when
-    q is 1, else the text "p/q".  ``int`` makes a numpy integer writable."""
-    return int(p) if q == 1 else f"{p}/{q}"
+    """The JSON form of p/q, an ``as_integer_ratio`` pair of Python ints:
+    the int p when q is 1, else the text "p/q"."""
+    return p if q == 1 else f"{p}/{q}"
 
 
 def parse_scalar(obj, d: int = 1) -> QuadElem:

@@ -12,7 +12,6 @@ stored solution exactly on every run and fails the build if it drifts.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -171,12 +170,6 @@ def fixture_names() -> tuple:
 class PerlesReport:
     checks: tuple  # (name, detail) pairs, all passed
     witness: EquivalenceWitness
-    elapsed: float
-
-    def __str__(self):
-        lines = [f"ok  {name}: {detail}" for name, detail in self.checks]
-        lines.append(f"equivalence witness found in {self.elapsed:.2f}s")
-        return "\n".join(lines)
 
 
 def derive_perles_check() -> PerlesReport:
@@ -189,7 +182,6 @@ def derive_perles_check() -> PerlesReport:
     labels are aligned, so it is equal entry-for-entry).  Any failure
     raises FixtureCorrupt.
     """
-    start = time.perf_counter()
     config = fixture("perles_config").payload
     A0 = fixture("A0").payload
     checks = []
@@ -200,10 +192,6 @@ def derive_perles_check() -> PerlesReport:
     checks.append(("shape", "9 points and 9 lines over Q(sqrt5)"))
 
     zeros = encoded.count_zeros()
-    if zeros != A0.count_zeros():
-        raise FixtureCorrupt(
-            f"encoded zero count {zeros} differs from A0's {A0.count_zeros()}"
-        )
     if encoded.zero_set() != A0.zero_set():
         raise FixtureCorrupt("encoded zero set differs from A0's zero set")
     checks.append(("incidence", f"zero set matches A0 exactly ({zeros} incidences)"))
@@ -241,7 +229,7 @@ def derive_perles_check() -> PerlesReport:
     else:  # pragma: no cover - current coordinates give exact equality
         checks.append(("pattern", "encoded pattern is equivalent to A0"))
 
-    return PerlesReport(tuple(checks), witness, time.perf_counter() - start)
+    return PerlesReport(tuple(checks), witness)
 
 
 def export_fixtures(directory) -> tuple:

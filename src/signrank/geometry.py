@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
 
 from .errors import DomainError, VerticalHyperplane
-from .exactnum import QuadElem, format_scalar, parse_integer, parse_scalar, quad_sign
+from .exactnum import QuadElem, check_radical, format_scalar, parse_integer, parse_scalar, quad_sign
 from .pattern import SignPattern, condense
 
 Point = Tuple[QuadElem, ...]
@@ -352,14 +352,6 @@ def dualize(C: Configuration) -> DualizationResult:
     )
 
 
-def _exact_max(values, floor):
-    best = QuadElem.lift(floor)
-    for v in values:
-        if v > best:
-            best = v
-    return best
-
-
 def _pad_dimension(C: Configuration, target_dim: int) -> Configuration:
     """Embed into a higher dimension by inserting zero coordinates right
     after the leading factor column: new leading point coordinates are zero
@@ -416,7 +408,7 @@ def stack(C1: Configuration, C2: Configuration) -> Configuration:
     for p in bottom.points:
         for h in top.hyperplanes:
             requirements.append(h.evaluate(p))  # need eval - delta < 0
-    delta = _exact_max(requirements, 0) + 1
+    delta = max([QuadElem(0), *requirements]) + 1
 
     lifted = translate(top, (0,) * (dim - 1) + (delta,))
     return Configuration(
@@ -482,7 +474,7 @@ def configuration_from_dict(doc: dict) -> Configuration:
     missing = {"dim", "points", "hyperplanes"} - set(doc)
     if missing:
         raise DomainError(f"configuration document missing keys {sorted(missing)}")
-    field_d = parse_integer(doc.get("sqrt", 1), "configuration 'sqrt'")
+    field_d = check_radical(parse_integer(doc.get("sqrt", 1), "configuration 'sqrt'"))
     dim = parse_integer(doc.get("dim"), "configuration 'dim'")
     points = [[parse_scalar(x, field_d) for x in p] for p in _list_entry(doc, "points")]
     hyperplanes = [

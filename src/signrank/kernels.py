@@ -72,9 +72,9 @@ def solve_dependent(U, V, deps):
 
 
 def descent(U, V, S, margin, zero_weight, iters, lr0, free_u, free_v):
+    """(U, V, penalty) after the descent.  ``free_u``/``free_v`` are 0/1
+    masks of the entries that move; None frees every entry."""
     masks = _masks(S)
-    # multiplying by 1.0 changes no bit: an all-free factor skips its mask
-    free_u, free_v = (None if (f == 1.0).all() else f for f in (free_u, free_v))
     lr = lr0
     pen, gU, gV, cleared = _penalty(U, V, masks, margin, zero_weight)
     checked = pen

@@ -106,8 +106,6 @@ class SignPattern:
         return tuple(row[j] for row in self.entries)
 
     def transpose(self) -> "SignPattern":
-        if self.m == 0:
-            return SignPattern([[] for _ in range(self.n)])
         return SignPattern(list(zip(*self.entries)))
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "SignPattern":
@@ -254,7 +252,9 @@ def is_equivalent(A: SignPattern, B: SignPattern) -> Optional[EquivalenceWitness
     B = P1 D1 A D2 P2; returns a witness or None.
 
     Backtracks over row assignments (B row -> A row with a sign), propagating
-    column compatibility; the first assigned row's sign is pinned to + since
+    column compatibility; a branch lives while a matching gives every B
+    column its own compatible A column, and the last one found is the
+    witness's columns.  The first assigned row's sign is pinned to + since
     the global flip of all row and column signs is invisible.  Intended for
     m, n <= 12; raises ResourceExhausted past ``_NODE_BUDGET`` (2,000,000)
     search nodes.
@@ -283,18 +283,6 @@ def is_equivalent(A: SignPattern, B: SignPattern) -> Optional[EquivalenceWitness
         live = [[comp[c][j] is not None for c in range(n)] for j in range(n)]
         return _max_matching(live, n)
 
-    def column_assignment():
-        size, match_to = column_matching()
-        if size < n:
-            return None
-        col_perm = [0] * n
-        col_signs = [1] * n
-        for c in range(n):
-            j = match_to[c]
-            col_perm[j] = c
-            col_signs[j] = comp[c][j] if comp[c][j] != 0 else 1
-        return tuple(col_perm), tuple(col_signs)
-
     used = [False] * m
     sigma = [0] * m  # sigma[b_row] = a_row
     eps = [1] * m
@@ -306,15 +294,14 @@ def is_equivalent(A: SignPattern, B: SignPattern) -> Optional[EquivalenceWitness
             raise ResourceExhausted(
                 f"equivalence search exceeded node budget {_NODE_BUDGET}"
             )
-        if pos == m:
-            return column_assignment() is not None
+        if pos == m:  # the parent's matching covered every column
+            return True
         i = order[pos]
         for k in range(m):
             if used[k] or prof_a[k] != prof_b[i]:
                 continue
             for sign in ((1,) if pos == 0 else (1, -1)):
                 updates = []
-                dead = False
                 for c in range(n):
                     ac = A.entries[k][c]
                     for j in range(n):
@@ -336,11 +323,7 @@ def is_equivalent(A: SignPattern, B: SignPattern) -> Optional[EquivalenceWitness
                             updates.append((c, j, state))
                             comp[c][j] = None
                 # prune: every B column still matchable
-                if any(all(comp[c][j] is None for c in range(n)) for j in range(n)):
-                    dead = True
-                if not dead and column_matching()[0] < n:
-                    dead = True
-                if not dead:
+                if column_matching()[0] == n:
                     used[k] = True
                     sigma[i] = k
                     eps[i] = sign
@@ -353,9 +336,14 @@ def is_equivalent(A: SignPattern, B: SignPattern) -> Optional[EquivalenceWitness
 
     if not assign(0):
         return None
-    cols = column_assignment()
-    col_perm, col_signs = cols
-    return EquivalenceWitness(tuple(sigma), col_perm, tuple(eps), col_signs)
+    match_to = column_matching()[1]
+    col_perm = [0] * n
+    col_signs = [1] * n
+    for c in range(n):
+        j = match_to[c]
+        col_perm[j] = c
+        col_signs[j] = comp[c][j] or 1
+    return EquivalenceWitness(tuple(sigma), tuple(col_perm), tuple(eps), tuple(col_signs))
 
 
 def _max_matching(allowed, n_right: int):
@@ -790,23 +778,21 @@ def mr_bounds(A: SignPattern, options: Optional[MrBoundsOptions] = None) -> MrBo
     lower = max(v for kind, v, _ in evidence if kind == "lower")
     upper = min(v for kind, v, _ in evidence if kind == "upper")
 
-    if opts.try_rank is not None and opts.try_rank < lower:
-        evidence.append(
-            ("note", None, f"rank {opts.try_rank} is below the proven lower bound {lower}; "
-                            "no search run")
-        )
-    elif opts.try_rank is not None and opts.try_rank < upper:
+    rank = opts.try_rank
+    if rank is not None and not lower <= rank < upper:
+        why = (f"is below the proven lower bound {lower}" if rank < lower
+               else f"is not below the upper bound {upper}")
+        evidence.append(("note", None, f"rank {rank} {why}; no search run"))
+    elif rank is not None:
         from . import realize
 
         params = realize.SearchParams(seed=opts.seed, restarts=opts.restarts, iters=opts.iters)
-        found = realize.search_realization(C, opts.try_rank, params)
+        found = realize.search_realization(C, rank, params)
         if found is not None:
             evidence.append(("upper", found.r, f"numerical realization at rank {found.r}"))
             upper = min(upper, found.r)
         else:
-            evidence.append(
-                ("note", None, f"no rank-{opts.try_rank} realization found (inconclusive)")
-            )
+            evidence.append(("note", None, f"no rank-{rank} realization found (inconclusive)"))
 
     return MrBounds(lower, upper, tuple(evidence))
 

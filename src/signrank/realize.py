@@ -239,10 +239,10 @@ def solve_zero_columns(U, A: SignPattern, j: int, column: Sequence) -> tuple:
     with this v_rj passes through the zero rows: a pivot lands on the last
     coordinate.  More than r-1 zero rows raise Overdetermined.
 
-    Exact: every entry is read as ``Fraction(x)`` (a float at its exact
-    binary value) and the result is a tuple of r Fractions.
+    Exact: every entry is read at its exact value (``_ratios``; a float at
+    its exact binary value) and the result is a tuple of r Fractions.
     """
-    column = [Fraction(x) for x in column]
+    column = [Fraction(p, q) for p, q in _ratios(column)]
     rows = [U[i] for i in range(A.m) if A.entries[i][j] == 0]
     if not rows:
         return tuple(column)
@@ -386,9 +386,9 @@ def search_realization(
     # what every restart shares; none of it draws from a restart's generator
     S = C.to_array()
     m, n = S.shape
-    free_u = np.ones((m, r))
-    free_v = np.ones((r, n))
+    free_u = free_v = None  # all free, unless direct mode pins the normal form
     if params.direct:
+        free_u, free_v = np.ones((m, r)), np.ones((r, n))
         free_u[:, 0] = 0.0
         free_v[-1, :] = 0.0
     zero_cells = [(i, j) for j in range(n) for i in range(m) if C.entries[i][j] == 0]
@@ -531,16 +531,12 @@ def save_certificate(cert: RationalCertificate, path) -> None:
 def _bareiss_echelon(M):
     """Fraction-free row echelon form (Bareiss, Math. Comp. 22, 1968).
 
-    Each row is first scaled to integers; the returned integer rows are
-    linear combinations of the input rows with the same row space, so an
-    augmented system keeps its solutions.  ``pivots`` holds the pivot column
-    of each leading row; pivoting scans for any nonzero entry, so degenerate
-    inputs are handled exactly."""
-    work = []
-    for row in M:
-        fracs = [Fraction(x) for x in row]
-        lcm = math.lcm(*(f.denominator for f in fracs))
-        work.append([int(f * lcm) for f in fracs])
+    Each row is first scaled to integers (``_integral``); the returned
+    integer rows are linear combinations of the input rows with the same row
+    space, so an augmented system keeps its solutions.  ``pivots`` holds the
+    pivot column of each leading row; pivoting scans for any nonzero entry,
+    so degenerate inputs are handled exactly."""
+    work = [line for line, _ in _integral(M)]
     m = len(work)
     n = len(work[0]) if work else 0
     pivots = []
@@ -591,13 +587,17 @@ def _full_rank(lines, r: int) -> bool:
 
 
 def _ratios(line) -> list:
-    """Each entry of a line as its integer ratio (p, q), q > 0.  A line
-    with an entry lacking ``as_integer_ratio`` (a numpy integer) or a
-    non-finite float is read by ``_as_fraction``, which rejects the latter."""
+    """Each entry of a line as its integer ratio (p, q), q > 0, in Python
+    ints.  A line that does not read so (a numpy integer, a Fraction built
+    around one, a non-finite float) is read by ``_as_fraction``, which
+    normalizes the first two and rejects the last with DomainError."""
     try:
-        return [x.as_integer_ratio() for x in line]
+        ratios = [x.as_integer_ratio() for x in line]
+        if all(type(p) is int and type(q) is int for p, q in ratios):
+            return ratios
     except (AttributeError, OverflowError, ValueError):
-        return [_as_fraction(x).as_integer_ratio() for x in line]
+        pass
+    return [_as_fraction(x).as_integer_ratio() for x in line]
 
 
 def _integral(lines) -> list:
@@ -775,30 +775,20 @@ def _realization_from_arrangement(C: SignPattern, witness) -> Realization:
     ``is_mr2`` witness, or an identity-signed one for direct mode).
 
     The witness's row signs d and column signs c turn C into S = d C c,
-    whose rows are nondecreasing in the witness's column order: the column
-    at arranged position q gets value q+1 and each row crosses from - to +
-    at its zero (or between its last - and first +), so the products
-    v_j + u_i realize S.  Like every search result, the product's own
-    signs carry the signature."""
+    whose rows are nondecreasing in the witness's column order.  The column
+    at arranged position q gets v = q + 1.  A row with k minus entries and
+    z zeros (0 or 1) crosses at k + 1 if z = 1, else between k and k + 1,
+    so u = -(k + (1 + z) / 2), exact in float, and the products v_j + u_i
+    realize S.  Like every search result, the product's own signs carry
+    the signature."""
     d = dict(zip(witness.row_perm, witness.row_signs))
     c = dict(zip(witness.col_perm, witness.col_signs))
     S = SignPattern([[d[i] * C.entries[i][j] * c[j] for j in range(C.n)] for i in range(C.m)])
-    n = C.n
-    v_by_col = {}
+    v = [0.0] * C.n
     for pos, j in enumerate(witness.col_perm):
-        v_by_col[j] = Fraction(pos + 1)
-    u_by_row = {}
-    for i in range(C.m):
-        arranged = [(v_by_col[j], S.entries[i][j]) for j in witness.col_perm]
-        zero_at = next((v for v, s in arranged if s == 0), None)
-        if zero_at is not None:
-            u_by_row[i] = -zero_at
-        else:
-            last_minus = max((v for v, s in arranged if s < 0), default=Fraction(0))
-            u_by_row[i] = -(last_minus + Fraction(1, 2))
-    U = np.array([[1.0, float(u_by_row[i])] for i in range(C.m)])
-    V = np.array([[float(v_by_col[j]) for j in range(n)], [1.0] * n])
-    real = Realization(2, U, V)
+        v[j] = pos + 1.0
+    U = np.array([[1.0, -(row.count(-1) + (1 + row.count(0)) / 2)] for row in S.entries])
+    real = Realization(2, U, np.array([v, [1.0] * C.n]))
     if real.signed_pattern() != S:
         raise AssertionError("internal error: rank-2 witness failed validation")
     return real

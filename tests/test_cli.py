@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -94,6 +95,19 @@ class TestMr:
         doc = json.loads(out)
         assert doc["lower"] == 3
         assert ["note", None, "rank 2 is below the proven lower bound 3; no search run"] in doc["evidence"]
+
+    def test_try_rank_not_below_upper_bound_skips_search(self, capsys, fxdir, monkeypatch):
+        import signrank.realize
+
+        def fail(*args):
+            raise AssertionError("searched at or above the upper bound")
+
+        monkeypatch.setattr(signrank.realize, "search_realization", fail)
+        code, out, _ = run(capsys, "mr", fxdir / "A0.pat", "--try-rank", 100, "--json")
+        assert code == 1
+        doc = json.loads(out)
+        assert [doc["lower"], doc["upper"]] == [3, 9]
+        assert ["note", None, "rank 100 is not below the upper bound 9; no search run"] in doc["evidence"]
 
     def test_inconclusive_exit(self, capsys, fxdir):
         code, out, _ = run(capsys, "mr", fxdir / "A0.pat")
@@ -474,6 +488,35 @@ class TestErrorsAndSelfcheck:
         code, out, err = run(capsys, "encode", bad)
         assert code == 2
         assert "dim" in err and "2.5" in err
+
+    def test_large_prime_radical_encodes_fast(self, capsys, tmp_path):
+        # 10^12 + 39 is prime; its square-free test once ran on every scalar
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps({
+            "dim": 2, "sqrt": 10**12 + 39, "points": [[1, 2], [3, -1], [-2, 5], [0, 7]],
+            "hyperplanes": [[1, 2, 1], [-3, 1, 1], [5, -1, 1]],
+        }))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "encode", cfg)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and out == "+0+\n+-+\n+0+\n+++\n"
+
+    def test_square_radical_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "four.json"
+        cfg.write_text(json.dumps({"dim": 2, "sqrt": 4, "points": [[1, 2]],
+                                   "hyperplanes": [[1, 2, 1]]}))
+        code, _, err = run(capsys, "encode", cfg)
+        assert code == 2 and "square-free" in err
+
+    def test_radical_beyond_bound_rejected_fast(self, capsys, tmp_path):
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps({"dim": 2, "sqrt": 10**18 + 9,
+                                   "points": [[{"r": 1, "s": 1}, 2]], "hyperplanes": [[1, 2, 1]]}))
+        start = time.perf_counter()
+        code, _, err = run(capsys, "encode", cfg)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
     def test_negative_restarts(self, capsys, tmp_path):
         pat = tmp_path / "p.pat"

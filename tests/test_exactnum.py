@@ -6,7 +6,9 @@ import pytest
 
 from signrank.errors import DomainError
 from signrank.exactnum import (
+    MAX_RADICAL,
     QuadElem,
+    check_radical,
     format_rational,
     format_scalar,
     parse_rational,
@@ -122,6 +124,31 @@ class TestQuadArithmetic:
             QuadElem(1, 1, 8)
         with pytest.raises(DomainError):
             QuadElem(1, 1, 0)
+
+    def test_square_free_against_trial_division(self):
+        for d in range(1, 3000):
+            if all(d % (k * k) for k in range(2, math.isqrt(d) + 1)):
+                assert check_radical(d) == d
+            else:
+                with pytest.raises(DomainError):
+                    check_radical(d)
+        # cofactors left past the cube-root division: a prime, two primes, a
+        # prime's square
+        assert QuadElem(0, 1, 10**12 + 39).d == 10**12 + 39
+        assert check_radical(9973 * 9967) == 9973 * 9967
+        for d in (999983**2, 3 * 999983**2):
+            with pytest.raises(DomainError):
+                check_radical(d)
+
+    def test_radical_bounded(self):
+        # 10^15 - 3 = 599 2131 3733 209861; 10^15 + 1 is square-free too
+        assert check_radical(10**15 - 3) == 10**15 - 3
+        with pytest.raises(DomainError, match="10\\^15"):
+            QuadElem(1, 1, MAX_RADICAL + 1)
+
+    def test_rational_ignores_radical(self):
+        # only a radical part names a field, so a rational's d is not checked
+        assert QuadElem(3, 0, 4) == QuadElem(3) and QuadElem(3, 0, 4).d == 1
 
     def test_comparisons_are_exact(self):
         phi = QuadElem(Fraction(1, 2), Fraction(1, 2), 5)

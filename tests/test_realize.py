@@ -858,6 +858,37 @@ class TestPlainNumberCertificates:
         assert rational_rank(tampered) == 3
         assert replace(cert, matrix=tampered).verify() is False
 
+    # a Fraction built around a numpy integer keeps its numpy numerator, and
+    # numpy integers wrap in int64: 2^32 * 2^32 must stay 2^64, not become 0
+    BIG = Fraction(np.int64(2**32))
+    HUGE = Fraction(np.int64(2**40))
+
+    def numpy_backed(self):
+        U, V = ((1, self.HUGE), (1, -self.HUGE)), ((1, 2), (self.HUGE, 1))
+        matrix = ((1 + 2**80, 2 + 2**40), (1 - 2**80, 2 - 2**40))
+        return RationalCertificate(matrix, 2, SignPattern(["++", "--"]), (U, V))
+
+    def test_numpy_backed_false_certificate_fails(self):
+        factors = (((1, self.BIG),), ((0,), (self.BIG,)))
+        assert RationalCertificate(((0,),), 0, SignPattern(["0"]), factors).verify() is False
+
+    def test_numpy_backed_certificate_verifies(self):
+        assert self.numpy_backed().verify() is True
+
+    def test_numpy_backed_to_dict_writes_ints(self):
+        doc = self.numpy_backed().to_dict()
+        assert doc["U"] == [[1, 2**40], [1, -(2**40)]]
+        assert all(type(v) is int for key in ("matrix", "U", "V") for row in doc[key] for v in row)
+
+    def test_numpy_backed_entry_gives_bool(self):
+        matrix = ((Fraction(np.int64(2)), Fraction(1)), (Fraction(1), Fraction(1)))
+        assert RationalCertificate(matrix, 2, SignPattern(["++", "++"])).verify() is True
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rank_of_non_finite_raises_domain_error(self, bad):
+        with pytest.raises(DomainError):
+            rational_rank([[1.0, bad]])
+
     @pytest.mark.parametrize("factored", [False, True])
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_fails(self, factored, bad):
@@ -920,6 +951,61 @@ class TestPinnedCertificates:
         path = tmp_path / "c.cert.json"
         save_certificate(cert, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PINNED_SHA256[key]
+
+
+def _low_rank_pin_patterns():
+    """600 seeded patterns of 1..7 rows and columns: even k a random pattern
+    with zeros, odd k the signs of an integer rank-2 product, which has
+    exact zeros wherever an entry cancels."""
+    rng = np.random.default_rng(2026)
+    for k in range(600):
+        m, n = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+        if k % 2 == 0:
+            yield random_pattern(rng, m, n, 0.3)
+        else:
+            B = rng.integers(-2, 3, size=(m, 2)) @ rng.integers(-2, 3, size=(2, n))
+            yield SignPattern(np.sign(B).tolist())
+
+
+class TestPinnedSearch:
+    # sha256 over search_realization's answers, each b"None" or the shapes
+    # and then the bytes of U and V (x86-64, numpy 2.4.6).  LOW_RANK: r = 1
+    # and 2, not direct and direct, on _low_rank_pin_patterns (528 of the
+    # 600 carry zeros; 1046 of the 2400 answers are realizations).  RANK3:
+    # 12 planted rank-3 instances (default_rng(303)) at restarts 2 and iters
+    # 400, not direct and direct (23 of the 24 are found)
+    LOW_RANK_SHA256 = "52f6a82a44208ef20a44e183f9d6f28b6fb3f249cd724350aee8e88f5971da9f"
+    RANK3_SHA256 = "02742ebc3d7c9679614f7ab07a72c63eed0381aa4a1e16e3e163af245168efdc"
+
+    @staticmethod
+    def _update(h, real):
+        if real is None:
+            h.update(b"None")
+        else:
+            h.update(repr((real.U.shape, real.V.shape)).encode() + real.U.tobytes()
+                     + real.V.tobytes())
+
+    def test_low_rank_answers_pinned(self):
+        import hashlib
+
+        h = hashlib.sha256()
+        for P in _low_rank_pin_patterns():
+            for r in (1, 2):
+                for direct in (False, True):
+                    self._update(h, search_realization(P, r, SearchParams(direct=direct)))
+        assert h.hexdigest() == self.LOW_RANK_SHA256
+
+    def test_rank3_answers_pinned(self):
+        import hashlib
+
+        h = hashlib.sha256()
+        rng = np.random.default_rng(303)
+        for _ in range(12):
+            P, _ = _planted_instance(rng, 3)
+            for direct in (False, True):
+                params = SearchParams(restarts=2, iters=400, direct=direct)
+                self._update(h, search_realization(P, 3, params))
+        assert h.hexdigest() == self.RANK3_SHA256
 
 
 class TestRationalRank:
