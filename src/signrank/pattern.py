@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -29,10 +30,22 @@ from .errors import DomainError, PatternFormatError, ResourceExhausted
 
 _CHAR_TO_INT = {"+": 1, "-": -1, "0": 0}
 _INT_TO_CHAR = {1: "+", -1: "-", 0: "0"}
+_UNIT = {1: 1, -1: -1}
+
+
+def _fill(P, entries: tuple, m: int, n: int) -> None:
+    object.__setattr__(P, "entries", entries)
+    object.__setattr__(P, "m", m)
+    object.__setattr__(P, "n", n)
 
 
 class SignPattern:
-    """Immutable rectangular grid over {+, -, 0}, stored as -1/0/+1 ints."""
+    """Immutable rectangular grid over {+, -, 0}, stored as -1/0/+1 ints.
+
+    Entries are checked once, where they enter: ``SignPattern(rows)`` checks
+    every value of outside input, and the patterns the package derives
+    (parsed text, transposes, submatrices, condensations, ...) go through
+    the unchecked ``_trusted``."""
 
     __slots__ = ("entries", "m", "n")
 
@@ -54,19 +67,30 @@ class SignPattern:
                         raise DomainError(f"invalid sign value {value!r}")
                     converted.append(iv)
             grid.append(tuple(converted))
-        object.__setattr__(self, "entries", tuple(grid))
-        object.__setattr__(self, "m", len(grid))
         widths = {len(r) for r in grid}
         if len(widths) > 1:
             raise DomainError("all rows of a sign pattern must have equal length")
-        object.__setattr__(self, "n", widths.pop() if widths else 0)
+        _fill(self, tuple(grid), len(grid), widths.pop() if widths else 0)
+
+    @classmethod
+    def _trusted(cls, entries: tuple, m: int, n: int) -> "SignPattern":
+        """Wrap rows this package built from checked entries, unchecked:
+        ``entries`` is a tuple of m tuples of n plain ints in {-1, 0, 1}.
+        Outside input goes through ``__init__``, which checks every entry;
+        m and n are passed, so a pattern without rows keeps its width."""
+        self = object.__new__(cls)
+        _fill(self, entries, m, n)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("SignPattern is immutable")
 
     @classmethod
     def zeros(cls, m: int, n: int) -> "SignPattern":
-        return cls([[0] * n for _ in range(m)])
+        m, n = operator.index(m), operator.index(n)
+        if m < 0 or n < 0:
+            raise DomainError(f"a sign pattern cannot be {m} x {n}")
+        return cls._trusted(((0,) * n,) * m, m, n)
 
     @classmethod
     def from_text(cls, text: str) -> "SignPattern":
@@ -75,18 +99,20 @@ class SignPattern:
         rows = []
         width = None
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("#"):
+            line = "".join(raw.split())
+            if not line or line[0] == "#":
                 continue
-            row = []
-            for colno, ch in enumerate(raw, start=1):
-                if ch.isspace():
-                    continue
-                if ch not in _CHAR_TO_INT:
-                    raise PatternFormatError(
-                        f"invalid character {ch!r} in pattern", line=lineno, column=colno
-                    )
-                row.append(_CHAR_TO_INT[ch])
+            try:
+                row = tuple(map(_CHAR_TO_INT.__getitem__, line))
+            except KeyError:
+                # the first character that is neither whitespace nor a sign
+                colno, ch = next(
+                    (c, ch) for c, ch in enumerate(raw, start=1)
+                    if not ch.isspace() and ch not in _CHAR_TO_INT
+                )
+                raise PatternFormatError(
+                    f"invalid character {ch!r} in pattern", line=lineno, column=colno
+                ) from None
             if width is None:
                 width = len(row)
             elif len(row) != width:
@@ -94,7 +120,7 @@ class SignPattern:
                     f"row has {len(row)} entries, expected {width}", line=lineno
                 )
             rows.append(row)
-        return cls(rows)
+        return cls._trusted(tuple(rows), len(rows), width or 0)
 
     def to_text(self) -> str:
         return "\n".join("".join(_INT_TO_CHAR[v] for v in row) for row in self.entries)
@@ -106,13 +132,18 @@ class SignPattern:
         return tuple(row[j] for row in self.entries)
 
     def transpose(self) -> "SignPattern":
-        return SignPattern(list(zip(*self.entries)))
+        # zip sees no rows of a 0 x n pattern: its transpose is n empty rows
+        entries = tuple(zip(*self.entries)) if self.m else ((),) * self.n
+        return SignPattern._trusted(entries, self.n, self.m)
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "SignPattern":
-        return SignPattern([[self.entries[i][j] for j in cols] for i in rows])
+        E = self.entries
+        entries = tuple(tuple([E[i][j] for j in cols]) for i in rows)
+        return SignPattern._trusted(entries, len(entries), len(cols))
 
     def negate(self) -> "SignPattern":
-        return SignPattern([[-v for v in row] for row in self.entries])
+        entries = tuple(tuple([-v for v in row]) for row in self.entries)
+        return SignPattern._trusted(entries, self.m, self.n)
 
     def count_zeros(self) -> int:
         return sum(row.count(0) for row in self.entries)
@@ -176,7 +207,7 @@ def _sweep(lines, axis: str, log: list) -> list:
     """
     first = {}
     for i, v in enumerate(lines):
-        lead = next((x for x in v if x), 0)
+        lead = next(filter(None, v), 0)
         if not lead:
             log.append(DeletionEvent(axis, "zero", i))
             continue
@@ -198,12 +229,10 @@ def condense(A: SignPattern) -> CondensationReport:
     comparison between columns, and likewise for a deleted column.  The
     zero pattern condenses to the 0x0 empty pattern.
     """
-    E = A.entries
     log = []
-    rows = _sweep(E, "row", log)
-    cols = _sweep(zip(*E), "col", log)
-    condensed = SignPattern([[E[i][j] for j in cols] for i in rows])
-    return CondensationReport(condensed, tuple(rows), tuple(cols), tuple(log))
+    rows = _sweep(A.entries, "row", log)
+    cols = _sweep(A.transpose().entries, "col", log)
+    return CondensationReport(A.submatrix(rows, cols), tuple(rows), tuple(cols), tuple(log))
 
 
 @dataclass(frozen=True)
@@ -218,15 +247,19 @@ class EquivalenceWitness:
     col_signs: tuple
 
     def apply(self, A: SignPattern) -> SignPattern:
-        return SignPattern(
-            [
-                [
-                    self.row_signs[i] * self.col_signs[j] * A.entries[self.row_perm[i]][self.col_perm[j]]
-                    for j in range(A.n)
-                ]
-                for i in range(A.m)
-            ]
+        # a witness is a public record, so its signs are checked here, once
+        # per line: each must be +1 or -1, read back as a plain int
+        try:
+            row_signs = [_UNIT[s] for s in self.row_signs]
+            col_signs = [_UNIT[s] for s in self.col_signs]
+        except (KeyError, TypeError):
+            raise DomainError("witness signs must be +1 or -1") from None
+        E, row_perm, col_perm = A.entries, self.row_perm, self.col_perm
+        entries = tuple(
+            tuple([row_signs[i] * col_signs[j] * E[row_perm[i]][col_perm[j]] for j in range(A.n)])
+            for i in range(A.m)
         )
+        return SignPattern._trusted(entries, A.m, A.n)
 
     @classmethod
     def identity(cls, m: int, n: int) -> "EquivalenceWitness":

@@ -91,9 +91,11 @@ class Realization:
 
     def signed_pattern(self) -> SignPattern:
         B = self.product
-        return SignPattern(
-            [[0 if abs(b) <= DEFAULT_ZERO_TOL else (1 if b > 0 else -1) for b in row] for row in B]
+        entries = tuple(
+            tuple([0 if abs(b) <= DEFAULT_ZERO_TOL else (1 if b > 0 else -1) for b in row])
+            for row in B.tolist()
         )
+        return SignPattern._trusted(entries, *B.shape)
 
     def margin(self) -> float:
         B = np.abs(self.product)
@@ -783,7 +785,10 @@ def _realization_from_arrangement(C: SignPattern, witness) -> Realization:
     the signature."""
     d = dict(zip(witness.row_perm, witness.row_signs))
     c = dict(zip(witness.col_perm, witness.col_signs))
-    S = SignPattern([[d[i] * C.entries[i][j] * c[j] for j in range(C.n)] for i in range(C.m)])
+    S = SignPattern._trusted(
+        tuple(tuple([d[i] * C.entries[i][j] * c[j] for j in range(C.n)]) for i in range(C.m)),
+        C.m, C.n,
+    )
     v = [0.0] * C.n
     for pos, j in enumerate(witness.col_perm):
         v[j] = pos + 1.0

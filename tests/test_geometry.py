@@ -159,6 +159,15 @@ class TestSimple:
         assert not simple
         assert [(v.condition, v.indices) for v in violations] == [(1, (0, 1)), (1, (0, 2))]
 
+    def test_no_points(self):
+        # the encoded pattern of a configuration without points is 0x0,
+        # so it has no line to delete, whatever its hyperplanes
+        for hyperplanes in ([], [[0, 0, 1]], [[0, 1, 1], [0, -1, 2]]):
+            C = configuration_from_dict({"dim": 2, "points": [], "hyperplanes": hyperplanes})
+            P = encode_configuration(C)
+            assert (P.m, P.n) == (0, 0)
+            assert is_simple(C) == (True, ())
+
     def test_matches_condensation(self):
         rng = np.random.default_rng(19)
         for _ in range(40):

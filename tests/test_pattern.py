@@ -49,9 +49,32 @@ class TestTextFormat:
         assert exc.value.line == 2
         assert exc.value.column == 2
 
+    def test_bad_character_after_spaces_and_tabs(self):
+        with pytest.raises(PatternFormatError) as exc:
+            SignPattern.from_text("+ -\t0\n0 x -")
+        assert (exc.value.line, exc.value.column) == (2, 3)
+        assert str(exc.value) == "invalid character 'x' in pattern (line 2, column 3)"
+
+    def test_crlf_line_endings(self):
+        assert SignPattern.from_text("+-0\r\n0+-\r\n") == SignPattern(["+-0", "0+-"])
+        with pytest.raises(PatternFormatError) as exc:
+            SignPattern.from_text("+-0\r\n0?-\r\n")
+        assert (exc.value.line, exc.value.column) == (2, 2)
+
+    def test_blank_and_comment_lines_between_rows(self):
+        text = "# header\n+-0\n\n   \n# between\n\t# indented\n0+-\n"
+        assert SignPattern.from_text(text) == SignPattern(["+-0", "0+-"])
+        with pytest.raises(PatternFormatError) as exc:
+            SignPattern.from_text("+-\n\n# note\n  + #")
+        assert str(exc.value) == "invalid character '#' in pattern (line 4, column 5)"
+
     def test_ragged_rows(self):
         with pytest.raises(PatternFormatError):
             SignPattern.from_text("+-\n+")
+        with pytest.raises(PatternFormatError) as exc:
+            SignPattern.from_text("+ - 0\n\n# c\n+-")
+        assert exc.value.line == 4 and exc.value.column is None
+        assert str(exc.value) == "row has 2 entries, expected 3 (line 4)"
 
     def test_invalid_values(self):
         with pytest.raises(DomainError):
