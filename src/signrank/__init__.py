@@ -5,9 +5,9 @@ exact encodings between sign patterns and point-hyperplane configurations,
 and rationalization of floating-point realizations into exact rational
 witnesses.
 
-The names from ``realize`` (the numeric search and the exact certificates)
-are re-exported lazily: ``realize``, and numpy with it, loads on the first
-access to one of them, so importing the package or its CLI does not.
+The exact certificates (``exactnum``) need no numpy and load eagerly.  The
+names of the numeric search are re-exported lazily: ``realize``, and numpy
+with it, loads on the first access to one, so importing the package does not.
 """
 
 import importlib
@@ -24,7 +24,16 @@ from .errors import (
     SingularSystem,
     VerticalHyperplane,
 )
-from .exactnum import QuadElem, Rational, quad_sign, rational_round
+from .exactnum import (
+    QuadElem,
+    Rational,
+    RationalCertificate,
+    quad_sign,
+    rational_rank,
+    rational_round,
+    rationalize,
+    solve_zero_columns,
+)
 from .geometry import (
     Configuration,
     OrientedHyperplane,
@@ -55,14 +64,10 @@ from .pattern import (
 )
 
 _REALIZE_NAMES = frozenset({
-    "RationalCertificate",
     "Realization",
     "SearchParams",
     "has_direct_representation",
-    "rational_rank",
-    "rationalize",
     "search_realization",
-    "solve_zero_columns",
 })
 
 __version__ = "0.1.0"
@@ -82,6 +87,10 @@ __all__ = [
     "Rational",
     "quad_sign",
     "rational_round",
+    "RationalCertificate",
+    "rational_rank",
+    "rationalize",
+    "solve_zero_columns",
     "Configuration",
     "OrientedHyperplane",
     "avoid_vertical",
@@ -106,14 +115,10 @@ __all__ = [
     "max_sns_submatrix",
     "mr_bounds",
     "term_rank",
-    "RationalCertificate",
     "Realization",
     "SearchParams",
     "has_direct_representation",
-    "rational_rank",
-    "rationalize",
     "search_realization",
-    "solve_zero_columns",
 ]
 
 

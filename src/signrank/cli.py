@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 negative or inconclusive result, 2 input error,
 machine-readable document.
 
 ``realize`` (and numpy with it) is imported only by the subcommands that
-search or certify, so the pure-Python ones start without loading numpy.
+search or read a realization, and only after their pattern has loaded, so
+the pure-Python ones, and a malformed pattern, exit without loading numpy.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .errors import (
     ResourceExhausted,
     SignRankError,
 )
+from .exactnum import rationalize, save_certificate
 from .geometry import (
     dualize,
     encode_configuration,
@@ -144,9 +146,9 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_realize(args) -> int:
+    A = load_pattern(args.pattern)
     from . import realize
 
-    A = load_pattern(args.pattern)
     params = realize.SearchParams(
         restarts=args.restarts,
         iters=args.iters,
@@ -179,14 +181,14 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_rationalize(args) -> int:
-    from . import realize
-
     A = load_pattern(args.pattern)
-    cert = realize.rationalize(A, realize.load_realization(getattr(args, "from")))
+    from .realize import load_realization
+
+    cert = rationalize(A, load_realization(getattr(args, "from")))
     if not cert.verify():
         raise SignRankError("internal error: certificate failed re-verification")
     if args.output:
-        realize.save_certificate(cert, args.output)
+        save_certificate(cert, args.output)
     doc = {"rank": cert.rank, "verified": True, "output": args.output}
     _emit(
         args,

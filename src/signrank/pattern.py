@@ -379,6 +379,46 @@ def is_equivalent(A: SignPattern, B: SignPattern) -> Optional[EquivalenceWitness
     return EquivalenceWitness(tuple(sigma), tuple(col_perm), tuple(eps), tuple(col_signs))
 
 
+def signature_between(P: SignPattern, Q: SignPattern):
+    """Signs (d1, d2) with Q = d1 * P * d2 entry-wise, or None.
+
+    The signs are propagated over the cells nonzero in both patterns, each
+    component of rows and columns starting from its lowest row at +, and
+    then every cell is checked once: that check rejects unequal zero sets
+    and any conflict the propagation passed over.
+    """
+    if P.m != Q.m or P.n != Q.n:
+        return None
+    m, n = P.m, P.n
+    # P_ij Q_ij: the sign d1_i d2_j must take, or 0 where either is zero
+    ratio = [[a * b for a, b in zip(p, q)] for p, q in zip(P.entries, Q.entries)]
+    d1 = [0] * m
+    d2 = [0] * n
+    for i in range(m):
+        if d1[i]:
+            continue
+        d1[i] = 1
+        stack = [("row", i)]
+        while stack:
+            kind, idx = stack.pop()
+            if kind == "row":
+                for j in range(n):
+                    if ratio[idx][j] and not d2[j]:
+                        d2[j] = ratio[idx][j] * d1[idx]
+                        stack.append(("col", j))
+            else:
+                for k in range(m):
+                    if ratio[k][idx] and not d1[k]:
+                        d1[k] = ratio[k][idx] * d2[idx]
+                        stack.append(("row", k))
+    d2 = [v or 1 for v in d2]
+    for i in range(m):
+        for j in range(n):
+            if Q.entries[i][j] != d1[i] * P.entries[i][j] * d2[j]:
+                return None
+    return tuple(d1), tuple(d2)
+
+
 def _max_matching(allowed, n_right: int):
     """Kuhn's augmenting-path maximum matching: left vertex u may take right
     vertex v where ``allowed[u][v]`` is truthy, tried in increasing v.
@@ -522,6 +562,10 @@ class _TermSigns:
         self.m, self.n = E.shape
         # a + entry is one positive term (code 1), a - entry one negative (2)
         self.tables = {1: (E % 3).astype(np.uint8)}
+        # the lookup tables of the 4-bit forms, shared by every size
+        self.top_form = np.array(_TOP_FORM, dtype=np.uint8)
+        self.bottom_forms = np.array(_BOTTOM_FORMS, dtype=np.uint8).T
+        self.code = np.array(_CODE, dtype=np.uint8)
 
     def table(self, s: int):
         import numpy as np
@@ -548,17 +592,14 @@ class _TermSigns:
         column subset, and its candidates times splits stay within
         ``_SCAN_BUDGET``.
         """
-        import numpy as np
-
         h = k // 2
-        top = np.array(_TOP_FORM, dtype=np.uint8)[self.table(h)]
+        top = self.top_form[self.table(h)]
         # column 2j holds the even form of bottom code j, column 2j + 1 the odd
-        bottom = np.array(_BOTTOM_FORMS, dtype=np.uint8).T[self.table(k - h)]
+        bottom = self.bottom_forms[self.table(k - h)]
         bottom = bottom.reshape(len(bottom), -1)
         row_top, row_bottom = _split_ranks(self.m, k)
         row_top, row_bottom = row_top[0], row_bottom[0] // 2  # split 0: the first h rows
         col_top, col_bottom = _split_ranks(self.n, k)
-        code = np.array(_CODE, dtype=np.uint8)
 
         n_splits, n_cols = col_top.shape
         c_step = max(1, min(n_cols, _SCAN_BUDGET // n_splits))
@@ -571,7 +612,7 @@ class _TermSigns:
                 terms = top_rows[:, col_top[0, block]] & bottom_rows[:, col_bottom[0, block]]
                 for j in range(1, n_splits):
                     terms |= top_rows[:, col_top[j, block]] & bottom_rows[:, col_bottom[j, block]]
-                yield r, c, code[terms]
+                yield r, c, self.code[terms]
 
     def first_sns(self, k: int):
         """First k x k SNS submatrix in lexicographic (rows, cols) order, as

@@ -17,6 +17,7 @@ from signrank.fixtures import (
     derive_perles_check,
     fixture,
 )
+from signrank.exactnum import rationalize
 from signrank.geometry import (
     Configuration,
     encode_configuration,
@@ -38,7 +39,6 @@ from signrank.pattern import (
 from signrank.realize import (
     SearchParams,
     has_direct_representation,
-    rationalize,
     search_realization,
 )
 

@@ -5,10 +5,11 @@ import time
 import pytest
 
 from signrank.cli import main
+from signrank.exactnum import load_certificate
 from signrank.fixtures import export_fixtures
 from signrank.geometry import load_configuration
 from signrank.pattern import SignPattern, load_pattern
-from signrank.realize import load_certificate, load_realization
+from signrank.realize import load_realization
 
 
 @pytest.fixture(scope="module")

@@ -15,21 +15,16 @@ from signrank.errors import (
 )
 from signrank.fixtures import A0_PATTERN, A1_PATTERN, A2_PATTERN, FIG21_PATTERN
 from signrank.geometry import encode_configuration
-from signrank.pattern import SignPattern, condense, is_mr2
+from signrank.exactnum import RationalCertificate, rational_rank, rationalize, solve_zero_columns
+from signrank.pattern import SignPattern, condense, is_mr2, signature_between
 from signrank.realize import (
-    RationalCertificate,
     Realization,
     SearchParams,
     has_direct_representation,
     _normalize_factors,
     load_realization,
-    rational_rank,
-    rationalize,
     save_realization,
     search_realization,
-    signature_between,
-    solve_zero_columns,
-    transpose_realization,
 )
 
 from conftest import (
@@ -498,12 +493,12 @@ class TestRationalize:
         # the rank is proven from the factors' leading r x r minors:
         # rationalize ranks one block of U and one of V, verify() once more
         # each, and every call eliminates a matrix of at most r x r
-        import signrank.realize
+        import signrank.exactnum
 
         calls = []
-        original = signrank.realize.rational_rank
+        original = signrank.exactnum.rational_rank
         monkeypatch.setattr(
-            signrank.realize, "rational_rank", lambda M: calls.append(M) or original(M)
+            signrank.exactnum, "rational_rank", lambda M: calls.append(M) or original(M)
         )
         P, real = _planted_instance(np.random.default_rng(5), 3)
         assert min(P.m, P.n) > 3
@@ -619,7 +614,7 @@ class TestRationalize:
         assert max(P.col(j).count(0) for j in range(P.n)) > 2
         real = search_realization(P, 3, SearchParams(seed=8))
         assert real is not None
-        cert_t = rationalize(P.transpose(), transpose_realization(real))
+        cert_t = rationalize(P.transpose(), real.transpose())
         assert cert_t.verify()
         transposed = tuple(zip(*cert_t.matrix))
         signs = SignPattern([[(v > 0) - (v < 0) for v in row] for row in transposed])
@@ -721,7 +716,7 @@ class TestFactoredCertificates:
         assert back == cert and back.verify()
 
     def test_old_format_verifies_by_elimination(self, monkeypatch):
-        import signrank.realize
+        import signrank.exactnum
 
         real = search_realization(FIG21_PATTERN, 3, SearchParams(seed=4))
         doc = rationalize(FIG21_PATTERN, real).to_dict()
@@ -729,9 +724,9 @@ class TestFactoredCertificates:
         old = RationalCertificate.from_dict(doc)
         assert old.factors is None
         calls = []
-        original = signrank.realize.rational_rank
+        original = signrank.exactnum.rational_rank
         monkeypatch.setattr(
-            signrank.realize, "rational_rank", lambda M: calls.append(M) or original(M)
+            signrank.exactnum, "rational_rank", lambda M: calls.append(M) or original(M)
         )
         assert old.verify()
         assert calls == [old.matrix]
@@ -781,7 +776,7 @@ class TestFactoredCertificates:
         # a duplicate of the first row, restored by the expansion, makes U's
         # leading r x r block singular although U has rank r: the proof
         # eliminates the whole of U and still finds rank r
-        import signrank.realize
+        import signrank.exactnum
 
         P, real = _planted_instance(np.random.default_rng(5), 3)
         doubled = SignPattern((P.entries[0],) + P.entries)
@@ -790,9 +785,9 @@ class TestFactoredCertificates:
         U, V = cert.factors
         assert U[0] == U[1] and rational_rank(U[:3]) < 3
         calls = []
-        original = signrank.realize.rational_rank
+        original = signrank.exactnum.rational_rank
         monkeypatch.setattr(
-            signrank.realize, "rational_rank", lambda M: calls.append(M) or original(M)
+            signrank.exactnum, "rational_rank", lambda M: calls.append(M) or original(M)
         )
         assert cert.verify() and cert.rank == sympy_rank(cert.matrix) == 3
         assert [len(M) for M in calls] == [3, len(U), 3]
@@ -800,7 +795,7 @@ class TestFactoredCertificates:
 
     @pytest.mark.parametrize("transpose", [False, True])
     def test_rank_deficient_factor_falls_back(self, monkeypatch, transpose):
-        import signrank.realize
+        import signrank.exactnum
 
         # U has two equal columns, so U V has rank 2 although r = 3; the
         # transpose puts the deficient factor on the right
@@ -812,9 +807,9 @@ class TestFactoredCertificates:
         target = SignPattern([[(v > 0) - (v < 0) for v in row] for row in matrix])
         assert sympy_rank(matrix) == 2
         calls = []
-        original = signrank.realize.rational_rank
+        original = signrank.exactnum.rational_rank
         monkeypatch.setattr(
-            signrank.realize, "rational_rank", lambda M: calls.append(M) or original(M)
+            signrank.exactnum, "rational_rank", lambda M: calls.append(M) or original(M)
         )
         cert = RationalCertificate(matrix, 2, target, (U, V))
         assert cert.verify()
@@ -936,7 +931,7 @@ class TestPinnedCertificates:
     def test_certificate_bytes_unchanged(self, tmp_path, key):
         import hashlib
 
-        from signrank.realize import save_certificate
+        from signrank.exactnum import save_certificate
 
         if key == ("A1",):
             P, real = A1_PATTERN, search_realization(A1_PATTERN, 2, SearchParams(seed=1))
@@ -945,7 +940,7 @@ class TestPinnedCertificates:
         else:
             P, real = _planted_instance(np.random.default_rng(key[1]), key[2])
             if key[0] == "transposed":
-                P, real = P.transpose(), transpose_realization(real)
+                P, real = P.transpose(), real.transpose()
         cert = rationalize(P, real)
         assert cert.verify()
         path = tmp_path / "c.cert.json"

@@ -1,5 +1,6 @@
 """Start-up cost: numpy and ``signrank.realize`` load only for the work that
-needs them, and nothing loads ``concurrent.futures``.
+needs them (the numeric search and reading a realization, not loading or
+verifying a certificate), and nothing loads ``concurrent.futures``.
 
 pytest itself has already imported numpy, so every check runs in a fresh
 interpreter and reports what that interpreter loaded.
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from signrank.fixtures import export_fixtures
-from signrank.realize import load_certificate
+from signrank.exactnum import load_certificate
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 ENV = dict(os.environ, PYTHONPATH=str(SRC))
@@ -75,6 +76,23 @@ def test_pure_subcommands_run_without_numpy(argv, fxdir, tmp_path):
     assert loaded_after(statement, tmp_path) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["realize", "bad.pat", "--rank", "2"], ["rationalize", "bad.pat", "--from", "x.real.json"]],
+    ids=lambda argv: argv[0],
+)
+def test_malformed_pattern_exits_without_numpy(argv, tmp_path):
+    # the pattern is read before the search or the realization loads numpy
+    (tmp_path / "bad.pat").write_text("+x\n")
+    statement = (
+        "import contextlib, io\n"
+        "from signrank.cli import main\n"
+        "with contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 2"
+    )
+    assert loaded_after(statement, tmp_path) == []
+
+
 def cli(cwd, *argv) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-m", "signrank.cli", *map(str, argv)], cwd=cwd,
                           env=ENV, capture_output=True, text=True, timeout=120)
@@ -93,6 +111,21 @@ def test_numeric_subcommands_still_work(fxdir, tmp_path):
     cert = cli(tmp_path, "rationalize", pat, "--from", "p.real.json", "-o", "p.cert.json")
     assert cert.returncode == 0, cert.stderr
     assert load_certificate(tmp_path / "p.cert.json").verify()
+
+
+def test_certificate_verifies_without_numpy(fxdir, tmp_path):
+    real = cli(tmp_path, "realize", fxdir / "A1.pat", "--rank", 2, "-o", "a1.real.json")
+    assert real.returncode == 0, real.stderr
+    cert = cli(tmp_path, "rationalize", fxdir / "A1.pat", "--from", "a1.real.json",
+               "-o", "a1.cert.json")
+    assert cert.returncode == 0, cert.stderr
+    statement = (
+        "from signrank import RationalCertificate\n"
+        "from signrank.exactnum import load_certificate\n"
+        "cert = load_certificate('a1.cert.json')\n"
+        "assert isinstance(cert, RationalCertificate) and cert.verify()"
+    )
+    assert loaded_after(statement, tmp_path) == []
 
 
 def test_star_import_resolves_all(tmp_path):
