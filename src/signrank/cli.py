@@ -35,6 +35,7 @@ from .geometry import (
 )
 from .pattern import (
     MrBoundsOptions,
+    check_search_budget,
     condense,
     is_equivalent,
     is_mr2,
@@ -147,6 +148,7 @@ def _cmd_encode(args) -> int:
 
 def _cmd_realize(args) -> int:
     A = load_pattern(args.pattern)
+    check_search_budget(args.restarts, args.iters, args.seed)
     from . import realize
 
     params = realize.SearchParams(

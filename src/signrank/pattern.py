@@ -784,6 +784,15 @@ def _monotone_arrangement(C: SignPattern, identity_only: bool = False):
     )
 
 
+def check_search_budget(restarts: int, iters: int, seed: int) -> None:
+    """Reject a negative search budget or seed before any search starts;
+    it needs no numpy, so the CLI checks its flags before loading it."""
+    if restarts < 0 or iters < 0:
+        raise DomainError(f"restarts and iters must be >= 0, got {restarts} and {iters}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+
+
 @dataclass
 class MrBoundsOptions:
     sns_cap: int = 4
@@ -807,12 +816,7 @@ def mr_bounds(A: SignPattern, options: Optional[MrBoundsOptions] = None) -> MrBo
     opts = options or MrBoundsOptions()
     if opts.sns_cap < 0:
         raise DomainError(f"sns_cap must be >= 0, got {opts.sns_cap}")
-    if opts.restarts < 0 or opts.iters < 0:
-        raise DomainError(
-            f"restarts and iters must be >= 0, got {opts.restarts} and {opts.iters}"
-        )
-    if opts.seed < 0:
-        raise DomainError(f"seed must be >= 0, got {opts.seed}")
+    check_search_budget(opts.restarts, opts.iters, opts.seed)
     if opts.try_rank is not None and opts.try_rank < 1:
         raise DomainError(f"try_rank must be >= 1, got {opts.try_rank}")
     if A.is_zero():

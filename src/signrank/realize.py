@@ -34,7 +34,7 @@ from .exactnum import (
     save_certificate,
     solve_zero_columns,
 )
-from .pattern import SignPattern, _monotone_arrangement, condense, is_mr2
+from .pattern import SignPattern, _monotone_arrangement, check_search_budget, condense, is_mr2
 
 # exactnum's names that the benchmark looks up here: tracing.TRACED, workloads.Certify
 __all__ = ["RationalCertificate", "rational_rank", "rationalize", "save_certificate",
@@ -145,51 +145,51 @@ def save_realization(real: Realization, path) -> None:
 # Ones-bordered normal form
 
 
-def _plane_rotation(r: int, k: int, theta: float) -> np.ndarray:
-    R = np.eye(r)
-    c, s = math.cos(theta), math.sin(theta)
-    R[0, 0] = c
-    R[0, k] = -s
-    R[k, 0] = s
-    R[k, k] = c
-    return R
-
-
 def _normalize_factors(U0: np.ndarray, V0: np.ndarray, rng: np.random.Generator) -> tuple:
     """Rotate the inner factor space so U's leading column and V's trailing
     row are bounded away from zero, then scale rows/columns to exact ones.
     Returns (U, V, row_signs, col_signs): U V is U0 V0 with its rows and
-    columns scaled, and the signs (+-1.0) are those of the scales."""
+    columns scaled, and the signs (+-1.0) are those of the scales.
+
+    The rotation is the best of 64 candidates Q = R_{r-1} ... R_1, each R_k
+    turning inner coordinates 0 and k by an angle uniform on [0, 2 pi).  A
+    candidate's quality is the least |U[i, 0]| / |U0[i, :]| or |V[-1, j]| /
+    |V0[:, j]| it gives: the first above 0.05 wins, else the first best, and
+    a best below 1e-10 raises NumericalDegeneracy.  All 64 are scored in one
+    pass, which picks what trying them one by one (and stopping at the first
+    above 0.05) picked, bit for bit; the generator moves on by all 64 draws."""
     r = U0.shape[1]
     if r < 2:
         raise DomainError("normal form needs rank >= 2")
     row_norm = np.linalg.norm(U0, axis=1)
     col_norm = np.linalg.norm(V0, axis=0)
-    if np.any(row_norm == 0) or np.any(col_norm == 0):
+    if not (row_norm.all() and col_norm.all()):
         raise NumericalDegeneracy("zero row of U or zero column of V cannot be normalized")
 
-    best = None
-    best_quality = -1.0
-    for _ in range(64):
-        Q = np.eye(r)
-        for k in range(1, r):
-            Q = _plane_rotation(r, k, rng.uniform(0.0, 2.0 * math.pi)) @ Q
-        U = U0 @ Q.T
-        V = Q @ V0
-        quality = min(
-            float(np.min(np.abs(U[:, 0]) / row_norm)),
-            float(np.min(np.abs(V[-1, :]) / col_norm)),
-        )
-        if quality > best_quality:
-            best_quality = quality
-            best = (U, V)
-        if quality > 0.05:
-            break
-    if best is None or best_quality < 1e-10:
+    theta = rng.uniform(0.0, 2.0 * math.pi, size=(64, r - 1)).T
+    cos, sin = np.cos(theta), np.sin(theta)
+    # R[k - 1, t] is candidate t's rotation in the plane (0, k)
+    k = np.arange(1, r)
+    R = np.empty((r - 1, 64, r, r))
+    R[:] = np.eye(r)
+    R[k - 1, :, 0, 0] = R[k - 1, :, k, k] = cos
+    R[k - 1, :, 0, k] = -sin
+    R[k - 1, :, k, 0] = sin
+    Q = np.eye(r)
+    for Rk in R:
+        Q = Rk @ Q
+    quality = np.minimum(
+        (np.abs(U0 @ Q[:, 0].T) / row_norm[:, None]).min(axis=0),
+        (np.abs(Q[:, -1] @ V0) / col_norm).min(axis=1),
+    )
+    passing = np.flatnonzero(quality > 0.05)
+    best = passing[0] if passing.size else np.argmax(quality)
+    if not quality[best] >= 1e-10:  # NaN factors fail here too
         raise NumericalDegeneracy(
-            f"rotations failed to clear leading entries (best quality {best_quality:.2e})"
+            f"rotations failed to clear leading entries (best quality {quality[best]:.2e})"
         )
-    U, V = best
+    U = U0 @ Q[best].T
+    V = Q[best] @ V0
     row_scales = 1.0 / U[:, 0]
     col_scales = 1.0 / V[-1, :]
     U = U * row_scales[:, None]
@@ -312,12 +312,7 @@ def search_realization(
     no realization exists).
     """
     params = params or SearchParams()
-    if params.restarts < 0 or params.iters < 0:
-        raise DomainError(
-            f"restarts and iters must be >= 0, got {params.restarts} and {params.iters}"
-        )
-    if params.seed < 0:
-        raise DomainError(f"seed must be >= 0, got {params.seed}")
+    check_search_budget(params.restarts, params.iters, params.seed)
     if r < 1:
         raise DomainError(f"rank must be >= 1, got {r}")
     if r <= 2:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -87,6 +88,109 @@ class TestNormalizeFactorization:
     def test_zero_row_raises(self):
         with pytest.raises(NumericalDegeneracy):
             _normalize_factors(np.zeros((2, 3)), np.ones((3, 2)), np.random.default_rng(1))
+
+
+def _reference_plane_rotation(r: int, k: int, theta: float) -> np.ndarray:
+    R = np.eye(r)
+    c, s = math.cos(theta), math.sin(theta)
+    R[0, 0] = c
+    R[0, k] = -s
+    R[k, 0] = s
+    R[k, k] = c
+    return R
+
+
+def _reference_normalize(U0, V0, rng):
+    """The normal form trying one rotation at a time, stopping at the first
+    of quality above 0.05; also returns the best quality it saw."""
+    r = U0.shape[1]
+    row_norm = np.linalg.norm(U0, axis=1)
+    col_norm = np.linalg.norm(V0, axis=0)
+    if np.any(row_norm == 0) or np.any(col_norm == 0):
+        raise NumericalDegeneracy("zero row of U or zero column of V cannot be normalized")
+
+    best = None
+    best_quality = -1.0
+    for _ in range(64):
+        Q = np.eye(r)
+        for k in range(1, r):
+            Q = _reference_plane_rotation(r, k, rng.uniform(0.0, 2.0 * math.pi)) @ Q
+        U = U0 @ Q.T
+        V = Q @ V0
+        quality = min(
+            float(np.min(np.abs(U[:, 0]) / row_norm)),
+            float(np.min(np.abs(V[-1, :]) / col_norm)),
+        )
+        if quality > best_quality:
+            best_quality = quality
+            best = (U, V)
+        if quality > 0.05:
+            break
+    if best is None or best_quality < 1e-10:
+        raise NumericalDegeneracy(
+            f"rotations failed to clear leading entries (best quality {best_quality:.2e})"
+        )
+    U, V = best
+    row_scales = 1.0 / U[:, 0]
+    col_scales = 1.0 / V[-1, :]
+    U = U * row_scales[:, None]
+    V = V * col_scales[None, :]
+    U[:, 0] = 1.0
+    V[-1, :] = 1.0
+    return (U, V, np.sign(row_scales), np.sign(col_scales)), best_quality
+
+
+class TestNormalizeEqualsReference:
+    """``_normalize_factors`` scores all 64 rotations at once; it must pick
+    the rotation the one-at-a-time reference picks, so its factors and signs
+    equal the reference's bit for bit, and it must fail where it fails."""
+
+    @staticmethod
+    def _orthogonal_to_every_candidate(seed):
+        # r = 2 factors that each of the 64 candidate rotations (drawn from
+        # default_rng(seed), as the normal form draws them) leaves with a
+        # zero leading entry: rows of U0 for candidates 0-31, columns of V0
+        # for candidates 32-63, so even the best quality is about 1e-16
+        c, s = (f(np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, size=64))
+                for f in (np.cos, np.sin))
+        U0 = np.stack([s[:32], c[:32]], axis=1)
+        V0 = np.stack([c[32:], -s[32:]])
+        return U0, V0
+
+    def _compare(self, U0, V0, seed):
+        try:
+            want, quality = _reference_normalize(U0, V0, np.random.default_rng(seed))
+        except NumericalDegeneracy as exc:
+            with pytest.raises(NumericalDegeneracy) as got:
+                _normalize_factors(U0, V0, np.random.default_rng(seed))
+            assert str(got.value) == str(exc)
+            return "degenerate"
+        got = _normalize_factors(U0, V0, np.random.default_rng(seed))
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), seed
+        if quality > 0.05:
+            return "first above 0.05"
+        return "best of 64, >= 45 lines" if max(U0.shape[0], V0.shape[1]) >= 45 else "best of 64"
+
+    def test_normalize_equals_reference(self):
+        branches = Counter()
+        for seed in range(250):
+            rng = np.random.default_rng(seed)
+            r = 2 + seed % 5
+            m, n = (int(x) for x in rng.integers(4, 61, size=2))
+            U0, V0 = rng.standard_normal((m, r)), rng.standard_normal((r, n))
+            if seed % 4 == 0:  # rows of opposite sign along one line: scales of both signs
+                U0[1::3] = -2.0 * U0[0]
+            branches[self._compare(U0, V0, seed)] += 1
+        branches[self._compare(*self._orthogonal_to_every_candidate(7), 7)] += 1
+        assert set(branches) == {"first above 0.05", "best of 64", "best of 64, >= 45 lines",
+                                 "degenerate"}, branches
+
+    def test_nan_factors_are_degenerate(self):
+        U0 = np.full((5, 3), np.nan)
+        for normalize in (_reference_normalize, _normalize_factors):
+            with pytest.raises(NumericalDegeneracy):
+                normalize(U0, np.ones((3, 4)), np.random.default_rng(0))
 
 
 class TestSignatureBetween:
@@ -640,6 +744,15 @@ class TestRationalize:
         assert cert.rank == sympy_rank(cert.matrix) == 3
 
 
+def _dense_planted_pattern(rng, m, n, r):
+    """sgn(U V) for Gaussian m x r and r x n factors whose product keeps
+    every entry at least 1e-3 from zero: a zero-free pattern of mr <= r."""
+    while True:
+        B = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+        if np.abs(B).min() > 1e-3:
+            return SignPattern(np.sign(B).astype(int).tolist())
+
+
 def _planted_instance(rng, r):
     """A pattern sgn(U V) for Gaussian normal-form factors at rank r with up
     to r-1 planted zeros per column, with zero, duplicate and opposite rows
@@ -968,9 +1081,13 @@ class TestPinnedSearch:
     # and 2, not direct and direct, on _low_rank_pin_patterns (528 of the
     # 600 carry zeros; 1046 of the 2400 answers are realizations).  RANK3:
     # 12 planted rank-3 instances (default_rng(303)) at restarts 2 and iters
-    # 400, not direct and direct (23 of the 24 are found)
+    # 400, not direct and direct (23 of the 24 are found).  LARGE: dense
+    # planted 20x20 r=4, 25x25 r=4 and 24x22 r=3 patterns (default_rng(2323))
+    # at seeds 0-2, restarts 4 and iters 1500; all 9 are found, and their
+    # normal forms take 9 to 64 tries (25x25 at seed 1 takes all 64)
     LOW_RANK_SHA256 = "52f6a82a44208ef20a44e183f9d6f28b6fb3f249cd724350aee8e88f5971da9f"
     RANK3_SHA256 = "02742ebc3d7c9679614f7ab07a72c63eed0381aa4a1e16e3e163af245168efdc"
+    LARGE_SHA256 = "c9cf597bc7a920587015f0685628219381d028eeb23eb03f23e7cdc5b3b8bc60"
 
     @staticmethod
     def _update(h, real):
@@ -1001,6 +1118,18 @@ class TestPinnedSearch:
                 params = SearchParams(restarts=2, iters=400, direct=direct)
                 self._update(h, search_realization(P, 3, params))
         assert h.hexdigest() == self.RANK3_SHA256
+
+    def test_large_answers_pinned(self):
+        import hashlib
+
+        h = hashlib.sha256()
+        rng = np.random.default_rng(2323)
+        for m, n, r in ((20, 20, 4), (25, 25, 4), (24, 22, 3)):
+            P = _dense_planted_pattern(rng, m, n, r)
+            for seed in range(3):
+                params = SearchParams(restarts=4, iters=1500, seed=seed)
+                self._update(h, search_realization(P, r, params))
+        assert h.hexdigest() == self.LARGE_SHA256
 
 
 class TestRationalRank:

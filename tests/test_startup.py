@@ -93,6 +93,19 @@ def test_malformed_pattern_exits_without_numpy(argv, tmp_path):
     assert loaded_after(statement, tmp_path) == []
 
 
+@pytest.mark.parametrize("flag", ["--restarts", "--iters", "--seed"])
+def test_negative_search_option_exits_without_numpy(flag, fxdir, tmp_path):
+    # realize checks its search budget before it loads the search, as mr does
+    argv = ["realize", str(fxdir / "A0.pat"), "--rank", "3", flag, "-1"]
+    statement = (
+        "import contextlib, io\n"
+        "from signrank.cli import main\n"
+        "with contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 2"
+    )
+    assert loaded_after(statement, tmp_path) == []
+
+
 def cli(cwd, *argv) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-m", "signrank.cli", *map(str, argv)], cwd=cwd,
                           env=ENV, capture_output=True, text=True, timeout=120)
