@@ -2,18 +2,20 @@
 
 ``penalty_grad`` evaluates the sign-fitting penalty and its analytic
 gradients; ``descent`` runs the adaptive gradient loop over the entries that
-``free_u`` and ``free_v`` leave free.  Both evaluate ``_penalty`` on float
-sign masks, which ``descent`` builds once per call, not once per step.  Zero
-targets are only penalized here: the search polishes them afterwards and
-``rationalize`` makes them exact.  ``solve_dependent`` has no caller in the
-package; it stays because the benchmark's tracer looks the name up.
+the 0/1 masks ``free_u`` and ``free_v`` leave free (the search's zero polish
+reads the same masks).  Both evaluate ``_penalty`` on float sign masks, which
+``descent`` builds once per call, not once per step.  Zero targets are only
+penalized here: the search polishes them afterwards and ``rationalize`` makes
+them exact.  ``solve_dependent`` has no caller in the package; it stays
+because the benchmark's tracer looks the name up.
 
 The penalty for target signs S over B = U @ V with margin t and zero weight
 w, its three sums reduced separately and added in this order:
 
     sum_{S=+} max(0, t - b)^2 + sum_{S=-} max(0, b + t)^2 + w * sum_{S=0} b^2
 
-``iters`` caps the steps of one descent; it stops earlier for one of two
+``descent`` fits t = ``TARGET_MARGIN`` and w = ``ZERO_WEIGHT``, from step
+size ``LR0``.  ``iters`` caps its steps; it stops earlier for one of two
 reasons.  *Cleared*: every hinge residual is at most ``CLEARED * t`` and
 every zero residual is below ``HANDOFF``, which is all the zero polish that
 follows needs.  *Stalled*: every ``STALL_WINDOW`` steps the penalty is
@@ -27,7 +29,11 @@ import numpy as np
 
 BACKEND = "numpy"
 
-CLEARED = 0.5
+# amplified, so the hinges keep real gradient pressure; the search accepts at a smaller margin
+TARGET_MARGIN = 0.25
+ZERO_WEIGHT = 4.0
+LR0 = 0.05
+CLEARED = 0.5  # of the margin
 HANDOFF = 1e-2
 STALL_WINDOW = 100
 STALL_DROP = 0.005
@@ -71,12 +77,12 @@ def solve_dependent(U, V, deps):
     return skipped
 
 
-def descent(U, V, S, margin, zero_weight, iters, lr0, free_u, free_v):
+def descent(U, V, S, iters, free_u, free_v):
     """(U, V, penalty) after the descent.  ``free_u``/``free_v`` are 0/1
     masks of the entries that move; None frees every entry."""
     masks = _masks(S)
-    lr = lr0
-    pen, gU, gV, cleared = _penalty(U, V, masks, margin, zero_weight)
+    lr = LR0
+    pen, gU, gV, cleared = _penalty(U, V, masks, TARGET_MARGIN, ZERO_WEIGHT)
     checked = pen
     for step in range(iters):
         if cleared:
@@ -87,7 +93,7 @@ def descent(U, V, S, margin, zero_weight, iters, lr0, free_u, free_v):
             checked = pen
         U2 = U - (lr * gU if free_u is None else lr * gU * free_u)
         V2 = V - (lr * gV if free_v is None else lr * gV * free_v)
-        pen2, gU2, gV2, cleared2 = _penalty(U2, V2, masks, margin, zero_weight)
+        pen2, gU2, gV2, cleared2 = _penalty(U2, V2, masks, TARGET_MARGIN, ZERO_WEIGHT)
         if pen2 <= pen:
             U, V, pen, gU, gV, cleared = U2, V2, pen2, gU2, gV2, cleared2
             lr *= 1.05

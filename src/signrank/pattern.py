@@ -63,7 +63,7 @@ class SignPattern:
                         iv = int(value)
                     except (TypeError, ValueError, OverflowError):  # not a number, NaN, infinity
                         iv = None
-                    if iv != value or iv not in (-1, 0, 1):
+                    if isinstance(value, bool) or iv != value or iv not in (-1, 0, 1):
                         raise DomainError(f"invalid sign value {value!r}")
                     converted.append(iv)
             grid.append(tuple(converted))

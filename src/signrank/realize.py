@@ -12,7 +12,9 @@ Ranks 1 and 2 are decided exactly, so there ``search_realization`` builds
 its answer from the condensation and the monotone arrangement of
 ``pattern.is_mr2`` and runs no descent: None proves that no rank-r
 realization exists.  The randomized search, and its budget of restarts and
-iterations, serves r >= 3 only, where None is inconclusive.
+iterations, serves r >= 3 only, where None is inconclusive.  There each
+restart's ``kernels.descent`` and zero polish move the entries that one pair
+of 0/1 masks leaves free (in direct mode, all but the normal form's ones).
 """
 
 from __future__ import annotations
@@ -203,33 +205,35 @@ def _normalize_factors(U0: np.ndarray, V0: np.ndarray, rng: np.random.Generator)
 # Numerical search
 
 
-def _gauss_newton_zero_polish(U, V, zero_cells, var_index, max_iter=30):
-    """Drive the listed zero-target products to ~1e-13 by damped
-    Gauss-Newton over the selected free entries: ``var_index`` lists
-    (0, i, k) for U[i, k] and (1, k, j) for V[k, j]."""
+def _gauss_newton_zero_polish(U, V, zero_cells, free_u, free_v, max_iter=30):
+    """Drive the zero-target products to ~1e-13 by damped Gauss-Newton over
+    the entries of their U rows, then V columns, that the descent's masks
+    ``free_u``/``free_v`` leave free (None frees all)."""
     if not zero_cells:
         return U, V
     ci, cj = np.array(zero_cells).T
-    kind, va, vb = np.array(var_index).T
-    on_u = kind == 0
-    ua, ub, vk, vj = va[on_u], vb[on_u], va[~on_u], vb[~on_u]
+    # sorted lines, not np.unique, whose first call imports numpy.ma
+    rows, cols = (np.array(sorted(set(line))) for line in zip(*zero_cells))
+    a, ub = np.nonzero(np.ones_like(U[rows]) if free_u is None else free_u[rows])
+    b, vk = np.nonzero(np.ones_like(V[:, cols].T) if free_v is None else free_v[:, cols].T)
+    ua, vj, nu = rows[a], cols[b], len(a)
     # d(UV)[i, j]/dU[i, k] = V[k, j] and d(UV)[i, j]/dV[k, j] = U[i, k]
     hit_u = ci[:, None] == ua[None, :]
     hit_v = cj[:, None] == vj[None, :]
-    J = np.zeros((len(ci), len(kind)))
+    J = np.zeros((len(ci), nu + len(b)))
     res = (U @ V)[ci, cj]
     for _ in range(max_iter):
         if np.max(np.abs(res)) < 1e-13:
             break
-        J[:, on_u] = np.where(hit_u, V[ub[None, :], cj[:, None]], 0.0)
-        J[:, ~on_u] = np.where(hit_v, U[ci[:, None], vk[None, :]], 0.0)
+        J[:, :nu] = np.where(hit_u, V[ub[None, :], cj[:, None]], 0.0)
+        J[:, nu:] = np.where(hit_v, U[ci[:, None], vk[None, :]], 0.0)
         step, *_ = np.linalg.lstsq(J, -res, rcond=None)
         scale = 1.0
         base = np.linalg.norm(res)
         for _ in range(20):
             U2, V2 = U.copy(), V.copy()
-            U2[ua, ub] += scale * step[on_u]
-            V2[vk, vj] += scale * step[~on_u]
+            U2[ua, ub] += scale * step[:nu]
+            V2[vk, vj] += scale * step[nu:]
             new = (U2 @ V2)[ci, cj]
             if np.linalg.norm(new) < base:
                 U, V, res = U2, V2, new
@@ -242,17 +246,12 @@ def _gauss_newton_zero_polish(U, V, zero_cells, var_index, max_iter=30):
 
 def _check_signs(B: np.ndarray, S: np.ndarray, margin: float, zero_tol: float) -> bool:
     """True when b >= margin/2 where S > 0, b <= -margin/2 where S < 0 and
-    |b| <= zero_tol where S == 0."""
-    wrong = (
-        ((S > 0) & (B < margin / 2))
-        | ((S < 0) & (B > -margin / 2))
-        | ((S == 0) & (np.abs(B) > zero_tol))
-    )
-    return not wrong.any()
+    |b| <= zero_tol where S == 0; a NaN b fails everywhere."""
+    return bool(np.where(S > 0, B >= margin / 2,
+                         np.where(S < 0, B <= -margin / 2, np.abs(B) <= zero_tol)).all())
 
 
-def _restart(S: np.ndarray, r: int, params: SearchParams, k: int, free_u, free_v,
-             zero_cells, var_index):
+def _restart(S: np.ndarray, r: int, params: SearchParams, k: int, free_u, free_v, zero_cells):
     rng = np.random.default_rng(params.seed ^ k)
     m, n = S.shape
     if params.direct:
@@ -276,10 +275,8 @@ def _restart(S: np.ndarray, r: int, params: SearchParams, k: int, free_u, free_v
             U[:, width:] = 0.1 * rng.standard_normal((m, r - width))
             V[width:, :] = 0.1 * rng.standard_normal((r - width, n))
 
-    # optimize against an amplified margin so the hinge terms keep real
-    # gradient pressure; acceptance is still judged at DEFAULT_MARGIN
-    U, V, _ = kernels.descent(U, V, S, 0.25, 4.0, params.iters, 0.05, free_u, free_v)
-    U, V = _gauss_newton_zero_polish(U, V, zero_cells, var_index)
+    U, V, _ = kernels.descent(U, V, S, params.iters, free_u, free_v)
+    U, V = _gauss_newton_zero_polish(U, V, zero_cells, free_u, free_v)
     if not _check_signs(U @ V, S, DEFAULT_MARGIN, DEFAULT_ZERO_TOL):
         return None
 
@@ -329,12 +326,8 @@ def search_realization(
         free_u[:, 0] = 0.0
         free_v[-1, :] = 0.0
     zero_cells = [(i, j) for j in range(n) for i in range(m) if C.entries[i][j] == 0]
-    # the polish moves the zero cells' U rows and V columns, minus the pins
-    pinned = int(params.direct)
-    var_index = [(0, i, k) for i in sorted({i for i, _ in zero_cells}) for k in range(pinned, r)]
-    var_index += [(1, k, j) for j in sorted({j for _, j in zero_cells}) for k in range(r - pinned)]
     for k in range(params.restarts):
-        found = _restart(S, r, params, k, free_u, free_v, zero_cells, var_index)
+        found = _restart(S, r, params, k, free_u, free_v, zero_cells)
         if found is not None:
             return found
     return None
@@ -379,7 +372,7 @@ class DirectRepresentation:
 def has_direct_representation(A: SignPattern, r: int) -> DirectRepresentation:
     """Can the minimum-rank normal form be reached without signatures?
 
-    The search runs with the normal form pinned (``SearchParams(direct=True)``,
+    The search runs with the normal form held (``SearchParams(direct=True)``,
     its default budget).  r = 1 and r = 2 are exact, as the search is there:
     no realization means no, and so does one with fewer than r condensed
     rows or columns, since then mr < r.  At r = 2 the witness is built from

@@ -85,7 +85,7 @@ class TestDescent:
     @staticmethod
     def _descend(U, V, S, iters):
         free_u, free_v = np.ones_like(U), np.ones_like(V)
-        return kernels.descent(U.copy(), V.copy(), S, 0.25, 4.0, iters, 0.05, free_u, free_v)
+        return kernels.descent(U.copy(), V.copy(), S, iters, free_u, free_v)
 
     @pytest.mark.parametrize("case", ["_satisfiable", "_unreachable"])
     def test_early_stop_ignores_budget(self, case):
@@ -100,29 +100,26 @@ class TestDescent:
         U0, V0, S = self._satisfiable()
         U, V, _ = self._descend(U0, V0, S, 4000)
         B = U @ V
-        limit = kernels.CLEARED * 0.25
-        assert (0.25 - B[S > 0] <= limit).all() and (B[S < 0] + 0.25 <= limit).all()
+        t = kernels.TARGET_MARGIN
+        limit = kernels.CLEARED * t
+        assert (t - B[S > 0] <= limit).all() and (B[S < 0] + t <= limit).all()
 
     def test_unreachable_target_stalls(self):
         U0, V0, S = self._unreachable()
         U, V, pen = self._descend(U0, V0, S, 4000)
-        assert pen > 0.0 and not _reference_cleared(U, V, S, 0.25)
+        assert pen > 0.0 and not _reference_cleared(U, V, S, kernels.TARGET_MARGIN)
 
     def test_penalty_decreases(self):
         U, V, S = _instance(7)
         free_u, free_v = np.ones_like(U), np.ones_like(V)
-        p0 = kernels.penalty_grad(U, V, S, 1e-2, 4.0)[0]
-        _, _, p1 = kernels.descent(
-            U.copy(), V.copy(), S, 1e-2, 4.0, 500, 0.05, free_u, free_v
-        )
+        p0 = kernels.penalty_grad(U, V, S, kernels.TARGET_MARGIN, kernels.ZERO_WEIGHT)[0]
+        _, _, p1 = kernels.descent(U.copy(), V.copy(), S, 500, free_u, free_v)
         assert p1 <= p0
 
     def test_deterministic(self):
         U, V, S = _instance(8)
         free_u, free_v = np.ones_like(U), np.ones_like(V)
-        run = lambda: kernels.descent(
-            U.copy(), V.copy(), S, 1e-2, 4.0, 300, 0.05, free_u, free_v
-        )
+        run = lambda: kernels.descent(U.copy(), V.copy(), S, 300, free_u, free_v)
         U1, V1, p1 = run()
         U2, V2, p2 = run()
         assert np.array_equal(U1, U2) and np.array_equal(V1, V2) and p1 == p2
@@ -134,9 +131,7 @@ class TestDescent:
         free_u, free_v = np.ones_like(U), np.ones_like(V)
         free_u[:, 0] = 0.0
         free_v[-1, :] = 0.0
-        U2, V2, _ = kernels.descent(
-            U.copy(), V.copy(), S, 1e-2, 4.0, 200, 0.05, free_u, free_v
-        )
+        U2, V2, _ = kernels.descent(U.copy(), V.copy(), S, 200, free_u, free_v)
         assert np.all(U2[:, 0] == 1.0)
         assert np.all(V2[-1, :] == 1.0)
 
@@ -214,20 +209,24 @@ class TestBitIdentity:
             if seed % 3 == 0:  # the direct mode's normal-form pins
                 U[:, 0] = V[-1, :] = 1.0
                 free_u[:, 0] = free_v[-1, :] = 0.0
-            yield U, V, S, (0.25, 4.0, iters, 0.05, free_u, free_v)
+            yield U, V, S, (iters, free_u, free_v)
 
     def test_descent_equals_reference(self):
         stops = Counter()
-        for U, V, S, args in self._cases():
-            Ur, Vr, pr, stop = _reference_descent(U.copy(), V.copy(), S, *args)
-            Uk, Vk, pk = kernels.descent(U.copy(), V.copy(), S, *args)
+        for U, V, S, (iters, free_u, free_v) in self._cases():
+            Ur, Vr, pr, stop = _reference_descent(
+                U.copy(), V.copy(), S, kernels.TARGET_MARGIN, kernels.ZERO_WEIGHT, iters,
+                kernels.LR0, free_u, free_v,
+            )
+            Uk, Vk, pk = kernels.descent(U.copy(), V.copy(), S, iters, free_u, free_v)
             assert np.array_equal(Uk, Ur) and np.array_equal(Vk, Vr)
             assert pk == pr
             stops[stop] += 1
         assert set(stops) == {"cleared", "stalled", "iters"}, stops
 
     def test_penalty_grad_equals_reference(self):
-        for U, V, S, (margin, zero_weight, *_) in self._cases():
+        margin, zero_weight = kernels.TARGET_MARGIN, kernels.ZERO_WEIGHT
+        for U, V, S, _ in self._cases():
             pen, gU, gV = kernels.penalty_grad(U, V, S, margin, zero_weight)
             pr, gUr, gVr = _reference_penalty_grad(U, V, S, margin, zero_weight)
             assert pen == pr and np.array_equal(gU, gUr) and np.array_equal(gV, gVr)

@@ -80,6 +80,12 @@ class TestTextFormat:
         with pytest.raises(DomainError):
             SignPattern([[2]])
 
+    def test_bool_values_rejected(self):
+        # True == 1 and False == 0, but a bool names no sign
+        for row in ([True, False], [1, False]):
+            with pytest.raises(DomainError):
+                SignPattern([row])
+
     def test_fractional_values_rejected(self):
         for value in (0.5, -1.7, 1.25, float("nan"), float("inf"), None):
             with pytest.raises(DomainError):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from collections import Counter
 from dataclasses import replace
@@ -386,15 +387,32 @@ class TestSearch:
         seen = []
         original = kernels.descent
 
-        def recording(U, V, S, margin, zero_weight, iters, *rest):
+        def recording(U, V, S, iters, *rest):
             seen.append(iters)
-            return original(U, V, S, margin, zero_weight, iters, *rest)
+            return original(U, V, S, iters, *rest)
 
         monkeypatch.setattr(kernels, "descent", recording)
         assert search_realization(P, 3, SearchParams(restarts=1, iters=40)) is None
         assert seen == [40]
         assert search_realization(P, 3, SearchParams(restarts=2, iters=0)) is None
         assert seen == [40, 0, 0]
+
+    def test_nan_product_fails_sign_check(self):
+        from signrank.realize import _check_signs
+
+        S = np.array([[1, -1], [0, 1]])
+        assert _check_signs(np.array([[1.0, -1.0], [0.0, 1.0]]), S, 1e-2, 1e-9)
+        assert not _check_signs(np.full((2, 2), np.nan), S, 1e-2, 1e-9)
+
+    @pytest.mark.parametrize("direct", [True, False])
+    def test_nan_descent_fails_the_restart(self, monkeypatch, direct):
+        # NaN factors fail the sign check, so the restart fails; in direct
+        # mode they once reached Realization, which raised DomainError
+        monkeypatch.setattr(
+            kernels, "descent", lambda U, V, *_: (U * np.nan, V * np.nan, np.nan)
+        )
+        P = SignPattern(["++-", "+-+", "-++"])
+        assert search_realization(P, 3, SearchParams(restarts=2, direct=direct)) is None
 
     def test_direct_rank1_needs_plus(self):
         # [-] is realized at rank 1 only with a signature: U = V = [[1]]
@@ -519,15 +537,40 @@ class TestZeroPolish:
             cells = [(i, j) for j in range(S.shape[1]) for i in range(S.shape[0]) if S[i, j] == 0]
             if not cells:
                 continue
-            var_index = [(0, i, a) for i in sorted({i for i, _ in cells}) for a in range(r)]
-            var_index += [(1, a, j) for j in sorted({j for _, j in cells}) for a in range(r)]
             U = real.U + 1e-3 * rng.standard_normal(real.U.shape)
             V = real.V + 1e-3 * rng.standard_normal(real.V.shape)
-            U, V = realize._gauss_newton_zero_polish(U, V, cells, var_index, max_iter=3)
+            U, V = realize._gauss_newton_zero_polish(U, V, cells, None, None, max_iter=3)
             B = U @ V
             assert max(abs(B[i, j]) for i, j in cells) < 1e-13, k
             polished += 1
         assert polished >= 15
+
+
+    def test_keeps_direct_pins(self):
+        # under the direct mode's masks the polish moves no normal-form one
+        # and still clears every planted zero
+        from signrank import realize
+
+        rng = np.random.default_rng(11)
+        polished = 0
+        for k in range(30):
+            r = 3 + k % 3
+            P, real = _planted_instance(rng, r)
+            S = condense(P).condensed.to_array()
+            cells = [(i, j) for j in range(S.shape[1]) for i in range(S.shape[0]) if S[i, j] == 0]
+            if not cells:
+                continue
+            free_u, free_v = np.ones_like(real.U), np.ones_like(real.V)
+            free_u[:, 0] = free_v[-1, :] = 0.0
+            U = real.U + 1e-3 * rng.standard_normal(real.U.shape)
+            V = real.V + 1e-3 * rng.standard_normal(real.V.shape)
+            U[:, 0] = V[-1, :] = 1.0
+            U, V = realize._gauss_newton_zero_polish(U, V, cells, free_u, free_v)
+            assert (U[:, 0] == 1.0).all() and (V[-1, :] == 1.0).all(), k
+            B = U @ V
+            assert max(abs(B[i, j]) for i, j in cells) < 1e-13, k
+            polished += 1
+        assert polished >= 20
 
 
 class TestRealizationDocument:
@@ -860,6 +903,18 @@ class TestFactoredCertificates:
             RationalCertificate.from_dict(dict(doc, matrix=[[True]]))
         with pytest.raises(DomainError, match="True"):
             RationalCertificate.from_dict(dict(doc, U=[[True]], V=[[1]]))
+
+    def test_bool_target_rejected(self, tmp_path):
+        # JSON true is no sign: the target must not read it as +
+        from signrank.exactnum import load_certificate
+
+        doc = {"rank": 1, "target": [[1, 1]], "matrix": [[1, 1]]}
+        path = tmp_path / "c.cert.json"
+        path.write_text(json.dumps(doc))
+        assert load_certificate(path).verify()
+        path.write_text(json.dumps(dict(doc, target=[[True, True]])))
+        with pytest.raises(DomainError, match="True"):
+            load_certificate(path)
 
     def test_tampering_fails_verify(self):
         real = search_realization(FIG21_PATTERN, 3, SearchParams(seed=4))
