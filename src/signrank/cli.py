@@ -4,9 +4,14 @@ Exit codes: 0 success, 1 negative or inconclusive result, 2 input error,
 3 resource exhausted.  ``--json`` switches stdout to a stable
 machine-readable document.
 
-``realize`` (and numpy with it) is imported only by the subcommands that
-search or read a realization, and only after their pattern has loaded, so
-the pure-Python ones, and a malformed pattern, exit without loading numpy.
+Each subcommand imports the modules it calls when it runs, so importing
+this module loads only ``errors`` and a command loads what it needs alone:
+``condense``, ``equiv``, ``mr`` and ``mr2`` load ``pattern`` (``mr`` and
+``mr2`` numpy too); ``encode``, ``dual`` and ``compose`` load ``geometry``
+(with ``exactnum`` and ``pattern``), and ``render`` adds ``svg``;
+``fixtures`` and ``selfcheck`` load ``fixtures``.  ``realize`` and
+``rationalize`` import ``realize`` (and numpy with it) only after their
+pattern has loaded, so a malformed pattern exits without loading numpy.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ import json
 import math
 import sys
 
-from . import fixtures as fixtures_mod
 from .errors import (
     DomainError,
     FixtureCorrupt,
@@ -25,26 +29,6 @@ from .errors import (
     ResourceExhausted,
     SignRankError,
 )
-from .exactnum import rationalize, save_certificate
-from .geometry import (
-    dualize,
-    encode_configuration,
-    load_configuration,
-    save_configuration,
-    stack,
-)
-from .pattern import (
-    MrBoundsOptions,
-    check_search_budget,
-    condense,
-    is_equivalent,
-    is_mr2,
-    is_sns,
-    load_pattern,
-    mr_bounds,
-    save_pattern,
-)
-from .svg import render_svg
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -70,6 +54,8 @@ def _witness_doc(w) -> dict:
 
 
 def _cmd_condense(args) -> int:
+    from .pattern import condense, load_pattern, save_pattern
+
     A = load_pattern(args.pattern)
     report = condense(A)
     if args.output:
@@ -90,6 +76,8 @@ def _cmd_condense(args) -> int:
 
 
 def _cmd_mr(args) -> int:
+    from .pattern import MrBoundsOptions, load_pattern, mr_bounds
+
     A = load_pattern(args.pattern)
     opts = MrBoundsOptions(
         sns_cap=args.sns_cap,
@@ -124,6 +112,8 @@ def _cmd_mr(args) -> int:
 
 
 def _cmd_mr2(args) -> int:
+    from .pattern import is_mr2, load_pattern
+
     A = load_pattern(args.pattern)
     result = is_mr2(A)
     doc = {"mr2": result.value}
@@ -138,6 +128,9 @@ def _cmd_mr2(args) -> int:
 
 
 def _cmd_encode(args) -> int:
+    from .geometry import encode_configuration, load_configuration
+    from .pattern import save_pattern
+
     C = load_configuration(args.config)
     P = encode_configuration(C)
     if args.output:
@@ -147,6 +140,8 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_realize(args) -> int:
+    from .pattern import check_search_budget, load_pattern
+
     A = load_pattern(args.pattern)
     check_search_budget(args.restarts, args.iters, args.seed)
     from . import realize
@@ -183,6 +178,9 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_rationalize(args) -> int:
+    from .exactnum import rationalize, save_certificate
+    from .pattern import load_pattern
+
     A = load_pattern(args.pattern)
     from .realize import load_realization
 
@@ -201,6 +199,8 @@ def _cmd_rationalize(args) -> int:
 
 
 def _cmd_compose(args) -> int:
+    from .geometry import load_configuration, save_configuration, stack
+
     C1 = load_configuration(args.config1)
     C2 = load_configuration(args.config2)
     C = stack(C1, C2)
@@ -221,6 +221,8 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_dual(args) -> int:
+    from .geometry import dualize, load_configuration, save_configuration
+
     C = load_configuration(args.config)
     result = dualize(C)
     save_configuration(result.configuration, args.output)
@@ -234,6 +236,8 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
+    from .pattern import is_equivalent, load_pattern
+
     A = load_pattern(args.pattern_a)
     B = load_pattern(args.pattern_b)
     witness = is_equivalent(A, B)
@@ -256,6 +260,9 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from .geometry import load_configuration
+    from .svg import render_svg
+
     C = load_configuration(args.config)
     bbox = None
     if args.bbox:
@@ -273,7 +280,9 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_fixtures(args) -> int:
-    written = fixtures_mod.export_fixtures(args.export)
+    from .fixtures import export_fixtures
+
+    written = export_fixtures(args.export)
     _emit(
         args,
         {"written": [str(p) for p in written]},
@@ -283,15 +292,19 @@ def _cmd_fixtures(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
-    report = fixtures_mod.derive_perles_check()
-    A0 = fixtures_mod.fixture("A0").payload
+    from .fixtures import derive_perles_check, fixture
+    from .geometry import encode_configuration
+    from .pattern import is_sns
+
+    report = derive_perles_check()
+    A0 = fixture("A0").payload
     checks = list(report.checks)
     sub = A0.submatrix((3, 4, 5), (6, 7, 8))
     if not is_sns(sub):
         raise FixtureCorrupt("A0 rows {4,5,6} x cols {7,8,9} is not sign-nonsingular")
     checks.append(("sns", "A0 rows 4,5,6 / cols 7,8,9 is sign-nonsingular"))
-    fig_pattern = fixtures_mod.fixture("fig21_pattern").payload
-    fig_config = fixtures_mod.fixture("fig21_config").payload
+    fig_pattern = fixture("fig21_pattern").payload
+    fig_config = fixture("fig21_config").payload
     if encode_configuration(fig_config) != fig_pattern:
         raise FixtureCorrupt("fig21_config does not encode to fig21_pattern")
     checks.append(("fig21", "stored 3x3 configuration encodes to its pattern"))

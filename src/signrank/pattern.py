@@ -33,6 +33,12 @@ _INT_TO_CHAR = {1: "+", -1: "-", 0: "0"}
 _UNIT = {1: 1, -1: -1}
 
 
+def _is_bool(value) -> bool:
+    """A Python or numpy bool; True == 1 and False == 0, but a bool names no
+    sign.  numpy's are told by their dtype, so numpy is not imported."""
+    return isinstance(value, bool) or getattr(getattr(value, "dtype", None), "kind", None) == "b"
+
+
 def _fill(P, entries: tuple, m: int, n: int) -> None:
     object.__setattr__(P, "entries", entries)
     object.__setattr__(P, "m", m)
@@ -63,7 +69,8 @@ class SignPattern:
                         iv = int(value)
                     except (TypeError, ValueError, OverflowError):  # not a number, NaN, infinity
                         iv = None
-                    if isinstance(value, bool) or iv != value or iv not in (-1, 0, 1):
+                    if iv != value or iv not in (-1, 0, 1) or (type(value) is not int
+                                                               and _is_bool(value)):
                         raise DomainError(f"invalid sign value {value!r}")
                     converted.append(iv)
             grid.append(tuple(converted))
@@ -639,7 +646,12 @@ def max_sns_submatrix(A: SignPattern, cap: int = 4):
     half-size tables, C(m, h) C(n, h) C(h, h // 2) for each size h they
     need; sizes above the ``is_sns`` cap of 10 raise ResourceExhausted.
     Returns (0, (), ()) for the zero pattern."""
-    upper = min(cap, A.m, A.n, term_rank(A))
+    return _sns_scan(A, min(cap, term_rank(A)))
+
+
+def _sns_scan(A: SignPattern, upper: int):
+    """``max_sns_submatrix`` over k <= ``upper``, a bound that already
+    includes the term rank of A, so a caller holding it does not recount."""
     if upper > _SNS_CAP:
         raise ResourceExhausted(f"SNS scan capped at k <= {_SNS_CAP}, got {upper}")
     signs = _TermSigns(A.to_array())
@@ -841,7 +853,7 @@ def mr_bounds(A: SignPattern, options: Optional[MrBoundsOptions] = None) -> MrBo
         return MrBounds(2, 2, tuple(evidence))
     evidence.append(("lower", 3, "mr = 1 and mr = 2 excluded exactly"))
 
-    k, rows, cols = max_sns_submatrix(C, cap=opts.sns_cap)
+    k, rows, cols = _sns_scan(C, min(opts.sns_cap, tr))
     if k:
         evidence.append(
             (

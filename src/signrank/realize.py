@@ -222,6 +222,9 @@ def _gauss_newton_zero_polish(U, V, zero_cells, free_u, free_v, max_iter=30):
     hit_v = cj[:, None] == vj[None, :]
     J = np.zeros((len(ci), nu + len(b)))
     res = (U @ V)[ci, cj]
+    if not np.isfinite(res).all():
+        # no step can mend it (lstsq would raise); the sign check fails it
+        return U, V
     for _ in range(max_iter):
         if np.max(np.abs(res)) < 1e-13:
             break

@@ -86,6 +86,13 @@ class TestTextFormat:
             with pytest.raises(DomainError):
                 SignPattern([row])
 
+    def test_numpy_bool_values_rejected(self):
+        # numpy's bools are not Python bools, but name no sign either
+        for rows in (np.array([[True, False]]), [[np.True_, 1]], [[1, np.bool_(False)]]):
+            with pytest.raises(DomainError):
+                SignPattern(rows)
+        assert SignPattern(np.array([[-1, 0, 1]], dtype=np.int8)) == SignPattern(["-0+"])
+
     def test_fractional_values_rejected(self):
         for value in (0.5, -1.7, 1.25, float("nan"), float("inf"), None):
             with pytest.raises(DomainError):
@@ -358,6 +365,32 @@ class TestCondenseOnce:
         assert len(condense_calls) == 1
         assert realize.search_realization(A0_PATTERN, 2, params) is None
         assert len(condense_calls) == 2
+
+
+@pytest.fixture
+def term_rank_calls(monkeypatch):
+    """Patterns passed to term_rank, counted as condense_calls counts condense."""
+    calls = []
+    original = pattern.term_rank
+
+    def counted(A):
+        calls.append(A)
+        return original(A)
+
+    monkeypatch.setattr(pattern, "term_rank", counted)
+    return calls
+
+
+class TestTermRankOnce:
+    @pytest.mark.parametrize("A", [A0_PATTERN, A1_PATTERN], ids=["A0", "A1"])
+    def test_mr_bounds(self, term_rank_calls, A):
+        # the SNS scan reads the bound mr_bounds already has
+        mr_bounds(A)
+        assert len(term_rank_calls) == 1
+
+    def test_max_sns_submatrix(self, term_rank_calls):
+        assert max_sns_submatrix(A0_PATTERN, cap=4)[0] == 3
+        assert len(term_rank_calls) == 1
 
 
 class TestEquivalence:

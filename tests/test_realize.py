@@ -407,12 +407,14 @@ class TestSearch:
     @pytest.mark.parametrize("direct", [True, False])
     def test_nan_descent_fails_the_restart(self, monkeypatch, direct):
         # NaN factors fail the sign check, so the restart fails; in direct
-        # mode they once reached Realization, which raised DomainError
+        # mode they once reached Realization, which raised DomainError, and
+        # with zeros the polish's least squares raised LinAlgError
         monkeypatch.setattr(
             kernels, "descent", lambda U, V, *_: (U * np.nan, V * np.nan, np.nan)
         )
-        P = SignPattern(["++-", "+-+", "-++"])
-        assert search_realization(P, 3, SearchParams(restarts=2, direct=direct)) is None
+        for rows in (["++-", "+-+", "-++"], ["++0", "+-+", "0++", "-+-"]):
+            P = SignPattern(rows)
+            assert search_realization(P, 3, SearchParams(restarts=2, direct=direct)) is None
 
     def test_direct_rank1_needs_plus(self):
         # [-] is realized at rank 1 only with a signature: U = V = [[1]]

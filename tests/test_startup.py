@@ -1,6 +1,8 @@
 """Start-up cost: numpy and ``signrank.realize`` load only for the work that
 needs them (the numeric search and reading a realization, not loading or
 verifying a certificate), and nothing loads ``concurrent.futures``.
+Importing the package or the CLI loads no signrank module but ``errors``,
+and each subcommand loads only the modules it calls.
 
 pytest itself has already imported numpy, so every check runs in a fresh
 interpreter and reports what that interpreter loaded.
@@ -30,12 +32,22 @@ def fresh(code: str, cwd) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def loaded_after(statement: str, cwd) -> list:
-    return fresh(
-        "import json, sys\n"
-        f"{statement}\n"
-        f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))\n",
-        cwd,
+def modules_after(statement: str, cwd) -> set:
+    return set(fresh(f"import json, sys\n{statement}\nprint(json.dumps(list(sys.modules)))\n", cwd))
+
+
+def loaded_after(statement: str, cwd, watched=HEAVY) -> list:
+    loaded = modules_after(statement, cwd)
+    return [m for m in watched if m in loaded]
+
+
+def run_main(argv, code: int, stream: str = "stdout") -> str:
+    """A statement running the CLI on ``argv`` and asserting its exit code."""
+    return (
+        "import contextlib, io\n"
+        "from signrank.cli import main\n"
+        f"with contextlib.redirect_{stream}(io.StringIO()):\n"
+        f"    assert main({argv!r}) == {code}"
     )
 
 
@@ -49,6 +61,30 @@ def fxdir(tmp_path_factory):
 @pytest.mark.parametrize("statement", ["import signrank", "import signrank.cli"])
 def test_import_loads_nothing_heavy(statement, tmp_path):
     assert loaded_after(statement, tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "statement, expected",
+    [("import signrank", ["signrank", "signrank.errors"]),
+     ("import signrank.cli", ["signrank", "signrank.cli", "signrank.errors"])],
+    ids=["signrank", "signrank.cli"],
+)
+def test_import_loads_only_errors(statement, expected, tmp_path):
+    # every other module loads with the first name or subcommand that needs it
+    loaded = sorted(m for m in modules_after(statement, tmp_path) if m.startswith("signrank"))
+    assert loaded == expected
+
+
+# what a subcommand must not load besides HEAVY: condense and equiv read
+# patterns alone, and the configuration commands neither render nor read
+# the fixtures
+NOT_LOADED = {
+    "condense": ("signrank.exactnum", "signrank.geometry", "fractions"),
+    "equiv": ("signrank.exactnum", "signrank.geometry", "fractions"),
+    "encode": ("signrank.fixtures", "signrank.svg"),
+    "dual": ("signrank.fixtures", "signrank.svg"),
+    "compose": ("signrank.fixtures", "signrank.svg"),
+}
 
 
 @pytest.mark.parametrize(
@@ -66,14 +102,9 @@ def test_import_loads_nothing_heavy(statement, tmp_path):
     ids=lambda argv: argv[0],
 )
 def test_pure_subcommands_run_without_numpy(argv, fxdir, tmp_path):
+    watched = HEAVY + NOT_LOADED.get(argv[0], ())
     argv = [a.format(fx=fxdir) for a in argv]
-    statement = (
-        "import contextlib, io\n"
-        "from signrank.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert main({argv!r}) == 0"
-    )
-    assert loaded_after(statement, tmp_path) == []
+    assert loaded_after(run_main(argv, 0), tmp_path, watched) == []
 
 
 @pytest.mark.parametrize(
@@ -84,26 +115,14 @@ def test_pure_subcommands_run_without_numpy(argv, fxdir, tmp_path):
 def test_malformed_pattern_exits_without_numpy(argv, tmp_path):
     # the pattern is read before the search or the realization loads numpy
     (tmp_path / "bad.pat").write_text("+x\n")
-    statement = (
-        "import contextlib, io\n"
-        "from signrank.cli import main\n"
-        "with contextlib.redirect_stderr(io.StringIO()):\n"
-        f"    assert main({argv!r}) == 2"
-    )
-    assert loaded_after(statement, tmp_path) == []
+    assert loaded_after(run_main(argv, 2, "stderr"), tmp_path) == []
 
 
 @pytest.mark.parametrize("flag", ["--restarts", "--iters", "--seed"])
 def test_negative_search_option_exits_without_numpy(flag, fxdir, tmp_path):
     # realize checks its search budget before it loads the search, as mr does
     argv = ["realize", str(fxdir / "A0.pat"), "--rank", "3", flag, "-1"]
-    statement = (
-        "import contextlib, io\n"
-        "from signrank.cli import main\n"
-        "with contextlib.redirect_stderr(io.StringIO()):\n"
-        f"    assert main({argv!r}) == 2"
-    )
-    assert loaded_after(statement, tmp_path) == []
+    assert loaded_after(run_main(argv, 2, "stderr"), tmp_path) == []
 
 
 def cli(cwd, *argv) -> subprocess.CompletedProcess:
@@ -158,17 +177,22 @@ def test_star_import_resolves_all(tmp_path):
 
 
 def test_lazy_names_follow_the_module(tmp_path):
-    # nothing is cached on the package: a name replaced on realize (as a
-    # tracer or a test patch does) is what the package hands out
+    # nothing is cached on the package: a name replaced on its home module
+    # (as a tracer or a test patch does) is what the package hands out
+    homes = {"condense": "pattern", "rational_rank": "exactnum", "dualize": "geometry",
+             "search_realization": "realize"}
     doc = fresh(
         "import json, signrank\n"
-        "first = signrank.search_realization\n"
-        "signrank.realize.search_realization = marker = object()\n"
-        "print(json.dumps([first is not marker, signrank.search_realization is marker,\n"
-        "                  'search_realization' in vars(signrank)]))\n",
+        "seen = {}\n"
+        f"for name, module in {homes!r}.items():\n"
+        "    first = getattr(signrank, name)\n"
+        "    setattr(getattr(signrank, module), name, marker := object())\n"
+        "    seen[name] = [first is not marker, getattr(signrank, name) is marker,\n"
+        "                  name in vars(signrank)]\n"
+        "print(json.dumps(seen))\n",
         tmp_path,
     )
-    assert doc == [True, True, False]
+    assert doc == {name: [True, True, False] for name in homes}
 
 
 def test_unknown_attribute():
