@@ -144,6 +144,9 @@ def _cmd_realize(args) -> int:
 
     A = load_pattern(args.pattern)
     check_search_budget(args.restarts, args.iters, args.seed)
+    # the search checks this too, but only after numpy has loaded
+    if args.rank < 1:
+        raise DomainError(f"rank must be >= 1, got {args.rank}")
     from . import realize
 
     params = realize.SearchParams(

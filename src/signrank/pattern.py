@@ -201,24 +201,30 @@ class CondensationReport:
     log: tuple
 
 
+def _lead_key(v: tuple) -> tuple:
+    """(lead, key) of a line: lead is its first nonzero (0 for a zero line)
+    and key the line itself if lead >= 0, else its negation, so two lines
+    are equal up to sign exactly when their keys agree."""
+    lead = next(filter(None, v), 0)
+    return lead, (v if lead >= 0 else tuple([-x for x in v]))
+
+
 def _sweep(lines, axis: str, log: list) -> list:
     """One pass over the lines of one axis: log and drop zero lines and
     every line equal or opposite to an earlier kept one; return the kept
     indices.
 
-    A line whose first nonzero is ``lead`` is keyed by itself if lead > 0,
-    else by its negation, so two lines match up to sign exactly when their
-    keys agree.  Kept lines never match each other, so the first kept line
+    Two lines match up to sign exactly when their keys (``_lead_key``)
+    agree.  Kept lines never match each other, so the first kept line
     with a key is the only one a later line can match, and it is stored as
     (index, lead): equal leads make a duplicate, unequal ones an opposite.
     """
     first = {}
     for i, v in enumerate(lines):
-        lead = next(filter(None, v), 0)
+        lead, key = _lead_key(v)
         if not lead:
             log.append(DeletionEvent(axis, "zero", i))
             continue
-        key = v if lead > 0 else tuple([-x for x in v])
         k, k_lead = first.setdefault(key, (i, lead))
         if k != i:
             log.append(DeletionEvent(axis, "duplicate" if k_lead == lead else "opposite", i, k))
@@ -291,11 +297,16 @@ def is_equivalent(A: SignPattern, B: SignPattern) -> Optional[EquivalenceWitness
     """Search for permutation sign patterns P1, P2 and signatures D1, D2 with
     B = P1 D1 A D2 P2; returns a witness or None.
 
-    Backtracks over row assignments (B row -> A row with a sign), propagating
-    column compatibility; a branch lives while a matching gives every B
-    column its own compatible A column, and the last one found is the
-    witness's columns.  The first assigned row's sign is pinned to + since
-    the global flip of all row and column signs is invisible.  Intended for
+    Backtracks over row assignments (B row -> A row with a sign), carrying
+    the partial columns: A's over the assigned A rows times their signs,
+    B's over the assigned B rows.  B column j can still go to A column c
+    exactly when the two are equal up to one sign, an equivalence, so a
+    branch lives while each class (``_lead_key``) holds as many columns of
+    A as of B.  After the last row the i-th B column of a class takes its
+    i-th A column from the end (the pairing Kuhn's matching finds on a
+    complete block), signed by the ratio of their first nonzeros (+ for a
+    zero class).  The first assigned row's sign is pinned to + since the
+    global flip of all row and column signs is invisible.  Intended for
     m, n <= 12; raises ResourceExhausted past ``_NODE_BUDGET`` (2,000,000)
     search nodes.
     """
@@ -309,121 +320,96 @@ def is_equivalent(A: SignPattern, B: SignPattern) -> Optional[EquivalenceWitness
     prof_b = [_row_profile(B, i) for i in range(m)]
     if sorted(prof_a) != sorted(prof_b):
         return None
-
-    # comp[c][j]: 0 free, +1/-1 forced column sign, None dead
-    comp = [[0] * n for _ in range(n)]
     nodes = 0
 
     # assign B rows in a most-discriminating order: rare profiles first
     freq = Counter(prof_b)
     order = sorted(range(m), key=lambda i: (freq[prof_b[i]], prof_b[i], i))
 
-    def column_matching():
-        # every B column j needs a distinct A column c with comp[c][j] live
-        live = [[comp[c][j] is not None for c in range(n)] for j in range(n)]
-        return _max_matching(live, n)
-
     used = [False] * m
     sigma = [0] * m  # sigma[b_row] = a_row
     eps = [1] * m
 
-    def assign(pos: int):
+    def assign(pos: int, a_cols: list, b_cols: list):
         nonlocal nodes
         nodes += 1
         if nodes > _NODE_BUDGET:
-            raise ResourceExhausted(
-                f"equivalence search exceeded node budget {_NODE_BUDGET}"
-            )
-        if pos == m:  # the parent's matching covered every column
-            return True
+            raise ResourceExhausted(f"equivalence search exceeded node budget {_NODE_BUDGET}")
+        if pos == m:
+            return a_cols, b_cols
         i = order[pos]
+        b_next = [v + (x,) for v, x in zip(b_cols, B.entries[i])]
+        b_classes = Counter([_lead_key(v)[1] for v in b_next])
         for k in range(m):
             if used[k] or prof_a[k] != prof_b[i]:
                 continue
             for sign in ((1,) if pos == 0 else (1, -1)):
-                updates = []
-                for c in range(n):
-                    ac = A.entries[k][c]
-                    for j in range(n):
-                        state = comp[c][j]
-                        if state is None:
-                            continue
-                        bv = B.entries[i][j]
-                        if ac == 0 and bv == 0:
-                            continue
-                        if ac == 0 or bv == 0:
-                            updates.append((c, j, state))
-                            comp[c][j] = None
-                            continue
-                        need = bv * sign * ac
-                        if state == 0:
-                            updates.append((c, j, state))
-                            comp[c][j] = need
-                        elif state != need:
-                            updates.append((c, j, state))
-                            comp[c][j] = None
-                # prune: every B column still matchable
-                if column_matching()[0] == n:
+                a_next = [v + (sign * x,) for v, x in zip(a_cols, A.entries[k])]
+                if Counter([_lead_key(v)[1] for v in a_next]) == b_classes:
                     used[k] = True
                     sigma[i] = k
                     eps[i] = sign
-                    if assign(pos + 1):
-                        return True
+                    found = assign(pos + 1, a_next, b_next)
+                    if found:
+                        return found
                     used[k] = False
-                for c, j, state in reversed(updates):
-                    comp[c][j] = state
-        return False
-
-    if not assign(0):
         return None
-    match_to = column_matching()[1]
-    col_perm = [0] * n
-    col_signs = [1] * n
-    for c in range(n):
-        j = match_to[c]
-        col_perm[j] = c
-        col_signs[j] = comp[c][j] or 1
-    return EquivalenceWitness(tuple(sigma), tuple(col_perm), tuple(eps), tuple(col_signs))
+
+    found = assign(0, [()] * n, [()] * n)
+    if found is None:
+        return None
+    a_cols, b_cols = found
+    members = {}
+    for c, v in enumerate(a_cols):
+        members.setdefault(_lead_key(v)[1], []).append(c)
+    col_perm = tuple(members[_lead_key(v)[1]].pop() for v in b_cols)
+    # equal up to sign, so the first nonzero product is the ratio's sign
+    col_signs = tuple(next(filter(None, map(operator.mul, v, a_cols[c])), 1)
+                      for v, c in zip(b_cols, col_perm))
+    return EquivalenceWitness(tuple(sigma), col_perm, tuple(eps), col_signs)
 
 
 def signature_between(P: SignPattern, Q: SignPattern):
     """Signs (d1, d2) with Q = d1 * P * d2 entry-wise, or None.
 
-    The signs are propagated over the cells nonzero in both patterns, each
-    component of rows and columns starting from its lowest row at +, and
-    then every cell is checked once: that check rejects unequal zero sets
-    and any conflict the propagation passed over.
+    The signs are propagated (``_propagate_signs``) over the cells nonzero
+    in both patterns, each component of rows and columns starting from its
+    first line at + (rows come before columns), and then every cell is
+    checked once: that check rejects unequal zero sets and any conflict the
+    propagation passed over.
     """
     if P.m != Q.m or P.n != Q.n:
         return None
     m, n = P.m, P.n
-    # P_ij Q_ij: the sign d1_i d2_j must take, or 0 where either is zero
+    # P_ij Q_ij: the sign d1_i d2_j must take, or 0 where either is zero;
+    # rows are vertices 0..m-1 and columns m..m+n-1
     ratio = [[a * b for a, b in zip(p, q)] for p, q in zip(P.entries, Q.entries)]
-    d1 = [0] * m
-    d2 = [0] * n
-    for i in range(m):
-        if d1[i]:
-            continue
-        d1[i] = 1
-        stack = [("row", i)]
-        while stack:
-            kind, idx = stack.pop()
-            if kind == "row":
-                for j in range(n):
-                    if ratio[idx][j] and not d2[j]:
-                        d2[j] = ratio[idx][j] * d1[idx]
-                        stack.append(("col", j))
-            else:
-                for k in range(m):
-                    if ratio[k][idx] and not d1[k]:
-                        d1[k] = ratio[k][idx] * d2[idx]
-                        stack.append(("row", k))
-    d2 = [v or 1 for v in d2]
-    for i in range(m):
-        for j in range(n):
-            if Q.entries[i][j] != d1[i] * P.entries[i][j] * d2[j]:
-                return None
+    signs = _propagate_signs(m + n, lambda v: zip(range(m, m + n), ratio[v]) if v < m
+                             else ((k, ratio[k][v - m]) for k in range(m)))
+    d1, d2 = signs[:m], signs[m:]
+    if any(Q.entries[i][j] != d1[i] * P.entries[i][j] * d2[j] for i in range(m) for j in range(n)):
+        return None
     return tuple(d1), tuple(d2)
+
+
+def _propagate_signs(count: int, neighbours) -> list:
+    """A sign +1 or -1 for each of ``count`` vertices: each component's
+    lowest vertex gets +1, and each pair (w, p) of ``neighbours(v)`` with
+    p nonzero gives an unsigned w the sign of v times p, depth-first.  With
+    those roots a consistent signing is unique; the caller checks it."""
+    sign = [0] * count
+    for root in range(count):
+        if sign[root]:
+            continue
+        sign[root] = 1
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for w, p in neighbours(v):
+                if p and not sign[w]:
+                    sign[w] = sign[v] * p
+                    stack.append(w)
+    return sign
 
 
 def _max_matching(allowed, n_right: int):
@@ -431,7 +417,7 @@ def _max_matching(allowed, n_right: int):
     vertex v where ``allowed[u][v]`` is truthy, tried in increasing v.
     Returns the matching size and ``match`` with match[v] the left vertex on
     right vertex v, or -1.  A pattern's rows serve as ``allowed`` as they
-    are, so term_rank (run on every SNS candidate) builds nothing."""
+    are, so term_rank builds nothing."""
     match = [-1] * n_right
 
     def augment(u, seen):
@@ -749,11 +735,11 @@ def _monotone_arrangement(C: SignPattern, identity_only: bool = False):
     with T = C c the pair tests T_a - T_b for equal signs and T_a + T_b for
     opposite signs, and so forces equal signs, forces opposite signs,
     allows both or allows neither.  Giving the lowest row of each
-    component + and propagating the forced parities finds the first valid
-    d in (+, -) order, or a contradiction.  No two signed rows and no two
-    signed columns of a condensed pattern are equal, so along a valid
-    arrangement the line sums strictly increase and each order is the one
-    sort by sums.
+    component + and propagating the forced parities (``_propagate_signs``)
+    finds the first valid d in (+, -) order, or a contradiction.  No two
+    signed rows and no two signed columns of a condensed pattern are
+    equal, so along a valid arrangement the line sums strictly increase
+    and each order is the one sort by sums.
     """
     import numpy as np
 
@@ -770,19 +756,7 @@ def _monotone_arrangement(C: SignPattern, identity_only: bool = False):
         return None
     parity = same.astype(np.int8) - opposite  # +1 equal, -1 opposite, 0 free
     forced = parity.tolist()
-    d = [0] * m
-    for root in range(m):
-        if d[root]:
-            continue
-        d[root] = 1
-        stack = [root]
-        while stack:
-            a = stack.pop()
-            for b, p in enumerate(forced[a]):
-                if p and not d[b]:
-                    d[b] = d[a] * p
-                    stack.append(b)
-    d = np.array(d, dtype=np.int8)
+    d = np.array(_propagate_signs(m, lambda a: enumerate(forced[a])), dtype=np.int8)
     if (parity * np.outer(d, d) < 0).any():
         return None
     S = T * d[:, None]

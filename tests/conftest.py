@@ -2,7 +2,7 @@
 
 Oracles here are deliberately independent of the library code they check:
 term rank by factorial enumeration, sign nonsingularity by permutation
-expansion, high-precision decimal evaluation for quadratic signs, and
+expansion, equivalence by applying every transform, high-precision decimal evaluation for quadratic signs, and
 sympy for exact ranks.
 """
 
@@ -60,6 +60,23 @@ def permutation_sns(P: SignPattern) -> bool:
         elif seen_sign != term:
             return False
     return seen_sign != 0
+
+
+def equivalence_orbit(P: SignPattern) -> frozenset:
+    """The entries of every pattern B = P1 D1 P D2 P2: all m! n! 2^(m+n)
+    row and column permutations and signatures, applied one by one (18,432
+    transforms for a 3 x 4 pattern)."""
+    E = P.entries
+    orbit = set()
+    for row_perm in itertools.permutations(range(P.m)):
+        for row_signs in itertools.product((1, -1), repeat=P.m):
+            rows = [[s * v for v in E[i]] for i, s in zip(row_perm, row_signs)]
+            for col_perm in itertools.permutations(range(P.n)):
+                for col_signs in itertools.product((1, -1), repeat=P.n):
+                    orbit.add(tuple(
+                        tuple([row[j] * s for j, s in zip(col_perm, col_signs)]) for row in rows
+                    ))
+    return frozenset(orbit)
 
 
 def rank_one_signs(P: SignPattern) -> bool:

@@ -309,6 +309,23 @@ class TestRealizeRationalize:
         code, out, _ = run(capsys, "realize", fxdir / "A0.pat", "--rank", 3, "--restarts", 0)
         assert code == 1 and "within 0 restarts (inconclusive)" in out
 
+    @pytest.mark.parametrize("rank", [0, -2])
+    def test_nonpositive_rank_exits_2(self, capsys, fxdir, rank):
+        code, _, err = run(capsys, "realize", fxdir / "A0.pat", "--rank", rank)
+        assert code == 2 and err == f"error: rank must be >= 1, got {rank}\n"
+
+    def test_precision_exhausted_exits_1(self, capsys, tmp_path):
+        # 2^-70 rounds to 0 at every denominator cap, flipping entry (1, 1)
+        (tmp_path / "p.pat").write_text("+-\n++\n")
+        doc = {"r": 3, "U": [[1.0, 2.0**-70, 0.0], [1.0, 0.0, 2.0]],
+               "V": [[-1.0, -1.0], [2.0**71, 0.0], [1.0, 1.0]]}
+        (tmp_path / "p.real.json").write_text(json.dumps(doc))
+        code, out, err = run(capsys, "rationalize", tmp_path / "p.pat", "--from",
+                             tmp_path / "p.real.json", "-o", tmp_path / "p.cert.json")
+        assert code == 1 and out == ""
+        assert err == "error: denominator schedule exhausted at 2^64 without exact zeros and signs\n"
+        assert not (tmp_path / "p.cert.json").exists()
+
     def test_direct_rank1_negative(self, capsys, tmp_path):
         pat = tmp_path / "neg.pat"
         pat.write_text("--\n--\n")

@@ -26,6 +26,7 @@ from signrank.pattern import (
 from signrank.realize import has_direct_representation
 
 from conftest import (
+    equivalence_orbit,
     factorial_term_rank,
     permutation_sns,
     random_pattern,
@@ -455,6 +456,53 @@ class TestEquivalence:
                 B = SignPattern(E)
             h.update(repr(is_equivalent(A, B)).encode())
         assert h.hexdigest() == self.PINNED_SHA256
+
+    def test_against_brute_force(self):
+        # A up to 3 x 4 and 4 x 3, with zeros and, for most, a duplicated or
+        # opposite column and a zero row or column.  B is a scrambled copy
+        # of A, that copy with one nonzero entry negated, or the copy with
+        # fresh random signs: the last two keep the zero set, so they pass
+        # the row-profile filter and the search itself must answer.  The
+        # oracle applies every transform to A.
+        rng = np.random.default_rng(2601)
+        seen = {True: 0, False: 0}
+        for k in range(48):
+            m, n = [(3, 4), (4, 3), (3, 3), (2, 4), (4, 2), (2, 3)][k % 6]
+            E = [list(row) for row in random_pattern(rng, m, n, (0.0, 0.25, 0.5)[k % 3]).entries]
+            if k % 4:
+                a, b = rng.choice(n, 2, replace=False)
+                sign = int(rng.choice([-1, 1]))
+                for row in E:
+                    row[b] = sign * row[a]
+            if k % 4 == 2:
+                E[int(rng.integers(m))] = [0] * n
+            if k % 4 == 3:
+                zero_col = int(rng.integers(n))
+                for row in E:
+                    row[zero_col] = 0
+            A = SignPattern(E)
+            orbit = equivalence_orbit(A)
+            scrambled = random_witness(rng, m, n).apply(A)
+            cells = [(i, j) for i in range(m) for j in range(n) if scrambled.entries[i][j]]
+            negated = [list(row) for row in scrambled.entries]
+            resigned = [[v * int(rng.choice([-1, 1])) for v in row] for row in scrambled.entries]
+            if cells:
+                i, j = cells[int(rng.integers(len(cells)))]
+                negated[i][j] *= -1
+            for B in (scrambled, SignPattern(negated), SignPattern(resigned)):
+                w = is_equivalent(A, B)
+                assert (w is not None) == (B.entries in orbit)
+                assert w is None or w.apply(A) == B
+                seen[w is not None] += 1
+        assert min(seen.values()) >= 40
+
+    @pytest.mark.parametrize("m, n", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_shapes(self, m, n):
+        A = SignPattern.zeros(m, n)
+        assert equivalence_orbit(A) == {A.entries}
+        assert is_equivalent(A, A) == EquivalenceWitness.identity(m, n)
+        assert is_equivalent(A, SignPattern.zeros(m + 1, n)) is None
+        assert is_equivalent(A, SignPattern.zeros(m, n + 1)) is None
 
     def test_node_budget(self, monkeypatch):
         monkeypatch.setattr(pattern, "_NODE_BUDGET", 2)

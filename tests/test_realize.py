@@ -13,11 +13,18 @@ from signrank.errors import (
     DomainError,
     NumericalDegeneracy,
     Overdetermined,
+    PrecisionExhausted,
     SingularSystem,
 )
 from signrank.fixtures import A0_PATTERN, A1_PATTERN, A2_PATTERN, FIG21_PATTERN
 from signrank.geometry import encode_configuration
-from signrank.exactnum import RationalCertificate, rational_rank, rationalize, solve_zero_columns
+from signrank.exactnum import (
+    RationalCertificate,
+    rational_rank,
+    rational_round,
+    rationalize,
+    solve_zero_columns,
+)
 from signrank.pattern import SignPattern, condense, is_mr2, signature_between
 from signrank.realize import (
     Realization,
@@ -694,6 +701,33 @@ class TestRationalize:
         cert = rationalize(P, Realization(3, U, V))
         assert cert.verify() and sympy_rank(cert.matrix) == cert.rank
         assert max(x.denominator for F in cert.factors for row in F for x in row) > 2**16
+
+    def test_singular_at_first_cap(self):
+        # column 1 has zeros in rows 1 and 2; at cap 2^16 row 2 rounds to
+        # (1, 0, 2), the leading 2 x 2 block of the zero rows is singular and
+        # the solve pivots on the last coordinate; at 2^32 it is not
+        U = np.array([[1, 0, 1], [1, 1e-7, 2], [1, 0, 0]])
+        V = np.array([[-1, 0, -1.5], [-1e7, 0, 0], [1, 1, 1]])
+        P = SignPattern(["0+-", "0++", "-0-"])
+        real = Realization(3, U, V)
+        assert real.signed_pattern() == P and condense(P).condensed == P
+        coarse = [[rational_round(float(x), 2**16) for x in row] for row in U]
+        with pytest.raises(SingularSystem):
+            solve_zero_columns(coarse, P, 0, V[:, 0])
+        cert = rationalize(P, real)
+        assert cert.verify() and sympy_rank(cert.matrix) == cert.rank
+        assert max(x.denominator for F in cert.factors for row in F for x in row) > 2**16
+
+    def test_every_cap_fails(self):
+        # 2^-70 rounds to 0 at every cap up to 2^64, which turns entry
+        # (1, 1) from -1 + 2^-70 * 2^71 = 1 into -1
+        U = np.array([[1, 2.0**-70, 0], [1, 0, 2]])
+        V = np.array([[-1, -1], [2.0**71, 0], [1, 1]])
+        P = SignPattern(["+-", "++"])
+        real = Realization(3, U, V)
+        assert real.signed_pattern() == P and condense(P).condensed == P
+        with pytest.raises(PrecisionExhausted, match="exhausted at 2\\^64"):
+            rationalize(P, real)
 
     def test_a0_overdetermined(self):
         # every condensed row has >= 3 zeros too, so the rows cannot stand

@@ -118,10 +118,15 @@ def test_malformed_pattern_exits_without_numpy(argv, tmp_path):
     assert loaded_after(run_main(argv, 2, "stderr"), tmp_path) == []
 
 
-@pytest.mark.parametrize("flag", ["--restarts", "--iters", "--seed"])
-def test_negative_search_option_exits_without_numpy(flag, fxdir, tmp_path):
-    # realize checks its search budget before it loads the search, as mr does
-    argv = ["realize", str(fxdir / "A0.pat"), "--rank", "3", flag, "-1"]
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--restarts", "-1"), ("--iters", "-1"), ("--seed", "-1"), ("--rank", "0")],
+    ids=["--restarts", "--iters", "--seed", "--rank"],
+)
+def test_negative_search_option_exits_without_numpy(flag, value, fxdir, tmp_path):
+    # realize checks its search budget and its rank before it loads the
+    # search, as mr does; a repeated --rank takes the last value
+    argv = ["realize", str(fxdir / "A0.pat"), "--rank", "3", flag, value]
     assert loaded_after(run_main(argv, 2, "stderr"), tmp_path) == []
 
 
