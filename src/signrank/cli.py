@@ -6,12 +6,15 @@ machine-readable document.
 
 Each subcommand imports the modules it calls when it runs, so importing
 this module loads only ``errors`` and a command loads what it needs alone:
-``condense``, ``equiv``, ``mr`` and ``mr2`` load ``pattern`` (``mr`` and
-``mr2`` numpy too); ``encode``, ``dual`` and ``compose`` load ``geometry``
-(with ``exactnum`` and ``pattern``), and ``render`` adds ``svg``;
-``fixtures`` and ``selfcheck`` load ``fixtures``.  ``realize`` and
-``rationalize`` import ``realize`` (and numpy with it) only after their
-pattern has loaded, so a malformed pattern exits without loading numpy.
+``condense``, ``equiv``, ``mr`` and ``mr2`` load ``pattern``;
+``rationalize`` loads ``exactnum`` and ``pattern``; ``encode``, ``dual``
+and ``compose`` load ``geometry`` (with ``exactnum`` and ``pattern``), and
+``render`` adds ``svg``; ``fixtures`` and ``selfcheck`` load ``fixtures``.
+Only the float work loads numpy: ``realize`` and ``mr --try-rank`` import
+``realize`` (after their pattern and search options have been checked),
+and ``mr`` on a pattern of minimum rank >= 3 runs the SNS scan.
+``mr2``, ``mr`` on a pattern of minimum rank <= 2 and ``rationalize``
+(which reads the realization file without numpy) never load it.
 """
 
 from __future__ import annotations
@@ -181,13 +184,13 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_rationalize(args) -> int:
-    from .exactnum import rationalize, save_certificate
+    from .exactnum import rationalize, read_realization, save_certificate
     from .pattern import load_pattern
 
     A = load_pattern(args.pattern)
-    from .realize import load_realization
-
-    cert = rationalize(A, load_realization(getattr(args, "from")))
+    with open(getattr(args, "from"), "r", encoding="utf-8") as fh:
+        real = read_realization(json.load(fh))
+    cert = rationalize(A, real)
     if not cert.verify():
         raise SignRankError("internal error: certificate failed re-verification")
     if args.output:

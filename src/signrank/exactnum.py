@@ -16,18 +16,20 @@ A :class:`RationalCertificate` is an exact rational matrix with the target's
 signs, its factors and its exact rank (``rational_rank``).  ``rationalize``
 builds one from a floating realization by rounding its factors and solving
 the zero constraints exactly.  No numpy: certificates load and verify
-without it.
+without it, and a realization document is read and checked
+(``read_realization``) and rationalized without it too.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Optional, Sequence
 
 from .errors import DomainError, Overdetermined, PrecisionExhausted, SingularSystem
@@ -508,6 +510,106 @@ def _sign_pattern(matrix) -> tuple:
     )
 
 
+# ---------------------------------------------------------------------------
+# Float realizations, read without numpy
+
+# |b| <= DEFAULT_ZERO_TOL reads as a zero of a float product
+DEFAULT_ZERO_TOL = 1e-9
+
+_PLAIN_NUMBERS = frozenset({int, float})
+
+
+def float_signs(rows, n: int) -> SignPattern:
+    """The signs of a float matrix given as rows of n floats: 0 within
+    ``DEFAULT_ZERO_TOL`` of zero, and a NaN reads as -."""
+    entries = tuple(
+        tuple([0 if abs(b) <= DEFAULT_ZERO_TOL else (1 if b > 0 else -1) for b in row])
+        for row in rows
+    )
+    return SignPattern._trusted(entries, len(entries), n)
+
+
+def _float_rows(M) -> tuple:
+    """M, a list of rows of real numbers, as a tuple of float rows.  A bool,
+    a string or any other value names no entry of a factor."""
+    if not isinstance(M, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in M):
+        raise DomainError("realization factors have inconsistent shapes")
+    # plain ints and floats, all that JSON gives, skip the slower test
+    if not _PLAIN_NUMBERS.issuperset(map(type, itertools.chain.from_iterable(M))):
+        for x in itertools.chain.from_iterable(M):
+            if isinstance(x, bool) or not isinstance(x, Real):
+                raise DomainError(f"realization entries must be numbers, got {x!r}")
+    try:
+        rows = tuple(tuple(map(float, row)) for row in M)
+        finite = all(map(math.isfinite, itertools.chain.from_iterable(rows)))
+    except OverflowError:  # an int past the float range
+        finite = False
+    if not finite:
+        raise DomainError("realization factors must be finite")
+    return rows
+
+
+@dataclass(frozen=True)
+class FloatRealization:
+    """Normal-form factors of a realization as tuples of float rows: U is
+    m x r with first column exactly ones, V is r x n with last row exactly
+    ones.
+
+    Building one is the one check of a realization: r is an integer >= 1,
+    every entry a finite real number (not a bool or a string), the shapes
+    agree and the normal form holds.  ``realize.Realization`` runs it too
+    and wraps the rows in numpy arrays; this form computes its product in
+    pure Python, so a realization document is read and rationalized without
+    numpy."""
+
+    r: int
+    U: tuple
+    V: tuple
+
+    def __post_init__(self):
+        r = parse_integer(self.r, "'r'")
+        if r < 1:
+            raise DomainError(f"realization rank 'r' must be >= 1, got {r}")
+        U, V = _float_rows(self.U), _float_rows(self.V)
+        n = len(V[0]) if V else 0
+        if len(V) != r or any(len(row) != n for row in V) or any(len(row) != r for row in U):
+            raise DomainError("realization factors have inconsistent shapes")
+        if any(row[0] != 1.0 for row in U):
+            raise DomainError("realization violates normal form: U's first column must be ones")
+        if any(x != 1.0 for x in V[-1]):
+            raise DomainError("realization violates normal form: V's last row must be ones")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "U", U)
+        object.__setattr__(self, "V", V)
+
+    def signed_pattern(self) -> SignPattern:
+        cols = list(zip(*self.V))
+        return float_signs([[sum(map(operator.mul, u, v)) for v in cols] for u in self.U],
+                           len(cols))
+
+    def transpose(self) -> "FloatRealization":
+        """Realization of the transposed pattern: U' = V^T and V' = U^T with
+        the first and last inner coordinates exchanged, which keeps the ones
+        where the normal form puts them."""
+        r = self.r
+        idx = [r - 1, *range(1, r - 1), 0] if r >= 2 else [0]
+        U_cols = list(zip(*self.U)) or [()] * r
+        return FloatRealization(r, tuple(tuple([v[k] for k in idx]) for v in zip(*self.V)),
+                                tuple(U_cols[k] for k in idx))
+
+
+def read_realization(doc) -> FloatRealization:
+    """The realization a JSON document {"r": r, "U": rows, "V": rows} holds,
+    checked by ``FloatRealization``; "U": [] is the 0 x r factor."""
+    if not isinstance(doc, dict):
+        raise DomainError(f"a realization document must be a JSON object, got {type(doc).__name__}")
+    try:
+        r, U, V = doc["r"], doc["U"], doc["V"]
+    except KeyError as exc:
+        raise DomainError(f"malformed realization document: missing {exc}") from None
+    return FloatRealization(r, U, V)
+
+
 def _round_matrix(M, cap: int):
     """Each entry rounded to denominator <= cap.  A normal form's pinned
     ones stay exact: ``rational_round(1.0, cap)`` is Fraction(1)."""
@@ -517,6 +619,8 @@ def _round_matrix(M, cap: int):
 def rationalize(A: SignPattern, real) -> RationalCertificate:
     """Upgrade a floating realization (read only through its r, U, V,
     ``signed_pattern()`` and ``transpose()``) to an exact rational certificate.
+    A ``FloatRealization`` computes its product's signs in pure Python, a
+    ``realize.Realization`` with numpy; both read them with ``float_signs``.
 
     Works on the condensed pattern, where every column must carry at most
     r-1 zeros.  If some column carries more but every row carries at most
@@ -542,9 +646,10 @@ def rationalize(A: SignPattern, real) -> RationalCertificate:
     report = condense(A)
     C = report.condensed
     r = real.r
-    if real.U.shape[0] != C.m or real.V.shape[1] != C.n:
+    m, n = len(real.U), len(real.V[0])
+    if m != C.m or n != C.n:
         raise DomainError(
-            f"realization is {real.U.shape[0]}x{real.V.shape[1]}, "
+            f"realization is {m}x{n}, "
             f"but the condensed pattern is {C.m}x{C.n}"
         )
     zeros = [col.count(0) for col in zip(*C.entries)]

@@ -11,9 +11,10 @@ Sign nonsingularity has one semantics, a block's 2-bit term-sign code:
 ``is_sns`` reads it off a memoized first-row expansion, the SNS scan off
 Laplace splits into half-size blocks.
 
-numpy is imported inside the functions that compute with it (the SNS scan,
-the monotone arrangement behind ``is_mr2`` and ``SignPattern.to_array``),
-so parsing, condensation, equivalence and ``is_sns`` run without loading it.
+numpy is imported inside the functions that compute with it (the SNS scan
+and ``SignPattern.to_array``), so parsing, condensation, equivalence,
+``is_sns`` and the rank-2 decision of ``is_mr2`` run without loading it, and
+so does ``mr_bounds`` on a pattern of minimum rank <= 2.
 """
 
 from __future__ import annotations
@@ -739,35 +740,62 @@ def _monotone_arrangement(C: SignPattern, identity_only: bool = False):
     finds the first valid d in (+, -) order, or a contradiction.  No two
     signed rows and no two signed columns of a condensed pattern are
     equal, so along a valid arrangement the line sums strictly increase
-    and each order is the one sort by sums.
+    and each order is the one sort by sums.  Each row is held as bitmasks
+    of its +, - and 0 columns, so a pair test is a few integer operations
+    and the whole decision runs in pure Python.
     """
-    import numpy as np
+    m, n = C.m, C.n
+    c = (1,) * n if identity_only else _row_pinned_signature(C)
+    T = [tuple(map(operator.mul, row, c)) for row in C.entries]
+    # row a of T as bitmasks of its + columns, its - columns and its zeros
+    pos = [_mask(row, _PLUS_BIT) for row in T]
+    neg = [_mask(row, _MINUS_BIT) for row in T]
+    zero = [(1 << n) - 1 & ~(p | q) for p, q in zip(pos, neg)]
 
-    m = C.m
-    c = np.array((1,) * C.n if identity_only else _row_pinned_signature(C), dtype=np.int8)
-    T = C.to_array() * c
-
-    def comparable(diff):
-        return ~((diff < 0).any(axis=2) & (diff > 0).any(axis=2))
-
-    same = comparable(T[:, None, :] - T[None, :, :])
-    opposite = np.zeros_like(same) if identity_only else comparable(T[:, None, :] + T[None, :, :])
-    if not (same | opposite).all():
+    # T_a - T_b is > 0 where a has + over a 0 or -, or 0 over a -, and < 0
+    # the other way round; having both makes rows a and b incomparable.
+    # T_a + T_b is the same test with b's + and - masks swapped.
+    adjacent = [[] for _ in range(m)]  # (b, +1 equal or -1 opposite signs)
+    forced = []
+    for a in range(m):
+        pa, na, za = pos[a], neg[a], zero[a]
+        for b in range(a + 1, m):
+            pb, nb, zb = pos[b], neg[b], zero[b]
+            same = not ((pa & ~pb) | (za & nb)) or not ((pb & ~pa) | (zb & na))
+            opposite = not identity_only and (
+                not ((pa & ~nb) | (za & pb)) or not ((nb & ~pa) | (zb & na)))
+            if same != opposite:
+                p = 1 if same else -1
+                adjacent[a].append((b, p))
+                adjacent[b].append((a, p))
+                forced.append((a, b, p))
+            elif not same:
+                return None
+    d = _propagate_signs(m, adjacent.__getitem__)
+    if any(d[a] * d[b] != p for a, b, p in forced):
         return None
-    parity = same.astype(np.int8) - opposite  # +1 equal, -1 opposite, 0 free
-    forced = parity.tolist()
-    d = np.array(_propagate_signs(m, lambda a: enumerate(forced[a])), dtype=np.int8)
-    if (parity * np.outer(d, d) < 0).any():
-        return None
-    S = T * d[:, None]
-    row_order = np.argsort(S.sum(axis=1), kind="stable")
-    col_order = np.argsort(S.sum(axis=0), kind="stable")
+    S = [row if s > 0 else tuple([-x for x in row]) for row, s in zip(T, d)]
+    row_sums = list(map(sum, S))
+    col_sums = list(map(sum, zip(*S)))
+    # sorted is stable, as the sort by sums must be for equal sums
+    row_order = sorted(range(m), key=row_sums.__getitem__)
+    col_order = sorted(range(n), key=col_sums.__getitem__)
     return EquivalenceWitness(
-        row_perm=tuple(row_order.tolist()),
-        col_perm=tuple(col_order.tolist()),
-        row_signs=tuple(d[row_order].tolist()),
-        col_signs=tuple(c[col_order].tolist()),
+        row_perm=tuple(row_order),
+        col_perm=tuple(col_order),
+        row_signs=tuple([d[i] for i in row_order]),
+        col_signs=tuple([c[j] for j in col_order]),
     )
+
+
+# the binary digit each sign sets in a row's + mask and in its - mask
+_PLUS_BIT = {1: "1", 0: "0", -1: "0"}
+_MINUS_BIT = {1: "0", 0: "0", -1: "1"}
+
+
+def _mask(row: tuple, bit: dict) -> int:
+    """The bitmask with bit j set where ``bit[row[j]]`` is "1"."""
+    return int("".join(map(bit.__getitem__, reversed(row))), 2)
 
 
 def check_search_budget(restarts: int, iters: int, seed: int) -> None:

@@ -7,6 +7,10 @@ exactly ones, and sgn(U V) matches the pattern up to row/column signatures
 (which this module recovers rather than stores -- the product's own signs
 carry them).  ``search_realization`` looks for one numerically;
 ``exactnum.rationalize`` upgrades it to an exact rational certificate.
+``exactnum.FloatRealization`` is the one check of a realization: a
+``Realization`` wraps its float rows in numpy arrays, and the CLI reads a
+realization file into one (``exactnum.read_realization``) and rationalizes
+it without loading numpy or this module.
 
 Ranks 1 and 2 are decided exactly, so there ``search_realization`` builds
 its answer from the condensation and the monotone arrangement of
@@ -29,10 +33,13 @@ import numpy as np
 from . import kernels
 from .errors import DomainError, NumericalDegeneracy
 from .exactnum import (
+    DEFAULT_ZERO_TOL,
+    FloatRealization,
     RationalCertificate,
-    parse_integer,
+    float_signs,
     rational_rank,
     rationalize,
+    read_realization,
     save_certificate,
     solve_zero_columns,
 )
@@ -42,7 +49,6 @@ from .pattern import SignPattern, _monotone_arrangement, check_search_budget, co
 __all__ = ["RationalCertificate", "rational_rank", "rationalize", "save_certificate",
            "solve_zero_columns"]
 
-DEFAULT_ZERO_TOL = 1e-9
 DEFAULT_MARGIN = 1e-2
 
 
@@ -69,37 +75,35 @@ class SearchParams:
 
 @dataclass(frozen=True)
 class Realization:
-    """Normal-form factor pair witnessing a rank-r sign realization."""
+    """Normal-form factor pair witnessing a rank-r sign realization, as
+    numpy arrays.  ``exactnum.FloatRealization`` checks it (r, shapes,
+    finiteness, normal form) wherever it is built."""
 
     r: int
     U: np.ndarray
     V: np.ndarray
 
     def __post_init__(self):
-        U = np.asarray(self.U, dtype=float)
-        V = np.asarray(self.V, dtype=float)
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "V", V)
-        if U.ndim != 2 or V.ndim != 2 or U.shape[1] != self.r or V.shape[0] != self.r:
-            raise DomainError("realization factors have inconsistent shapes")
-        if not (np.isfinite(U).all() and np.isfinite(V).all()):
-            raise DomainError("realization factors must be finite")
-        if U.shape[0] and not np.all(U[:, 0] == 1.0):
-            raise DomainError("realization violates normal form: U's first column must be ones")
-        if V.shape[1] and not np.all(V[-1, :] == 1.0):
-            raise DomainError("realization violates normal form: V's last row must be ones")
+        self._wrap(FloatRealization(self.r, _rows(self.U), _rows(self.V)))
+
+    def _wrap(self, rows: FloatRealization) -> None:
+        object.__setattr__(self, "r", rows.r)
+        object.__setattr__(self, "U", np.array(rows.U, dtype=float).reshape(len(rows.U), rows.r))
+        object.__setattr__(self, "V", np.array(rows.V, dtype=float).reshape(rows.r, len(rows.V[0])))
+
+    @classmethod
+    def _of(cls, rows: FloatRealization) -> "Realization":
+        """The arrays of rows that ``FloatRealization`` has checked."""
+        real = object.__new__(cls)
+        real._wrap(rows)
+        return real
 
     @property
     def product(self) -> np.ndarray:
         return self.U @ self.V
 
     def signed_pattern(self) -> SignPattern:
-        B = self.product
-        entries = tuple(
-            tuple([0 if abs(b) <= DEFAULT_ZERO_TOL else (1 if b > 0 else -1) for b in row])
-            for row in B.tolist()
-        )
-        return SignPattern._trusted(entries, *B.shape)
+        return float_signs(self.product.tolist(), self.V.shape[1])
 
     def margin(self) -> float:
         B = np.abs(self.product)
@@ -107,29 +111,20 @@ class Realization:
         return float(nz.min()) if nz.size else math.inf
 
     def transpose(self) -> "Realization":
-        """Realization of the transposed pattern: swaps the roles of U and V
-        while restoring the ones-bordered normal form by permuting the inner
-        coordinates (last inner coordinate becomes first)."""
-        r = self.r
-        idx = [r - 1] + list(range(1, r - 1)) + [0] if r >= 2 else [0]
-        U2 = self.V.T[:, idx].copy()
-        V2 = self.U.T[idx, :].copy()
-        U2[:, 0] = 1.0
-        V2[-1, :] = 1.0
-        return Realization(r, U2, V2)
+        """Realization of the transposed pattern (``FloatRealization.transpose``)."""
+        return self._of(FloatRealization(self.r, self.U.tolist(), self.V.tolist()).transpose())
 
     def to_dict(self) -> dict:
         return {"r": self.r, "U": self.U.tolist(), "V": self.V.tolist()}
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "Realization":
-        try:
-            r = parse_integer(doc["r"], "'r'")
-            # an empty condensation has no rows of U, which JSON cannot shape
-            U = np.empty((0, r)) if doc["U"] == [] else np.array(doc["U"], dtype=float)
-            return cls(r, U, np.array(doc["V"], dtype=float))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"malformed realization document: {exc}") from None
+    def from_dict(cls, doc) -> "Realization":
+        return cls._of(read_realization(doc))
+
+
+def _rows(M):
+    """An array's rows as lists for ``FloatRealization``; other input as is."""
+    return M.tolist() if isinstance(M, np.ndarray) else M
 
 
 def load_realization(path) -> Realization:

@@ -291,6 +291,24 @@ class TestRealizeRationalize:
         assert code == 2
         assert "'r' must be an integer, got 2.5" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"r": 2, "U": [[True, 0.5]], "V": [[1.0], [True]]},
+             "realization entries must be numbers, got True"),
+            ({"r": 2, "U": [["1", "0.5"]], "V": [[1.0], [1.0]]},
+             "realization entries must be numbers, got '1'"),
+            ([{"r": 2}], "a realization document must be a JSON object, got list"),
+            ({"r": -1, "U": [], "V": []}, "realization rank 'r' must be >= 1, got -1"),
+        ],
+        ids=["bool", "string", "list", "negative-r"],
+    )
+    def test_malformed_realization_exits_2(self, capsys, fxdir, tmp_path, doc, message):
+        bad = tmp_path / "bad.real.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "rationalize", fxdir / "A1.pat", "--from", bad)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_not_found_exit(self, capsys, tmp_path):
         pat = tmp_path / "diag.pat"
         pat.write_text("+0\n0+\n")

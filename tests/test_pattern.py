@@ -279,6 +279,24 @@ def _mr2_trials():
         yield family, P
 
 
+def _mr2_pin_patterns():
+    """360 seeded patterns of 2..30 rows and columns, in turn: a staircase
+    sign(i - j - 1/2), sign(u_i + v_j) with small integers (zeros where
+    u_i = -v_j), both signed and permuted, and a random pattern."""
+    rng = np.random.default_rng(2027)
+    for k in range(360):
+        m, n = int(rng.integers(2, 31)), int(rng.integers(2, 31))
+        if k % 3 == 0:
+            stair = np.sign(np.subtract.outer(np.arange(m), np.arange(n) + 0.5)).astype(int)
+        elif k % 3 == 1:
+            u, v = rng.integers(-6, 7, size=m), rng.integers(-6, 7, size=n)
+            stair = np.sign(np.add.outer(u, v))
+        else:
+            yield random_pattern(rng, m, n, float(rng.uniform(0.0, 0.3)))
+            continue
+        yield random_witness(rng, m, n).apply(SignPattern(stair.tolist()))
+
+
 def _assert_nondecreasing(arranged: SignPattern):
     for row in arranged.entries:
         assert list(row) == sorted(row)
@@ -759,6 +777,26 @@ class TestMr1Mr2:
                 and _orderable(list(zip(*C.entries)))
             )
             assert (has_direct_representation(P, 2).status == "yes") == expected
+
+    # sha256 over repr(is_mr2(P).witness) and has_direct_representation(P,
+    # 2) (its status, then the shapes and bytes of its U and V) on
+    # _mr2_pin_patterns (x86-64, numpy 2.4.6): 251 of the 360 have mr 2, 26
+    # of them a direct representation
+    WITNESS_SHA256 = "fd4de5aa5e00323b353b3ab5e03b96e686cd405eaca7dd5920c94088213e5e0a"
+
+    def test_witnesses_and_direct_representations_pinned(self):
+        import hashlib
+
+        h = hashlib.sha256()
+        for P in _mr2_pin_patterns():
+            witness = is_mr2(P).witness
+            h.update(repr(witness).encode())
+            rep = has_direct_representation(P, 2)
+            h.update(rep.status.encode())
+            if rep.witness is not None:
+                U, V = rep.witness.U, rep.witness.V
+                h.update(repr((U.shape, V.shape)).encode() + U.tobytes() + V.tobytes())
+        assert h.hexdigest() == self.WITNESS_SHA256
 
     def test_tiny_instance_trichotomy(self):
         # with at most 3 rows, exactly one of mr=0 / mr=1 / mr=2 / mr=3 holds

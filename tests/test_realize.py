@@ -19,10 +19,12 @@ from signrank.errors import (
 from signrank.fixtures import A0_PATTERN, A1_PATTERN, A2_PATTERN, FIG21_PATTERN
 from signrank.geometry import encode_configuration
 from signrank.exactnum import (
+    FloatRealization,
     RationalCertificate,
     rational_rank,
     rational_round,
     rationalize,
+    read_realization,
     solve_zero_columns,
 )
 from signrank.pattern import SignPattern, condense, is_mr2, signature_between
@@ -620,6 +622,45 @@ class TestRealizationDocument:
         with pytest.raises(DomainError, match="inconsistent shapes"):
             Realization.from_dict({"r": 2, "U": [1.0, 2.0], "V": [[1.0], [1.0]]})
 
+    @pytest.mark.parametrize(
+        "U, V, bad",
+        [([[True, 0.5]], [[1.0], [True]], "True"), ([["1", "0.5"]], [[1.0], [1.0]], "'1'"),
+         ([[1.0, None]], [[1.0], [1.0]], "None"), ([[1.0, [2.0]]], [[1.0], [1.0]], r"\[2.0\]")],
+        ids=["bool", "string", "null", "list"],
+    )
+    def test_non_number_entries_rejected(self, U, V, bad):
+        # True == 1 and float("1") == 1.0, but neither names an entry
+        with pytest.raises(DomainError, match=f"realization entries must be numbers, got {bad}$"):
+            Realization.from_dict({"r": 2, "U": U, "V": V})
+
+    @pytest.mark.parametrize("doc", [[], [{"r": 2}], "r", 2, None],
+                             ids=["empty-list", "list", "string", "number", "null"])
+    def test_non_object_document_rejected(self, doc):
+        with pytest.raises(DomainError, match="^a realization document must be a JSON object"):
+            Realization.from_dict(doc)
+
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_non_positive_r_rejected(self, r):
+        with pytest.raises(DomainError, match=f"^realization rank 'r' must be >= 1, got {r}$"):
+            Realization.from_dict({"r": r, "U": [], "V": []})
+
+    def test_missing_key_rejected(self):
+        with pytest.raises(DomainError, match="^malformed realization document: missing 'V'$"):
+            Realization.from_dict({"r": 2, "U": [[1.0, 0.5]]})
+
+    def test_document_rows_match_arrays(self):
+        # the reader's rows are the arrays' rows, and both forms check alike
+        real = search_realization(FIG21_PATTERN, 3, SearchParams(seed=4))
+        rows = read_realization(real.to_dict())
+        assert rows == FloatRealization(real.r, real.U.tolist(), real.V.tolist())
+        assert rows.signed_pattern() == real.signed_pattern()
+        assert rows.transpose() == read_realization(real.transpose().to_dict())
+        assert rows.transpose().signed_pattern() == real.signed_pattern().transpose()
+        with pytest.raises(DomainError, match="normal form"):
+            Realization(2, [[2.0, 1.0]], [[1.0], [1.0]])
+        with pytest.raises(DomainError, match="normal form"):
+            FloatRealization(2, [[2.0, 1.0]], [[1.0], [1.0]])
+
     def test_non_finite_factors_rejected(self):
         for U, V in (
             ([[1.0, np.nan]], [[1.0], [1.0]]),
@@ -1137,19 +1178,46 @@ class TestPinnedCertificates:
 
         from signrank.exactnum import save_certificate
 
-        if key == ("A1",):
-            P, real = A1_PATTERN, search_realization(A1_PATTERN, 2, SearchParams(seed=1))
-        elif key == ("fig21",):
-            P, real = FIG21_PATTERN, search_realization(FIG21_PATTERN, 3, SearchParams(seed=4))
-        else:
-            P, real = _planted_instance(np.random.default_rng(key[1]), key[2])
-            if key[0] == "transposed":
-                P, real = P.transpose(), real.transpose()
+        P, real = self._instance(key)
         cert = rationalize(P, real)
         assert cert.verify()
         path = tmp_path / "c.cert.json"
         save_certificate(cert, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PINNED_SHA256[key]
+
+    @staticmethod
+    def _instance(key):
+        if key == ("A1",):
+            return A1_PATTERN, search_realization(A1_PATTERN, 2, SearchParams(seed=1))
+        if key == ("fig21",):
+            return FIG21_PATTERN, search_realization(FIG21_PATTERN, 3, SearchParams(seed=4))
+        P, real = _planted_instance(np.random.default_rng(key[1]), key[2])
+        if key[0] == "transposed":
+            P, real = P.transpose(), real.transpose()
+        return P, real
+
+    @pytest.mark.parametrize("key", sorted(PINNED_SHA256, key=str) + [("duplicates",)],
+                             ids=lambda k: "-".join(map(str, k)))
+    def test_document_rows_certify_alike(self, tmp_path, key):
+        # rationalize on the rows a realization document holds (the pure
+        # Python product) and on the numpy Realization (numpy's product)
+        # saves the same bytes, on the transposed route too
+        from signrank.exactnum import save_certificate
+
+        if key == ("duplicates",):
+            # the row-fit pattern with an opposite column, an opposite row
+            # and a zero row deleted by its condensation
+            P = SignPattern(["0+++-", "0-++-", "0+-+-", "++++-", "0---+", "00000"])
+            real = search_realization(P, 3, SearchParams(seed=8))
+        else:
+            P, real = self._instance(key)
+        assert real is not None
+        saved = []
+        for form in (real, read_realization(real.to_dict())):
+            path = tmp_path / f"c{len(saved)}.cert.json"
+            save_certificate(rationalize(P, form), path)
+            saved.append(path.read_bytes())
+        assert saved[0] == saved[1]
 
 
 def _low_rank_pin_patterns():

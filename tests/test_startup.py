@@ -1,8 +1,12 @@
-"""Start-up cost: numpy and ``signrank.realize`` load only for the work that
-needs them (the numeric search and reading a realization, not loading or
-verifying a certificate), and nothing loads ``concurrent.futures``.
-Importing the package or the CLI loads no signrank module but ``errors``,
-and each subcommand loads only the modules it calls.
+"""Start-up cost: numpy and ``signrank.realize`` load only for the float
+work that needs them (the numeric search of ``realize`` and ``mr
+--try-rank``, and the SNS scan of ``mr`` on a pattern of minimum rank >= 3),
+and nothing loads ``concurrent.futures``.  The exact subcommands run
+without them: ``mr2``, ``mr`` on a pattern of minimum rank <= 2, and
+``rationalize``, which reads a realization file and writes and verifies its
+certificate, also when that file is malformed.  Importing the package or
+the CLI loads no signrank module but ``errors``, and each subcommand loads
+only the modules it calls.
 
 pytest itself has already imported numpy, so every check runs in a fresh
 interpreter and reports what that interpreter loaded.
@@ -53,8 +57,16 @@ def run_main(argv, code: int, stream: str = "stdout") -> str:
 
 @pytest.fixture(scope="module")
 def fxdir(tmp_path_factory):
+    """The fixtures, and realization files that ``realize`` writes: A1 at
+    rank 2, and a rank-3 pattern whose columns do not fit but whose rows do
+    (``rationalize`` takes the transposed route)."""
     path = tmp_path_factory.mktemp("fixtures")
     export_fixtures(path)
+    (path / "p3.pat").write_text("0+++\n0-++\n0+-+\n++++\n")
+    for argv in (["realize", path / "A1.pat", "--rank", 2, "-o", path / "a1.real.json"],
+                 ["realize", path / "p3.pat", "--rank", 3, "-o", path / "p3.real.json"]):
+        proc = cli(path, *argv)
+        assert proc.returncode == 0, proc.stderr
     return path
 
 
@@ -75,12 +87,15 @@ def test_import_loads_only_errors(statement, expected, tmp_path):
     assert loaded == expected
 
 
-# what a subcommand must not load besides HEAVY: condense and equiv read
-# patterns alone, and the configuration commands neither render nor read
-# the fixtures
+# what a subcommand must not load besides HEAVY: condense, equiv, mr and mr2
+# read patterns alone, rationalize reads no configuration, and the
+# configuration commands neither render nor read the fixtures
 NOT_LOADED = {
     "condense": ("signrank.exactnum", "signrank.geometry", "fractions"),
     "equiv": ("signrank.exactnum", "signrank.geometry", "fractions"),
+    "mr": ("signrank.exactnum", "signrank.geometry", "fractions"),
+    "mr2": ("signrank.exactnum", "signrank.geometry", "fractions"),
+    "rationalize": ("signrank.geometry", "signrank.fixtures"),
     "encode": ("signrank.fixtures", "signrank.svg"),
     "dual": ("signrank.fixtures", "signrank.svg"),
     "compose": ("signrank.fixtures", "signrank.svg"),
@@ -91,6 +106,11 @@ NOT_LOADED = {
     "argv",
     [
         ["condense", "{fx}/A0.pat", "-o", "c.pat"],
+        ["mr2", "{fx}/A1.pat"],
+        ["mr", "{fx}/A1.pat"],
+        ["rationalize", "{fx}/A1.pat", "--from", "{fx}/a1.real.json", "-o", "a1.cert.json"],
+        pytest.param(["rationalize", "{fx}/p3.pat", "--from", "{fx}/p3.real.json",
+                      "-o", "p3.cert.json"], id="rationalize-transposed"),
         ["encode", "{fx}/perles_config.json", "-o", "e.pat"],
         ["equiv", "{fx}/A0.pat", "{fx}/A0.pat"],
         ["dual", "{fx}/fig21_config.json", "-o", "d.json"],
@@ -113,8 +133,21 @@ def test_pure_subcommands_run_without_numpy(argv, fxdir, tmp_path):
     ids=lambda argv: argv[0],
 )
 def test_malformed_pattern_exits_without_numpy(argv, tmp_path):
-    # the pattern is read before the search or the realization loads numpy
+    # the pattern is read before the search loads numpy
     (tmp_path / "bad.pat").write_text("+x\n")
+    assert loaded_after(run_main(argv, 2, "stderr"), tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"r": 2, "U": [[1.0, 0.5]], "V": [[1.0], [1.0]]}, {"r": 2, "U": [1.0, 2.0], "V": [[1.0]]},
+     [1, 2], {"r": 2, "U": [[True, 0.5]], "V": [[1.0], [1.0]]}],
+    ids=["bad_shape", "ragged", "list", "bool"],
+)
+def test_malformed_realization_exits_without_numpy(doc, fxdir, tmp_path):
+    # rationalize reads the realization file in exactnum, without numpy
+    (tmp_path / "bad.real.json").write_text(json.dumps(doc))
+    argv = ["rationalize", str(fxdir / "A1.pat"), "--from", "bad.real.json"]
     assert loaded_after(run_main(argv, 2, "stderr"), tmp_path) == []
 
 
