@@ -35,6 +35,7 @@ _HOME = {
     "RationalCertificate": "exactnum",
     "rational_rank": "exactnum",
     "rationalize": "exactnum",
+    "Realization": "exactnum",
     "solve_zero_columns": "exactnum",
     "Configuration": "geometry",
     "OrientedHyperplane": "geometry",
@@ -60,7 +61,6 @@ _HOME = {
     "max_sns_submatrix": "pattern",
     "mr_bounds": "pattern",
     "term_rank": "pattern",
-    "Realization": "realize",
     "SearchParams": "realize",
     "has_direct_representation": "realize",
     "search_realization": "realize",
@@ -80,42 +80,7 @@ __all__ = [
     "SignRankError",
     "SingularSystem",
     "VerticalHyperplane",
-    "QuadElem",
-    "Rational",
-    "quad_sign",
-    "rational_round",
-    "RationalCertificate",
-    "rational_rank",
-    "rationalize",
-    "solve_zero_columns",
-    "Configuration",
-    "OrientedHyperplane",
-    "avoid_vertical",
-    "dualize",
-    "encode_configuration",
-    "from_factorization",
-    "incidence_structure",
-    "is_simple",
-    "side",
-    "stack",
-    "translate",
-    "CondensationReport",
-    "EquivalenceWitness",
-    "MrBounds",
-    "MrBoundsOptions",
-    "SignPattern",
-    "condense",
-    "is_equivalent",
-    "is_mr1",
-    "is_mr2",
-    "is_sns",
-    "max_sns_submatrix",
-    "mr_bounds",
-    "term_rank",
-    "Realization",
-    "SearchParams",
-    "has_direct_representation",
-    "search_realization",
+    *_HOME,
 ]
 
 

@@ -16,8 +16,9 @@ A :class:`RationalCertificate` is an exact rational matrix with the target's
 signs, its factors and its exact rank (``rational_rank``).  ``rationalize``
 builds one from a floating realization by rounding its factors and solving
 the zero constraints exactly.  No numpy: certificates load and verify
-without it, and a realization document is read and checked
-(``read_realization``) and rationalized without it too.
+without it, and a :class:`Realization` (the normal-form factor pair, as
+tuples of float rows) is read, checked (``read_realization``), multiplied
+out and rationalized without it too.
 """
 
 from __future__ import annotations
@@ -519,19 +520,12 @@ DEFAULT_ZERO_TOL = 1e-9
 _PLAIN_NUMBERS = frozenset({int, float})
 
 
-def float_signs(rows, n: int) -> SignPattern:
-    """The signs of a float matrix given as rows of n floats: 0 within
-    ``DEFAULT_ZERO_TOL`` of zero, and a NaN reads as -."""
-    entries = tuple(
-        tuple([0 if abs(b) <= DEFAULT_ZERO_TOL else (1 if b > 0 else -1) for b in row])
-        for row in rows
-    )
-    return SignPattern._trusted(entries, len(entries), n)
-
-
 def _float_rows(M) -> tuple:
-    """M, a list of rows of real numbers, as a tuple of float rows.  A bool,
-    a string or any other value names no entry of a factor."""
+    """M, rows of real numbers (a numpy array is read through its
+    ``tolist()``), as a tuple of float rows.  A bool, a string or any other
+    value names no entry of a factor."""
+    if hasattr(M, "tolist"):
+        M = M.tolist()
     if not isinstance(M, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in M):
         raise DomainError("realization factors have inconsistent shapes")
     # plain ints and floats, all that JSON gives, skip the slower test
@@ -550,17 +544,18 @@ def _float_rows(M) -> tuple:
 
 
 @dataclass(frozen=True)
-class FloatRealization:
-    """Normal-form factors of a realization as tuples of float rows: U is
-    m x r with first column exactly ones, V is r x n with last row exactly
-    ones.
+class Realization:
+    """Normal-form factor pair witnessing a rank-r sign realization, as
+    tuples of float rows: U is m x r with first column exactly ones (its
+    rows are points of R^(r-1)), V is r x n with last row exactly ones (its
+    columns are hyperplanes).
 
     Building one is the one check of a realization: r is an integer >= 1,
     every entry a finite real number (not a bool or a string), the shapes
-    agree and the normal form holds.  ``realize.Realization`` runs it too
-    and wraps the rows in numpy arrays; this form computes its product in
-    pure Python, so a realization document is read and rationalized without
-    numpy."""
+    agree and the normal form holds.  The factors may be given as numpy
+    arrays, as the search gives them; they are kept as rows all the same.
+    The product is computed in pure Python, so a realization is read,
+    checked and rationalized without numpy."""
 
     r: int
     U: tuple
@@ -582,32 +577,54 @@ class FloatRealization:
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "V", V)
 
-    def signed_pattern(self) -> SignPattern:
+    def _products(self):
+        """The entries of U V, row by row, each summed in coordinate order."""
         cols = list(zip(*self.V))
-        return float_signs([[sum(map(operator.mul, u, v)) for v in cols] for u in self.U],
-                           len(cols))
+        return ([sum(map(operator.mul, u, v)) for v in cols] for u in self.U)
 
-    def transpose(self) -> "FloatRealization":
+    def signed_pattern(self) -> SignPattern:
+        """The signs of U V: 0 within ``DEFAULT_ZERO_TOL`` of zero, and a
+        NaN (an overflowed product) reads as -."""
+        entries = tuple(
+            tuple([0 if abs(b) <= DEFAULT_ZERO_TOL else (1 if b > 0 else -1) for b in row])
+            for row in self._products()
+        )
+        return SignPattern._trusted(entries, len(self.U), len(self.V[0]))
+
+    def margin(self) -> float:
+        """The least |b| of U V beyond ``DEFAULT_ZERO_TOL``; inf if none."""
+        return min((b for row in self._products() for b in map(abs, row) if b > DEFAULT_ZERO_TOL),
+                   default=math.inf)
+
+    def transpose(self) -> "Realization":
         """Realization of the transposed pattern: U' = V^T and V' = U^T with
         the first and last inner coordinates exchanged, which keeps the ones
         where the normal form puts them."""
         r = self.r
         idx = [r - 1, *range(1, r - 1), 0] if r >= 2 else [0]
         U_cols = list(zip(*self.U)) or [()] * r
-        return FloatRealization(r, tuple(tuple([v[k] for k in idx]) for v in zip(*self.V)),
-                                tuple(U_cols[k] for k in idx))
+        return Realization(r, tuple(tuple([v[k] for k in idx]) for v in zip(*self.V)),
+                           tuple(U_cols[k] for k in idx))
+
+    def to_dict(self) -> dict:
+        return {"r": self.r, "U": [list(row) for row in self.U],
+                "V": [list(row) for row in self.V]}
+
+    @classmethod
+    def from_dict(cls, doc) -> "Realization":
+        return read_realization(doc)
 
 
-def read_realization(doc) -> FloatRealization:
+def read_realization(doc) -> Realization:
     """The realization a JSON document {"r": r, "U": rows, "V": rows} holds,
-    checked by ``FloatRealization``; "U": [] is the 0 x r factor."""
+    checked by ``Realization``; "U": [] is the 0 x r factor."""
     if not isinstance(doc, dict):
         raise DomainError(f"a realization document must be a JSON object, got {type(doc).__name__}")
     try:
         r, U, V = doc["r"], doc["U"], doc["V"]
     except KeyError as exc:
         raise DomainError(f"malformed realization document: missing {exc}") from None
-    return FloatRealization(r, U, V)
+    return Realization(r, U, V)
 
 
 def _round_matrix(M, cap: int):
@@ -619,8 +636,6 @@ def _round_matrix(M, cap: int):
 def rationalize(A: SignPattern, real) -> RationalCertificate:
     """Upgrade a floating realization (read only through its r, U, V,
     ``signed_pattern()`` and ``transpose()``) to an exact rational certificate.
-    A ``FloatRealization`` computes its product's signs in pure Python, a
-    ``realize.Realization`` with numpy; both read them with ``float_signs``.
 
     Works on the condensed pattern, where every column must carry at most
     r-1 zeros.  If some column carries more but every row carries at most

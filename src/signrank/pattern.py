@@ -416,9 +416,8 @@ def _propagate_signs(count: int, neighbours) -> list:
 def _max_matching(allowed, n_right: int):
     """Kuhn's augmenting-path maximum matching: left vertex u may take right
     vertex v where ``allowed[u][v]`` is truthy, tried in increasing v.
-    Returns the matching size and ``match`` with match[v] the left vertex on
-    right vertex v, or -1.  A pattern's rows serve as ``allowed`` as they
-    are, so term_rank builds nothing."""
+    Returns the size of the matching.  A pattern's rows serve as ``allowed``
+    as they are, so term_rank builds nothing."""
     match = [-1] * n_right
 
     def augment(u, seen):
@@ -434,14 +433,14 @@ def _max_matching(allowed, n_right: int):
     for u in range(len(allowed)):
         if augment(u, [False] * n_right):
             size += 1
-    return size, match
+    return size
 
 
 def term_rank(A: SignPattern) -> int:
     """Maximum number of nonzero entries no two in a row or column, which
     equals the maximum rank over the qualitative class (a standard fact of
     the field, taken as given here).  Kuhn's augmenting-path matching."""
-    return _max_matching(A.entries, A.n)[0]
+    return _max_matching(A.entries, A.n)
 
 
 _SNS_CAP = 10

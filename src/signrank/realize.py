@@ -7,10 +7,10 @@ exactly ones, and sgn(U V) matches the pattern up to row/column signatures
 (which this module recovers rather than stores -- the product's own signs
 carry them).  ``search_realization`` looks for one numerically;
 ``exactnum.rationalize`` upgrades it to an exact rational certificate.
-``exactnum.FloatRealization`` is the one check of a realization: a
-``Realization`` wraps its float rows in numpy arrays, and the CLI reads a
-realization file into one (``exactnum.read_realization``) and rationalizes
-it without loading numpy or this module.
+The answer is an ``exactnum.Realization``, whose factors are tuples of
+float rows: the search works on numpy arrays and hands them over once, and
+the CLI reads a realization file into the same class and rationalizes it
+without loading numpy or this module.
 
 Ranks 1 and 2 are decided exactly, so there ``search_realization`` builds
 its answer from the condensation and the monotone arrangement of
@@ -34,9 +34,8 @@ from . import kernels
 from .errors import DomainError, NumericalDegeneracy
 from .exactnum import (
     DEFAULT_ZERO_TOL,
-    FloatRealization,
     RationalCertificate,
-    float_signs,
+    Realization,
     rational_rank,
     rationalize,
     read_realization,
@@ -73,63 +72,9 @@ class SearchParams:
     direct: bool = False
 
 
-@dataclass(frozen=True)
-class Realization:
-    """Normal-form factor pair witnessing a rank-r sign realization, as
-    numpy arrays.  ``exactnum.FloatRealization`` checks it (r, shapes,
-    finiteness, normal form) wherever it is built."""
-
-    r: int
-    U: np.ndarray
-    V: np.ndarray
-
-    def __post_init__(self):
-        self._wrap(FloatRealization(self.r, _rows(self.U), _rows(self.V)))
-
-    def _wrap(self, rows: FloatRealization) -> None:
-        object.__setattr__(self, "r", rows.r)
-        object.__setattr__(self, "U", np.array(rows.U, dtype=float).reshape(len(rows.U), rows.r))
-        object.__setattr__(self, "V", np.array(rows.V, dtype=float).reshape(rows.r, len(rows.V[0])))
-
-    @classmethod
-    def _of(cls, rows: FloatRealization) -> "Realization":
-        """The arrays of rows that ``FloatRealization`` has checked."""
-        real = object.__new__(cls)
-        real._wrap(rows)
-        return real
-
-    @property
-    def product(self) -> np.ndarray:
-        return self.U @ self.V
-
-    def signed_pattern(self) -> SignPattern:
-        return float_signs(self.product.tolist(), self.V.shape[1])
-
-    def margin(self) -> float:
-        B = np.abs(self.product)
-        nz = B[B > DEFAULT_ZERO_TOL]
-        return float(nz.min()) if nz.size else math.inf
-
-    def transpose(self) -> "Realization":
-        """Realization of the transposed pattern (``FloatRealization.transpose``)."""
-        return self._of(FloatRealization(self.r, self.U.tolist(), self.V.tolist()).transpose())
-
-    def to_dict(self) -> dict:
-        return {"r": self.r, "U": self.U.tolist(), "V": self.V.tolist()}
-
-    @classmethod
-    def from_dict(cls, doc) -> "Realization":
-        return cls._of(read_realization(doc))
-
-
-def _rows(M):
-    """An array's rows as lists for ``FloatRealization``; other input as is."""
-    return M.tolist() if isinstance(M, np.ndarray) else M
-
-
 def load_realization(path) -> Realization:
     with open(path, "r", encoding="utf-8") as fh:
-        return Realization.from_dict(json.load(fh))
+        return read_realization(json.load(fh))
 
 
 def save_realization(real: Realization, path) -> None:
@@ -165,15 +110,14 @@ def _normalize_factors(U0: np.ndarray, V0: np.ndarray, rng: np.random.Generator)
 
     theta = rng.uniform(0.0, 2.0 * math.pi, size=(64, r - 1)).T
     cos, sin = np.cos(theta), np.sin(theta)
-    # R[k - 1, t] is candidate t's rotation in the plane (0, k)
-    k = np.arange(1, r)
-    R = np.empty((r - 1, 64, r, r))
-    R[:] = np.eye(r)
-    R[k - 1, :, 0, 0] = R[k - 1, :, k, k] = cos
-    R[k - 1, :, 0, k] = -sin
-    R[k - 1, :, k, 0] = sin
     Q = np.eye(r)
-    for Rk in R:
+    for k in range(1, r):
+        # candidate t's rotation in the plane (0, k), one plane at a time
+        Rk = np.empty((64, r, r))
+        Rk[:] = np.eye(r)
+        Rk[:, 0, 0] = Rk[:, k, k] = cos[k - 1]
+        Rk[:, 0, k] = -sin[k - 1]
+        Rk[:, k, 0] = sin[k - 1]
         Q = Rk @ Q
     quality = np.minimum(
         (np.abs(U0 @ Q[:, 0].T) / row_norm[:, None]).min(axis=0),
@@ -314,7 +258,7 @@ def search_realization(
         return _exact_low_rank(A, r, params.direct)
     C = condense(A).condensed
     if C.m == 0:
-        return Realization(r, np.ones((0, r)), np.ones((r, 0)))
+        return Realization(r, (), ((),) * r)
     # what every restart shares; none of it draws from a restart's generator
     S = C.to_array()
     m, n = S.shape
@@ -345,12 +289,12 @@ def _exact_low_rank(A: SignPattern, r: int, direct: bool) -> Optional[Realizatio
     mr2 = is_mr2(A) if r == 2 else None
     C = (condense(A) if mr2 is None else mr2.condensation).condensed
     if C.m == 0:
-        return Realization(r, np.ones((0, r)), np.ones((r, 0)))
+        return Realization(r, (), ((),) * r)
     if C.m == 1 and C.n == 1:
         s = C.entries[0][0]
         if r == 2:
-            return Realization(2, np.array([[1.0, s - 1.0]]), np.ones((2, 1)))
-        return None if direct and s < 0 else Realization(1, np.ones((1, 1)), np.ones((1, 1)))
+            return Realization(2, ((1.0, s - 1.0),), ((1.0,), (1.0,)))
+        return None if direct and s < 0 else Realization(1, ((1.0,),), ((1.0,),))
     if mr2 is None or not mr2.value:
         return None
     witness = _monotone_arrangement(C, identity_only=True) if direct else mr2.witness
@@ -379,7 +323,7 @@ def has_direct_representation(A: SignPattern, r: int) -> DirectRepresentation:
     no).
     """
     found = search_realization(A, r, SearchParams(direct=True))
-    if found is not None and (r >= 3 or min(found.U.shape[0], found.V.shape[1]) >= r):
+    if found is not None and (r >= 3 or min(len(found.U), len(found.V[0])) >= r):
         return DirectRepresentation("yes", found)
     return DirectRepresentation("no" if r <= 2 else "unknown", None)
 
@@ -404,8 +348,8 @@ def _realization_from_arrangement(C: SignPattern, witness) -> Realization:
     v = [0.0] * C.n
     for pos, j in enumerate(witness.col_perm):
         v[j] = pos + 1.0
-    U = np.array([[1.0, -(row.count(-1) + (1 + row.count(0)) / 2)] for row in S.entries])
-    real = Realization(2, U, np.array([v, [1.0] * C.n]))
+    U = [[1.0, -(row.count(-1) + (1 + row.count(0)) / 2)] for row in S.entries]
+    real = Realization(2, U, [v, [1.0] * C.n])
     if real.signed_pattern() != S:
         raise AssertionError("internal error: rank-2 witness failed validation")
     return real

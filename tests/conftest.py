@@ -18,6 +18,14 @@ from signrank.geometry import Configuration, encode_configuration
 from signrank.pattern import EquivalenceWitness, SignPattern
 
 
+def factor_arrays(real):
+    """A realization's factors, tuples of float rows, as numpy arrays shaped
+    m x r and r x n (also when m or n is 0)."""
+    U = np.array(real.U, dtype=float).reshape(len(real.U), real.r)
+    V = np.array(real.V, dtype=float).reshape(real.r, len(real.V[0]))
+    return U, V
+
+
 def decimal_value(q: QuadElem, digits: int = 60) -> Decimal:
     getcontext().prec = digits
     r = Decimal(q.r.numerator) / Decimal(q.r.denominator)

@@ -12,7 +12,7 @@ result with ``SignPattern`` of the same rows given as lists.
 import numpy as np
 import pytest
 
-from signrank import realize
+from signrank import exactnum, realize
 from signrank.errors import DomainError
 from signrank.pattern import EquivalenceWitness, SignPattern, condense, is_mr2
 
@@ -166,9 +166,9 @@ class TestRealizeBuilders:
             V = np.vstack([rng.normal(size=(r - 1, n)), np.ones((1, n))])
             if m and n and r > 1:
                 U[0, 1:] = V[0, 0] = 0.0  # an exact zero at (0, 0)
-            real = realize.Realization(r, U, V)
+            real = exactnum.Realization(r, U, V)
             B = U @ V
-            expected = [[0 if abs(b) <= realize.DEFAULT_ZERO_TOL else (1 if b > 0 else -1)
+            expected = [[0 if abs(b) <= exactnum.DEFAULT_ZERO_TOL else (1 if b > 0 else -1)
                          for b in row] for row in B]
             assert_as_checked(real.signed_pattern(), expected, (m, n))
         assert trusted_calls

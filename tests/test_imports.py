@@ -3,7 +3,8 @@ function reads each local it assigns, and every module-level private name
 is used somewhere in the package.
 
 Plain ``ast`` walks: an imported name counts as used when it appears as a
-name anywhere in the module or is listed in ``__all__`` (re-exports); a
+name anywhere in the module or as a string anywhere in the expression
+assigned to ``__all__`` (re-exports, as in ``["x", *_TABLE]``); a
 local counts as read when it is loaded anywhere in its function, nested
 functions included; a private name counts as used when some module loads
 it as a name or an attribute.
@@ -32,7 +33,10 @@ def unused_imports(source: str):
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            used.update(ast.literal_eval(node.value))
+            used.update(
+                n.value for n in ast.walk(node.value)
+                if isinstance(n, ast.Constant) and isinstance(n.value, str)
+            )
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 

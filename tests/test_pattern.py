@@ -27,6 +27,7 @@ from signrank.realize import has_direct_representation
 
 from conftest import (
     equivalence_orbit,
+    factor_arrays,
     factorial_term_rank,
     permutation_sns,
     random_pattern,
@@ -794,7 +795,7 @@ class TestMr1Mr2:
             rep = has_direct_representation(P, 2)
             h.update(rep.status.encode())
             if rep.witness is not None:
-                U, V = rep.witness.U, rep.witness.V
+                U, V = factor_arrays(rep.witness)
                 h.update(repr((U.shape, V.shape)).encode() + U.tobytes() + V.tobytes())
         assert h.hexdigest() == self.WITNESS_SHA256
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -19,8 +20,8 @@ from signrank.errors import (
 from signrank.fixtures import A0_PATTERN, A1_PATTERN, A2_PATTERN, FIG21_PATTERN
 from signrank.geometry import encode_configuration
 from signrank.exactnum import (
-    FloatRealization,
     RationalCertificate,
+    Realization,
     rational_rank,
     rational_round,
     rationalize,
@@ -29,7 +30,6 @@ from signrank.exactnum import (
 )
 from signrank.pattern import SignPattern, condense, is_mr2, signature_between
 from signrank.realize import (
-    Realization,
     SearchParams,
     has_direct_representation,
     _normalize_factors,
@@ -39,6 +39,7 @@ from signrank.realize import (
 )
 
 from conftest import (
+    factor_arrays,
     permutation_sns,
     random_pattern,
     random_planar_config,
@@ -98,6 +99,20 @@ class TestNormalizeFactorization:
     def test_zero_row_raises(self):
         with pytest.raises(NumericalDegeneracy):
             _normalize_factors(np.zeros((2, 3)), np.ones((3, 2)), np.random.default_rng(1))
+
+    def test_rotations_built_one_plane_at_a_time(self):
+        # the 64 candidate rotations are built one plane at a time, 64 r x r
+        # blocks: memory O(64 r^2), about 2.5 MB at r = 40, where all r - 1
+        # planes at once would take O(64 r^3), 33.6 MB (about 4 GB at r = 200)
+        rng = np.random.default_rng(40)
+        U0, V0 = rng.standard_normal((8, 40)), rng.standard_normal((40, 8))
+        tracemalloc.start()
+        try:
+            _normalize_factors(U0, V0, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 def _reference_plane_rotation(r: int, k: int, theta: float) -> np.ndarray:
@@ -431,9 +446,10 @@ class TestSearch:
         neg, pos = SignPattern(["--", "--"]), SignPattern(["++"])
         assert search_realization(neg, 1, SearchParams(direct=True)) is None
         assert has_direct_representation(neg, 1).status == "no"
-        real = search_realization(pos, 1, SearchParams(direct=True))
-        assert real.product.tolist() == [[1.0]]
-        assert search_realization(neg, 1).product.tolist() == [[1.0]]
+        for real in (search_realization(pos, 1, SearchParams(direct=True)),
+                     search_realization(neg, 1)):
+            U, V = factor_arrays(real)
+            assert (U @ V).tolist() == [[1.0]]
 
     def test_rank_below_one_rejected(self):
         with pytest.raises(DomainError):
@@ -447,9 +463,9 @@ class TestSearch:
             search_realization(A0_PATTERN, r, SearchParams(seed=-1))
 
     def test_normal_form_guaranteed(self):
-        real = search_realization(A2_PATTERN, 2, SearchParams(seed=9))
-        assert np.all(real.U[:, 0] == 1.0)
-        assert np.all(real.V[-1, :] == 1.0)
+        U, V = factor_arrays(search_realization(A2_PATTERN, 2, SearchParams(seed=9)))
+        assert np.all(U[:, 0] == 1.0)
+        assert np.all(V[-1, :] == 1.0)
 
 
 def _low_rank_trials():
@@ -475,8 +491,9 @@ def _assert_low_rank_answer(P, r):
     direct = search_realization(P, r, SearchParams(direct=True))
     for found in (real, direct):
         if found is not None:
-            assert found.r == r and found.U.shape == (C.m, r) and found.V.shape == (r, C.n)
-            assert np.all(found.U[:, 0] == 1.0) and np.all(found.V[-1, :] == 1.0)
+            U, V = factor_arrays(found)
+            assert found.r == r and U.shape == (C.m, r) and V.shape == (r, C.n)
+            assert np.all(U[:, 0] == 1.0) and np.all(V[-1, :] == 1.0)
     if real is not None:
         assert signature_between(C, real.signed_pattern()) is not None
     if direct is not None:
@@ -513,8 +530,8 @@ class TestExactLowRank:
     def test_rank1_pattern_at_rank2(self, sign):
         P = SignPattern([[sign, -sign], [sign, -sign]])
         for direct in (False, True):
-            real = search_realization(P, 2, SearchParams(direct=direct))
-            assert real.product.tolist() == [[float(sign)]]
+            U, V = factor_arrays(search_realization(P, 2, SearchParams(direct=direct)))
+            assert (U @ V).tolist() == [[float(sign)]]
 
     def test_descent_never_runs(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -548,8 +565,9 @@ class TestZeroPolish:
             cells = [(i, j) for j in range(S.shape[1]) for i in range(S.shape[0]) if S[i, j] == 0]
             if not cells:
                 continue
-            U = real.U + 1e-3 * rng.standard_normal(real.U.shape)
-            V = real.V + 1e-3 * rng.standard_normal(real.V.shape)
+            U, V = factor_arrays(real)
+            U = U + 1e-3 * rng.standard_normal(U.shape)
+            V = V + 1e-3 * rng.standard_normal(V.shape)
             U, V = realize._gauss_newton_zero_polish(U, V, cells, None, None, max_iter=3)
             B = U @ V
             assert max(abs(B[i, j]) for i, j in cells) < 1e-13, k
@@ -571,10 +589,11 @@ class TestZeroPolish:
             cells = [(i, j) for j in range(S.shape[1]) for i in range(S.shape[0]) if S[i, j] == 0]
             if not cells:
                 continue
-            free_u, free_v = np.ones_like(real.U), np.ones_like(real.V)
+            U, V = factor_arrays(real)
+            free_u, free_v = np.ones_like(U), np.ones_like(V)
             free_u[:, 0] = free_v[-1, :] = 0.0
-            U = real.U + 1e-3 * rng.standard_normal(real.U.shape)
-            V = real.V + 1e-3 * rng.standard_normal(real.V.shape)
+            U = U + 1e-3 * rng.standard_normal(U.shape)
+            V = V + 1e-3 * rng.standard_normal(V.shape)
             U[:, 0] = V[-1, :] = 1.0
             U, V = realize._gauss_newton_zero_polish(U, V, cells, free_u, free_v)
             assert (U[:, 0] == 1.0).all() and (V[-1, :] == 1.0).all(), k
@@ -591,9 +610,7 @@ class TestRealizationDocument:
         real = search_realization(A1_PATTERN, 2, SearchParams(seed=2))
         path = tmp_path / "real.json"
         save_realization(real, path)
-        back = load_realization(path)
-        assert np.array_equal(back.U, real.U)
-        assert np.array_equal(back.V, real.V)
+        assert load_realization(path) == real
 
     def test_normal_form_enforced(self):
         with pytest.raises(DomainError):
@@ -617,8 +634,8 @@ class TestRealizationDocument:
         path = tmp_path / "z.real.json"
         save_realization(real, path)
         back = load_realization(path)
-        assert back.U.shape == (0, 3) and back.V.shape == (3, 0)
-        assert Realization.from_dict({"r": 2, "U": [[1.0, 2.0]], "V": [[1.0], [1.0]]}).U.shape == (1, 2)
+        assert back == real and back.U == () and back.V == ((),) * 3
+        assert Realization.from_dict({"r": 2, "U": [[1.0, 2.0]], "V": [[1.0], [1.0]]}).U == ((1.0, 2.0),)
         with pytest.raises(DomainError, match="inconsistent shapes"):
             Realization.from_dict({"r": 2, "U": [1.0, 2.0], "V": [[1.0], [1.0]]})
 
@@ -649,17 +666,18 @@ class TestRealizationDocument:
             Realization.from_dict({"r": 2, "U": [[1.0, 0.5]]})
 
     def test_document_rows_match_arrays(self):
-        # the reader's rows are the arrays' rows, and both forms check alike
+        # factors given as arrays are kept as the rows a document gives, and
+        # both forms check alike
         real = search_realization(FIG21_PATTERN, 3, SearchParams(seed=4))
-        rows = read_realization(real.to_dict())
-        assert rows == FloatRealization(real.r, real.U.tolist(), real.V.tolist())
-        assert rows.signed_pattern() == real.signed_pattern()
-        assert rows.transpose() == read_realization(real.transpose().to_dict())
-        assert rows.transpose().signed_pattern() == real.signed_pattern().transpose()
-        with pytest.raises(DomainError, match="normal form"):
-            Realization(2, [[2.0, 1.0]], [[1.0], [1.0]])
-        with pytest.raises(DomainError, match="normal form"):
-            FloatRealization(2, [[2.0, 1.0]], [[1.0], [1.0]])
+        U, V = factor_arrays(real)
+        assert real == Realization(real.r, U, V) == Realization(real.r, U.tolist(), V.tolist())
+        assert all(type(x) is float for M in (real.U, real.V) for row in M for x in row)
+        assert read_realization(real.to_dict()) == real
+        assert real.transpose() == read_realization(real.transpose().to_dict())
+        assert real.transpose().signed_pattern() == real.signed_pattern().transpose()
+        for factor in ([[2.0, 1.0]], np.array([[2.0, 1.0]])):
+            with pytest.raises(DomainError, match="normal form"):
+                Realization(2, factor, [[1.0], [1.0]])
 
     def test_non_finite_factors_rejected(self):
         for U, V in (
@@ -1199,9 +1217,10 @@ class TestPinnedCertificates:
     @pytest.mark.parametrize("key", sorted(PINNED_SHA256, key=str) + [("duplicates",)],
                              ids=lambda k: "-".join(map(str, k)))
     def test_document_rows_certify_alike(self, tmp_path, key):
-        # rationalize on the rows a realization document holds (the pure
-        # Python product) and on the numpy Realization (numpy's product)
-        # saves the same bytes, on the transposed route too
+        # the search answers with the one realization class; the document
+        # of a realization reads back equal to it, and rationalize on the
+        # read-back rows (as the CLI runs it) saves the same bytes, on the
+        # transposed route too
         from signrank.exactnum import save_certificate
 
         if key == ("duplicates",):
@@ -1211,7 +1230,8 @@ class TestPinnedCertificates:
             real = search_realization(P, 3, SearchParams(seed=8))
         else:
             P, real = self._instance(key)
-        assert real is not None
+        assert isinstance(real, Realization)
+        assert read_realization(real.to_dict()) == real
         saved = []
         for form in (real, read_realization(real.to_dict())):
             path = tmp_path / f"c{len(saved)}.cert.json"
@@ -1253,8 +1273,8 @@ class TestPinnedSearch:
         if real is None:
             h.update(b"None")
         else:
-            h.update(repr((real.U.shape, real.V.shape)).encode() + real.U.tobytes()
-                     + real.V.tobytes())
+            U, V = factor_arrays(real)
+            h.update(repr((U.shape, V.shape)).encode() + U.tobytes() + V.tobytes())
 
     def test_low_rank_answers_pinned(self):
         import hashlib
@@ -1333,7 +1353,8 @@ class TestDirectRepresentation:
         P = SignPattern(["++", "-+"])
         result = has_direct_representation(P, 2)
         assert result.status == "yes"
-        B = result.witness.product
+        U, V = factor_arrays(result.witness)
+        B = U @ V
         # substitute: every entry's sign checks out directly
         for i in range(2):
             for j in range(2):
@@ -1365,7 +1386,8 @@ class TestDirectRepresentation:
                     h.update(result.status.encode())
                     W = result.witness
                     if W is not None:
-                        h.update(repr((W.U.shape, W.V.shape)).encode() + W.U.tobytes() + W.V.tobytes())
+                        U, V = factor_arrays(W)
+                        h.update(repr((U.shape, V.shape)).encode() + U.tobytes() + V.tobytes())
         assert h.hexdigest() == self.PINNED_SHA256
 
 

@@ -198,6 +198,17 @@ def test_certificate_verifies_without_numpy(fxdir, tmp_path):
     assert loaded_after(statement, tmp_path) == []
 
 
+def test_realization_reads_without_numpy(tmp_path):
+    # the one realization class lives in exactnum: reading, checking and
+    # multiplying out a document loads neither numpy nor realize
+    statement = (
+        "from signrank import Realization\n"
+        "real = Realization.from_dict({'r': 2, 'U': [[1.0, -0.5]], 'V': [[1.0], [1.0]]})\n"
+        "assert real.signed_pattern().entries == ((1,),) and real.margin() == 0.5"
+    )
+    assert loaded_after(statement, tmp_path) == []
+
+
 def test_star_import_resolves_all(tmp_path):
     doc = fresh(
         "import json, signrank, signrank.realize as realize\n"
