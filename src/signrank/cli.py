@@ -10,11 +10,15 @@ this module loads only ``errors`` and a command loads what it needs alone:
 ``rationalize`` loads ``exactnum`` and ``pattern``; ``encode``, ``dual``
 and ``compose`` load ``geometry`` (with ``exactnum`` and ``pattern``), and
 ``render`` adds ``svg``; ``fixtures`` and ``selfcheck`` load ``fixtures``.
-Only the float work loads numpy: ``realize`` and ``mr --try-rank`` import
-``realize`` (after their pattern and search options have been checked),
-and ``mr`` on a pattern of minimum rank >= 3 runs the SNS scan.
-``mr2``, ``mr`` on a pattern of minimum rank <= 2 and ``rationalize``
-(which reads the realization file without numpy) never load it.
+Only the float work loads numpy: ``realize --rank 3`` and up and ``mr
+--try-rank`` import ``realize`` (after their pattern and search options
+have been checked), and ``mr`` on a pattern of minimum rank >= 3 runs the
+SNS scan.  ``mr2``, ``mr`` on a pattern of minimum rank <= 2, ``realize
+--rank 1|2`` (decided exactly by ``exactnum.exact_low_rank``) and
+``rationalize`` (which reads the realization file without numpy) never
+load it.  No signrank module imports ``dataclasses``, whose import
+(``inspect``, ``ast``, ``dis``, ``tokenize``) and per-class ``exec`` cost
+each process about 20 ms: records are NamedTuples or slotted classes.
 """
 
 from __future__ import annotations
@@ -143,6 +147,7 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_realize(args) -> int:
+    from .exactnum import exact_low_rank, save_realization
     from .pattern import check_search_budget, load_pattern
 
     A = load_pattern(args.pattern)
@@ -150,15 +155,19 @@ def _cmd_realize(args) -> int:
     # the search checks this too, but only after numpy has loaded
     if args.rank < 1:
         raise DomainError(f"rank must be >= 1, got {args.rank}")
-    from . import realize
+    if args.rank <= 2:
+        # decided exactly, as the search decides these ranks, without numpy
+        real = exact_low_rank(A, args.rank, args.direct)
+    else:
+        from .realize import SearchParams, search_realization
 
-    params = realize.SearchParams(
-        restarts=args.restarts,
-        iters=args.iters,
-        seed=args.seed,
-        direct=args.direct,
-    )
-    real = realize.search_realization(A, args.rank, params)
+        params = SearchParams(
+            restarts=args.restarts,
+            iters=args.iters,
+            seed=args.seed,
+            direct=args.direct,
+        )
+        real = search_realization(A, args.rank, params)
     if real is None:
         # ranks 1 and 2 are decided exactly; the search above that is not
         exact = args.rank <= 2
@@ -173,7 +182,7 @@ def _cmd_realize(args) -> int:
         _emit(args, {"found": False, "exact": exact}, text)
         return EXIT_NEGATIVE
     if args.output:
-        realize.save_realization(real, args.output)
+        save_realization(real, args.output)
     # a realization with no nonzero product has an infinite margin, which
     # JSON cannot carry
     margin = real.margin()

@@ -18,7 +18,8 @@ builds one from a floating realization by rounding its factors and solving
 the zero constraints exactly.  No numpy: certificates load and verify
 without it, and a :class:`Realization` (the normal-form factor pair, as
 tuples of float rows) is read, checked (``read_realization``), multiplied
-out and rationalized without it too.
+out and rationalized without it too.  Ranks 1 and 2 are realized exactly
+here (``exact_low_rank``), from the rank-2 decision of ``pattern.is_mr2``.
 """
 
 from __future__ import annotations
@@ -28,13 +29,19 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral, Real
 from typing import Optional, Sequence
 
 from .errors import DomainError, Overdetermined, PrecisionExhausted, SingularSystem
-from .pattern import CondensationReport, SignPattern, condense, signature_between
+from .pattern import (
+    CondensationReport,
+    SignPattern,
+    _monotone_arrangement,
+    condense,
+    is_mr2,
+    signature_between,
+)
 
 Rational = Fraction
 
@@ -66,6 +73,12 @@ def check_radical(d) -> int:
     return int(d)
 
 
+def _fill_quad(q, r: Fraction, s: Fraction, d: int) -> None:
+    object.__setattr__(q, "r", r)
+    object.__setattr__(q, "s", s)
+    object.__setattr__(q, "d", d)
+
+
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         # numpy integers survive inside Fraction and poison comparisons
@@ -83,13 +96,35 @@ def _as_fraction(value) -> Fraction:
     raise DomainError(f"cannot convert {value!r} to an exact rational")
 
 
-@dataclass(frozen=True, eq=False)
 class QuadElem:
     """Exact element r + s*sqrt(d) of the real quadratic field Q(sqrt d)."""
 
-    r: Fraction
-    s: Fraction = Fraction(0)
-    d: int = 1
+    __slots__ = ("r", "s", "d")
+
+    def __init__(self, r, s=Fraction(0), d: int = 1):
+        r, s = _as_fraction(r), _as_fraction(s)
+        # a rational belongs to no radical, so only a radical part checks d
+        d = 1 if s == 0 else check_radical(d)
+        if d == 1 and s != 0:
+            # sqrt(1) = 1: fold the radical part so representation stays unique
+            r, s = r + s, Fraction(0)
+        _fill_quad(self, r, s, d)
+
+    @classmethod
+    def _trusted(cls, r: Fraction, s: Fraction, d: int) -> "QuadElem":
+        """r + s*sqrt(d) from the parts of checked elements, unchecked: r and
+        s are Fractions and d a checked radical, which falls to 1 with s.
+        Arithmetic results go through here; outside values go through
+        ``__init__``, which converts and checks them."""
+        self = object.__new__(cls)
+        _fill_quad(self, r, s, d if s else 1)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QuadElem is immutable")
+
+    def __reduce__(self):
+        return QuadElem, (self.r, self.s, self.d)
 
     def __eq__(self, other):
         if isinstance(other, (Integral, Fraction, float)):
@@ -105,17 +140,6 @@ class QuadElem:
         if self.s == 0:
             return hash(self.r)
         return hash((self.r, self.s, self.d))
-
-    def __post_init__(self):
-        object.__setattr__(self, "r", _as_fraction(self.r))
-        object.__setattr__(self, "s", _as_fraction(self.s))
-        # a rational belongs to no radical, so only a radical part checks d
-        d = 1 if self.s == 0 else check_radical(self.d)
-        if d == 1 and self.s != 0:
-            # sqrt(1) = 1: fold the radical part so representation stays unique
-            object.__setattr__(self, "r", self.r + self.s)
-            object.__setattr__(self, "s", Fraction(0))
-        object.__setattr__(self, "d", d)
 
     @classmethod
     def lift(cls, value) -> "QuadElem":
@@ -137,23 +161,23 @@ class QuadElem:
 
     def __add__(self, other):
         b, d = self._pair(other)
-        return QuadElem(self.r + b.r, self.s + b.s, d)
+        return QuadElem._trusted(self.r + b.r, self.s + b.s, d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         b, d = self._pair(other)
-        return QuadElem(self.r - b.r, self.s - b.s, d)
+        return QuadElem._trusted(self.r - b.r, self.s - b.s, d)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return QuadElem(-self.r, -self.s, self.d)
+        return QuadElem._trusted(-self.r, -self.s, self.d)
 
     def __mul__(self, other):
         b, d = self._pair(other)
-        return QuadElem(self.r * b.r + self.s * b.s * d, self.r * b.s + self.s * b.r, d)
+        return QuadElem._trusted(self.r * b.r + self.s * b.s * d, self.r * b.s + self.s * b.r, d)
 
     __rmul__ = __mul__
 
@@ -163,7 +187,7 @@ class QuadElem:
             raise DomainError("division by zero quadratic element")
         norm = b.r * b.r - b.d * b.s * b.s
         # 1/(r + s*sqrt(d)) = (r - s*sqrt(d)) / (r^2 - d s^2)
-        inv = QuadElem(b.r / norm, -b.s / norm, b.d)
+        inv = QuadElem._trusted(b.r / norm, -b.s / norm, b.d)
         return self * inv
 
     def __rtruediv__(self, other):
@@ -208,7 +232,11 @@ def quad_sign(x) -> int:
     """Exact sign of a rational or quadratic element: one of -1, 0, +1."""
     if not isinstance(x, QuadElem):
         return _sgn(_as_fraction(x))
-    r, s, d = x.r, x.s, x.d
+    return root_sign(x.r, x.s, x.d)
+
+
+def root_sign(r, s, d: int) -> int:
+    """Exact sign of r + s*sqrt(d) for rationals or integers r, s and d >= 1."""
     if s == 0:
         return _sgn(r)
     if r == 0:
@@ -327,7 +355,6 @@ def format_scalar(value: QuadElem):
 # Exact rational certificates
 
 
-@dataclass(frozen=True)
 class RationalCertificate:
     """Exact rational matrix whose signs equal the target pattern, plus its
     exact rank: a machine-checkable witness that the rational minimum rank
@@ -336,20 +363,43 @@ class RationalCertificate:
     ``factors`` = (U, V) are exact rational factors with U V == matrix; the
     rank is then proven from them (``_factored_rank``).  A certificate
     without them, as files written before they were stored are, is checked
-    by eliminating the matrix itself."""
+    by eliminating the matrix itself.  ``matrix`` and the factors are
+    tuples of tuples of Fraction."""
 
-    matrix: tuple  # tuple of tuples of Fraction
-    rank: int
-    target: SignPattern
-    factors: Optional[tuple] = None  # (U, V), tuples of tuples of Fraction
+    __slots__ = ("matrix", "rank", "target", "factors")
 
-    def __post_init__(self):
-        if self.factors is None:
-            return
-        U, V = self.factors
-        if (len(U) != len(self.matrix) or any(len(row) != len(V) for row in U)
-                or any(len(row) != self.target.n for row in V)):
-            raise DomainError("certificate factors have inconsistent shapes")
+    def __init__(self, matrix: tuple, rank: int, target: SignPattern,
+                 factors: Optional[tuple] = None):
+        if factors is not None:
+            U, V = factors
+            if (len(U) != len(matrix) or any(len(row) != len(V) for row in U)
+                    or any(len(row) != target.n for row in V)):
+                raise DomainError("certificate factors have inconsistent shapes")
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "factors", factors)
+
+    def _key(self) -> tuple:
+        return self.matrix, self.rank, self.target, self.factors
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RationalCertificate is immutable")
+
+    def __reduce__(self):
+        return RationalCertificate, self._key()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"RationalCertificate(matrix={self.matrix!r}, rank={self.rank!r}, "
+                f"target={self.target!r}, factors={self.factors!r})")
 
     def verify(self) -> bool:
         """Three independent checks: the matrix's signs are the target's,
@@ -543,7 +593,6 @@ def _float_rows(M) -> tuple:
     return rows
 
 
-@dataclass(frozen=True)
 class Realization:
     """Normal-form factor pair witnessing a rank-r sign realization, as
     tuples of float rows: U is m x r with first column exactly ones (its
@@ -557,15 +606,13 @@ class Realization:
     The product is computed in pure Python, so a realization is read,
     checked and rationalized without numpy."""
 
-    r: int
-    U: tuple
-    V: tuple
+    __slots__ = ("r", "U", "V")
 
-    def __post_init__(self):
-        r = parse_integer(self.r, "'r'")
+    def __init__(self, r, U, V):
+        r = parse_integer(r, "'r'")
         if r < 1:
             raise DomainError(f"realization rank 'r' must be >= 1, got {r}")
-        U, V = _float_rows(self.U), _float_rows(self.V)
+        U, V = _float_rows(U), _float_rows(V)
         n = len(V[0]) if V else 0
         if len(V) != r or any(len(row) != n for row in V) or any(len(row) != r for row in U):
             raise DomainError("realization factors have inconsistent shapes")
@@ -576,6 +623,23 @@ class Realization:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "V", V)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Realization is immutable")
+
+    def __reduce__(self):
+        return Realization, (self.r, self.U, self.V)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.r, self.U, self.V) == (other.r, other.U, other.V)
+
+    def __hash__(self):
+        return hash((self.r, self.U, self.V))
+
+    def __repr__(self):
+        return f"Realization(r={self.r!r}, U={self.U!r}, V={self.V!r})"
 
     def _products(self):
         """The entries of U V, row by row, each summed in coordinate order."""
@@ -625,6 +689,74 @@ def read_realization(doc) -> Realization:
     except KeyError as exc:
         raise DomainError(f"malformed realization document: missing {exc}") from None
     return Realization(r, U, V)
+
+
+def load_realization(path) -> Realization:
+    with open(path, "r", encoding="utf-8") as fh:
+        return read_realization(json.load(fh))
+
+
+def save_realization(real: Realization, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(real.to_dict(), fh)
+        fh.write("\n")
+
+
+def exact_low_rank(A: SignPattern, r: int, direct: bool = False) -> Optional[Realization]:
+    """A rank-r realization of the condensed pattern of A for r = 1 or 2,
+    from the exact deciders, with one condensation; None proves that none
+    exists (in direct mode: none with identity signatures).  This is
+    ``realize.search_realization`` at r <= 2, without numpy.
+
+    A 1x1 condensed pattern [s] (mr = 1) has the closed forms U = V = [[1]]
+    at r = 1, whose product + matches s only up to signature (so direct
+    mode needs s = +), and U = [[1, s - 1]], V = [[1], [1]] at r = 2, whose
+    product is s.  At r = 2 a pattern with mr = 2 is realized from the
+    monotone arrangement of ``is_mr2``, or in direct mode from the
+    identity-signed one, which may not exist.  Every other pattern has
+    mr > r."""
+    if r not in (1, 2):
+        raise DomainError(f"exact realizations have rank 1 or 2, got {r}")
+    mr2 = is_mr2(A) if r == 2 else None
+    C = (condense(A) if mr2 is None else mr2.condensation).condensed
+    if C.m == 0:
+        return Realization(r, (), ((),) * r)
+    if C.m == 1 and C.n == 1:
+        s = C.entries[0][0]
+        if r == 2:
+            return Realization(2, ((1.0, s - 1.0),), ((1.0,), (1.0,)))
+        return None if direct and s < 0 else Realization(1, ((1.0,),), ((1.0,),))
+    if mr2 is None or not mr2.value:
+        return None
+    witness = _monotone_arrangement(C, identity_only=True) if direct else mr2.witness
+    return None if witness is None else _realization_from_arrangement(C, witness)
+
+
+def _realization_from_arrangement(C: SignPattern, witness) -> Realization:
+    """Exact rank-2 realization from a monotone arrangement of C (an
+    ``is_mr2`` witness, or an identity-signed one for direct mode).
+
+    The witness's row signs d and column signs c turn C into S = d C c,
+    whose rows are nondecreasing in the witness's column order.  The column
+    at arranged position q gets v = q + 1.  A row with k minus entries and
+    z zeros (0 or 1) crosses at k + 1 if z = 1, else between k and k + 1,
+    so u = -(k + (1 + z) / 2), exact in float, and the products v_j + u_i
+    realize S.  Like every search result, the product's own signs carry
+    the signature."""
+    d = dict(zip(witness.row_perm, witness.row_signs))
+    c = dict(zip(witness.col_perm, witness.col_signs))
+    S = SignPattern._trusted(
+        tuple(tuple([d[i] * C.entries[i][j] * c[j] for j in range(C.n)]) for i in range(C.m)),
+        C.m, C.n,
+    )
+    v = [0.0] * C.n
+    for pos, j in enumerate(witness.col_perm):
+        v[j] = pos + 1.0
+    U = [[1.0, -(row.count(-1) + (1 + row.count(0)) / 2)] for row in S.entries]
+    real = Realization(2, U, [v, [1.0] * C.n])
+    if real.signed_pattern() != S:
+        raise AssertionError("internal error: rank-2 witness failed validation")
+    return real
 
 
 def _round_matrix(M, cap: int):

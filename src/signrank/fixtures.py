@@ -12,10 +12,10 @@ stored solution exactly on every run and fails the build if it drifts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import FixtureCorrupt, SignRankError
 from .exactnum import QuadElem
@@ -33,8 +33,7 @@ class Provenance(Enum):
     DERIVED = "derived"  # computed here, re-verified by an exact oracle
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
     name: str
     payload: object
     provenance: Provenance
@@ -166,8 +165,7 @@ def fixture_names() -> tuple:
     return tuple(sorted(_FIXTURES))
 
 
-@dataclass(frozen=True)
-class PerlesReport:
+class PerlesReport(NamedTuple):
     checks: tuple  # (name, detail) pairs, all passed
     witness: EquivalenceWitness
 

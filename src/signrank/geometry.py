@@ -16,12 +16,20 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, NamedTuple, Sequence, Tuple
 
 from .errors import DomainError, VerticalHyperplane
-from .exactnum import QuadElem, check_radical, format_scalar, parse_integer, parse_scalar, quad_sign
+from .exactnum import (
+    QuadElem,
+    _integral,
+    check_radical,
+    format_scalar,
+    parse_integer,
+    parse_scalar,
+    root_sign,
+)
 from .pattern import SignPattern, condense
 
 Point = Tuple[QuadElem, ...]
@@ -31,11 +39,10 @@ def _lift_all(values) -> tuple:
     return tuple(QuadElem.lift(v) for v in values)
 
 
-@dataclass(frozen=True, eq=False)
 class OrientedHyperplane:
     """Oriented hyperplane with d+1 exact coefficients (c0, c1, ..., cd)."""
 
-    coeffs: tuple
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable):
         coeffs = _lift_all(coeffs)
@@ -50,6 +57,12 @@ class OrientedHyperplane:
             scale_ref = next(c for c in reversed(coeffs[1:]) if not c.is_zero())
         scale = scale_ref if scale_ref.sign() > 0 else -scale_ref
         object.__setattr__(self, "coeffs", tuple(c / scale for c in coeffs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("OrientedHyperplane is immutable")
+
+    def __reduce__(self):
+        return OrientedHyperplane, (self.coeffs,)
 
     @property
     def dim(self) -> int:
@@ -92,14 +105,10 @@ class OrientedHyperplane:
         return f"OrientedHyperplane({[str(float(c)) for c in self.coeffs]})"
 
 
-@dataclass(frozen=True, eq=False)
 class Configuration:
     """Labeled points and oriented hyperplanes over the one field of their scalars."""
 
-    dim: int
-    field_d: int
-    points: tuple
-    hyperplanes: tuple
+    __slots__ = ("dim", "field_d", "points", "hyperplanes")
 
     def __init__(self, dim: int, points: Iterable, hyperplanes: Iterable):
         if dim < 1:
@@ -115,17 +124,17 @@ class Configuration:
             if h.dim != dim:
                 raise DomainError(f"hyperplane of dimension {h.dim}, expected {dim}")
             hyps.append(h)
-        # rational scalars have d = 1; every radical part must share one d
-        radicals = {x.d for p in pts for x in p} | {c.d for h in hyps for c in h.coeffs}
-        radicals.discard(1)
-        if len(radicals) > 1:
-            raise DomainError(
-                f"cannot mix sqrt({min(radicals)}) and sqrt({max(radicals)}) scalars"
-            )
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "field_d", max(radicals, default=1))
+        object.__setattr__(self, "field_d", _field(
+            [x for p in pts for x in p] + [c for h in hyps for c in h.coeffs]))
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "hyperplanes", tuple(hyps))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Configuration is immutable")
+
+    def __reduce__(self):
+        return Configuration, (self.dim, self.points, self.hyperplanes)
 
     @property
     def num_points(self) -> int:
@@ -150,15 +159,71 @@ class Configuration:
         )
 
 
+def _field(scalars) -> int:
+    """The radical d that the scalars' radical parts share, 1 when all are
+    rational; two different radicals raise DomainError."""
+    radicals = {x.d for x in scalars}
+    radicals.discard(1)
+    if len(radicals) > 1:
+        raise DomainError(f"cannot mix sqrt({min(radicals)}) and sqrt({max(radicals)}) scalars")
+    return max(radicals, default=1)
+
+
+def _scaled(vectors) -> list:
+    """Each vector of exact scalars as (a, b, q): integer lists a, b and an
+    integer q > 0 with vector = (a + b sqrt(d)) / q, q the lcm of all the
+    vector's denominators (``exactnum._integral``)."""
+    out = []
+    for v in vectors:
+        [(ints, q)] = _integral([[x.r for x in v] + [x.s for x in v]])
+        out.append((ints[:len(v)], ints[len(v):], q))
+    return out
+
+
+def _evaluations(points, hyperplanes, d: int) -> list:
+    """The exact product U V of the paper's factorization: U's rows are the
+    homogeneous points (1, p_i), V's columns the hyperplanes' coefficients,
+    so entry (i, j) is hyperplane j evaluated at point i.  Each vector is
+    scaled to integers once (``_scaled``), so entry (i, j) is an integer
+    triple (a, b, q) standing for (a + b sqrt(d)) / q with q > 0; over Q
+    (d = 1) b is 0 and only one dot product is taken."""
+    one = QuadElem(1)
+    us = _scaled([(one, *p) for p in points])
+    vs = _scaled([h.coeffs for h in hyperplanes])
+
+    def dot(x, y):
+        return sum(map(operator.mul, x, y))
+
+    if d == 1:
+        return [[(dot(ua, va), 0, uq * vq) for va, _, vq in vs] for ua, _, uq in us]
+    return [[(dot(ua, va) + d * dot(ub, vb), dot(ua, vb) + dot(ub, va), uq * vq)
+              for va, vb, vq in vs] for ua, ub, uq in us]
+
+
+def _signs(points, hyperplanes, d: int) -> list:
+    """sgn(U V) of ``_evaluations``: the side of each point relative to each
+    hyperplane, read off integers (q > 0 carries no sign)."""
+    rows = _evaluations(points, hyperplanes, d)
+    if d == 1:
+        return [[(a > 0) - (a < 0) for a, _, _ in row] for row in rows]
+    return [[root_sign(a, b, d) for a, b, _ in row] for row in rows]
+
+
 def side(point: Sequence, hyperplane: OrientedHyperplane) -> int:
     """Exact side of the point relative to the oriented hyperplane: +1 on
     the positive side (above, for rightward hyperplanes), 0 on it, -1 below."""
-    return quad_sign(hyperplane.evaluate(point))
+    point = _lift_all(point)
+    if len(point) != hyperplane.dim:
+        raise DomainError(
+            f"point of dimension {len(point)} against hyperplane of dimension {hyperplane.dim}"
+        )
+    return _signs([point], [hyperplane], _field(point + hyperplane.coeffs))[0][0]
 
 
 def encode_configuration(C: Configuration) -> SignPattern:
     """Sign pattern of the configuration: entry (i, j) is the side of point
-    i relative to hyperplane j.  The result has minimum rank <= dim + 1.
+    i relative to hyperplane j, the sign of entry (i, j) of the exact
+    product U V (``_signs``).  The result has minimum rank <= dim + 1.
 
     Every hyperplane must be non-vertical (last coefficient nonzero);
     offenders raise VerticalHyperplane with their index.
@@ -166,9 +231,9 @@ def encode_configuration(C: Configuration) -> SignPattern:
     for j, h in enumerate(C.hyperplanes):
         if h.is_vertical():
             raise VerticalHyperplane(j)
-    return SignPattern(
-        [[side(p, h) for h in C.hyperplanes] for p in C.points]
-    )
+    signs = _signs(C.points, C.hyperplanes, C.field_d)
+    entries = tuple(map(tuple, signs))
+    return SignPattern._trusted(entries, len(entries), len(entries[0]) if entries else 0)
 
 
 def from_factorization(U, V) -> Configuration:
@@ -200,8 +265,7 @@ def from_factorization(U, V) -> Configuration:
     return Configuration(r - 1, points, hyperplanes)
 
 
-@dataclass(frozen=True)
-class SimplicityViolation:
+class SimplicityViolation(NamedTuple):
     condition: int  # 1..4
     indices: tuple
 
@@ -233,8 +297,7 @@ def is_simple(C: Configuration):
     return (not violations, tuple(violations))
 
 
-@dataclass(frozen=True)
-class RotationReport:
+class RotationReport(NamedTuple):
     t: Fraction
     cos: Fraction
     sin: Fraction
@@ -311,8 +374,7 @@ def translate(C: Configuration, v: Sequence) -> Configuration:
     return Configuration(C.dim, pts, hyps)
 
 
-@dataclass(frozen=True)
-class DualizationResult:
+class DualizationResult(NamedTuple):
     configuration: Configuration
     hyperplane_flips: tuple  # hyperplanes re-oriented before taking poles
 
@@ -400,15 +462,20 @@ def stack(C1: Configuration, C2: Configuration) -> Configuration:
     bottom = _pad_dimension(C2, dim)
 
     # every rightward hyperplane gains exactly +delta at a point shifted up
-    # by delta, and its own shift lowers evaluations of fixed points by delta
-    requirements = []
-    for p in top.points:
-        for h in bottom.hyperplanes:
-            requirements.append(-h.evaluate(p))  # need eval + delta > 0
-    for p in bottom.points:
-        for h in top.hyperplanes:
-            requirements.append(h.evaluate(p))  # need eval - delta < 0
-    delta = max([QuadElem(0), *requirements]) + 1
+    # by delta, and its own shift lowers evaluations of fixed points by delta,
+    # so delta must exceed -eval (top points, bottom hyperplanes) and eval
+    # (bottom points, top hyperplanes).  The largest of these and 0 is found
+    # on integers: (a2 + b2 sqrt d) / q2 > (a + b sqrt d) / q exactly when
+    # (a2 q - a q2) + (b2 q - b q2) sqrt d > 0, as q, q2 > 0
+    d = max(C1.field_d, C2.field_d)
+    requirements = [(-a, -b, q) for row in _evaluations(top.points, bottom.hyperplanes, d)
+                    for a, b, q in row]
+    requirements += [e for row in _evaluations(bottom.points, top.hyperplanes, d) for e in row]
+    a, b, q = 0, 0, 1
+    for a2, b2, q2 in requirements:
+        if root_sign(a2 * q - a * q2, b2 * q - b * q2, d) > 0:
+            a, b, q = a2, b2, q2
+    delta = QuadElem(Fraction(a, q), Fraction(b, q), d) + 1
 
     lifted = translate(top, (0,) * (dim - 1) + (delta,))
     return Configuration(
@@ -418,8 +485,7 @@ def stack(C1: Configuration, C2: Configuration) -> Configuration:
     )
 
 
-@dataclass(frozen=True)
-class IncidenceStructure:
+class IncidenceStructure(NamedTuple):
     point_members: tuple  # per point: frozenset of incident hyperplane indices
     hyperplane_members: tuple  # per hyperplane: frozenset of incident point indices
 

@@ -24,8 +24,7 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DomainError, PatternFormatError, ResourceExhausted
 
@@ -92,6 +91,9 @@ class SignPattern:
 
     def __setattr__(self, name, value):
         raise AttributeError("SignPattern is immutable")
+
+    def __reduce__(self):
+        return SignPattern._trusted, (self.entries, self.m, self.n)
 
     @classmethod
     def zeros(cls, m: int, n: int) -> "SignPattern":
@@ -182,8 +184,7 @@ class SignPattern:
         return "SignPattern(\n" + "\n".join("  " + "".join(_INT_TO_CHAR[v] for v in row) for row in self.entries) + "\n)"
 
 
-@dataclass(frozen=True)
-class DeletionEvent:
+class DeletionEvent(NamedTuple):
     """One line removed during condensation.  Indices refer to the original
     pattern; ``survivor`` is the earlier line it duplicated or opposed
     (None for zero lines)."""
@@ -194,8 +195,7 @@ class DeletionEvent:
     survivor: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class CondensationReport:
+class CondensationReport(NamedTuple):
     condensed: SignPattern
     kept_rows: tuple
     kept_cols: tuple
@@ -249,8 +249,7 @@ def condense(A: SignPattern) -> CondensationReport:
     return CondensationReport(A.submatrix(rows, cols), tuple(rows), tuple(cols), tuple(log))
 
 
-@dataclass(frozen=True)
-class EquivalenceWitness:
+class EquivalenceWitness(NamedTuple):
     """Permutations and signatures carrying pattern A onto pattern B:
     ``apply(A)[i][j] = row_signs[i] * col_signs[j] * A[row_perm[i]][col_perm[j]]``.
     """
@@ -654,8 +653,7 @@ def is_mr1(A: SignPattern) -> bool:
     return c.m == 1 and c.n == 1
 
 
-@dataclass(frozen=True)
-class Mr2Result:
+class Mr2Result(NamedTuple):
     value: bool
     witness: Optional[EquivalenceWitness]
     condensation: CondensationReport
@@ -806,8 +804,7 @@ def check_search_budget(restarts: int, iters: int, seed: int) -> None:
         raise DomainError(f"seed must be >= 0, got {seed}")
 
 
-@dataclass
-class MrBoundsOptions:
+class MrBoundsOptions(NamedTuple):
     sns_cap: int = 4
     try_rank: Optional[int] = None
     seed: int = 0
@@ -815,8 +812,7 @@ class MrBoundsOptions:
     iters: int = 5000
 
 
-@dataclass(frozen=True)
-class MrBounds:
+class MrBounds(NamedTuple):
     lower: int
     upper: int
     evidence: tuple

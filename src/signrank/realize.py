@@ -12,10 +12,11 @@ float rows: the search works on numpy arrays and hands them over once, and
 the CLI reads a realization file into the same class and rationalizes it
 without loading numpy or this module.
 
-Ranks 1 and 2 are decided exactly, so there ``search_realization`` builds
-its answer from the condensation and the monotone arrangement of
-``pattern.is_mr2`` and runs no descent: None proves that no rank-r
-realization exists.  The randomized search, and its budget of restarts and
+Ranks 1 and 2 are decided exactly, so there ``search_realization`` returns
+``exactnum.exact_low_rank``, built from the condensation and the monotone
+arrangement of ``pattern.is_mr2``, and runs no descent: None proves that no
+rank-r realization exists; the CLI's ``realize --rank 1|2`` calls it
+without loading numpy or this module.  The randomized search, and its budget of restarts and
 iterations, serves r >= 3 only, where None is inconclusive.  There each
 restart's ``kernels.descent`` and zero polish move the entries that one pair
 of 0/1 masks leaves free (in direct mode, all but the normal form's ones).
@@ -23,10 +24,8 @@ of 0/1 masks leaves free (in direct mode, all but the normal form's ones).
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -36,23 +35,25 @@ from .exactnum import (
     DEFAULT_ZERO_TOL,
     RationalCertificate,
     Realization,
+    exact_low_rank,
+    load_realization,
     rational_rank,
     rationalize,
-    read_realization,
     save_certificate,
+    save_realization,
     solve_zero_columns,
 )
-from .pattern import SignPattern, _monotone_arrangement, check_search_budget, condense, is_mr2
+from .pattern import SignPattern, check_search_budget, condense
 
-# exactnum's names that the benchmark looks up here: tracing.TRACED, workloads.Certify
-__all__ = ["RationalCertificate", "rational_rank", "rationalize", "save_certificate",
-           "solve_zero_columns"]
+# exactnum's names that are looked up here: by the benchmark (tracing.TRACED,
+# workloads.Certify) and by callers of the search that save its result
+__all__ = ["RationalCertificate", "load_realization", "rational_rank", "rationalize",
+           "save_certificate", "save_realization", "solve_zero_columns"]
 
 DEFAULT_MARGIN = 1e-2
 
 
-@dataclass
-class SearchParams:
+class SearchParams(NamedTuple):
     """Search budget: restarts and the seed (>= 0) they derive from;
     ``direct`` pins identity signatures.  ``iters`` caps the one descent
     that each restart runs (0 means no descent) before it polishes the zeros
@@ -70,17 +71,6 @@ class SearchParams:
     seed: int = 0
     threads: int = 1
     direct: bool = False
-
-
-def load_realization(path) -> Realization:
-    with open(path, "r", encoding="utf-8") as fh:
-        return read_realization(json.load(fh))
-
-
-def save_realization(real: Realization, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(real.to_dict(), fh)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +231,7 @@ def search_realization(
 ) -> Optional[Realization]:
     """A rank-r sign realization of the condensed pattern of A, or None.
 
-    r = 1 and r = 2 are decided exactly (``_exact_low_rank``): None proves
+    r = 1 and r = 2 are decided exactly (``exactnum.exact_low_rank``): None proves
     that no realization exists (in direct mode: none with identity
     signatures), and ``restarts``, ``iters`` and ``seed`` are not used.  For
     r >= 3 a randomized penalty search runs its restarts in order: restart
@@ -255,7 +245,7 @@ def search_realization(
     if r < 1:
         raise DomainError(f"rank must be >= 1, got {r}")
     if r <= 2:
-        return _exact_low_rank(A, r, params.direct)
+        return exact_low_rank(A, r, params.direct)
     C = condense(A).condensed
     if C.m == 0:
         return Realization(r, (), ((),) * r)
@@ -275,38 +265,11 @@ def search_realization(
     return None
 
 
-def _exact_low_rank(A: SignPattern, r: int, direct: bool) -> Optional[Realization]:
-    """``search_realization`` at r = 1 or 2, from the exact deciders, with
-    one condensation.
-
-    A 1x1 condensed pattern [s] (mr = 1) has the closed forms U = V = [[1]]
-    at r = 1, whose product + matches s only up to signature (so direct
-    mode needs s = +), and U = [[1, s - 1]], V = [[1], [1]] at r = 2, whose
-    product is s.  At r = 2 a pattern with mr = 2 is realized from the
-    monotone arrangement of ``is_mr2``, or in direct mode from the
-    identity-signed one, which may not exist.  Every other pattern has
-    mr > r."""
-    mr2 = is_mr2(A) if r == 2 else None
-    C = (condense(A) if mr2 is None else mr2.condensation).condensed
-    if C.m == 0:
-        return Realization(r, (), ((),) * r)
-    if C.m == 1 and C.n == 1:
-        s = C.entries[0][0]
-        if r == 2:
-            return Realization(2, ((1.0, s - 1.0),), ((1.0,), (1.0,)))
-        return None if direct and s < 0 else Realization(1, ((1.0,),), ((1.0,),))
-    if mr2 is None or not mr2.value:
-        return None
-    witness = _monotone_arrangement(C, identity_only=True) if direct else mr2.witness
-    return None if witness is None else _realization_from_arrangement(C, witness)
-
-
 # ---------------------------------------------------------------------------
 # Direct representations
 
 
-@dataclass(frozen=True)
-class DirectRepresentation:
+class DirectRepresentation(NamedTuple):
     status: str  # "yes", "no", "unknown"
     witness: Optional[Realization]
 
@@ -326,30 +289,3 @@ def has_direct_representation(A: SignPattern, r: int) -> DirectRepresentation:
     if found is not None and (r >= 3 or min(len(found.U), len(found.V[0])) >= r):
         return DirectRepresentation("yes", found)
     return DirectRepresentation("no" if r <= 2 else "unknown", None)
-
-
-def _realization_from_arrangement(C: SignPattern, witness) -> Realization:
-    """Exact rank-2 realization from a monotone arrangement of C (an
-    ``is_mr2`` witness, or an identity-signed one for direct mode).
-
-    The witness's row signs d and column signs c turn C into S = d C c,
-    whose rows are nondecreasing in the witness's column order.  The column
-    at arranged position q gets v = q + 1.  A row with k minus entries and
-    z zeros (0 or 1) crosses at k + 1 if z = 1, else between k and k + 1,
-    so u = -(k + (1 + z) / 2), exact in float, and the products v_j + u_i
-    realize S.  Like every search result, the product's own signs carry
-    the signature."""
-    d = dict(zip(witness.row_perm, witness.row_signs))
-    c = dict(zip(witness.col_perm, witness.col_signs))
-    S = SignPattern._trusted(
-        tuple(tuple([d[i] * C.entries[i][j] * c[j] for j in range(C.n)]) for i in range(C.m)),
-        C.m, C.n,
-    )
-    v = [0.0] * C.n
-    for pos, j in enumerate(witness.col_perm):
-        v[j] = pos + 1.0
-    U = [[1.0, -(row.count(-1) + (1 + row.count(0)) / 2)] for row in S.entries]
-    real = Realization(2, U, [v, [1.0] * C.n])
-    if real.signed_pattern() != S:
-        raise AssertionError("internal error: rank-2 witness failed validation")
-    return real

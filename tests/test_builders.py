@@ -2,8 +2,8 @@
 
 ``SignPattern.__init__`` checks each entry of outside input; the package's
 own builders (the .pat parser, transpose, submatrix, negate, zeros,
-condense, EquivalenceWitness.apply, Realization.signed_pattern and the
-rank-2 arrangement in realize) wrap rows they built from
+condense, EquivalenceWitness.apply, Realization.signed_pattern, the
+rank-2 arrangement in exactnum and encode_configuration) wrap rows they built from
 checked entries with ``SignPattern._trusted``, unchecked.  Each test here
 runs one builder with every ``_trusted`` call validated, and compares its
 result with ``SignPattern`` of the same rows given as lists.
@@ -12,11 +12,12 @@ result with ``SignPattern`` of the same rows given as lists.
 import numpy as np
 import pytest
 
-from signrank import exactnum, realize
+from signrank import exactnum
 from signrank.errors import DomainError
+from signrank.geometry import Configuration, encode_configuration
 from signrank.pattern import EquivalenceWitness, SignPattern, condense, is_mr2
 
-from conftest import random_pattern, random_witness
+from conftest import random_pattern, random_planar_config, random_witness
 
 EMPTY_SHAPES = ((0, 0), (2, 0), (0, 2))
 CHARS = {1: "+", -1: "-", 0: "0"}
@@ -186,8 +187,19 @@ class TestRealizeBuilders:
             C, w = result.condensation.condensed, result.witness
             d = dict(zip(w.row_perm, w.row_signs))
             c = dict(zip(w.col_perm, w.col_signs))
-            real = realize._realization_from_arrangement(C, w)
+            real = exactnum._realization_from_arrangement(C, w)
             assert_as_checked(real.signed_pattern(), [[d[i] * C.entries[i][j] * c[j]
                                                        for j in range(C.n)] for i in range(C.m)])
             seen += 1
         assert seen and trusted_calls
+
+
+class TestGeometryBuilders:
+    def test_encode_configuration(self, trusted_calls):
+        rng = np.random.default_rng(9)
+        for _ in range(6):
+            C = random_planar_config(rng, int(rng.integers(2, 8)), int(rng.integers(1, 8)))
+            rows = [[exactnum.quad_sign(h.evaluate(p)) for h in C.hyperplanes] for p in C.points]
+            assert_as_checked(encode_configuration(C), rows)
+        assert_as_checked(encode_configuration(Configuration(2, [], [[0, 0, 1]])), [], (0, 0))
+        assert trusted_calls

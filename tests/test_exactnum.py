@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -113,6 +114,29 @@ class TestQuadArithmetic:
         assert q.d == 1
         # a radical part that cancels leaves a rational with d = 1 too
         assert (QuadElem(1, 1, 5) - QuadElem(0, 1, 5)).d == 1
+
+    def test_results_are_canonical(self):
+        # results skip the checking constructor: each must equal, field for
+        # field, what the constructor makes of its parts, also where the
+        # radical parts cancel (d falls back to 1)
+        rng = np.random.default_rng(29)
+        values = [QuadElem(1, 1, 5), QuadElem(1, -1, 5)] + [
+            QuadElem(Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4))),
+                     Fraction(int(rng.integers(-2, 3)), int(rng.integers(1, 3))), 5)
+            for _ in range(40)]
+        ops = (operator.add, operator.sub, operator.mul, operator.truediv)
+        cancelled = 0
+        for a, b in zip(values, values[1:] + values[:1]):
+            for op in ops:
+                if op is operator.truediv and b.is_zero():
+                    continue
+                got = op(a, b)
+                want = QuadElem(got.r, got.s, 5)
+                assert (got.r, got.s, got.d) == (want.r, want.s, want.d)
+                assert type(got.r) is Fraction and type(got.s) is Fraction
+                cancelled += a.s != 0 and got.s == 0
+            assert (-a).d == QuadElem(-a.r, -a.s, 5).d
+        assert cancelled
 
     def test_lift_keeps_elements(self):
         phi = QuadElem(Fraction(1, 2), Fraction(1, 2), 5)

@@ -1,11 +1,14 @@
+import copy
+import itertools
 import json
+import pickle
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from signrank.errors import DomainError, VerticalHyperplane
-from signrank.exactnum import QuadElem
+from signrank.exactnum import QuadElem, RationalCertificate, Realization, quad_sign
 from signrank.fixtures import A0_PATTERN, FIG21_PATTERN, fixture
 from signrank.geometry import (
     Configuration,
@@ -90,6 +93,116 @@ class TestEncode:
         with pytest.raises(VerticalHyperplane) as exc:
             encode_configuration(C)
         assert exc.value.index == 0
+
+
+def _q5_config(rng, n_points, n_lines):
+    """Planar Q(sqrt5) configuration, about half of its lines through two
+    of its points."""
+
+    def q5():
+        return QuadElem(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 4))),
+                        Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 3))), 5)
+
+    pts = [(q5(), q5()) for _ in range(n_points)]
+    lines = []
+    while len(lines) < n_lines:
+        if rng.random() < 0.5:
+            (x1, y1), (x2, y2) = (pts[i] for i in rng.choice(n_points, 2, replace=False))
+            if x1 == x2:
+                continue
+            slope = (y2 - y1) / (x2 - x1)
+            lines.append((slope * x1 - y1, -slope, 1))
+        else:
+            lines.append((q5(), q5(), 1))
+    return Configuration(2, pts, lines)
+
+
+def _seeded_configs():
+    """The fixtures and seeded rational and Q(sqrt5) configurations with
+    incidences, planar and (from normal-form factors) in dimension 3."""
+    rng = np.random.default_rng(2941)
+    configs = [fixture("perles_config").payload, _fig21()]
+    configs += [random_planar_config(rng, 9, 11, max_incidence=3) for _ in range(6)]
+    configs += [_q5_config(rng, 8, 9) for _ in range(6)]
+    for _ in range(3):
+        U = [[1, *(Fraction(int(x), 3) for x in rng.integers(-6, 7, size=3))] for _ in range(7)]
+        V = [[Fraction(int(x), 2) for x in rng.integers(-6, 7, size=8)] for _ in range(3)]
+        configs.append(from_factorization(U, V + [[1] * 8]))
+    return configs
+
+
+def _reference_signs(C):
+    """The encoding by evaluating each hyperplane at each point in QuadElem
+    arithmetic."""
+    return [[quad_sign(h.evaluate(p)) for h in C.hyperplanes] for p in C.points]
+
+
+class TestIntegerProduct:
+    """encode_configuration, side and stack read each point and hyperplane
+    once, scaled to integers; they agree with QuadElem evaluation."""
+
+    def test_encode_matches_evaluation(self):
+        zeros = 0
+        for C in _seeded_configs():
+            expected = _reference_signs(C)
+            assert encode_configuration(C) == SignPattern(expected)
+            zeros += sum(row.count(0) for row in expected)
+        assert zeros  # incidences are covered
+
+    def test_side_matches_evaluation(self):
+        for C in _seeded_configs()[:8]:
+            for p, row in zip(C.points, _reference_signs(C)):
+                assert [side(p, h) for h in C.hyperplanes] == row
+
+    def test_side_rejects_two_radicals(self):
+        h = OrientedHyperplane([QuadElem(0, 1, 2), 0, 1])
+        with pytest.raises(DomainError, match="sqrt"):
+            side((QuadElem(0, 1, 5), 1), h)
+
+    def test_stack_offset_matches_evaluation(self):
+        # every pair of simple planar configurations, Q(sqrt5) ones included,
+        # so the largest requirement is also picked by its radical part
+        rng = np.random.default_rng(2942)
+        q5 = (_q5_config(rng, 5, 5) for _ in itertools.count())
+        simple = [C for C in _seeded_configs() if C.dim == 2 and is_simple(C)[0]]
+        simple += list(itertools.islice((C for C in q5 if is_simple(C)[0]), 4))
+        for C1, C2 in itertools.permutations(simple, 2):
+            requirements = [-h.evaluate(p) for p in C1.points for h in C2.hyperplanes]
+            requirements += [h.evaluate(p) for p in C2.points for h in C1.hyperplanes]
+            delta = max([QuadElem(0), *requirements]) + 1
+            lifted = translate(C1, (0, delta))
+            expected = Configuration(2, lifted.points + C2.points,
+                                     lifted.hyperplanes + C2.hyperplanes)
+            S = stack(C1, C2)
+            assert S == expected and S.field_d == expected.field_d
+            assert configuration_to_dict(S) == configuration_to_dict(expected)
+
+
+class TestPlainRecords:
+    """The classes that check or canonicalize their values stay immutable
+    and round-trip through pickle and copy."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: QuadElem(Fraction(1, 2), Fraction(1, 2), 5),
+            lambda: OrientedHyperplane([2, 4, 2]),
+            lambda: fixture("perles_config").payload,
+            lambda: Realization(2, ((1.0, -0.5),), ((1.0,), (1.0,))),
+            lambda: RationalCertificate(((Fraction(1, 2),),), 1, SignPattern(["+"]),
+                                        (((Fraction(1, 2),),), ((Fraction(1),),))),
+            lambda: SignPattern.zeros(0, 3),
+        ],
+        ids=["QuadElem", "OrientedHyperplane", "Configuration", "Realization",
+             "RationalCertificate", "SignPattern"],
+    )
+    def test_immutable_and_copyable(self, build):
+        x = build()
+        name = next(iter(type(x).__slots__))
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(x, name, None)
+        for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert type(y) is type(x) and y == x and repr(y) == repr(x)
 
 
 class TestFromFactorization:

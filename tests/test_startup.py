@@ -1,8 +1,9 @@
 """Start-up cost: numpy and ``signrank.realize`` load only for the float
-work that needs them (the numeric search of ``realize`` and ``mr
---try-rank``, and the SNS scan of ``mr`` on a pattern of minimum rank >= 3),
-and nothing loads ``concurrent.futures``.  The exact subcommands run
-without them: ``mr2``, ``mr`` on a pattern of minimum rank <= 2, and
+work that needs them (the numeric search of ``realize --rank 3`` and up and
+``mr --try-rank``, and the SNS scan of ``mr`` on a pattern of minimum rank
+>= 3), and nothing loads ``concurrent.futures``, or ``dataclasses`` and the
+``inspect`` it brings.  The exact subcommands run without them: ``mr2``,
+``mr`` on a pattern of minimum rank <= 2, ``realize --rank 1|2`` and
 ``rationalize``, which reads a realization file and writes and verifies its
 certificate, also when that file is malformed.  Importing the package or
 the CLI loads no signrank module but ``errors``, and each subcommand loads
@@ -25,7 +26,8 @@ from signrank.exactnum import load_certificate
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 ENV = dict(os.environ, PYTHONPATH=str(SRC))
-HEAVY = ("numpy", "signrank.realize", "concurrent.futures")
+# dataclasses imports inspect, ast, dis and tokenize, ~7-11 ms of start-up
+HEAVY = ("numpy", "signrank.realize", "concurrent.futures", "dataclasses", "inspect")
 
 
 def fresh(code: str, cwd) -> dict:
@@ -96,6 +98,7 @@ NOT_LOADED = {
     "mr": ("signrank.exactnum", "signrank.geometry", "fractions"),
     "mr2": ("signrank.exactnum", "signrank.geometry", "fractions"),
     "rationalize": ("signrank.geometry", "signrank.fixtures"),
+    "realize": ("signrank.geometry", "signrank.fixtures"),
     "encode": ("signrank.fixtures", "signrank.svg"),
     "dual": ("signrank.fixtures", "signrank.svg"),
     "compose": ("signrank.fixtures", "signrank.svg"),
@@ -108,6 +111,10 @@ NOT_LOADED = {
         ["condense", "{fx}/A0.pat", "-o", "c.pat"],
         ["mr2", "{fx}/A1.pat"],
         ["mr", "{fx}/A1.pat"],
+        pytest.param(["realize", "{fx}/A1.pat", "--rank", "2", "-o", "a1.real.json"],
+                     id="realize-rank2"),
+        pytest.param(["realize", "{fx}/A1.pat", "--rank", "2", "--direct"],
+                     id="realize-rank2-direct"),
         ["rationalize", "{fx}/A1.pat", "--from", "{fx}/a1.real.json", "-o", "a1.cert.json"],
         pytest.param(["rationalize", "{fx}/p3.pat", "--from", "{fx}/p3.real.json",
                       "-o", "p3.cert.json"], id="rationalize-transposed"),
