@@ -18,7 +18,9 @@ SNS scan.  ``mr2``, ``mr`` on a pattern of minimum rank <= 2, ``realize
 ``rationalize`` (which reads the realization file without numpy) never
 load it.  No signrank module imports ``dataclasses``, whose import
 (``inspect``, ``ast``, ``dis``, ``tokenize``) and per-class ``exec`` cost
-each process about 20 ms: records are NamedTuples or slotted classes.
+each process about 20 ms: records are NamedTuples, and the classes that
+check their values on construction share one immutable base,
+``pattern._Record``.
 """
 
 from __future__ import annotations
@@ -193,12 +195,11 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_rationalize(args) -> int:
-    from .exactnum import rationalize, read_realization, save_certificate
+    from .exactnum import load_realization, rationalize, save_certificate
     from .pattern import load_pattern
 
     A = load_pattern(args.pattern)
-    with open(getattr(args, "from"), "r", encoding="utf-8") as fh:
-        real = read_realization(json.load(fh))
+    real = load_realization(getattr(args, "from"))
     cert = rationalize(A, real)
     if not cert.verify():
         raise SignRankError("internal error: certificate failed re-verification")

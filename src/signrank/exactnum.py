@@ -38,6 +38,7 @@ from .pattern import (
     CondensationReport,
     SignPattern,
     _monotone_arrangement,
+    _Record,
     condense,
     is_mr2,
     signature_between,
@@ -73,12 +74,6 @@ def check_radical(d) -> int:
     return int(d)
 
 
-def _fill_quad(q, r: Fraction, s: Fraction, d: int) -> None:
-    object.__setattr__(q, "r", r)
-    object.__setattr__(q, "s", s)
-    object.__setattr__(q, "d", d)
-
-
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         # numpy integers survive inside Fraction and poison comparisons
@@ -96,7 +91,7 @@ def _as_fraction(value) -> Fraction:
     raise DomainError(f"cannot convert {value!r} to an exact rational")
 
 
-class QuadElem:
+class QuadElem(_Record):
     """Exact element r + s*sqrt(d) of the real quadratic field Q(sqrt d)."""
 
     __slots__ = ("r", "s", "d")
@@ -108,7 +103,7 @@ class QuadElem:
         if d == 1 and s != 0:
             # sqrt(1) = 1: fold the radical part so representation stays unique
             r, s = r + s, Fraction(0)
-        _fill_quad(self, r, s, d)
+        self._set(r, s, d)
 
     @classmethod
     def _trusted(cls, r: Fraction, s: Fraction, d: int) -> "QuadElem":
@@ -116,15 +111,7 @@ class QuadElem:
         s are Fractions and d a checked radical, which falls to 1 with s.
         Arithmetic results go through here; outside values go through
         ``__init__``, which converts and checks them."""
-        self = object.__new__(cls)
-        _fill_quad(self, r, s, d if s else 1)
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadElem is immutable")
-
-    def __reduce__(self):
-        return QuadElem, (self.r, self.s, self.d)
+        return cls._rebuild(r, s, d if s else 1)
 
     def __eq__(self, other):
         if isinstance(other, (Integral, Fraction, float)):
@@ -355,7 +342,7 @@ def format_scalar(value: QuadElem):
 # Exact rational certificates
 
 
-class RationalCertificate:
+class RationalCertificate(_Record):
     """Exact rational matrix whose signs equal the target pattern, plus its
     exact rank: a machine-checkable witness that the rational minimum rank
     is at most that rank.
@@ -375,31 +362,7 @@ class RationalCertificate:
             if (len(U) != len(matrix) or any(len(row) != len(V) for row in U)
                     or any(len(row) != target.n for row in V)):
                 raise DomainError("certificate factors have inconsistent shapes")
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "factors", factors)
-
-    def _key(self) -> tuple:
-        return self.matrix, self.rank, self.target, self.factors
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalCertificate is immutable")
-
-    def __reduce__(self):
-        return RationalCertificate, self._key()
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (f"RationalCertificate(matrix={self.matrix!r}, rank={self.rank!r}, "
-                f"target={self.target!r}, factors={self.factors!r})")
+        self._set(matrix, rank, target, factors)
 
     def verify(self) -> bool:
         """Three independent checks: the matrix's signs are the target's,
@@ -593,7 +556,7 @@ def _float_rows(M) -> tuple:
     return rows
 
 
-class Realization:
+class Realization(_Record):
     """Normal-form factor pair witnessing a rank-r sign realization, as
     tuples of float rows: U is m x r with first column exactly ones (its
     rows are points of R^(r-1)), V is r x n with last row exactly ones (its
@@ -620,26 +583,7 @@ class Realization:
             raise DomainError("realization violates normal form: U's first column must be ones")
         if any(x != 1.0 for x in V[-1]):
             raise DomainError("realization violates normal form: V's last row must be ones")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "V", V)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Realization is immutable")
-
-    def __reduce__(self):
-        return Realization, (self.r, self.U, self.V)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.r, self.U, self.V) == (other.r, other.U, other.V)
-
-    def __hash__(self):
-        return hash((self.r, self.U, self.V))
-
-    def __repr__(self):
-        return f"Realization(r={self.r!r}, U={self.U!r}, V={self.V!r})"
+        self._set(r, U, V)
 
     def _products(self):
         """The entries of U V, row by row, each summed in coordinate order."""

@@ -30,7 +30,7 @@ from .exactnum import (
     parse_scalar,
     root_sign,
 )
-from .pattern import SignPattern, condense
+from .pattern import SignPattern, _Record, condense
 
 Point = Tuple[QuadElem, ...]
 
@@ -39,7 +39,7 @@ def _lift_all(values) -> tuple:
     return tuple(QuadElem.lift(v) for v in values)
 
 
-class OrientedHyperplane:
+class OrientedHyperplane(_Record):
     """Oriented hyperplane with d+1 exact coefficients (c0, c1, ..., cd)."""
 
     __slots__ = ("coeffs",)
@@ -56,13 +56,9 @@ class OrientedHyperplane:
         if scale_ref.is_zero():
             scale_ref = next(c for c in reversed(coeffs[1:]) if not c.is_zero())
         scale = scale_ref if scale_ref.sign() > 0 else -scale_ref
-        object.__setattr__(self, "coeffs", tuple(c / scale for c in coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OrientedHyperplane is immutable")
-
-    def __reduce__(self):
-        return OrientedHyperplane, (self.coeffs,)
+        if scale.s or scale.r != 1:  # a rightward hyperplane's scale is 1: nothing to divide
+            coeffs = tuple(c / scale for c in coeffs)
+        self._set(coeffs)
 
     @property
     def dim(self) -> int:
@@ -95,17 +91,11 @@ class OrientedHyperplane:
             return self, False
         return self.reversed_orientation(), True
 
-    def __eq__(self, other):
-        return isinstance(other, OrientedHyperplane) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __repr__(self):
         return f"OrientedHyperplane({[str(float(c)) for c in self.coeffs]})"
 
 
-class Configuration:
+class Configuration(_Record):
     """Labeled points and oriented hyperplanes over the one field of their scalars."""
 
     __slots__ = ("dim", "field_d", "points", "hyperplanes")
@@ -124,17 +114,8 @@ class Configuration:
             if h.dim != dim:
                 raise DomainError(f"hyperplane of dimension {h.dim}, expected {dim}")
             hyps.append(h)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "field_d", _field(
-            [x for p in pts for x in p] + [c for h in hyps for c in h.coeffs]))
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "hyperplanes", tuple(hyps))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Configuration is immutable")
-
-    def __reduce__(self):
-        return Configuration, (self.dim, self.points, self.hyperplanes)
+        field_d = _field([x for p in pts for x in p] + [c for h in hyps for c in h.coeffs])
+        self._set(dim, field_d, pts, tuple(hyps))
 
     @property
     def num_points(self) -> int:
@@ -143,14 +124,6 @@ class Configuration:
     @property
     def num_hyperplanes(self) -> int:
         return len(self.hyperplanes)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Configuration)
-            and self.dim == other.dim
-            and self.points == other.points
-            and self.hyperplanes == other.hyperplanes
-        )
 
     def __repr__(self):
         return (

@@ -39,13 +39,58 @@ def _is_bool(value) -> bool:
     return isinstance(value, bool) or getattr(getattr(value, "dtype", None), "kind", None) == "b"
 
 
-def _fill(P, entries: tuple, m: int, n: int) -> None:
-    object.__setattr__(P, "entries", entries)
-    object.__setattr__(P, "m", m)
-    object.__setattr__(P, "n", n)
+class _Record:
+    """An immutable value held in ``__slots__``.  A subclass's ``__init__``
+    checks its input and ends with ``self._set(...)``, one value per slot in
+    slot order; ``_rebuild`` wraps values that are already checked, and
+    pickle and copy go through it.  Two records are equal when they have the
+    same type and equal values; the hash is that of the values and the repr
+    reads ``Name(slot=value, ...)``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # each slot's own member-descriptor setter, which the raising
+        # __setattr__ does not reach
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+    def _set(self, *values) -> None:
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
+
+    @classmethod
+    def _rebuild(cls, *values):
+        self = object.__new__(cls)
+        # the loop of _set, inlined: every derived pattern and every
+        # arithmetic result is built here
+        for setter, value in zip(cls._setters, values):
+            setter(self, value)
+        return self
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self)._rebuild, self._values()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-class SignPattern:
+class SignPattern(_Record):
     """Immutable rectangular grid over {+, -, 0}, stored as -1/0/+1 ints.
 
     Entries are checked once, where they enter: ``SignPattern(rows)`` checks
@@ -77,7 +122,7 @@ class SignPattern:
         widths = {len(r) for r in grid}
         if len(widths) > 1:
             raise DomainError("all rows of a sign pattern must have equal length")
-        _fill(self, tuple(grid), len(grid), widths.pop() if widths else 0)
+        self._set(tuple(grid), len(grid), widths.pop() if widths else 0)
 
     @classmethod
     def _trusted(cls, entries: tuple, m: int, n: int) -> "SignPattern":
@@ -85,15 +130,7 @@ class SignPattern:
         ``entries`` is a tuple of m tuples of n plain ints in {-1, 0, 1}.
         Outside input goes through ``__init__``, which checks every entry;
         m and n are passed, so a pattern without rows keeps its width."""
-        self = object.__new__(cls)
-        _fill(self, entries, m, n)
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SignPattern is immutable")
-
-    def __reduce__(self):
-        return SignPattern._trusted, (self.entries, self.m, self.n)
+        return cls._rebuild(entries, m, n)
 
     @classmethod
     def zeros(cls, m: int, n: int) -> "SignPattern":
@@ -170,13 +207,6 @@ class SignPattern:
         import numpy as np
 
         return np.array(self.entries, dtype=np.int8).reshape(self.m, self.n)
-
-    def __eq__(self, other):
-        return isinstance(other, SignPattern) and self.entries == other.entries \
-            and self.m == other.m and self.n == other.n
-
-    def __hash__(self):
-        return hash((self.m, self.n, self.entries))
 
     def __repr__(self):
         if self.m == 0 or self.n == 0:

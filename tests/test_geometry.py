@@ -1,12 +1,15 @@
 import copy
+import importlib
 import itertools
 import json
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import signrank
 from signrank.errors import DomainError, VerticalHyperplane
 from signrank.exactnum import QuadElem, RationalCertificate, Realization, quad_sign
 from signrank.fixtures import A0_PATTERN, FIG21_PATTERN, fixture
@@ -26,7 +29,7 @@ from signrank.geometry import (
     stack,
     translate,
 )
-from signrank.pattern import SignPattern, condense, is_mr2
+from signrank.pattern import SignPattern, _Record, condense, is_mr2
 
 from conftest import random_origin_avoiding_config, random_planar_config
 
@@ -74,6 +77,23 @@ class TestHyperplane:
     def test_degenerate(self):
         with pytest.raises(DomainError):
             OrientedHyperplane([3, 0, 0])
+
+    def test_unit_scale_divides_nothing(self, monkeypatch):
+        """A rightward hyperplane (cd = +1), and so every one ``translate``
+        rebuilds, keeps its lifted coefficients without a division."""
+        r5 = QuadElem(0, 1, 5)
+        C = Configuration(2, [(1, r5)], [[r5, -2, 1], [3, 0, 1]])
+
+        def no_division(self, other):
+            raise AssertionError("divided by a unit scale")
+
+        monkeypatch.setattr(QuadElem, "__truediv__", no_division)
+        h = OrientedHyperplane([Fraction(1, 2), r5, 1])
+        assert h.coeffs == (QuadElem(Fraction(1, 2)), r5, QuadElem(1))
+        moved = translate(C, [1, -1])
+        assert moved.hyperplanes == (OrientedHyperplane([r5 + 3, -2, 1]),
+                                     OrientedHyperplane([4, 0, 1]))
+        assert configuration_from_dict(configuration_to_dict(C)) == C
 
 
 class TestEncode:
@@ -178,31 +198,35 @@ class TestIntegerProduct:
             assert configuration_to_dict(S) == configuration_to_dict(expected)
 
 
-class TestPlainRecords:
-    """The classes that check or canonicalize their values stay immutable
-    and round-trip through pickle and copy."""
+RECORDS = {
+    "QuadElem": lambda: QuadElem(Fraction(1, 2), Fraction(1, 2), 5),
+    "OrientedHyperplane": lambda: OrientedHyperplane([2, 4, 2]),
+    "Configuration": lambda: fixture("perles_config").payload,
+    "Realization": lambda: Realization(2, ((1.0, -0.5),), ((1.0,), (1.0,))),
+    "RationalCertificate": lambda: RationalCertificate(
+        ((Fraction(1, 2),),), 1, SignPattern(["+"]), (((Fraction(1, 2),),), ((Fraction(1),),))),
+    "SignPattern": lambda: SignPattern.zeros(0, 3),
+}
 
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda: QuadElem(Fraction(1, 2), Fraction(1, 2), 5),
-            lambda: OrientedHyperplane([2, 4, 2]),
-            lambda: fixture("perles_config").payload,
-            lambda: Realization(2, ((1.0, -0.5),), ((1.0,), (1.0,))),
-            lambda: RationalCertificate(((Fraction(1, 2),),), 1, SignPattern(["+"]),
-                                        (((Fraction(1, 2),),), ((Fraction(1),),))),
-            lambda: SignPattern.zeros(0, 3),
-        ],
-        ids=["QuadElem", "OrientedHyperplane", "Configuration", "Realization",
-             "RationalCertificate", "SignPattern"],
-    )
+
+class TestPlainRecords:
+    """The classes that check or canonicalize their values (the subclasses
+    of ``pattern._Record``) stay immutable and round-trip through pickle and
+    copy with an equal value, hash and repr."""
+
+    @pytest.mark.parametrize("build", list(RECORDS.values()), ids=list(RECORDS))
     def test_immutable_and_copyable(self, build):
         x = build()
         name = next(iter(type(x).__slots__))
         with pytest.raises(AttributeError, match="immutable"):
             setattr(x, name, None)
         for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
-            assert type(y) is type(x) and y == x and repr(y) == repr(x)
+            assert type(y) is type(x) and y == x and hash(y) == hash(x) and repr(y) == repr(x)
+
+    def test_every_record_is_round_tripped(self):
+        for module in pkgutil.iter_modules(signrank.__path__, "signrank."):
+            importlib.import_module(module.name)
+        assert sorted(cls.__name__ for cls in _Record.__subclasses__()) == sorted(RECORDS)
 
 
 class TestFromFactorization:

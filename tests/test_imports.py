@@ -1,7 +1,8 @@
 """Every module in src/signrank uses each name it imports, every
 function reads each local it assigns, every module-level private name
-is used somewhere in the package, and no module imports ``dataclasses``
-(whose import and per-class ``exec`` cost each CLI process ~20 ms).
+is used somewhere in the package, no module imports ``dataclasses``
+(whose import and per-class ``exec`` cost each CLI process ~20 ms), and
+only ``pattern._Record`` decides how a record is frozen and pickled.
 
 Plain ``ast`` walks: an imported name counts as used when it appears as a
 name anywhere in the module or as a string anywhere in the expression
@@ -177,3 +178,35 @@ def test_checker_finds_imported_modules():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_dataclasses(path):
     assert "dataclasses" not in imported_modules(path.read_text(encoding="utf-8"))
+
+
+def freezing_methods(source: str):
+    """(class, method) for each ``__setattr__`` or ``__reduce__`` that a
+    class in ``source`` defines itself."""
+    return sorted(
+        (node.name, item.name)
+        for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name in ("__setattr__", "__reduce__")
+    )
+
+
+def test_checker_finds_freezing_methods():
+    source = (
+        "class A:\n"
+        "    def __setattr__(self, name, value):\n"
+        "        raise AttributeError\n"
+        "    def __repr__(self):\n"
+        "        return 'A'\n"
+        "class B(A):\n"
+        "    def __reduce__(self):\n"
+        "        return B, ()\n"
+    )
+    assert freezing_methods(source) == [("A", "__setattr__"), ("B", "__reduce__")]
+
+
+def test_only_record_freezes():
+    found = {path.name: freezing_methods(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: methods for name, methods in found.items() if methods} == {
+        "pattern.py": [("_Record", "__reduce__"), ("_Record", "__setattr__")]}

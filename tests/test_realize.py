@@ -1396,29 +1396,3 @@ class TestDirectRepresentation:
                         U, V = factor_arrays(W)
                         h.update(repr((U.shape, V.shape)).encode() + U.tobytes() + V.tobytes())
         assert h.hexdigest() == self.PINNED_SHA256
-
-
-class TestGradientProperty:
-    def test_analytic_vs_central_differences(self):
-        from signrank import kernels
-
-        rng = np.random.default_rng(99)
-        for _ in range(10):
-            m, n, r = int(rng.integers(2, 6)), int(rng.integers(2, 6)), int(rng.integers(2, 4))
-            U = rng.standard_normal((m, r))
-            V = rng.standard_normal((r, n))
-            S = rng.choice(np.array([-1, 0, 1], dtype=np.int8), size=(m, n))
-            _, gU, gV = kernels.penalty_grad(U, V, S, 0.5, 4.0)
-            h = 1e-6
-            for _ in range(10):
-                which = rng.integers(0, 2)
-                arr, grad = (U, gU) if which == 0 else (V, gV)
-                idx = tuple(int(rng.integers(0, s)) for s in arr.shape)
-                orig = arr[idx]
-                arr[idx] = orig + h
-                up = kernels.penalty_grad(U, V, S, 0.5, 4.0)[0]
-                arr[idx] = orig - h
-                down = kernels.penalty_grad(U, V, S, 0.5, 4.0)[0]
-                arr[idx] = orig
-                fd = (up - down) / (2 * h)
-                assert abs(fd - grad[idx]) <= 1e-5 * max(1.0, abs(grad[idx]))
