@@ -10,17 +10,16 @@ this module loads only ``errors`` and a command loads what it needs alone:
 ``rationalize`` loads ``exactnum`` and ``pattern``; ``encode``, ``dual``
 and ``compose`` load ``geometry`` (with ``exactnum`` and ``pattern``), and
 ``render`` adds ``svg``; ``fixtures`` and ``selfcheck`` load ``fixtures``.
-Only the float work loads numpy: ``realize --rank 3`` and up and ``mr
+Only the float search loads numpy: ``realize --rank 3`` and up and ``mr
 --try-rank`` import ``realize`` (after their pattern and search options
-have been checked), and ``mr`` on a pattern of minimum rank >= 3 runs the
-SNS scan.  ``mr2``, ``mr`` on a pattern of minimum rank <= 2, ``realize
---rank 1|2`` (decided exactly by ``exactnum.exact_low_rank``) and
-``rationalize`` (which reads the realization file without numpy) never
-load it.  No signrank module imports ``dataclasses``, whose import
-(``inspect``, ``ast``, ``dis``, ``tokenize``) and per-class ``exec`` cost
-each process about 20 ms: records are NamedTuples, and the classes that
-check their values on construction share one immutable base,
-``pattern._Record``.
+have been checked).  ``mr2``, ``mr`` without ``--try-rank`` (its SNS scan
+runs on bitmasks), ``realize --rank 1|2`` (decided exactly by
+``exactnum.exact_low_rank``) and ``rationalize`` (which reads the
+realization file without numpy) never load it.  No signrank module
+imports ``dataclasses``, whose import (``inspect``, ``ast``, ``dis``,
+``tokenize``) and per-class ``exec`` cost each process about 20 ms:
+records are NamedTuples, and the classes that check their values on
+construction share one immutable base, ``pattern._Record``.
 """
 
 from __future__ import annotations

@@ -7,21 +7,19 @@ permutation/signature equivalence with explicit witnesses, the term rank
 minimum rank <= 2, and an aggregator combining every bound this package
 knows how to compute.
 
-Sign nonsingularity has one semantics, a block's 2-bit term-sign code:
-``is_sns`` reads it off a memoized first-row expansion, the SNS scan off
-Laplace splits into half-size blocks.
+Sign nonsingularity is decided two ways: ``is_sns`` reads one block's
+2-bit term-sign code off a memoized first-row expansion, and the SNS scan
+tests that a block's rows are an L-matrix (every nonzero signing leaves a
+unisigned column) on per-row bitmasks.
 
-numpy is imported inside the functions that compute with it (the SNS scan
-and ``SignPattern.to_array``), so parsing, condensation, equivalence,
-``is_sns`` and the rank-2 decision of ``is_mr2`` run without loading it, and
-so does ``mr_bounds`` on a pattern of minimum rank <= 2.
+Only ``SignPattern.to_array`` imports numpy, so everything else here runs
+without loading it; ``mr_bounds`` loads it only through the search that
+``try_rank`` asks for.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
-import math
 import operator
 from collections import Counter
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -478,10 +476,11 @@ _SNS_CAP = 10
 def is_sns(A: SignPattern) -> bool:
     """True iff the determinant expansion has at least one nonzero term and
     all nonzero terms share one sign (so every matrix in the class is
-    nonsingular): its term-sign code (``_TermSigns``) is 1 or 2.  The code
-    comes from expansion along the first row in pure Python, memoized on
-    the columns left to the rows below; a cofactor of negative sign swaps
-    its two bits.  n above ``_SNS_CAP`` (10) raises ResourceExhausted."""
+    nonsingular): its term-sign code, bit 1 set when some term is positive
+    and bit 2 when some term is negative, is 1 or 2.  The code comes from
+    expansion along the first row in pure Python, memoized on the columns
+    left to the rows below; a cofactor of negative sign swaps its two bits.
+    n above ``_SNS_CAP`` (10) raises ResourceExhausted."""
     if A.m != A.n:
         raise DomainError(f"sign nonsingularity needs a square pattern, got {A.m}x{A.n}")
     n = A.n
@@ -509,172 +508,116 @@ def is_sns(A: SignPattern) -> bool:
     return code(0, (1 << n) - 1) in (1, 2)
 
 
-# Candidates times Laplace splits in one chunk of the SNS scan
-_SCAN_BUDGET = 1 << 18
-# (n, k) shapes whose split ranks (_split_ranks) are kept between scans
-_LAYOUTS = 32
-
-# Term-sign codes: the value 1 is set when some determinant term of a block
-# is positive, 2 when some term is negative (0: no nonzero term).  A block
-# is SNS exactly when its code is 1 or 2.  A product of two blocks' terms is
-# read off two 4-bit forms: the top block's code c enters as c | c << 2 and
-# the bottom block's as c | swap(c) << 2 (halves exchanged when the split's
-# permutation is odd), so in their AND bits 0-1 flag a positive product and
-# bits 2-3 a negative one.  _CODE maps such a 4-bit OR back to a code.
-_TOP_FORM = (0, 5, 10, 15)
-_BOTTOM_FORMS = ((0, 9, 6, 15), (0, 6, 9, 15))  # even, odd split
-_CODE = (0, 1, 1, 1, 2, 3, 3, 3, 2, 3, 3, 3, 2, 3, 3, 3)
-
-
-def _subsets(n: int, k: int):
-    """The k-subsets of range(n) in lexicographic order, one per row."""
-    import numpy as np
-
-    flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
-    return np.fromiter(flat, dtype=np.intp, count=math.comb(n, k) * k).reshape(-1, k)
-
-
-def _unrank(rank: int, n: int, k: int) -> tuple:
-    """The k-subset of range(n) with the given lexicographic rank."""
-    return next(itertools.islice(itertools.combinations(range(n), k), rank, None))
-
-
-@functools.lru_cache(maxsize=_LAYOUTS)
-def _split_ranks(n: int, k: int):
-    """Laplace splits of every k-subset of range(n): each split gives h =
-    k // 2 of its positions to the top block and the rest to the bottom.
-    Returns (top, bottom), both (C(k, h), C(n, k)) and split-major: the
-    lexicographic ranks of the split's two parts among the subsets of their
-    size, by the combinatorial number system (c_1 < ... < c_s has rank
-    C(n, s) - 1 - sum_i C(n - 1 - c_i, s + 1 - i)).  Bottom ranks are
-    doubled, plus 1 for a split whose permutation is odd.  Split 0 keeps
-    the first h positions on top and is even."""
-    import numpy as np
-
-    h = k // 2
-    splits = _subsets(k, h)
-    rest = _subsets(k, k - h)[::-1]  # complements reverse lexicographic order
-    odd = (splits.sum(axis=1) + h * (h + 3) // 2) % 2  # parity of 1-based index sums
-    binom = np.array([[math.comb(x, j) for j in range(k + 1)] for x in range(n)], dtype=np.intp)
-    # weights[p, j] = C(n - 1 - c_p, j) for position p of every k-subset
-    weights = np.ascontiguousarray(binom[n - 1 - _subsets(n, k)].transpose(1, 2, 0))
-
-    def ranks(parts):
-        s = parts.shape[1]
-        return math.comb(n, s) - 1 - sum(weights[parts[:, i], s - i] for i in range(s))
-
-    top = ranks(splits)
-    bottom = 2 * ranks(rest) + odd[:, None]
-    top.flags.writeable = bottom.flags.writeable = False
-    return top, bottom
-
-
-class _TermSigns:
-    """Term-sign codes of the square submatrices of one m x n pattern.
-
-    ``tables[s]`` holds the code of every s x s submatrix, indexed by the
-    lexicographic ranks of its row and column subsets.  Size 1 is read off
-    the entries; a larger size is built on first use from two smaller ones
-    and kept, so every size of one ``max_sns_submatrix`` call shares them.
-    """
-
-    def __init__(self, E):
-        import numpy as np
-
-        self.m, self.n = E.shape
-        # a + entry is one positive term (code 1), a - entry one negative (2)
-        self.tables = {1: (E % 3).astype(np.uint8)}
-        # the lookup tables of the 4-bit forms, shared by every size
-        self.top_form = np.array(_TOP_FORM, dtype=np.uint8)
-        self.bottom_forms = np.array(_BOTTOM_FORMS, dtype=np.uint8).T
-        self.code = np.array(_CODE, dtype=np.uint8)
-
-    def table(self, s: int):
-        import numpy as np
-
-        table = self.tables.get(s)
-        if table is None:
-            table = np.empty((math.comb(self.m, s), math.comb(self.n, s)), dtype=np.uint8)
-            for r, c, codes in self.chunks(s):
-                table[r:r + len(codes), c:c + codes.shape[1]] = codes
-            self.tables[s] = table
-        return table
-
-    def chunks(self, k: int):
-        """Codes of the k x k submatrices in chunks of consecutive
-        candidates in lexicographic (rows, cols) order.  Yields (r, c,
-        codes): codes[a, b] belongs to the rows of rank r + a and the
-        columns of rank c + b.
-
-        Generalized Laplace expansion along the first h = k // 2 rows: the
-        terms of a candidate are, over the C(k, h) ways to give h of its
-        columns to those rows, the products of a top h x h block's terms
-        and a bottom (k-h) x (k-h) block's terms, negated when the split is
-        odd.  A chunk spans several row subsets only when it holds every
-        column subset, and its candidates times splits stay within
-        ``_SCAN_BUDGET``.
-        """
-        h = k // 2
-        top = self.top_form[self.table(h)]
-        # column 2j holds the even form of bottom code j, column 2j + 1 the odd
-        bottom = self.bottom_forms[self.table(k - h)]
-        bottom = bottom.reshape(len(bottom), -1)
-        row_top, row_bottom = _split_ranks(self.m, k)
-        row_top, row_bottom = row_top[0], row_bottom[0] // 2  # split 0: the first h rows
-        col_top, col_bottom = _split_ranks(self.n, k)
-
-        n_splits, n_cols = col_top.shape
-        c_step = max(1, min(n_cols, _SCAN_BUDGET // n_splits))
-        r_step = max(1, _SCAN_BUDGET // (n_splits * n_cols)) if c_step == n_cols else 1
-        for r in range(0, len(row_top), r_step):
-            top_rows = top[row_top[r:r + r_step]]
-            bottom_rows = bottom[row_bottom[r:r + r_step]]
-            for c in range(0, n_cols, c_step):
-                block = slice(c, c + c_step)
-                terms = top_rows[:, col_top[0, block]] & bottom_rows[:, col_bottom[0, block]]
-                for j in range(1, n_splits):
-                    terms |= top_rows[:, col_top[j, block]] & bottom_rows[:, col_bottom[j, block]]
-                yield r, c, self.code[terms]
-
-    def first_sns(self, k: int):
-        """First k x k SNS submatrix in lexicographic (rows, cols) order, as
-        (rows, cols) tuples, or None.  A size whose table exists is read
-        from it; any other is scanned chunk by chunk up to the first hit."""
-        import numpy as np
-
-        chunks = [(0, 0, self.tables[k])] if k in self.tables else self.chunks(k)
-        for r, c, codes in chunks:
-            hits = np.flatnonzero((codes == 1) | (codes == 2))
-            if hits.size:
-                a, b = divmod(int(hits[0]), codes.shape[1])
-                return _unrank(r + a, self.m, k), _unrank(c + b, self.n, k)
-        return None
-
-
 def max_sns_submatrix(A: SignPattern, cap: int = 4):
     """Largest k <= cap with a k x k sign-nonsingular submatrix, plus one
     witness (rows, cols): the first SNS k x k submatrix in lexicographic
-    (rows, cols) order.  Each candidate's set of term signs comes from a
-    Laplace split into two half-size blocks (``_TermSigns.chunks``), whose
-    code tables are built once per call from the 1 x 1 signs and shared by
-    every size.  A size costs C(m, k) C(n, k) C(k, k // 2) plus the
-    half-size tables, C(m, h) C(n, h) C(h, h // 2) for each size h they
-    need; sizes above the ``is_sns`` cap of 10 raise ResourceExhausted.
-    Returns (0, (), ()) for the zero pattern."""
+    (rows, cols) order.  A square block is SNS exactly when its rows are an
+    L-matrix: every nonzero signing of them leaves a unisigned column, one
+    with a nonzero entry and no two of opposite sign (``_first_sns``).
+    Sizes above the ``is_sns`` cap of 10 raise ResourceExhausted.  Returns
+    (0, (), ()) for the zero pattern."""
     return _sns_scan(A, min(cap, term_rank(A)))
 
 
 def _sns_scan(A: SignPattern, upper: int):
     """``max_sns_submatrix`` over k <= ``upper``, a bound that already
-    includes the term rank of A, so a caller holding it does not recount."""
+    includes the term rank of A, so a caller holding it does not recount.
+
+    A k x k SNS block has at least (k - 1)(k - 2) / 2 zeros (Gibson, Proc.
+    AMS 27, 1971: at most (k^2 + 3k - 2) / 2 nonzeros), so a size needing
+    more zeros than A has is skipped; on a zero-free pattern only k <= 2
+    is scanned."""
     if upper > _SNS_CAP:
         raise ResourceExhausted(f"SNS scan capped at k <= {_SNS_CAP}, got {upper}")
-    signs = _TermSigns(A.to_array())
+    rows = [(_mask(row, _PLUS_BIT), _mask(row, _MINUS_BIT)) for row in A.entries]
+    zeros = A.count_zeros()
     for k in range(upper, 0, -1):
-        found = signs.first_sns(k)
-        if found is not None:
-            return (k, *found)
+        if (k - 1) * (k - 2) // 2 <= zeros:
+            found = _first_sns(rows, A.n, k)
+            if found is not None:
+                return (k, *found)
     return (0, (), ())
+
+
+def _first_sns(rows: list, n: int, k: int):
+    """First k x k SNS block in lexicographic (rows, cols) order, as (rows,
+    cols) tuples, or None.  ``rows`` holds each row's (+ mask, - mask).
+
+    A signing of some rows is held as two column masks: p ORs the + masks
+    of the rows signed + and the - masks of the rows signed -, q the other
+    way round, so p ^ q are its unisigned columns (nonzero, with no two
+    entries of opposite sign).  Row sets are walked depth-first in
+    lexicographic order, carrying every nonzero signing of the current
+    ones, first nonzero row signed +.  A signing with p == q leaves no
+    unisigned column on any superset, so it prunes the subtree; a k-row
+    set that is reached is an L-matrix over all columns, and a block on it
+    is SNS exactly when its columns meet every signing's p ^ q.
+
+    The signings are packed into one integer, one per slot of w = 2n + 1
+    bits holding p | q << n, so that a new row signs all of them both ways
+    with two ORs, and each test covers every slot at once (``each_slot``).
+    """
+    m = len(rows)
+    w = 2 * n + 1
+    full = (1 << n) - 1
+
+    def spread(count: int) -> int:
+        return ((1 << w * count) - 1) // ((1 << w) - 1)  # bit 0 of each of count slots
+
+    def each_slot(x: int, cols: int, ones: int) -> bool:
+        """Has every slot of x a bit among the spread columns ``cols``?
+        Setting each slot's top bit, which no column reaches, and
+        subtracting 1 from each slot clears that bit exactly in the slots
+        that were zero."""
+        guard = ones << w - 1
+        return ((x & cols | guard) - ones) & guard == guard
+
+    def cover(unisigned: int, count: int):
+        """The lexicographically first k columns meeting every slot."""
+        ones = spread(count)
+
+        def pick(start: int, taken: int, left: int):
+            for c in range(start, n - left + 1):
+                # taken and every column from c on: if they miss a slot, so
+                # does every later choice
+                if not each_slot(unisigned, (taken | full >> c << c) * ones, ones):
+                    return None
+                if left > 1:
+                    found = pick(c + 1, taken | 1 << c, left - 1)
+                    if found is not None:
+                        return found
+                elif each_slot(unisigned, (taken | 1 << c) * ones, ones):
+                    return taken | 1 << c
+            return None
+
+        taken = pick(0, 0, k)
+        return None if taken is None else tuple(j for j in range(n) if taken >> j & 1)
+
+    chosen = []
+
+    def walk(start: int, signs: int, count: int):
+        # a row adds 2 count + 1 signings: alone (+), then + and - after each old one
+        ones, added_ones = spread(count), spread(2 * count + 1)
+        low = full * added_ones
+        for r in range(start, m - k + len(chosen) + 1):
+            plus, minus = rows[r]
+            pos, neg = plus | minus << n, minus | plus << n
+            added = pos | (signs | pos * ones) << w | (signs | neg * ones) << w * (count + 1)
+            if not each_slot(added ^ added >> n, low, added_ones):
+                continue
+            chosen.append(r)
+            grown = signs | added << w * count
+            if len(chosen) < k:
+                found = walk(r + 1, grown, 3 * count + 1)
+            else:
+                cols = cover(grown ^ grown >> n, 3 * count + 1)
+                found = None if cols is None else (tuple(chosen), cols)
+            chosen.pop()
+            if found is not None:
+                return found
+        return None
+
+    return walk(0, 0, 0)
 
 
 def is_mr1(A: SignPattern) -> bool:

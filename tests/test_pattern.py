@@ -634,7 +634,7 @@ class TestMaxSns:
 
     def test_high_caps_match_per_candidate_loop(self):
         # caps 7-10 on 8-10 lines: every top-level size 7..10 is scanned in
-        # full (its own Laplace split, odd sizes included) before a hit
+        # full (every row set of that size, odd sizes included) before a hit
         rng = np.random.default_rng(60)
         scanned = set()
         for _ in range(12):
@@ -646,17 +646,15 @@ class TestMaxSns:
             scanned.update(range(found[0] + 1, min(cap, m, n, term_rank(P)) + 1))
         assert {7, 8, 9, 10} <= scanned
 
-    def test_small_chunks_match_per_candidate_loop(self, monkeypatch):
-        # budgets below one row of candidates split the columns into blocks;
-        # sizes 3 and up are scanned chunk by chunk, not read from a table
+    def test_caps_3_to_5_match_per_candidate_loop(self):
+        # 3-7 lines with 20-70% zeros: sizes 3 and up are scanned, and most
+        # patterns have enough zeros that no size is skipped
         rng = np.random.default_rng(45)
-        for budget in (1, 7, 50):
-            monkeypatch.setattr(pattern, "_SCAN_BUDGET", budget)
-            for _ in range(20):
-                m, n = int(rng.integers(3, 8)), int(rng.integers(3, 8))
-                P = random_pattern(rng, m, n, float(rng.uniform(0.2, 0.7)))
-                cap = int(rng.integers(3, 6))
-                assert max_sns_submatrix(P, cap) == _per_candidate_max_sns(P, cap)
+        for _ in range(60):
+            m, n = int(rng.integers(3, 8)), int(rng.integers(3, 8))
+            P = random_pattern(rng, m, n, float(rng.uniform(0.2, 0.7)))
+            cap = int(rng.integers(3, 6))
+            assert max_sns_submatrix(P, cap) == _per_candidate_max_sns(P, cap)
 
     def test_more_than_63_lines(self):
         # the only SNS 2 x 2 sits on lines 64 and 65
@@ -669,17 +667,63 @@ class TestMaxSns:
             assert max_sns_submatrix(P, 2) == _per_candidate_max_sns(P, 2)
 
     def test_zero_free_10x10_at_cap_10(self):
-        # a zero-free SNS block is at most 2 x 2, so every size 10..3 is
-        # scanned in full; the half-size tables keep the working set small
+        # a zero-free SNS block is at most 2 x 2, so sizes 10..3 are ruled
+        # out by their zero count; the 16 x 16 identity is scanned from
+        # size 10, whose first row set already holds a witness.  The
+        # working set stays small on both.
         P = random_pattern(np.random.default_rng(37), 10, 10, 0.0)
-        tracemalloc.start()
-        try:
-            found = max_sns_submatrix(P, 10)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert found == _per_candidate_max_sns(P, 2)
-        assert peak < 8 * 2**20
+        identity = SignPattern([["+" if i == j else "0" for j in range(16)] for i in range(16)])
+        for A, expected in ((P, _per_candidate_max_sns(P, 2)),
+                            (identity, (10, tuple(range(10)), tuple(range(10))))):
+            tracemalloc.start()
+            try:
+                found = max_sns_submatrix(A, 10)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert found == expected
+            assert peak < 8 * 2**20
+
+    def test_zero_free_40x40_first_2x2(self):
+        # sizes 4 and 3 need 3 and 1 zeros, so only 2 x 2 blocks are scanned:
+        # a zero-free one is SNS when the product of its entries is negative
+        P = random_pattern(np.random.default_rng(41), 40, 40, 0.0)
+        E = P.entries
+        pairs = list(itertools.combinations(range(40), 2))
+        expected = next((rows, cols) for rows in pairs for cols in pairs
+                        if E[rows[0]][cols[0]] * E[rows[0]][cols[1]]
+                        * E[rows[1]][cols[0]] * E[rows[1]][cols[1]] < 0)
+        assert max_sns_submatrix(P, 4) == (2, *expected)
+
+    def test_no_4x4_sns_with_two_zeros(self):
+        # the scan skips size 4 below (4 - 1)(4 - 2) / 2 = 3 zeros (Gibson's
+        # bound).  Up to permutations these are the 4 x 4 zero sets with at
+        # most 2 zeros, and up to signatures the cells of a spanning tree of
+        # the nonzero cells (rows 0-3, columns 4-7) can be signed +
+        count = 0
+        for zeros in ((), ((0, 0),), ((0, 0), (0, 1)), ((0, 0), (1, 0)), ((0, 0), (1, 1))):
+            cells = [(i, j) for i in range(4) for j in range(4) if (i, j) not in zeros]
+            parent = list(range(8))
+
+            def root(v):
+                while parent[v] != v:
+                    v = parent[v]
+                return v
+
+            tree = []
+            for i, j in cells:
+                a, b = root(i), root(4 + j)
+                if a != b:
+                    parent[a] = b
+                    tree.append((i, j))
+            free = [cell for cell in cells if cell not in tree]
+            for signs in itertools.product((1, -1), repeat=len(free)):
+                E = [[0] * 4 for _ in range(4)]
+                for (i, j), sign in zip(tree + free, (1,) * len(tree) + signs):
+                    E[i][j] = sign
+                assert not permutation_sns(SignPattern(E))
+                count += 1
+        assert count == 2**9 + 2**8 + 3 * 2**7
 
     def test_every_3x3_against_permutation_expansion(self):
         # negating a pattern keeps SNS, so a + first nonzero covers them all
