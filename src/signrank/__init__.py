@@ -6,9 +6,10 @@ and rationalization of floating-point realizations into exact rational
 witnesses.
 
 Importing the package loads only ``errors``.  Every other name is
-re-exported lazily: its home module (``pattern``, ``exactnum``, ``geometry``
-or ``realize``) loads on the first access to it, so ``SignPattern`` loads
-``pattern`` alone, and only the names of the numeric search load numpy.
+re-exported lazily: its home module (``core``, ``scalars``, ``pattern``,
+``exactnum``, ``geometry`` or ``realize``) loads on the first access to it,
+so ``SignPattern`` loads ``core`` alone, ``QuadElem`` adds ``scalars``, and
+only the names of the numeric search load numpy.
 """
 
 import importlib
@@ -28,9 +29,12 @@ from .errors import (
 
 # every other re-exported name -> its home module, loaded on first access
 _HOME = {
-    "QuadElem": "exactnum",
-    "Rational": "exactnum",
-    "quad_sign": "exactnum",
+    "CondensationReport": "core",
+    "SignPattern": "core",
+    "condense": "core",
+    "QuadElem": "scalars",
+    "Rational": "scalars",
+    "quad_sign": "scalars",
     "rational_round": "exactnum",
     "RationalCertificate": "exactnum",
     "rational_rank": "exactnum",
@@ -48,12 +52,9 @@ _HOME = {
     "side": "geometry",
     "stack": "geometry",
     "translate": "geometry",
-    "CondensationReport": "pattern",
     "EquivalenceWitness": "pattern",
     "MrBounds": "pattern",
     "MrBoundsOptions": "pattern",
-    "SignPattern": "pattern",
-    "condense": "pattern",
     "is_equivalent": "pattern",
     "is_mr1": "pattern",
     "is_mr2": "pattern",

@@ -5,11 +5,14 @@ Exit codes: 0 success, 1 negative or inconclusive result, 2 input error,
 machine-readable document.
 
 Each subcommand imports the modules it calls when it runs, so importing
-this module loads only ``errors`` and a command loads what it needs alone:
-``condense``, ``equiv``, ``mr`` and ``mr2`` load ``pattern``;
-``rationalize`` loads ``exactnum`` and ``pattern``; ``encode``, ``dual``
-and ``compose`` load ``geometry`` (with ``exactnum`` and ``pattern``), and
-``render`` adds ``svg``; ``fixtures`` and ``selfcheck`` load ``fixtures``.
+this module loads only ``errors`` and a command loads (and, without cached
+bytecode, compiles) what it needs alone:
+``condense`` loads ``core`` (the pattern and its condensation), and
+``equiv``, ``mr`` and ``mr2`` add the deciders of ``pattern``;
+``rationalize`` loads ``core``, ``scalars`` and ``exactnum`` (the
+certificates); ``encode``, ``dual`` and ``compose`` load ``geometry`` (with
+``core`` and ``scalars``), and ``render`` adds ``svg``; ``fixtures``
+loads ``fixtures`` (with ``geometry``), and ``selfcheck`` adds ``pattern``.
 Only the float search loads numpy: ``realize --rank 3`` and up and ``mr
 --try-rank`` import ``realize`` (after their pattern and search options
 have been checked).  ``mr2``, ``mr`` without ``--try-rank`` (its SNS scan
@@ -19,7 +22,7 @@ realization file without numpy) never load it.  No signrank module
 imports ``dataclasses``, whose import (``inspect``, ``ast``, ``dis``,
 ``tokenize``) and per-class ``exec`` cost each process about 20 ms:
 records are NamedTuples, and the classes that check their values on
-construction share one immutable base, ``pattern._Record``.
+construction share one immutable base, ``core._Record``.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ def _witness_doc(w) -> dict:
 
 
 def _cmd_condense(args) -> int:
-    from .pattern import condense, load_pattern, save_pattern
+    from .core import condense, load_pattern, save_pattern
 
     A = load_pattern(args.pattern)
     report = condense(A)
@@ -136,8 +139,8 @@ def _cmd_mr2(args) -> int:
 
 
 def _cmd_encode(args) -> int:
+    from .core import save_pattern
     from .geometry import encode_configuration, load_configuration
-    from .pattern import save_pattern
 
     C = load_configuration(args.config)
     P = encode_configuration(C)
@@ -194,8 +197,8 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_rationalize(args) -> int:
+    from .core import load_pattern
     from .exactnum import load_realization, rationalize, save_certificate
-    from .pattern import load_pattern
 
     A = load_pattern(args.pattern)
     real = load_realization(getattr(args, "from"))

@@ -17,15 +17,15 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
+from .core import SignPattern, condense, save_pattern
 from .errors import FixtureCorrupt, SignRankError
-from .exactnum import QuadElem
 from .geometry import (
     Configuration,
     encode_configuration,
     incidence_structure,
     save_configuration,
 )
-from .pattern import EquivalenceWitness, SignPattern, condense, is_equivalent, save_pattern
+from .scalars import QuadElem
 
 
 class Provenance(Enum):
@@ -167,7 +167,7 @@ def fixture_names() -> tuple:
 
 class PerlesReport(NamedTuple):
     checks: tuple  # (name, detail) pairs, all passed
-    witness: EquivalenceWitness
+    witness: tuple  # the pattern.EquivalenceWitness carrying the encoding onto A0
 
 
 def derive_perles_check() -> PerlesReport:
@@ -180,6 +180,8 @@ def derive_perles_check() -> PerlesReport:
     labels are aligned, so it is equal entry-for-entry).  Any failure
     raises FixtureCorrupt.
     """
+    from .pattern import is_equivalent
+
     config = fixture("perles_config").payload
     A0 = fixture("A0").payload
     checks = []

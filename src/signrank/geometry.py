@@ -20,8 +20,9 @@ import operator
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Tuple
 
+from .core import SignPattern, _Record, condense
 from .errors import DomainError, VerticalHyperplane
-from .exactnum import (
+from .scalars import (
     QuadElem,
     _integral,
     check_radical,
@@ -30,7 +31,6 @@ from .exactnum import (
     parse_scalar,
     root_sign,
 )
-from .pattern import SignPattern, _Record, condense
 
 Point = Tuple[QuadElem, ...]
 
@@ -145,7 +145,7 @@ def _field(scalars) -> int:
 def _scaled(vectors) -> list:
     """Each vector of exact scalars as (a, b, q): integer lists a, b and an
     integer q > 0 with vector = (a + b sqrt(d)) / q, q the lcm of all the
-    vector's denominators (``exactnum._integral``)."""
+    vector's denominators (``scalars._integral``)."""
     out = []
     for v in vectors:
         [(ints, q)] = _integral([[x.r for x in v] + [x.s for x in v]])

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import signrank
+from signrank.core import _Record
 from signrank.errors import DomainError, VerticalHyperplane
 from signrank.exactnum import QuadElem, RationalCertificate, Realization, quad_sign
 from signrank.fixtures import A0_PATTERN, FIG21_PATTERN, fixture
@@ -29,7 +30,7 @@ from signrank.geometry import (
     stack,
     translate,
 )
-from signrank.pattern import SignPattern, _Record, condense, is_mr2
+from signrank.pattern import SignPattern, condense, is_mr2
 
 from conftest import random_origin_avoiding_config, random_planar_config
 
@@ -211,7 +212,7 @@ RECORDS = {
 
 class TestPlainRecords:
     """The classes that check or canonicalize their values (the subclasses
-    of ``pattern._Record``) stay immutable and round-trip through pickle and
+    of ``core._Record``) stay immutable and round-trip through pickle and
     copy with an equal value, hash and repr."""
 
     @pytest.mark.parametrize("build", list(RECORDS.values()), ids=list(RECORDS))

@@ -2,7 +2,7 @@
 function reads each local it assigns, every module-level private name
 is used somewhere in the package, no module imports ``dataclasses``
 (whose import and per-class ``exec`` cost each CLI process ~20 ms), and
-only ``pattern._Record`` decides how a record is frozen and pickled.
+only ``core._Record`` decides how a record is frozen and pickled.
 
 Plain ``ast`` walks: an imported name counts as used when it appears as a
 name anywhere in the module or as a string anywhere in the expression
@@ -209,4 +209,4 @@ def test_only_record_freezes():
     found = {path.name: freezing_methods(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
     assert {name: methods for name, methods in found.items() if methods} == {
-        "pattern.py": [("_Record", "__reduce__"), ("_Record", "__setattr__")]}
+        "core.py": [("_Record", "__reduce__"), ("_Record", "__setattr__")]}

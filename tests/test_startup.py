@@ -90,18 +90,25 @@ def test_import_loads_only_errors(statement, expected, tmp_path):
 
 
 # what a subcommand must not load besides HEAVY: condense, equiv, mr and mr2
-# read patterns alone, rationalize reads no configuration, and the
-# configuration commands neither render nor read the fixtures
+# read patterns alone, and condense reads them through core without the
+# deciders; rationalize reads no configuration and decides nothing; the
+# configuration commands and the fixture export read patterns and scalars
+# through core and scalars, without the deciders or the certificates, and
+# neither render nor read the fixtures unless that is their job
+PATTERN_ONLY = ("signrank.exactnum", "signrank.scalars", "signrank.geometry", "fractions")
+CONFIGURATION = ("signrank.pattern", "signrank.exactnum", "signrank.fixtures")
 NOT_LOADED = {
-    "condense": ("signrank.exactnum", "signrank.geometry", "fractions"),
-    "equiv": ("signrank.exactnum", "signrank.geometry", "fractions"),
-    "mr": ("signrank.exactnum", "signrank.geometry", "fractions"),
-    "mr2": ("signrank.exactnum", "signrank.geometry", "fractions"),
-    "rationalize": ("signrank.geometry", "signrank.fixtures"),
+    "condense": PATTERN_ONLY + ("signrank.pattern",),
+    "equiv": PATTERN_ONLY,
+    "mr": PATTERN_ONLY,
+    "mr2": PATTERN_ONLY,
+    "rationalize": ("signrank.pattern", "signrank.geometry", "signrank.fixtures"),
     "realize": ("signrank.geometry", "signrank.fixtures"),
-    "encode": ("signrank.fixtures", "signrank.svg"),
-    "dual": ("signrank.fixtures", "signrank.svg"),
-    "compose": ("signrank.fixtures", "signrank.svg"),
+    "encode": CONFIGURATION + ("signrank.svg",),
+    "dual": CONFIGURATION + ("signrank.svg",),
+    "compose": CONFIGURATION + ("signrank.svg",),
+    "render": CONFIGURATION,
+    "fixtures": ("signrank.pattern", "signrank.exactnum", "signrank.svg"),
 }
 
 
@@ -238,8 +245,8 @@ def test_star_import_resolves_all(tmp_path):
 def test_lazy_names_follow_the_module(tmp_path):
     # nothing is cached on the package: a name replaced on its home module
     # (as a tracer or a test patch does) is what the package hands out
-    homes = {"condense": "pattern", "rational_rank": "exactnum", "dualize": "geometry",
-             "search_realization": "realize"}
+    homes = {"condense": "core", "quad_sign": "scalars", "term_rank": "pattern",
+             "rational_rank": "exactnum", "dualize": "geometry", "search_realization": "realize"}
     doc = fresh(
         "import json, signrank\n"
         "seen = {}\n"
