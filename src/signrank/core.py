@@ -285,7 +285,7 @@ def signature_between(P: SignPattern, Q: SignPattern):
     # P_ij Q_ij: the sign d1_i d2_j must take, or 0 where either is zero;
     # rows are vertices 0..m-1 and columns m..m+n-1
     ratio = [[a * b for a, b in zip(p, q)] for p, q in zip(P.entries, Q.entries)]
-    signs = _propagate_signs(m + n, lambda v: zip(range(m, m + n), ratio[v]) if v < m
+    signs = _propagate_signs([0] * (m + n), lambda v: zip(range(m, m + n), ratio[v]) if v < m
                              else ((k, ratio[k][v - m]) for k in range(m)))
     d1, d2 = signs[:m], signs[m:]
     if any(Q.entries[i][j] != d1[i] * P.entries[i][j] * d2[j] for i in range(m) for j in range(n)):
@@ -293,13 +293,15 @@ def signature_between(P: SignPattern, Q: SignPattern):
     return tuple(d1), tuple(d2)
 
 
-def _propagate_signs(count: int, neighbours) -> list:
-    """A sign +1 or -1 for each of ``count`` vertices: each component's
-    lowest vertex gets +1, and each pair (w, p) of ``neighbours(v)`` with
-    p nonzero gives an unsigned w the sign of v times p, depth-first.  With
-    those roots a consistent signing is unique; the caller checks it."""
-    sign = [0] * count
-    for root in range(count):
+def _propagate_signs(sign: list, neighbours) -> list:
+    """Fills ``sign``, a list of zeros the caller hands in, with +1 or -1
+    for each vertex: each component's lowest vertex gets +1, and each pair
+    (w, p) of ``neighbours(v)`` with p nonzero gives an unsigned w the sign
+    of v times p, depth-first.  With those roots a consistent signing is
+    unique; the caller checks it.  The list is filled as the pairs are
+    read, so a lazy ``neighbours`` may skip the w already signed before it
+    works out their p."""
+    for root in range(len(sign)):
         if sign[root]:
             continue
         sign[root] = 1

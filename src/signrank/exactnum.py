@@ -4,7 +4,10 @@ the exact scalars of ``scalars``.
 A :class:`RationalCertificate` is an exact rational matrix with the target's
 signs, its factors and its exact rank (``rational_rank``).  ``rationalize``
 builds one from a floating realization by rounding its factors
-(``rational_round``) and solving the zero constraints exactly.  No numpy:
+(``rational_round``) and solving the zero constraints exactly; its hot path
+runs on integers (lines scaled by ``_integral``, integer zero solves, signs
+of integer dot products), and ``save_certificate`` writes the indent-1 JSON
+text in one pass.  No numpy:
 certificates load and verify without it, and a :class:`Realization` (the
 normal-form factor pair, as tuples of float rows) is read, checked
 (``read_realization``), multiplied out and rationalized without it too.
@@ -24,7 +27,8 @@ from fractions import Fraction
 from numbers import Real
 from typing import Optional, Sequence
 
-from .core import CondensationReport, SignPattern, _Record, condense, signature_between
+from .core import (CondensationReport, SignPattern, _propagate_signs, _Record, condense,
+                   signature_between)
 from .errors import DomainError, Overdetermined, PrecisionExhausted, SingularSystem
 from .scalars import (
     MAX_RADICAL,
@@ -120,12 +124,14 @@ class RationalCertificate(_Record):
         any rational number ``_ratios`` reads (int, float, Fraction, a numpy
         integer); a non-finite float fails."""
         try:
-            if _sign_pattern(self.matrix) != self.target.entries:
+            ratios = [_ratios(row) for row in self.matrix]  # read once for both checks
+            numerators = (map(operator.itemgetter(0), row) for row in ratios)
+            if _sign_pattern(numerators) != self.target.entries:
                 return False
             if self.factors is None:
                 return rational_rank(self.matrix) == self.rank
             U, V = self.factors
-            return (_product_equals(U, V, self.matrix)
+            return (_product_equals(U, V, ratios)
                     and _factored_rank(U, V, self.matrix) == self.rank)
         except (OverflowError, ValueError):  # inf or nan: no exact value
             return False
@@ -165,9 +171,31 @@ def load_certificate(path) -> RationalCertificate:
 
 
 def save_certificate(cert: RationalCertificate, path) -> None:
+    """Write the text of ``json.dump(cert.to_dict(), fh, indent=1)`` and a
+    newline, built in one pass from each entry's integer ratio (json's
+    indented encoder is its pure-Python one) before the file is opened, so
+    an entry that cannot be written leaves an existing file as it was."""
+    def text(M):  # an entry's JSON is format_rational's: the int p, or the string "p/q"
+        return _indented([_indented([str(p) if q == 1 else f'"{p}/{q}"' for p, q in _ratios(row)], 2)
+                          for row in M], 1)
+
+    doc = {"rank": json.dumps(cert.rank),
+           "target": _indented([json.dumps(line) for line in cert.target.to_text().splitlines()], 1),
+           "matrix": text(cert.matrix)}
+    if cert.factors is not None:
+        doc["U"], doc["V"] = map(text, cert.factors)
+    body = _indented([f'"{key}": {value}' for key, value in doc.items()], 0, "{}")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(cert.to_dict(), fh, indent=1)
-        fh.write("\n")
+        fh.write(body + "\n")
+
+
+def _indented(items: list, depth: int, brackets: str = "[]") -> str:
+    """The text of json's indent=1 layout for a list (or, with brackets
+    "{}", an object) at nesting ``depth``, from its items' texts."""
+    if not items:
+        return brackets
+    sep = ",\n" + " " * (depth + 1)
+    return brackets[0] + sep[1:] + sep.join(items) + "\n" + " " * depth + brackets[1]
 
 
 def _bareiss_echelon(M):
@@ -228,25 +256,23 @@ def _full_rank(lines, r: int) -> bool:
     return rational_rank(lines[:r]) == r or rational_rank(lines) == r
 
 
-def _product_equals(U, V, matrix) -> bool:
-    """U V == matrix over Q, with no Fraction built: entry (i, j) of U V is
-    the integer dot product over lu * lv (``_integral``), so it equals p/q
-    exactly when dot * q == p * lu * lv."""
+def _product_equals(U, V, ratios) -> bool:
+    """U V == the matrix whose rows' ``_ratios`` are given, over Q, with no
+    Fraction built: entry (i, j) of U V is the integer dot product over
+    lu * lv (``_integral``), so it equals p/q exactly when dot * q == p *
+    lu * lv."""
     rows, cols = _integral(U), _integral(zip(*V))
-    return [len(line) for line in matrix] == [len(cols)] * len(rows) and all(
+    return [len(line) for line in ratios] == [len(cols)] * len(rows) and all(
         sum(map(operator.mul, u, v)) * q == p * lu * lv
-        for (u, lu), line in zip(rows, matrix)
-        for (v, lv), (p, q) in zip(cols, _ratios(line))
+        for (u, lu), line in zip(rows, ratios)
+        for (v, lv), (p, q) in zip(cols, line)
     )
 
 
-def _sign_pattern(matrix) -> tuple:
-    """The signs of a matrix as a tuple of tuples of -1/0/1, read from the
-    numerators (denominators are positive)."""
-    return tuple(
-        tuple((p > 0) - (p < 0) for p, _ in _ratios(row))
-        for row in matrix
-    )
+def _sign_pattern(rows) -> tuple:
+    """The signs of rows of integers (a matrix's numerators: denominators
+    are positive) as a tuple of tuples of -1/0/1."""
+    return tuple(tuple([(p > 0) - (p < 0) for p in row]) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +459,7 @@ def _realization_from_arrangement(C: SignPattern, witness) -> Realization:
 def _round_matrix(M, cap: int):
     """Each entry rounded to denominator <= cap.  A normal form's pinned
     ones stay exact: ``rational_round(1.0, cap)`` is Fraction(1)."""
-    return [[rational_round(float(x), cap) for x in row] for row in M]
+    return [[rational_round(x, cap) for x in row] for row in M]
 
 
 def rationalize(A: SignPattern, real) -> RationalCertificate:
@@ -447,19 +473,28 @@ def rationalize(A: SignPattern, real) -> RationalCertificate:
     neither fits, Overdetermined names the first over-full column of the
     original pattern.
 
-    Every entry of U and V is rounded to denominator cap 2^t (t = 16,
-    doubling to 64), and U is kept as rounded: no point is moved.  Each
-    column that carries zeros is then solved exactly through its zero rows
-    (``solve_zero_columns``): the coordinates its echelon form pivots on are
-    solved, the others keep their rounded values.  A cap at which some
-    column cannot pass through its rounded zero rows (SingularSystem), or
-    whose exact product has the wrong signs, gives way to the next cap;
-    PrecisionExhausted follows 2^64.  No random numbers are drawn.  The
-    exact factors are expanded back to the shape of the original pattern.
-    The signs are checked on the integer products of their lines scaled to
-    integers (``_integral``), before the matrix is built: only a cap that
-    passes builds its Fractions.  The certificate stores the factors with
-    their product and its exact rank, proven from them.
+    The signature is read off a spanning forest of the condensed pattern's
+    nonzero cells (``_forest_signature``: one float product per line, not
+    all m n).  Every entry of U and V is rounded to denominator cap 2^t
+    (t = 16, doubling to 64), and U is kept as rounded: no point is moved.
+    Each column that carries zeros is then solved exactly through its zero
+    rows (``solve_zero_columns``, on U's rows scaled to integers once per
+    cap): the coordinates its echelon form pivots on are solved, the others
+    keep their rounded values.  A cap at which some column cannot pass
+    through its rounded zero rows (SingularSystem), or whose exact product
+    has the wrong signs, gives way to the next cap; PrecisionExhausted
+    follows 2^64.  No random numbers are drawn.  The exact factors are
+    expanded back to the shape of the original pattern.  The signs are
+    checked on the integer products of their lines scaled to integers
+    (``_integral``), before the matrix is built: only a cap that passes
+    builds its Fractions.  The certificate stores the factors with their
+    product and its exact rank, proven from them.
+
+    Only when the first cap fails are all signs of the float product
+    checked (``signature_between``): a product that does not realize the
+    pattern raises DomainError, never PrecisionExhausted.  So a product
+    that misreads a sign within rounding, but whose rounded factors pass a
+    cap, is certified: the certificate's exact signs are the pattern's.
     """
     report = condense(A)
     C = report.condensed
@@ -481,42 +516,71 @@ def rationalize(A: SignPattern, real) -> RationalCertificate:
             tuple(zip(*cert.matrix)), cert.rank, A, (tuple(zip(*V)), tuple(zip(*U)))
         )
 
-    signs = signature_between(C, real.signed_pattern())
-    if signs is None:
-        raise DomainError(
-            "realization does not realize the pattern (no signature carries "
-            "its product signs onto the target)"
-        )
-    d1, d2 = signs
-
+    d1, d2 = _forest_signature(C, real)
     for t in (16, 32, 64):
         cap = 1 << t
         Ur = _round_matrix(real.U, cap)
+        # U's rows in integers once per cap: each solve eliminates some of them
+        Ui = [line for line, _ in _integral(Ur)]
         columns = list(zip(*_round_matrix(real.V, cap)))
         try:
             for j, s in enumerate(zeros):
                 if s:
-                    columns[j] = solve_zero_columns(Ur, C, j, columns[j])
+                    columns[j] = solve_zero_columns(Ui, C, j, columns[j])
         except SingularSystem:
-            continue
-        U = _expand_lines(Ur, d1, report, "row", r)
-        V = tuple(zip(*_expand_lines(columns, d2, report, "col", r)))
-        # entry (i, j) of U V is dot / (lu lv) with lu, lv > 0 (``_integral``),
-        # so its sign is the dot product's: the signs are checked in int and
-        # the Fractions are built only for a cap that passes
-        rows, cols = _integral(U), _integral(zip(*V))
-        dots = [[sum(map(operator.mul, u, v)) for v, _ in cols] for u, _ in rows]
-        if _sign_pattern(dots) == A.entries:
-            full = tuple(
-                tuple(Fraction(dot, lu * lv) for dot, (_, lv) in zip(line, cols))
-                for line, (_, lu) in zip(dots, rows)
+            pass
+        else:
+            U = _expand_lines(Ur, d1, report, "row", r)
+            V = tuple(zip(*_expand_lines(columns, d2, report, "col", r)))
+            # entry (i, j) of U V is dot / (lu lv) with lu, lv > 0 (``_integral``),
+            # so its sign is the dot product's: the signs are checked in int and
+            # the Fractions are built only for a cap that passes
+            rows, cols = _integral(U), _integral(zip(*V))
+            dots = [[sum(map(operator.mul, u, v)) for v, _ in cols] for u, _ in rows]
+            if _sign_pattern(dots) == A.entries:
+                full = tuple(
+                    tuple(Fraction(dot, lu * lv) for dot, (_, lv) in zip(line, cols))
+                    for line, (_, lu) in zip(dots, rows)
+                )
+                # the certificate's one exact rank; verify() stays the
+                # independent check that callers run
+                return RationalCertificate(full, _factored_rank(U, V, full), A, (U, V))
+        # the first cap to fail is the first cap: only then is every sign
+        # of the float product read, and a product off the pattern is the
+        # input's fault, not the schedule's
+        if t == 16 and signature_between(C, real.signed_pattern()) is None:
+            raise DomainError(
+                "realization does not realize the pattern (no signature carries "
+                "its product signs onto the target)"
             )
-            # the certificate's one exact rank; verify() stays the
-            # independent check that callers run
-            return RationalCertificate(full, _factored_rank(U, V, full), A, (U, V))
     raise PrecisionExhausted(
         "denominator schedule exhausted at 2^64 without exact zeros and signs"
     )
+
+
+def _forest_signature(C: SignPattern, real) -> tuple:
+    """The signature (d1, d2) that ``signature_between(C, real.signed_pattern())``
+    finds when the product realizes C, from a spanning forest of C's
+    nonzero cells: the one propagation reads a cell's float product only
+    when it is about to sign the far end, so m + n - (components) products
+    are computed instead of m n.  Nothing is checked here."""
+    E, U, cols = C.entries, real.U, list(zip(*real.V))
+    m = len(E)
+    sign = [0] * (m + len(cols))
+
+    def ratio(i, j):  # C_ij times the sign of the float product, as signed_pattern reads it
+        b = sum(map(operator.mul, U[i], cols[j]))
+        return 0 if abs(b) <= DEFAULT_ZERO_TOL else (E[i][j] if b > 0 else -E[i][j])
+
+    def neighbours(v):
+        if 0 not in sign:  # every line is signed, mostly after the first two
+            return ()
+        if v < m:
+            return ((m + j, ratio(v, j)) for j, c in enumerate(E[v]) if c and not sign[m + j])
+        return ((i, ratio(i, v - m)) for i in range(m) if E[i][v - m] and not sign[i])
+
+    _propagate_signs(sign, neighbours)
+    return sign[:m], sign[m:]
 
 
 def _expand_lines(lines, signs, report: CondensationReport, axis: str, width: int) -> tuple:
@@ -556,18 +620,29 @@ def solve_zero_columns(U, A: SignPattern, j: int, column: Sequence) -> tuple:
     coordinate.  More than r-1 zero rows raise Overdetermined.
 
     Exact: every entry is read at its exact value (``_ratios``; a float at
-    its exact binary value) and the result is a tuple of r Fractions.
+    its exact binary value), the back-substitution runs over integers with
+    one common denominator, and the r Fractions of the result are built at
+    the end.  ``rationalize`` hands in U's rows as integers; since the
+    echelon form scales each row to integers first, rows given as integers
+    or as their rational multiples solve alike.
     """
-    column = [Fraction(p, q) for p, q in _ratios(column)]
+    ratios = _ratios(column)
     rows = [U[i] for i in range(A.m) if A.entries[i][j] == 0]
-    if not rows:
-        return tuple(column)
-    r = len(column)
+    r = len(ratios)
     if len(rows) > r - 1:
         raise Overdetermined(j, len(rows), r - 1)
     echelon, pivots = _bareiss_echelon(rows)
     if pivots and pivots[-1] == r - 1:
         raise SingularSystem(f"no column {j + 1} passes through its zero rows")
+    # the column is y / den: row . y = 0 solves y_p = -(row[p+1:] . y[p+1:]) / a
+    # for the pivot a = row[p], and multiplying den and the other y_k by a
+    # keeps y integral
+    den = math.lcm(*(q for _, q in ratios))
+    y = [p * (den // q) for p, q in ratios]
     for row, p in reversed(list(zip(echelon, pivots))):
-        column[p] = Fraction(-sum(row[k] * column[k] for k in range(p + 1, r)), row[p])
-    return tuple(column)
+        a = row[p]
+        solved = -sum(map(operator.mul, row[p + 1:], y[p + 1:]))
+        y = [x * a for x in y]
+        y[p] = solved
+        den *= a
+    return tuple([Fraction(x, den) for x in y])

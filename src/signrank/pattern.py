@@ -468,7 +468,7 @@ def _monotone_arrangement(C: SignPattern, identity_only: bool = False):
                 forced.append((a, b, p))
             elif not same:
                 return None
-    d = _propagate_signs(m, adjacent.__getitem__)
+    d = _propagate_signs([0] * m, adjacent.__getitem__)
     if any(d[a] * d[b] != p for a, b, p in forced):
         return None
     S = [row if s > 0 else tuple([-x for x in row]) for row, s in zip(T, d)]

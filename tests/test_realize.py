@@ -21,10 +21,14 @@ from signrank.geometry import encode_configuration
 from signrank.exactnum import (
     RationalCertificate,
     Realization,
+    _bareiss_echelon,
+    _forest_signature,
+    exact_low_rank,
     rational_rank,
     rational_round,
     rationalize,
     read_realization,
+    save_certificate,
     solve_zero_columns,
 )
 from signrank.pattern import SignPattern, condense, is_mr2, signature_between
@@ -358,6 +362,51 @@ class TestSolveZeroColumns:
         A = SignPattern(["0", "0", "0"])
         with pytest.raises(Overdetermined):
             solve_zero_columns(U, A, 0, [0, 1])
+
+    def test_negative_pivots(self):
+        # both pivots of the echelon form are negative: the common
+        # denominator turns negative and back, and the result is reduced
+        U = [[-2, 1, 3, 1], [-4, 3, 1, 2]]
+        A = SignPattern(["0", "0"])
+        assert [row[p] for row, p in zip(*_bareiss_echelon(U))] == [-2, -2]
+        v = solve_zero_columns(U, A, 0, [Fraction(5, 3), Fraction(7, 2), Fraction(-1, 6), 1])
+        assert v == (Fraction(-1, 6), Fraction(-5, 6), Fraction(-1, 6), Fraction(1))
+        assert all(type(x) is Fraction for x in v)
+        assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in U)
+
+    def test_integer_rows_solve_as_fractions(self):
+        # rationalize hands in U's rows scaled to integers: a row and any
+        # positive multiple of it give the same solution
+        rng = np.random.default_rng(71)
+        for _ in range(60):
+            s = int(rng.integers(1, 4))
+            r = s + 1 + int(rng.integers(0, 2))
+            rows = [[Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7))) for _ in range(r)]
+                    for _ in range(s)]
+            scaled = [[x * math.lcm(*(y.denominator for y in row)) for x in row] for row in rows]
+            assert all(x.denominator == 1 for row in scaled for x in row)
+            integer = [[int(x) for x in row] for row in scaled]
+            A = SignPattern([[0]] * s)
+            column = [Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7)))
+                      for _ in range(r - 1)] + [1]
+            try:
+                expected = solve_zero_columns(rows, A, 0, column)
+            except SingularSystem:
+                with pytest.raises(SingularSystem):
+                    solve_zero_columns(integer, A, 0, column)
+                continue
+            assert solve_zero_columns(integer, A, 0, column) == expected
+            assert all(sum(a * b for a, b in zip(row, expected)) == 0 for row in rows)
+
+    def test_float_column_read_exactly(self):
+        # float entries of the column enter at their exact binary value:
+        # the kept entry is Fraction(0.1), not 1/10, and the solved one
+        # follows from it exactly
+        U = [[1, 3, -2, 5]]
+        v = solve_zero_columns(U, SignPattern(["0"]), 0, [0.25, 0.1, 0.7, 1.0])
+        assert v[1:] == (Fraction(0.1), Fraction(0.7), Fraction(1))
+        assert v[1] != Fraction(1, 10)
+        assert v[0] == -(3 * Fraction(0.1) - 2 * Fraction(0.7) + 5)
 
 
 class TestSearch:
@@ -820,6 +869,35 @@ class TestRationalize:
         with pytest.raises(DomainError):
             rationalize(SignPattern(["+++", "-++", "-0-"]), real)
 
+    @pytest.mark.parametrize("route", ["signs", "singular", "transposed"])
+    def test_non_realizing_input_raises_domain_error(self, route):
+        # the signature comes from a spanning forest and is not checked
+        # until a cap fails; then every sign of the float product is, and a
+        # product off the pattern is a DomainError, not PrecisionExhausted
+        if route == "signs":
+            # every cap's exact signs are wrong (the pattern above)
+            P = SignPattern(["+++", "-++", "-0-"])
+            real = search_realization(A1_PATTERN, 2, SearchParams(seed=1))
+        elif route == "singular":
+            # zero rows 1 and 2 of column 1 differ only in the last
+            # coordinate, so every cap raises SingularSystem
+            P = SignPattern(["0+-", "0++", "++-", "-+-"])
+            real = Realization(3, [[1, 2, 9], [1, 2, 7], [1, -1, 0], [1, 0, 3]],
+                               [[1, 2, -1], [0.5, 1, 2], [1, 1, 1]])
+            with pytest.raises(SingularSystem):
+                solve_zero_columns(real.U, P, 0, [0, 0, 1])
+        else:
+            # column 1 is over-full, so the rows are certified, with one
+            # entry's sign changed from what the realization gives
+            base = SignPattern(["0+++", "0-++", "0+-+", "++++"])
+            real = search_realization(base, 3, SearchParams(seed=8))
+            P = SignPattern(["0+++", "0-++", "0+-+", "+++-"])
+            assert max(P.col(j).count(0) for j in range(P.n)) > 2
+        assert condense(P).condensed == P and (len(real.U), len(real.V[0])) == (P.m, P.n)
+        assert signature_between(P, real.signed_pattern()) is None
+        with pytest.raises(DomainError, match="does not realize the pattern"):
+            rationalize(P, real)
+
     def test_random_3xn_certificates(self):
         rng = np.random.default_rng(101)
         produced = 0
@@ -1245,6 +1323,108 @@ class TestPinnedCertificates:
             save_certificate(rationalize(P, form), path)
             saved.append(path.read_bytes())
         assert saved[0] == saved[1]
+
+
+PINNED_KEYS = sorted(TestPinnedCertificates.PINNED_SHA256, key=str)
+
+
+def _planted_sweep():
+    """The 64 planted instances of ``test_planted_ranks_against_sympy``."""
+    rng = np.random.default_rng(2024)
+    return [_planted_instance(rng, 2 + k % 4) for k in range(64)]
+
+
+class TestForestSignature:
+    # rationalize reads the signature off a spanning forest of the nonzero
+    # cells; where the product realizes the pattern, it is the signature
+    # that signature_between finds on the whole product
+    @staticmethod
+    def assert_agrees(C, real):
+        expected = signature_between(C, real.signed_pattern())
+        assert expected is not None
+        assert tuple(map(tuple, _forest_signature(C, real))) == expected
+
+    def test_planted_sweep(self):
+        for P, real in _planted_sweep():
+            self.assert_agrees(condense(P).condensed, real)
+
+    @pytest.mark.parametrize("key", PINNED_KEYS, ids=lambda k: "-".join(map(str, k)))
+    def test_pinned_instances(self, key):
+        P, real = TestPinnedCertificates._instance(key)
+        self.assert_agrees(condense(P).condensed, real)
+
+    def test_two_components(self):
+        # a block-diagonal product: the second block's first row is the
+        # lowest line of its component, so it takes + whatever its signs
+        U = ((1.0, 0.0), (-2.0, 0.0), (0.0, 1.5), (0.0, -1.0))
+        V = ((1.0, -3.0, 0.0), (0.0, 0.0, 2.0))
+        real = Realization._rebuild(2, U, V)  # no normal form: built unchecked
+        Q = real.signed_pattern()
+        assert Q.entries == ((1, -1, 0), (-1, 1, 0), (0, 0, 1), (0, 0, -1))
+        C = SignPattern([[-v for v in row] if i >= 2 else list(row) for i, row in enumerate(Q.entries)])
+        self.assert_agrees(C, real)
+        d1, d2 = _forest_signature(C, real)
+        assert (d1, d2) == ([1, 1, 1, 1], [1, 1, -1])
+
+    def test_duplicate_opposite_and_zero_lines(self):
+        # the forest skips a zero line's missing cells and signs a copied or
+        # negated line from its own product, as signature_between does
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            U, V = rng.standard_normal((5, 3)), rng.standard_normal((3, 6))
+            U = np.vstack([U, U[1], -U[2], 0 * U[0]])[rng.permutation(8)]
+            V = np.hstack([V, V[:, [0]], -V[:, [3]], 0 * V[:, [1]]])[:, rng.permutation(9)]
+            real = Realization._rebuild(3, tuple(map(tuple, U.tolist())), tuple(map(tuple, V.tolist())))
+            signs = np.outer(rng.choice([-1, 1], 8), rng.choice([-1, 1], 9))
+            C = SignPattern((np.array(real.signed_pattern().entries) * signs).tolist())
+            assert condense(C).condensed != C
+            self.assert_agrees(C, real)
+
+
+class TestCertificateWriter:
+    # save_certificate writes the bytes of json.dump(cert.to_dict(), fh,
+    # indent=1) and a newline, from its own one-pass writer
+    @staticmethod
+    def assert_json_layout(cert, path):
+        save_certificate(cert, path)
+        assert path.read_bytes() == (json.dumps(cert.to_dict(), indent=1) + "\n").encode()
+
+    @pytest.mark.parametrize("key", PINNED_KEYS, ids=lambda k: "-".join(map(str, k)))
+    def test_pinned_instances(self, tmp_path, key):
+        self.assert_json_layout(rationalize(*TestPinnedCertificates._instance(key)),
+                                tmp_path / "c.cert.json")
+
+    def test_planted_sweep(self, tmp_path):
+        for P, real in _planted_sweep():
+            self.assert_json_layout(rationalize(P, real), tmp_path / "c.cert.json")
+
+    def test_without_factors(self, tmp_path):
+        doc = rationalize(FIG21_PATTERN, search_realization(FIG21_PATTERN, 3, SearchParams(seed=4))).to_dict()
+        del doc["U"], doc["V"]
+        cert = RationalCertificate.from_dict(doc)
+        assert cert.factors is None
+        self.assert_json_layout(cert, tmp_path / "c.cert.json")
+
+    @pytest.mark.parametrize("rows, r", [(["00", "00"], 1), (["00", "00"], 2), (["-"], 1), (["+"], 2)])
+    def test_zero_and_one_by_one_patterns(self, tmp_path, rows, r):
+        A = SignPattern(rows)
+        cert = rationalize(A, exact_low_rank(A, r))
+        assert cert.verify()
+        self.assert_json_layout(cert, tmp_path / "c.cert.json")
+
+    def test_empty_lists(self, tmp_path):
+        self.assert_json_layout(RationalCertificate((), 0, SignPattern([])), tmp_path / "c.cert.json")
+
+    def test_failing_save_keeps_the_file(self, tmp_path):
+        # the text is built before the file is opened: an entry with no
+        # exact value fails the save and leaves the old file's bytes alone
+        path = tmp_path / "c.cert.json"
+        path.write_bytes(b'{"old": true}\n')
+        cert = RationalCertificate(((Fraction(1), float("inf")),), 1, SignPattern(["++"]))
+        assert cert.verify() is False
+        with pytest.raises(DomainError):
+            save_certificate(cert, path)
+        assert path.read_bytes() == b'{"old": true}\n'
 
 
 def _low_rank_pin_patterns():
