@@ -7,9 +7,11 @@ witnesses.
 
 Importing the package loads only ``errors``.  Every other name is
 re-exported lazily: its home module (``core``, ``scalars``, ``pattern``,
-``exactnum``, ``geometry`` or ``realize``) loads on the first access to it,
-so ``SignPattern`` loads ``core`` alone, ``QuadElem`` adds ``scalars``, and
-only the names of the numeric search load numpy.
+``exactnum`` or ``geometry``) loads on the first access to it, so
+``SignPattern`` loads ``core`` alone, ``QuadElem`` adds ``scalars``, and
+``SearchParams`` and ``search_realization`` load ``pattern``.  No name
+loads numpy: ``search_realization`` imports ``realize``, the float search,
+only when it is called at rank 3 or more.
 """
 
 import importlib
@@ -62,11 +64,12 @@ _HOME = {
     "max_sns_submatrix": "pattern",
     "mr_bounds": "pattern",
     "term_rank": "pattern",
-    "SearchParams": "realize",
-    "has_direct_representation": "realize",
-    "search_realization": "realize",
+    "SearchParams": "pattern",
+    "has_direct_representation": "pattern",
+    "search_realization": "pattern",
 }
-_MODULES = frozenset(_HOME.values())
+# realize, the float search, is the home of no name but loads as a module
+_MODULES = frozenset([*_HOME.values(), "realize"])
 
 __version__ = "0.1.0"
 

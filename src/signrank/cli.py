@@ -13,12 +13,14 @@ bytecode, compiles) what it needs alone:
 certificates); ``encode``, ``dual`` and ``compose`` load ``geometry`` (with
 ``core`` and ``scalars``), and ``render`` adds ``svg``; ``fixtures``
 loads ``fixtures`` (with ``geometry``), and ``selfcheck`` adds ``pattern``.
-Only the float search loads numpy: ``realize --rank 3`` and up and ``mr
---try-rank`` import ``realize`` (after their pattern and search options
-have been checked).  ``mr2``, ``mr`` without ``--try-rank`` (its SNS scan
-runs on bitmasks), ``realize --rank 1|2`` (decided exactly by
-``exactnum.exact_low_rank``) and ``rationalize`` (which reads the
-realization file without numpy) never load it.  No signrank module
+``realize`` loads ``pattern`` and ``exactnum`` and makes one call,
+``pattern.search_realization``, for every rank.  Only the float search
+loads numpy: ``realize --rank 3`` and up and ``mr --try-rank`` import
+``realize`` through that call, after it has checked the pattern, the
+search options and the rank.  ``mr2``, ``mr`` without ``--try-rank`` (its
+SNS scan runs on bitmasks), ``realize --rank 1|2`` (decided exactly in
+``pattern``) and ``rationalize`` (which reads the realization file without
+numpy) never load it.  No signrank module
 imports ``dataclasses``, whose import (``inspect``, ``ast``, ``dis``,
 ``tokenize``) and per-class ``exec`` cost each process about 20 ms:
 records are NamedTuples, and the classes that check their values on
@@ -72,7 +74,7 @@ def _cmd_condense(args) -> int:
     if args.output:
         save_pattern(report.condensed, args.output)
     doc = {
-        "condensed": report.condensed.to_text().splitlines(),
+        "condensed": report.condensed.lines(),
         "kept_rows": list(report.kept_rows),
         "kept_cols": list(report.kept_cols),
         "log": [
@@ -146,32 +148,18 @@ def _cmd_encode(args) -> int:
     P = encode_configuration(C)
     if args.output:
         save_pattern(P, args.output)
-    _emit(args, {"pattern": P.to_text().splitlines()}, P.to_text())
+    _emit(args, {"pattern": P.lines()}, P.to_text())
     return EXIT_OK
 
 
 def _cmd_realize(args) -> int:
-    from .exactnum import exact_low_rank, save_realization
-    from .pattern import check_search_budget, load_pattern
+    from .exactnum import save_realization
+    from .pattern import SearchParams, load_pattern, search_realization
 
     A = load_pattern(args.pattern)
-    check_search_budget(args.restarts, args.iters, args.seed)
-    # the search checks this too, but only after numpy has loaded
-    if args.rank < 1:
-        raise DomainError(f"rank must be >= 1, got {args.rank}")
-    if args.rank <= 2:
-        # decided exactly, as the search decides these ranks, without numpy
-        real = exact_low_rank(A, args.rank, args.direct)
-    else:
-        from .realize import SearchParams, search_realization
-
-        params = SearchParams(
-            restarts=args.restarts,
-            iters=args.iters,
-            seed=args.seed,
-            direct=args.direct,
-        )
-        real = search_realization(A, args.rank, params)
+    params = SearchParams(restarts=args.restarts, iters=args.iters, seed=args.seed,
+                          direct=args.direct)
+    real = search_realization(A, args.rank, params)
     if real is None:
         # ranks 1 and 2 are decided exactly; the search above that is not
         exact = args.rank <= 2

@@ -160,8 +160,13 @@ class SignPattern(_Record):
             rows.append(row)
         return cls._trusted(tuple(rows), len(rows), width or 0)
 
+    def lines(self) -> list:
+        """One +/-/0 string per row: an m x 0 pattern has m empty ones,
+        which splitting ``to_text`` would not give back."""
+        return ["".join([_INT_TO_CHAR[v] for v in row]) for row in self.entries]
+
     def to_text(self) -> str:
-        return "\n".join("".join(_INT_TO_CHAR[v] for v in row) for row in self.entries)
+        return "\n".join(self.lines())
 
     def row(self, i: int) -> tuple:
         return self.entries[i]

@@ -1,5 +1,5 @@
-"""Exact rational certificates and exact low-rank realizations, built on
-the exact scalars of ``scalars``.
+"""Exact rational certificates and the realization class, built on the
+exact scalars of ``scalars``.
 
 A :class:`RationalCertificate` is an exact rational matrix with the target's
 signs, its factors and its exact rank (``rational_rank``).  ``rationalize``
@@ -11,10 +11,8 @@ text in one pass.  No numpy:
 certificates load and verify without it, and a :class:`Realization` (the
 normal-form factor pair, as tuples of float rows) is read, checked
 (``read_realization``), multiplied out and rationalized without it too.
-Ranks 1 and 2 are realized exactly here (``exact_low_rank``), from the
-rank-2 decision of ``pattern.is_mr2``, which only that function imports:
-``rationalize`` reads its pattern through ``core`` and never compiles the
-deciders.
+This module imports neither the deciders of ``pattern`` nor the search:
+``rationalize`` reads its pattern through ``core``.
 """
 
 from __future__ import annotations
@@ -142,7 +140,7 @@ class RationalCertificate(_Record):
 
         doc = {
             "rank": self.rank,
-            "target": self.target.to_text().splitlines(),
+            "target": self.target.lines(),
             "matrix": text(self.matrix),
         }
         if self.factors is not None:
@@ -180,7 +178,7 @@ def save_certificate(cert: RationalCertificate, path) -> None:
                           for row in M], 1)
 
     doc = {"rank": json.dumps(cert.rank),
-           "target": _indented([json.dumps(line) for line in cert.target.to_text().splitlines()], 1),
+           "target": _indented([json.dumps(line) for line in cert.target.lines()], 1),
            "matrix": text(cert.matrix)}
     if cert.factors is not None:
         doc["U"], doc["V"] = map(text, cert.factors)
@@ -395,65 +393,6 @@ def save_realization(real: Realization, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(real.to_dict(), fh)
         fh.write("\n")
-
-
-def exact_low_rank(A: SignPattern, r: int, direct: bool = False) -> Optional[Realization]:
-    """A rank-r realization of the condensed pattern of A for r = 1 or 2,
-    from the exact deciders, with one condensation; None proves that none
-    exists (in direct mode: none with identity signatures).  This is
-    ``realize.search_realization`` at r <= 2, without numpy.
-
-    A 1x1 condensed pattern [s] (mr = 1) has the closed forms U = V = [[1]]
-    at r = 1, whose product + matches s only up to signature (so direct
-    mode needs s = +), and U = [[1, s - 1]], V = [[1], [1]] at r = 2, whose
-    product is s.  At r = 2 a pattern with mr = 2 is realized from the
-    monotone arrangement of ``is_mr2``, or in direct mode from the
-    identity-signed one, which may not exist.  Every other pattern has
-    mr > r."""
-    if r not in (1, 2):
-        raise DomainError(f"exact realizations have rank 1 or 2, got {r}")
-    from .pattern import _monotone_arrangement, is_mr2
-
-    mr2 = is_mr2(A) if r == 2 else None
-    C = (condense(A) if mr2 is None else mr2.condensation).condensed
-    if C.m == 0:
-        return Realization(r, (), ((),) * r)
-    if C.m == 1 and C.n == 1:
-        s = C.entries[0][0]
-        if r == 2:
-            return Realization(2, ((1.0, s - 1.0),), ((1.0,), (1.0,)))
-        return None if direct and s < 0 else Realization(1, ((1.0,),), ((1.0,),))
-    if mr2 is None or not mr2.value:
-        return None
-    witness = _monotone_arrangement(C, identity_only=True) if direct else mr2.witness
-    return None if witness is None else _realization_from_arrangement(C, witness)
-
-
-def _realization_from_arrangement(C: SignPattern, witness) -> Realization:
-    """Exact rank-2 realization from a monotone arrangement of C (an
-    ``is_mr2`` witness, or an identity-signed one for direct mode).
-
-    The witness's row signs d and column signs c turn C into S = d C c,
-    whose rows are nondecreasing in the witness's column order.  The column
-    at arranged position q gets v = q + 1.  A row with k minus entries and
-    z zeros (0 or 1) crosses at k + 1 if z = 1, else between k and k + 1,
-    so u = -(k + (1 + z) / 2), exact in float, and the products v_j + u_i
-    realize S.  Like every search result, the product's own signs carry
-    the signature."""
-    d = dict(zip(witness.row_perm, witness.row_signs))
-    c = dict(zip(witness.col_perm, witness.col_signs))
-    S = SignPattern._trusted(
-        tuple(tuple([d[i] * C.entries[i][j] * c[j] for j in range(C.n)]) for i in range(C.m)),
-        C.m, C.n,
-    )
-    v = [0.0] * C.n
-    for pos, j in enumerate(witness.col_perm):
-        v[j] = pos + 1.0
-    U = [[1.0, -(row.count(-1) + (1 + row.count(0)) / 2)] for row in S.entries]
-    real = Realization(2, U, [v, [1.0] * C.n])
-    if real.signed_pattern() != S:
-        raise AssertionError("internal error: rank-2 witness failed validation")
-    return real
 
 
 def _round_matrix(M, cap: int):

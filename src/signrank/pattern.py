@@ -6,17 +6,19 @@ condensation, the signature between two patterns and the .pat files live
 in ``core``; this module decides on them: permutation/signature
 equivalence with explicit witnesses, the term rank (= maximum rank of the
 class), sign nonsingularity, exact recognition of minimum rank <= 2, and an
-aggregator combining every bound this package knows how to compute.  It
-imports no ``fractions``.
+aggregator combining every bound this package knows how to compute.
 
 Sign nonsingularity is decided two ways: ``is_sns`` reads one block's
 2-bit term-sign code off a memoized first-row expansion, and the SNS scan
 tests that a block's rows are an L-matrix (every nonzero signing leaves a
 unisigned column) on per-row bitmasks.
 
-Only ``SignPattern.to_array`` imports numpy, so everything else here runs
-without loading it; ``mr_bounds`` loads it only through the search that
-``try_rank`` asks for.
+``search_realization`` is the one entry point of a rank-r realization: it
+checks the budget and the rank, condenses once and builds ranks 1 and 2
+exactly from the arrangement of ``is_mr2``; only for r >= 3 does it import
+``realize``, the float search, and with it numpy.  The module level imports
+no ``fractions``, ``exactnum`` or numpy: the realization class is imported
+where one is built, and ``SignPattern.to_array`` alone imports numpy.
 """
 
 from __future__ import annotations
@@ -496,12 +498,128 @@ def _mask(row: tuple, bit: dict) -> int:
 
 
 def check_search_budget(restarts: int, iters: int, seed: int) -> None:
-    """Reject a negative search budget or seed before any search starts;
-    it needs no numpy, so the CLI checks its flags before loading it."""
+    """Reject a negative search budget or seed before any search starts,
+    and so before the search loads numpy."""
     if restarts < 0 or iters < 0:
         raise DomainError(f"restarts and iters must be >= 0, got {restarts} and {iters}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
+
+
+class SearchParams(NamedTuple):
+    """Search budget: restarts and the seed (>= 0) they derive from;
+    ``direct`` pins identity signatures.  ``iters`` caps the one descent
+    that each restart runs (0 means no descent) before it polishes the zeros
+    once and checks the signs once.  The descent stops before the cap once
+    its signs are cleared or its penalty stalls (``kernels.descent``), so
+    raising ``iters`` changes only restarts that reach the cap.  A result is
+    accepted at the fixed thresholds ``realize.DEFAULT_MARGIN`` and
+    ``exactnum.DEFAULT_ZERO_TOL``.
+
+    ``threads`` is ignored: restarts run one after another.  It is kept only
+    so that existing callers that pass it keep working."""
+
+    restarts: int = 64
+    iters: int = 5000
+    seed: int = 0
+    threads: int = 1
+    direct: bool = False
+
+
+def search_realization(A: SignPattern, r: int, params: Optional[SearchParams] = None):
+    """A rank-r sign realization (an ``exactnum.Realization``) of the
+    condensed pattern of A, or None.
+
+    r = 1 and r = 2 are decided exactly, without numpy: None proves that no
+    realization exists (in direct mode: none with identity signatures), and
+    ``restarts``, ``iters`` and ``seed`` are only checked.  A 1x1 condensed
+    pattern [s] (mr = 1) has the closed forms U = V = [[1]] at r = 1, whose
+    product + matches s only up to signature (so direct mode needs s = +),
+    and U = [[1, s - 1]], V = [[1], [1]] at r = 2, whose product is s.  At
+    r = 2 a pattern with mr = 2 is realized from the monotone arrangement of
+    ``is_mr2``, or in direct mode from the identity-signed one, which may not
+    exist.  Every other pattern has mr > r.
+
+    For r >= 3 the randomized penalty search of ``realize`` runs its restarts
+    in order: restart k draws its generator from seed XOR k, and the first
+    one that succeeds is returned, so a fixed seed gives a bit-identical
+    result.  Failure there returns None and is always inconclusive (it
+    never certifies that no realization exists).
+    """
+    params = params or SearchParams()
+    check_search_budget(params.restarts, params.iters, params.seed)
+    if r < 1:
+        raise DomainError(f"rank must be >= 1, got {r}")
+    from .exactnum import Realization
+
+    mr2 = is_mr2(A) if r == 2 else None
+    C = (condense(A) if mr2 is None else mr2.condensation).condensed
+    if C.m == 0:
+        return Realization(r, (), ((),) * r)
+    if r >= 3:
+        from . import realize
+
+        return realize._search(C, r, params)
+    if C.m == 1 and C.n == 1:
+        s = C.entries[0][0]
+        if r == 2:
+            return Realization(2, ((1.0, s - 1.0),), ((1.0,), (1.0,)))
+        return None if params.direct and s < 0 else Realization(1, ((1.0,),), ((1.0,),))
+    if mr2 is None or not mr2.value:
+        return None
+    witness = _monotone_arrangement(C, identity_only=True) if params.direct else mr2.witness
+    return None if witness is None else _realization_from_arrangement(C, witness)
+
+
+def _realization_from_arrangement(C: SignPattern, witness):
+    """Exact rank-2 realization from a monotone arrangement of C (an
+    ``is_mr2`` witness, or an identity-signed one for direct mode).
+
+    The witness's row signs d and column signs c turn C into S = d C c,
+    whose rows are nondecreasing in the witness's column order.  The column
+    at arranged position q gets v = q + 1.  A row with k minus entries and
+    z zeros (0 or 1) crosses at k + 1 if z = 1, else between k and k + 1,
+    so u = -(k + (1 + z) / 2), exact in float, and the products v_j + u_i
+    realize S.  Like every search result, the product's own signs carry
+    the signature."""
+    from .exactnum import Realization
+
+    d = dict(zip(witness.row_perm, witness.row_signs))
+    c = dict(zip(witness.col_perm, witness.col_signs))
+    S = SignPattern._trusted(
+        tuple(tuple([d[i] * C.entries[i][j] * c[j] for j in range(C.n)]) for i in range(C.m)),
+        C.m, C.n,
+    )
+    v = [0.0] * C.n
+    for pos, j in enumerate(witness.col_perm):
+        v[j] = pos + 1.0
+    U = [[1.0, -(row.count(-1) + (1 + row.count(0)) / 2)] for row in S.entries]
+    real = Realization(2, U, [v, [1.0] * C.n])
+    if real.signed_pattern() != S:
+        raise AssertionError("internal error: rank-2 witness failed validation")
+    return real
+
+
+class DirectRepresentation(NamedTuple):
+    status: str  # "yes", "no", "unknown"
+    witness: object  # an exactnum.Realization, or None
+
+
+def has_direct_representation(A: SignPattern, r: int) -> DirectRepresentation:
+    """Can the minimum-rank normal form be reached without signatures?
+
+    The search runs with the normal form held (``SearchParams(direct=True)``,
+    its default budget).  r = 1 and r = 2 are exact, as the search is there:
+    no realization means no, and so does one with fewer than r condensed
+    rows or columns, since then mr < r.  At r = 2 the witness is built from
+    the identity-signed monotone arrangement of the condensed pattern.  For
+    r >= 3 success means yes and exhaustion means unknown (never a proof of
+    no).
+    """
+    found = search_realization(A, r, SearchParams(direct=True))
+    if found is not None and (r >= 3 or min(len(found.U), len(found.V[0])) >= r):
+        return DirectRepresentation("yes", found)
+    return DirectRepresentation("no" if r <= 2 else "unknown", None)
 
 
 class MrBoundsOptions(NamedTuple):
@@ -571,10 +689,8 @@ def mr_bounds(A: SignPattern, options: Optional[MrBoundsOptions] = None) -> MrBo
                else f"is not below the upper bound {upper}")
         evidence.append(("note", None, f"rank {rank} {why}; no search run"))
     elif rank is not None:
-        from . import realize
-
-        params = realize.SearchParams(seed=opts.seed, restarts=opts.restarts, iters=opts.iters)
-        found = realize.search_realization(C, rank, params)
+        params = SearchParams(seed=opts.seed, restarts=opts.restarts, iters=opts.iters)
+        found = search_realization(C, rank, params)
         if found is not None:
             evidence.append(("upper", found.r, f"numerical realization at rank {found.r}"))
             upper = min(upper, found.r)

@@ -1,31 +1,28 @@
 """Floating-point sign realizations: the numeric search for a normal-form
-factor pair.
+factor pair at rank r >= 3.
 
 A realization of a condensed sign pattern at rank r is a normal-form factor
 pair: U is m x r with first column exactly ones, V is r x n with last row
 exactly ones, and sgn(U V) matches the pattern up to row/column signatures
 (which this module recovers rather than stores -- the product's own signs
-carry them).  ``search_realization`` looks for one numerically;
-``exactnum.rationalize`` upgrades it to an exact rational certificate.
-The answer is an ``exactnum.Realization``, whose factors are tuples of
-float rows: the search works on numpy arrays and hands them over once, and
-the CLI reads a realization file into the same class and rationalizes it
-without loading numpy or this module.
+carry them).  ``exactnum.rationalize`` upgrades one to an exact rational
+certificate.  The answer is an ``exactnum.Realization``, whose factors are
+tuples of float rows: the search works on numpy arrays and hands them over
+once, and the CLI reads a realization file into the same class and
+rationalizes it without loading numpy or this module.
 
-Ranks 1 and 2 are decided exactly, so there ``search_realization`` returns
-``exactnum.exact_low_rank``, built from the condensation and the monotone
-arrangement of ``pattern.is_mr2``, and runs no descent: None proves that no
-rank-r realization exists; the CLI's ``realize --rank 1|2`` calls it
-without loading numpy or this module.  The randomized search, and its budget of restarts and
-iterations, serves r >= 3 only, where None is inconclusive.  There each
-restart's ``kernels.descent`` and zero polish move the entries that one pair
-of 0/1 masks leaves free (in direct mode, all but the normal form's ones).
+The entry point is ``pattern.search_realization``, re-exported here with
+``SearchParams``: it checks the budget and the rank, condenses, decides
+ranks 1 and 2 exactly without numpy, and imports this module only for
+r >= 3, to run ``_search``.  There each restart's ``kernels.descent`` and
+zero polish move the entries that one pair of 0/1 masks leaves free (in
+direct mode, all but the normal form's ones), and None is inconclusive.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -35,7 +32,6 @@ from .exactnum import (
     DEFAULT_ZERO_TOL,
     RationalCertificate,
     Realization,
-    exact_low_rank,
     load_realization,
     rational_rank,
     rationalize,
@@ -43,34 +39,16 @@ from .exactnum import (
     save_realization,
     solve_zero_columns,
 )
-from .pattern import SignPattern, check_search_budget, condense
+from .pattern import SearchParams, SignPattern, search_realization
 
-# exactnum's names that are looked up here: by the benchmark (tracing.TRACED,
-# workloads.Certify) and by callers of the search that save its result
-__all__ = ["RationalCertificate", "load_realization", "rational_rank", "rationalize",
-           "save_certificate", "save_realization", "solve_zero_columns"]
+# names that are looked up here: the entry point of the search and its
+# budget, and exactnum's names, by the benchmark (tracing.TRACED,
+# workloads) and by callers of the search that save its result
+__all__ = ["RationalCertificate", "SearchParams", "load_realization", "rational_rank",
+           "rationalize", "save_certificate", "save_realization", "search_realization",
+           "solve_zero_columns"]
 
 DEFAULT_MARGIN = 1e-2
-
-
-class SearchParams(NamedTuple):
-    """Search budget: restarts and the seed (>= 0) they derive from;
-    ``direct`` pins identity signatures.  ``iters`` caps the one descent
-    that each restart runs (0 means no descent) before it polishes the zeros
-    once and checks the signs once.  The descent stops before the cap once
-    its signs are cleared or its penalty stalls (``kernels.descent``), so
-    raising ``iters`` changes only restarts that reach the cap.  A result is
-    accepted at the fixed thresholds ``DEFAULT_MARGIN`` and
-    ``DEFAULT_ZERO_TOL``.
-
-    ``threads`` is ignored: restarts run one after another.  It is kept only
-    so that existing callers that pass it keep working."""
-
-    restarts: int = 64
-    iters: int = 5000
-    seed: int = 0
-    threads: int = 1
-    direct: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -226,29 +204,9 @@ def _restart(S: np.ndarray, r: int, params: SearchParams, k: int, free_u, free_v
     return Realization(r, U, V)
 
 
-def search_realization(
-    A: SignPattern, r: int, params: Optional[SearchParams] = None
-) -> Optional[Realization]:
-    """A rank-r sign realization of the condensed pattern of A, or None.
-
-    r = 1 and r = 2 are decided exactly (``exactnum.exact_low_rank``): None proves
-    that no realization exists (in direct mode: none with identity
-    signatures), and ``restarts``, ``iters`` and ``seed`` are not used.  For
-    r >= 3 a randomized penalty search runs its restarts in order: restart
-    k draws its generator from seed XOR k, and the first one that succeeds
-    is returned, so a fixed seed gives a bit-identical result.  Failure
-    there returns None and is always inconclusive (it never certifies that
-    no realization exists).
-    """
-    params = params or SearchParams()
-    check_search_budget(params.restarts, params.iters, params.seed)
-    if r < 1:
-        raise DomainError(f"rank must be >= 1, got {r}")
-    if r <= 2:
-        return exact_low_rank(A, r, params.direct)
-    C = condense(A).condensed
-    if C.m == 0:
-        return Realization(r, (), ((),) * r)
+def _search(C: SignPattern, r: int, params: SearchParams) -> Optional[Realization]:
+    """The restarts of ``pattern.search_realization`` at r >= 3 on the
+    condensed pattern C, which has rows, under the checked ``params``."""
     # what every restart shares; none of it draws from a restart's generator
     S = C.to_array()
     m, n = S.shape
@@ -263,29 +221,3 @@ def search_realization(
         if found is not None:
             return found
     return None
-
-
-# ---------------------------------------------------------------------------
-# Direct representations
-
-
-class DirectRepresentation(NamedTuple):
-    status: str  # "yes", "no", "unknown"
-    witness: Optional[Realization]
-
-
-def has_direct_representation(A: SignPattern, r: int) -> DirectRepresentation:
-    """Can the minimum-rank normal form be reached without signatures?
-
-    The search runs with the normal form held (``SearchParams(direct=True)``,
-    its default budget).  r = 1 and r = 2 are exact, as the search is there:
-    no realization means no, and so does one with fewer than r condensed
-    rows or columns, since then mr < r.  At r = 2 the witness is built from
-    the identity-signed monotone arrangement of the condensed pattern.  For
-    r >= 3 success means yes and exhaustion means unknown (never a proof of
-    no).
-    """
-    found = search_realization(A, r, SearchParams(direct=True))
-    if found is not None and (r >= 3 or min(len(found.U), len(found.V[0])) >= r):
-        return DirectRepresentation("yes", found)
-    return DirectRepresentation("no" if r <= 2 else "unknown", None)

@@ -29,6 +29,7 @@ from signrank.pattern import (
     MrBoundsOptions,
     SignPattern,
     condense,
+    has_direct_representation,
     is_equivalent,
     is_mr2,
     is_sns,
@@ -36,11 +37,7 @@ from signrank.pattern import (
     mr_bounds,
     term_rank,
 )
-from signrank.realize import (
-    SearchParams,
-    has_direct_representation,
-    search_realization,
-)
+from signrank.realize import SearchParams, search_realization
 
 from conftest import (
     factorial_term_rank,

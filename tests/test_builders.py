@@ -3,7 +3,7 @@
 ``SignPattern.__init__`` checks each entry of outside input; the package's
 own builders (the .pat parser, transpose, submatrix, negate, zeros,
 condense, EquivalenceWitness.apply, Realization.signed_pattern, the
-rank-2 arrangement in exactnum and encode_configuration) wrap rows they built from
+rank-2 arrangement in pattern and encode_configuration) wrap rows they built from
 checked entries with ``SignPattern._trusted``, unchecked.  Each test here
 runs one builder with every ``_trusted`` call validated, and compares its
 result with ``SignPattern`` of the same rows given as lists.
@@ -12,7 +12,7 @@ result with ``SignPattern`` of the same rows given as lists.
 import numpy as np
 import pytest
 
-from signrank import exactnum
+from signrank import exactnum, pattern
 from signrank.errors import DomainError
 from signrank.geometry import Configuration, encode_configuration
 from signrank.pattern import EquivalenceWitness, SignPattern, condense, is_mr2
@@ -187,7 +187,7 @@ class TestRealizeBuilders:
             C, w = result.condensation.condensed, result.witness
             d = dict(zip(w.row_perm, w.row_signs))
             c = dict(zip(w.col_perm, w.col_signs))
-            real = exactnum._realization_from_arrangement(C, w)
+            real = pattern._realization_from_arrangement(C, w)
             assert_as_checked(real.signed_pattern(), [[d[i] * C.entries[i][j] * c[j]
                                                        for j in range(C.n)] for i in range(C.m)])
             seen += 1

@@ -75,11 +75,11 @@ class TestMr:
         assert code == 0
 
     def test_iters_reaches_search(self, capsys, fxdir, monkeypatch):
-        import signrank.realize
+        import signrank.pattern
 
         seen = []
         monkeypatch.setattr(
-            signrank.realize, "search_realization", lambda C, r, params: seen.append(params)
+            signrank.pattern, "search_realization", lambda C, r, params: seen.append(params)
         )
         # rank 3 is A0's proven lower bound and below its upper bound, so it is searched
         code, out, _ = run(capsys, "mr", fxdir / "A0.pat", "--try-rank", 3, "--iters", 7)
@@ -87,12 +87,12 @@ class TestMr:
         assert [p.iters for p in seen] == [7]
 
     def test_try_rank_below_lower_bound_skips_search(self, capsys, fxdir, monkeypatch):
-        import signrank.realize
+        import signrank.pattern
 
         def fail(*args):
             raise AssertionError("searched below the proven lower bound")
 
-        monkeypatch.setattr(signrank.realize, "search_realization", fail)
+        monkeypatch.setattr(signrank.pattern, "search_realization", fail)
         code, out, _ = run(capsys, "mr", fxdir / "A0.pat", "--try-rank", 2, "--json")
         assert code == 1
         doc = json.loads(out)
@@ -100,12 +100,12 @@ class TestMr:
         assert ["note", None, "rank 2 is below the proven lower bound 3; no search run"] in doc["evidence"]
 
     def test_try_rank_not_below_upper_bound_skips_search(self, capsys, fxdir, monkeypatch):
-        import signrank.realize
+        import signrank.pattern
 
         def fail(*args):
             raise AssertionError("searched at or above the upper bound")
 
-        monkeypatch.setattr(signrank.realize, "search_realization", fail)
+        monkeypatch.setattr(signrank.pattern, "search_realization", fail)
         code, out, _ = run(capsys, "mr", fxdir / "A0.pat", "--try-rank", 100, "--json")
         assert code == 1
         doc = json.loads(out)
@@ -364,6 +364,13 @@ class TestGeometryCommands:
         code, out, _ = run(capsys, "encode", fxdir / "fig21_config.json", "-o", out_file)
         assert code == 0
         assert load_pattern(out_file) == load_pattern(fxdir / "fig21_pattern.pat")
+
+    def test_encode_json_rows_without_columns(self, capsys, tmp_path):
+        # three points and no hyperplane: a 3 x 0 pattern, one empty row each
+        cfg = tmp_path / "pts.json"
+        cfg.write_text(json.dumps({"dim": 2, "points": [[0, 1], [0, 3], [2, 2]], "hyperplanes": []}))
+        code, out, _ = run(capsys, "encode", cfg, "--json")
+        assert code == 0 and json.loads(out) == {"pattern": ["", "", ""]}
 
     def test_compose(self, capsys, tmp_path):
         cfg = tmp_path / "pp.json"

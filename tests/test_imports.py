@@ -210,3 +210,64 @@ def test_only_record_freezes():
              for path in sorted(SRC.glob("*.py"))}
     assert {name: methods for name, methods in found.items() if methods} == {
         "core.py": [("_Record", "__reduce__"), ("_Record", "__setattr__")]}
+
+
+def package_imports(nodes) -> set:
+    """The modules that the import statements among ``nodes`` import, a
+    signrank module by its own name: ``from .pattern import x``, ``from .
+    import pattern`` and ``import signrank.pattern`` all give "pattern",
+    and ``from numpy.linalg import norm`` gives "numpy"."""
+    found = set()
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["signrank" * bool(node.level), node.module]))
+            # from the package itself, the imported names are its modules
+            dotted = ([f"signrank.{alias.name}" for alias in node.names]
+                      if module == "signrank" else [module])
+        else:
+            continue
+        for name in dotted:
+            parts = name.split(".")
+            found.add(parts[1] if parts[0] == "signrank" and len(parts) > 1 else parts[0])
+    return found
+
+
+def module_level(tree):
+    """The nodes of ``tree`` outside every function body."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_checker_finds_package_imports():
+    tree = ast.parse(
+        "import numpy.linalg, signrank.core\n"
+        "from . import errors\n"
+        "from .scalars import Rational\n"
+        "from signrank import kernels\n"
+        "from fractions import Fraction\n"
+        "if True:\n"
+        "    from .. import geometry\n"
+        "def f():\n"
+        "    from .pattern import is_mr2\n"
+    )
+    assert package_imports(ast.walk(tree)) == {
+        "numpy", "core", "errors", "scalars", "kernels", "fractions", "geometry", "pattern"}
+    assert package_imports(module_level(tree)) == {
+        "numpy", "core", "errors", "scalars", "kernels", "fractions", "geometry"}
+
+
+def test_layering():
+    # the certificates sit below the deciders and the search, and the
+    # deciders load the exact layer and numpy only inside the functions
+    # that build a realization or run the float search
+    exactnum = ast.parse((SRC / "exactnum.py").read_text(encoding="utf-8"))
+    assert package_imports(ast.walk(exactnum)) & {"pattern", "realize"} == set()
+    pattern = ast.parse((SRC / "pattern.py").read_text(encoding="utf-8"))
+    assert package_imports(module_level(pattern)) & {
+        "numpy", "fractions", "exactnum", "realize"} == set()

@@ -15,6 +15,7 @@ from signrank.pattern import (
     MrBoundsOptions,
     SignPattern,
     condense,
+    has_direct_representation,
     is_equivalent,
     is_mr1,
     is_mr2,
@@ -23,7 +24,6 @@ from signrank.pattern import (
     mr_bounds,
     term_rank,
 )
-from signrank.realize import has_direct_representation
 
 from conftest import (
     equivalence_orbit,
@@ -356,7 +356,8 @@ class TestCondense:
 
 @pytest.fixture
 def condense_calls(monkeypatch):
-    """Patterns passed to condense, counted wherever a module holds it."""
+    """Patterns passed to condense, counted in pattern, the one module of
+    the deciders and of the realization entry point that calls it."""
     calls = []
     original = pattern.condense
 
@@ -364,8 +365,7 @@ def condense_calls(monkeypatch):
         calls.append(A)
         return original(A)
 
-    for module in (pattern, realize):
-        monkeypatch.setattr(module, "condense", counted)
+    monkeypatch.setattr(pattern, "condense", counted)
     return calls
 
 
@@ -385,6 +385,11 @@ class TestCondenseOnce:
         assert len(condense_calls) == 1
         assert realize.search_realization(A0_PATTERN, 2, params) is None
         assert len(condense_calls) == 2
+
+    def test_search_realization_rank3(self, condense_calls):
+        # the float search runs on the condensation the entry point made
+        realize.search_realization(A0_PATTERN, 3, realize.SearchParams(restarts=1, iters=20))
+        assert len(condense_calls) == 1
 
 
 @pytest.fixture

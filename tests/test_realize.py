@@ -23,7 +23,6 @@ from signrank.exactnum import (
     Realization,
     _bareiss_echelon,
     _forest_signature,
-    exact_low_rank,
     rational_rank,
     rational_round,
     rationalize,
@@ -31,10 +30,10 @@ from signrank.exactnum import (
     save_certificate,
     solve_zero_columns,
 )
-from signrank.pattern import SignPattern, condense, is_mr2, signature_between
+from signrank.pattern import (SignPattern, condense, has_direct_representation, is_mr2,
+                              signature_between)
 from signrank.realize import (
     SearchParams,
-    has_direct_representation,
     _normalize_factors,
     load_realization,
     save_realization,
@@ -1408,12 +1407,23 @@ class TestCertificateWriter:
     @pytest.mark.parametrize("rows, r", [(["00", "00"], 1), (["00", "00"], 2), (["-"], 1), (["+"], 2)])
     def test_zero_and_one_by_one_patterns(self, tmp_path, rows, r):
         A = SignPattern(rows)
-        cert = rationalize(A, exact_low_rank(A, r))
+        cert = rationalize(A, search_realization(A, r))
         assert cert.verify()
         self.assert_json_layout(cert, tmp_path / "c.cert.json")
 
     def test_empty_lists(self, tmp_path):
         self.assert_json_layout(RationalCertificate((), 0, SignPattern([])), tmp_path / "c.cert.json")
+
+    def test_rows_without_columns(self, tmp_path):
+        # a 3 x 0 target is written as three empty rows and reloads as 3 x 0
+        from signrank.exactnum import load_certificate
+
+        cert = RationalCertificate(((), (), ()), 0, SignPattern([[], [], []]))
+        assert cert.verify() and cert.to_dict()["target"] == ["", "", ""]
+        path = tmp_path / "c.cert.json"
+        self.assert_json_layout(cert, path)
+        back = load_certificate(path)
+        assert (back.target.m, back.target.n) == (3, 0) and back.verify()
 
     def test_failing_save_keeps_the_file(self, tmp_path):
         # the text is built before the file is opened: an entry with no

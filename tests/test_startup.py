@@ -3,9 +3,10 @@ work that needs them (the numeric search of ``realize --rank 3`` and up and
 ``mr --try-rank``), and nothing loads ``concurrent.futures``, or
 ``dataclasses`` and the ``inspect`` it brings.  The exact subcommands run
 without them: ``mr2``, ``mr`` without ``--try-rank`` (also the SNS scan on
-a pattern of minimum rank >= 3), ``realize --rank 1|2`` and
-``rationalize``, which reads a realization file and writes and verifies its
-certificate, also when that file is malformed.  Importing the package or
+a pattern of minimum rank >= 3), ``realize --rank 1|2`` and the library's
+``search_realization`` at ranks 1 and 2, and ``rationalize``, which reads
+a realization file and writes and verifies its certificate, also when
+that file is malformed.  Importing the package or
 the CLI loads no signrank module but ``errors``, and each subcommand loads
 only the modules it calls.
 
@@ -226,6 +227,19 @@ def test_realization_reads_without_numpy(tmp_path):
     assert loaded_after(statement, tmp_path) == []
 
 
+def test_exact_ranks_search_without_numpy(tmp_path):
+    # the one entry point decides ranks 1 and 2 in pattern: the budget's
+    # class and the exact answers load neither numpy nor the float search
+    statement = (
+        "from signrank import SearchParams, has_direct_representation, search_realization\n"
+        "from signrank.fixtures import A1_PATTERN, A2_PATTERN\n"
+        "assert search_realization(A1_PATTERN, 2).signed_pattern() is not None\n"
+        "assert has_direct_representation(A2_PATTERN, 2).status == 'no'\n"
+        "assert SearchParams().restarts == 64"
+    )
+    assert loaded_after(statement, tmp_path) == []
+
+
 def test_star_import_resolves_all(tmp_path):
     doc = fresh(
         "import json, signrank, signrank.realize as realize\n"
@@ -246,7 +260,7 @@ def test_lazy_names_follow_the_module(tmp_path):
     # nothing is cached on the package: a name replaced on its home module
     # (as a tracer or a test patch does) is what the package hands out
     homes = {"condense": "core", "quad_sign": "scalars", "term_rank": "pattern",
-             "rational_rank": "exactnum", "dualize": "geometry", "search_realization": "realize"}
+             "rational_rank": "exactnum", "dualize": "geometry", "search_realization": "pattern"}
     doc = fresh(
         "import json, signrank\n"
         "seen = {}\n"
