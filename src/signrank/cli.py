@@ -298,22 +298,15 @@ def _cmd_fixtures(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
-    from .fixtures import derive_perles_check, fixture
-    from .geometry import encode_configuration
+    from .fixtures import check_encoding, derive_perles_check, fixture
     from .pattern import is_sns
 
-    report = derive_perles_check()
-    A0 = fixture("A0").payload
-    checks = list(report.checks)
-    sub = A0.submatrix((3, 4, 5), (6, 7, 8))
+    checks = list(derive_perles_check().checks)
+    sub = fixture("A0").payload.submatrix((3, 4, 5), (6, 7, 8))
     if not is_sns(sub):
         raise FixtureCorrupt("A0 rows {4,5,6} x cols {7,8,9} is not sign-nonsingular")
     checks.append(("sns", "A0 rows 4,5,6 / cols 7,8,9 is sign-nonsingular"))
-    fig_pattern = fixture("fig21_pattern").payload
-    fig_config = fixture("fig21_config").payload
-    if encode_configuration(fig_config) != fig_pattern:
-        raise FixtureCorrupt("fig21_config does not encode to fig21_pattern")
-    checks.append(("fig21", "stored 3x3 configuration encodes to its pattern"))
+    checks.append(check_encoding("fig21_config", "fig21_pattern"))
     doc = {"ok": True, "checks": [list(c) for c in checks]}
     _emit(args, doc, "\n".join(f"ok  {name}: {detail}" for name, detail in checks))
     return EXIT_OK

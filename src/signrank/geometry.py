@@ -462,14 +462,6 @@ class IncidenceStructure(NamedTuple):
     point_members: tuple  # per point: frozenset of incident hyperplane indices
     hyperplane_members: tuple  # per hyperplane: frozenset of incident point indices
 
-    @property
-    def point_counts(self) -> tuple:
-        return tuple(len(s) for s in self.point_members)
-
-    @property
-    def hyperplane_counts(self) -> tuple:
-        return tuple(len(s) for s in self.hyperplane_members)
-
 
 def incidence_structure(A: SignPattern) -> IncidenceStructure:
     """Read the zero set of a pattern as a point/hyperplane incidence

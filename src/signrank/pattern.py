@@ -169,15 +169,17 @@ def is_equivalent(A: SignPattern, B: SignPattern) -> Optional[EquivalenceWitness
     return EquivalenceWitness(tuple(sigma), col_perm, tuple(eps), col_signs)
 
 
-def _max_matching(allowed, n_right: int):
-    """Kuhn's augmenting-path maximum matching: left vertex u may take right
-    vertex v where ``allowed[u][v]`` is truthy, tried in increasing v.
-    Returns the size of the matching.  A pattern's rows serve as ``allowed``
-    as they are, so term_rank builds nothing."""
-    match = [-1] * n_right
+def term_rank(A: SignPattern) -> int:
+    """Maximum number of nonzero entries no two in a row or column, which
+    equals the maximum rank over the qualitative class (a standard fact of
+    the field, taken as given here).  Kuhn's augmenting-path matching: row
+    u may take column v where entry (u, v) is nonzero, tried in increasing
+    v."""
+    E = A.entries
+    match = [-1] * A.n
 
     def augment(u, seen):
-        for v, ok in enumerate(allowed[u]):
+        for v, ok in enumerate(E[u]):
             if ok and not seen[v]:
                 seen[v] = True
                 if match[v] == -1 or augment(match[v], seen):
@@ -186,17 +188,10 @@ def _max_matching(allowed, n_right: int):
         return False
 
     size = 0
-    for u in range(len(allowed)):
-        if augment(u, [False] * n_right):
+    for u in range(A.m):
+        if augment(u, [False] * A.n):
             size += 1
     return size
-
-
-def term_rank(A: SignPattern) -> int:
-    """Maximum number of nonzero entries no two in a row or column, which
-    equals the maximum rank over the qualitative class (a standard fact of
-    the field, taken as given here).  Kuhn's augmenting-path matching."""
-    return _max_matching(A.entries, A.n)
 
 
 _SNS_CAP = 10

@@ -3,7 +3,8 @@
 Oracles here are deliberately independent of the library code they check:
 term rank by factorial enumeration, sign nonsingularity by permutation
 expansion, equivalence by applying every transform, high-precision decimal evaluation for quadratic signs, and
-sympy for exact ranks.
+sympy for exact ranks.  ``corrupt_perles`` swaps in a damaged Perles
+configuration for the fixture checks.
 """
 
 import itertools
@@ -13,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from signrank import fixtures
 from signrank.exactnum import QuadElem
 from signrank.geometry import Configuration, encode_configuration
 from signrank.pattern import EquivalenceWitness, SignPattern
@@ -161,3 +163,24 @@ def sympy_rank(matrix) -> int:
         [[sympy.Rational(v.numerator, v.denominator) for v in row] for row in matrix]
     )
     return M.rank()
+
+
+def corrupt_perles(monkeypatch, edit):
+    """Replace the stored Perles configuration by one that ``edit(points,
+    lines)`` changes in place."""
+    stored = fixtures._perles_config()
+    points, lines = list(stored.points), [h.coeffs for h in stored.hyperplanes]
+    edit(points, lines)
+    corrupt = Configuration(2, points, lines)
+    monkeypatch.setattr(fixtures, "_perles_config", lambda: corrupt)
+
+
+def lift_p5(points, lines):
+    # p5 leaves l1, l6 and l9: three zeros of row 5 become +
+    x, y = points[4]
+    points[4] = (x, y + Fraction(1, 100))
+
+
+def reverse_l6(points, lines):
+    # every sign of column 6 flips: equivalent to A0, but not equal
+    lines[5] = tuple(-c for c in lines[5])

@@ -11,7 +11,7 @@ from signrank.geometry import load_configuration
 from signrank.pattern import SignPattern, load_pattern
 from signrank.realize import load_realization
 
-from conftest import factor_arrays
+from conftest import corrupt_perles, factor_arrays, lift_p5
 
 
 @pytest.fixture(scope="module")
@@ -371,6 +371,14 @@ class TestGeometryCommands:
         cfg.write_text(json.dumps({"dim": 2, "points": [[0, 1], [0, 3], [2, 2]], "hyperplanes": []}))
         code, out, _ = run(capsys, "encode", cfg, "--json")
         assert code == 0 and json.loads(out) == {"pattern": ["", "", ""]}
+        # a .pat file cannot give the width of a 3 x 0 pattern: -o refuses
+        # it and leaves the file as it was
+        out_file = tmp_path / "x.pat"
+        out_file.write_text("+-\n")
+        code, out, err = run(capsys, "encode", cfg, "-o", out_file)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "3 x 0" in err
+        assert out_file.read_text() == "+-\n"
 
     def test_compose(self, capsys, tmp_path):
         cfg = tmp_path / "pp.json"
@@ -618,6 +626,13 @@ class TestErrorsAndSelfcheck:
         code, out, _ = run(capsys, "selfcheck")
         assert code == 0
         assert "sign-nonsingular" in out
+
+    def test_selfcheck_corrupt_fixture(self, capsys, monkeypatch):
+        corrupt_perles(monkeypatch, lift_p5)
+        code, out, err = run(capsys, "selfcheck")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "perles_config" in err and "Traceback" not in err
 
     def test_fixture_export(self, capsys, tmp_path):
         code, out, _ = run(capsys, "fixtures", "--export", tmp_path / "fx")

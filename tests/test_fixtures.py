@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from signrank.errors import SignRankError
+from signrank.errors import FixtureCorrupt, SignRankError
 from signrank.fixtures import (
     A0_KNOWN_MIN_RANK,
     A0_KNOWN_RATIONAL_MIN_RANK,
@@ -14,7 +14,9 @@ from signrank.fixtures import (
     fixture_names,
 )
 from signrank.geometry import encode_configuration, load_configuration
-from signrank.pattern import SignPattern, condense, is_sns, load_pattern
+from signrank.pattern import EquivalenceWitness, SignPattern, condense, is_sns, load_pattern
+
+from conftest import corrupt_perles, lift_p5, reverse_l6
 
 
 class TestStoredPatterns:
@@ -71,9 +73,14 @@ class TestDerivedConfigurations:
 
     def test_perles_check_passes(self):
         report = derive_perles_check()
-        assert report.witness is not None
-        names = [name for name, _ in report.checks]
-        assert "incidence" in names and "degrees" in names
+        assert report.witness == EquivalenceWitness.identity(9, 9)
+        assert [name for name, _ in report.checks] == ["perles_config"]
+
+    @pytest.mark.parametrize("edit", [lift_p5, reverse_l6])
+    def test_corrupt_perles_raises(self, monkeypatch, edit):
+        corrupt_perles(monkeypatch, edit)
+        with pytest.raises(FixtureCorrupt, match="perles_config"):
+            derive_perles_check()
 
     def test_derive_perles_tool(self, capsys):
         pytest.importorskip("sympy")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from signrank import pattern, realize
+from signrank.core import load_pattern, save_pattern
 from signrank.errors import DomainError, PatternFormatError, ResourceExhausted
 from signrank.fixtures import A0_PATTERN, A1_PATTERN, A2_PATTERN
 from signrank.pattern import (
@@ -40,6 +41,19 @@ class TestTextFormat:
         text = "+-0\n0+-"
         P = SignPattern.from_text(text)
         assert P.to_text() == text
+
+    def test_save_rows_without_columns_refused(self, tmp_path):
+        # m blank lines would load back as 0 x 0; the file is not touched
+        path = tmp_path / "x.pat"
+        with pytest.raises(DomainError, match="3 x 0"):
+            save_pattern(SignPattern([[], [], []]), path)
+        assert not path.exists()
+
+    def test_save_empty_pattern_roundtrip(self, tmp_path):
+        path = tmp_path / "empty.pat"
+        save_pattern(SignPattern([]), path)
+        P = load_pattern(path)
+        assert (P.m, P.n) == (0, 0)
 
     def test_comments_and_whitespace(self):
         P = SignPattern.from_text("# header\n+ - 0\n0 + -\n")
