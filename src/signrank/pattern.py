@@ -8,10 +8,10 @@ equivalence with explicit witnesses, the term rank (= maximum rank of the
 class), sign nonsingularity, exact recognition of minimum rank <= 2, and an
 aggregator combining every bound this package knows how to compute.
 
-Sign nonsingularity is decided two ways: ``is_sns`` reads one block's
-2-bit term-sign code off a memoized first-row expansion, and the SNS scan
-tests that a block's rows are an L-matrix (every nonzero signing leaves a
-unisigned column) on per-row bitmasks.
+Sign nonsingularity is decided by one walk over the row sets that are
+L-matrices (every nonzero signing leaves a unisigned column), on per-row
+bitmasks: ``is_sns`` walks all rows of a square pattern, and the SNS scan
+covers each k-row set it reaches with k columns.
 
 ``search_realization`` is the one entry point of a rank-r realization: it
 checks the budget and the rank, condenses once and builds ranks 1 and 2
@@ -23,7 +23,6 @@ where one is built, and ``SignPattern.to_array`` alone imports numpy.
 
 from __future__ import annotations
 
-import functools
 import operator
 from collections import Counter
 from typing import NamedTuple, Optional
@@ -198,13 +197,11 @@ _SNS_CAP = 10
 
 
 def is_sns(A: SignPattern) -> bool:
-    """True iff the determinant expansion has at least one nonzero term and
-    all nonzero terms share one sign (so every matrix in the class is
-    nonsingular): its term-sign code, bit 1 set when some term is positive
-    and bit 2 when some term is negative, is 1 or 2.  The code comes from
-    expansion along the first row in pure Python, memoized on the columns
-    left to the rows below; a cofactor of negative sign swaps its two bits.
-    n above ``_SNS_CAP`` (10) raises ResourceExhausted."""
+    """True iff every matrix in the class is nonsingular.  A square pattern
+    is SNS exactly when its rows are an L-matrix, so this is the SNS scan's
+    walk (``_l_matrix_rows``) on all n rows; no column cover is needed, as
+    the only n x n block is the whole pattern.  n above ``_SNS_CAP`` (10)
+    raises ResourceExhausted."""
     if A.m != A.n:
         raise DomainError(f"sign nonsingularity needs a square pattern, got {A.m}x{A.n}")
     n = A.n
@@ -212,24 +209,8 @@ def is_sns(A: SignPattern) -> bool:
         raise DomainError("sign nonsingularity is undefined for the empty pattern")
     if n > _SNS_CAP:
         raise ResourceExhausted(f"is_sns capped at n <= {_SNS_CAP}, got {n}")
-    E = A.entries
-
-    @functools.cache
-    def code(i: int, cols: int) -> int:
-        # rows i.. on the columns whose bits are set in cols (n - i of them)
-        if i == n:
-            return 1  # the empty product: one positive term
-        out = 0
-        sign = 1  # (-1)^p for the p-th kept column
-        for j in range(n):
-            if cols >> j & 1:
-                if E[i][j]:
-                    c = code(i + 1, cols & ~(1 << j))
-                    out |= c if E[i][j] == sign else (c & 1) << 1 | c >> 1
-                sign = -sign
-        return out
-
-    return code(0, (1 << n) - 1) in (1, 2)
+    rows = [(_mask(row, _PLUS_BIT), _mask(row, _MINUS_BIT)) for row in A.entries]
+    return next(_l_matrix_rows(rows, n, n), None) is not None
 
 
 def max_sns_submatrix(A: SignPattern, cap: int = 4):
@@ -237,9 +218,12 @@ def max_sns_submatrix(A: SignPattern, cap: int = 4):
     witness (rows, cols): the first SNS k x k submatrix in lexicographic
     (rows, cols) order.  A square block is SNS exactly when its rows are an
     L-matrix: every nonzero signing of them leaves a unisigned column, one
-    with a nonzero entry and no two of opposite sign (``_first_sns``).
-    Sizes above the ``is_sns`` cap of 10 raise ResourceExhausted.  Returns
-    (0, (), ()) for the zero pattern."""
+    with a nonzero entry and no two of opposite sign (``_l_matrix_rows``).
+    A negative cap raises DomainError, and sizes above the ``is_sns`` cap
+    of 10 raise ResourceExhausted.  Returns (0, (), ()) for the zero
+    pattern."""
+    if cap < 0:
+        raise DomainError(f"sns_cap must be >= 0, got {cap}")
     return _sns_scan(A, min(cap, term_rank(A)))
 
 
@@ -257,15 +241,32 @@ def _sns_scan(A: SignPattern, upper: int):
     zeros = A.count_zeros()
     for k in range(upper, 0, -1):
         if (k - 1) * (k - 2) // 2 <= zeros:
-            found = _first_sns(rows, A.n, k)
-            if found is not None:
-                return (k, *found)
+            for chosen, unisigned, count in _l_matrix_rows(rows, A.n, k):
+                cols = _first_cover(unisigned, count, A.n, k)
+                if cols is not None:
+                    return (k, chosen, cols)
     return (0, (), ())
 
 
-def _first_sns(rows: list, n: int, k: int):
-    """First k x k SNS block in lexicographic (rows, cols) order, as (rows,
-    cols) tuples, or None.  ``rows`` holds each row's (+ mask, - mask).
+def _spread(count: int, w: int) -> int:
+    """Bit 0 of each of ``count`` slots of w bits."""
+    return ((1 << w * count) - 1) // ((1 << w) - 1)
+
+
+def _each_slot(x: int, cols: int, ones: int, w: int) -> bool:
+    """Has every slot of x (``ones`` = its slots' bits 0) a bit among the
+    spread columns ``cols``?  Setting each slot's top bit, which no column
+    reaches, and subtracting 1 from each slot clears that bit exactly in
+    the slots that were zero."""
+    guard = ones << w - 1
+    return ((x & cols | guard) - ones) & guard == guard
+
+
+def _l_matrix_rows(rows: list, n: int, k: int):
+    """Yield every k-row L-matrix set of the pattern in lexicographic order,
+    as (rows, unisigned, count): the row indices as a tuple, and its
+    signings' unisigned columns packed into ``count`` slots.  ``rows``
+    holds each row's (+ mask, - mask) over its n columns.
 
     A signing of some rows is held as two column masks: p ORs the + masks
     of the rows signed + and the - masks of the rows signed -, q the other
@@ -274,74 +275,62 @@ def _first_sns(rows: list, n: int, k: int):
     lexicographic order, carrying every nonzero signing of the current
     ones, first nonzero row signed +.  A signing with p == q leaves no
     unisigned column on any superset, so it prunes the subtree; a k-row
-    set that is reached is an L-matrix over all columns, and a block on it
-    is SNS exactly when its columns meet every signing's p ^ q.
+    set that is reached is an L-matrix over all columns.
 
     The signings are packed into one integer, one per slot of w = 2n + 1
     bits holding p | q << n, so that a new row signs all of them both ways
-    with two ORs, and each test covers every slot at once (``each_slot``).
-    """
+    with two ORs, and each test covers every slot at once (``_each_slot``).
+    A k-row set has (3^k - 1) / 2 slots."""
     m = len(rows)
     w = 2 * n + 1
     full = (1 << n) - 1
-
-    def spread(count: int) -> int:
-        return ((1 << w * count) - 1) // ((1 << w) - 1)  # bit 0 of each of count slots
-
-    def each_slot(x: int, cols: int, ones: int) -> bool:
-        """Has every slot of x a bit among the spread columns ``cols``?
-        Setting each slot's top bit, which no column reaches, and
-        subtracting 1 from each slot clears that bit exactly in the slots
-        that were zero."""
-        guard = ones << w - 1
-        return ((x & cols | guard) - ones) & guard == guard
-
-    def cover(unisigned: int, count: int):
-        """The lexicographically first k columns meeting every slot."""
-        ones = spread(count)
-
-        def pick(start: int, taken: int, left: int):
-            for c in range(start, n - left + 1):
-                # taken and every column from c on: if they miss a slot, so
-                # does every later choice
-                if not each_slot(unisigned, (taken | full >> c << c) * ones, ones):
-                    return None
-                if left > 1:
-                    found = pick(c + 1, taken | 1 << c, left - 1)
-                    if found is not None:
-                        return found
-                elif each_slot(unisigned, (taken | 1 << c) * ones, ones):
-                    return taken | 1 << c
-            return None
-
-        taken = pick(0, 0, k)
-        return None if taken is None else tuple(j for j in range(n) if taken >> j & 1)
-
     chosen = []
 
     def walk(start: int, signs: int, count: int):
         # a row adds 2 count + 1 signings: alone (+), then + and - after each old one
-        ones, added_ones = spread(count), spread(2 * count + 1)
+        ones, added_ones = _spread(count, w), _spread(2 * count + 1, w)
         low = full * added_ones
         for r in range(start, m - k + len(chosen) + 1):
             plus, minus = rows[r]
             pos, neg = plus | minus << n, minus | plus << n
             added = pos | (signs | pos * ones) << w | (signs | neg * ones) << w * (count + 1)
-            if not each_slot(added ^ added >> n, low, added_ones):
+            if not _each_slot(added ^ added >> n, low, added_ones, w):
                 continue
             chosen.append(r)
             grown = signs | added << w * count
             if len(chosen) < k:
-                found = walk(r + 1, grown, 3 * count + 1)
+                yield from walk(r + 1, grown, 3 * count + 1)
             else:
-                cols = cover(grown ^ grown >> n, 3 * count + 1)
-                found = None if cols is None else (tuple(chosen), cols)
+                yield tuple(chosen), grown ^ grown >> n, 3 * count + 1
             chosen.pop()
-            if found is not None:
-                return found
-        return None
 
     return walk(0, 0, 0)
+
+
+def _first_cover(unisigned: int, count: int, n: int, k: int):
+    """The lexicographically first k of the n columns meeting every one of
+    the ``count`` slots of ``unisigned`` (packed as in ``_l_matrix_rows``),
+    as a tuple, or None."""
+    w = 2 * n + 1
+    full = (1 << n) - 1
+    ones = _spread(count, w)
+
+    def pick(start: int, taken: int, left: int):
+        for c in range(start, n - left + 1):
+            # taken and every column from c on: if they miss a slot, so
+            # does every later choice
+            if not _each_slot(unisigned, (taken | full >> c << c) * ones, ones, w):
+                return None
+            if left > 1:
+                found = pick(c + 1, taken | 1 << c, left - 1)
+                if found is not None:
+                    return found
+            elif _each_slot(unisigned, (taken | 1 << c) * ones, ones, w):
+                return taken | 1 << c
+        return None
+
+    taken = pick(0, 0, k)
+    return None if taken is None else tuple(j for j in range(n) if taken >> j & 1)
 
 
 def is_mr1(A: SignPattern) -> bool:

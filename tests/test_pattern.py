@@ -1,3 +1,4 @@
+import functools
 import itertools
 import tracemalloc
 from graphlib import CycleError, TopologicalSorter
@@ -216,10 +217,50 @@ def _redundant_patterns(count: int, seed: int):
         yield SignPattern(E.tolist())
 
 
+def _reference_is_sns(A: SignPattern) -> bool:
+    """The former is_sns: the determinant's term-sign code, bit 1 set when
+    some term is positive and bit 2 when some term is negative, must be 1
+    or 2.  The code comes from expansion along the first row, memoized on
+    the columns left to the rows below; a cofactor of negative sign swaps
+    its two bits."""
+    n, E = A.n, A.entries
+    assert A.m == n
+
+    @functools.cache
+    def code(i: int, cols: int) -> int:
+        # rows i.. on the columns whose bits are set in cols (n - i of them)
+        if i == n:
+            return 1  # the empty product: one positive term
+        out = 0
+        sign = 1  # (-1)^p for the p-th kept column
+        for j in range(n):
+            if cols >> j & 1:
+                if E[i][j]:
+                    c = code(i + 1, cols & ~(1 << j))
+                    out |= c if E[i][j] == sign else (c & 1) << 1 | c >> 1
+                sign = -sign
+        return out
+
+    return code(0, (1 << n) - 1) in (1, 2)
+
+
+def _brute_l_matrix_rows(A: SignPattern, k: int):
+    """The k-subsets R of A's rows, in lexicographic order, where every
+    nonzero d in {-1, 0, 1}^k leaves a unisigned column (nonzero, with no
+    two entries of opposite sign) in diag(d) A[R, :]."""
+    def unisigned(column) -> bool:
+        return any(column) and not (1 in column and -1 in column)
+
+    return [R for R in itertools.combinations(range(A.m), k)
+            if all(any(unisigned([d_i * A.entries[i][j] for d_i, i in zip(d, R)])
+                       for j in range(A.n))
+                   for d in itertools.product((-1, 0, 1), repeat=k) if any(d))]
+
+
 def _per_candidate_max_sns(A: SignPattern, cap: int):
     """The former max_sns_submatrix: every k x k candidate in lexicographic
     (rows, cols) order, skipped on deficient term rank, else tested with
-    is_sns."""
+    _reference_is_sns."""
     upper = min(cap, A.m, A.n, term_rank(A))
     for k in range(upper, 0, -1):
         for rows in itertools.combinations(range(A.m), k):
@@ -227,7 +268,7 @@ def _per_candidate_max_sns(A: SignPattern, cap: int):
                 sub = A.submatrix(rows, cols)
                 if term_rank(sub) < k:
                     continue
-                if is_sns(sub):
+                if _reference_is_sns(sub):
                     return (k, rows, cols)
     return (0, (), ())
 
@@ -607,6 +648,23 @@ class TestSns:
             hits += expected
         assert 0 < hits < 60
 
+    def test_random_8x8_to_10x10_against_reference(self):
+        # a nonzero diagonal keeps a nonzero term, so that sparse patterns
+        # give both verdicts at every size
+        rng = np.random.default_rng(23)
+        hits = [0, 0, 0]
+        for trial in range(60):
+            n = 8 + trial % 3
+            zero_prob = float(rng.uniform(0.75, 0.9))
+            E = [list(row) for row in random_pattern(rng, n, n, zero_prob).entries]
+            for i in range(n):
+                E[i][i] = E[i][i] or 1
+            P = SignPattern(E)
+            expected = _reference_is_sns(P)
+            assert is_sns(P) == expected
+            hits[n - 8] += expected
+        assert all(0 < h < 20 for h in hits)
+
     def test_hessenberg_10x10(self):
         # + on and below the diagonal, - just above it: all 2^9 nonzero
         # terms of the determinant are positive; flipping one entry below
@@ -629,6 +687,23 @@ class TestMaxSns:
 
     def test_zero_pattern(self):
         assert max_sns_submatrix(SignPattern.zeros(2, 2)) == (0, (), ())
+
+    def test_negative_cap(self):
+        with pytest.raises(DomainError, match="sns_cap"):
+            max_sns_submatrix(SignPattern(["+0", "0+"]), -1)
+
+    def test_walk_matches_brute_force(self):
+        # the walk yields exactly the k-row L-matrix sets, in order, for
+        # every k (k past m yields none)
+        rng = np.random.default_rng(43)
+        for _ in range(200):
+            m, n = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+            P = random_pattern(rng, m, n, 0.3)
+            rows = [(pattern._mask(row, pattern._PLUS_BIT), pattern._mask(row, pattern._MINUS_BIT))
+                    for row in P.entries]
+            for k in range(1, m + 2):
+                walked = [R for R, _, _ in pattern._l_matrix_rows(rows, n, k)]
+                assert walked == _brute_l_matrix_rows(P, k)
 
     def test_witness_is_sns(self):
         rng = np.random.default_rng(31)
