@@ -5,7 +5,7 @@ Every subcommand loads this module, directly or through ``geometry``, so
 it sits below the deciders of ``pattern`` and the exact scalars of
 ``scalars``: a command that only reads, writes or condenses patterns, or
 encodes a configuration, compiles it and not the deciders.  It imports no
-``fractions``.
+``fractions`` and no numpy.
 
 ``_Record`` is the one immutable base of the package's checked classes
 (``SignPattern`` here, ``QuadElem``, ``Realization``,
@@ -198,11 +198,6 @@ class SignPattern(_Record):
         return frozenset(
             (i, j) for i, row in enumerate(self.entries) for j, v in enumerate(row) if v == 0
         )
-
-    def to_array(self):
-        import numpy as np
-
-        return np.array(self.entries, dtype=np.int8).reshape(self.m, self.n)
 
     def __repr__(self):
         if self.m == 0 or self.n == 0:

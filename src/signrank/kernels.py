@@ -3,16 +3,17 @@
 ``penalty_grad`` evaluates the sign-fitting penalty and its analytic
 gradients; ``descent`` runs the adaptive gradient loop over the entries that
 the 0/1 masks ``free_u`` and ``free_v`` leave free (the search's zero polish
-reads the same masks).  Both evaluate ``_penalty`` on float sign masks, which
-``descent`` builds once per call, not once per step.  Zero targets are only
-penalized here: the search polishes them afterwards and ``rationalize`` makes
-them exact.  ``solve_dependent`` has no caller in the package; it stays
-because the benchmark's tracer looks the name up.
+reads the same masks).  Both evaluate ``_penalty`` on the target's signs and
+masks, which ``descent`` builds once per call, not once per step.  Zero
+targets are only penalized here: the search polishes them afterwards and
+``rationalize`` makes them exact.  ``solve_dependent`` has no caller in the
+package; it stays because the benchmark's tracer looks the name up.
 
 The penalty for target signs S over B = U @ V with margin t and zero weight
-w, its three sums reduced separately and added in this order:
+w is one signed hinge h = max(0, t - S b) plus the zero term, its three
+sums reduced separately and added in this order:
 
-    sum_{S=+} max(0, t - b)^2 + sum_{S=-} max(0, b + t)^2 + w * sum_{S=0} b^2
+    sum_{S=+} h^2 + sum_{S=-} h^2 + w * sum_{S=0} b^2
 
 ``descent`` fits t = ``TARGET_MARGIN`` and w = ``ZERO_WEIGHT``, from step
 size ``LR0``.  ``iters`` caps its steps; it stops earlier for one of two
@@ -40,19 +41,19 @@ STALL_DROP = 0.005
 
 
 def _masks(S):
-    return (S > 0).astype(float), (S < 0).astype(float), (S == 0).astype(float)
+    return S, np.stack((S > 0, S < 0)).astype(float), (S == 0).astype(float)
 
 
 def _penalty(U, V, masks, margin, zero_weight):
-    pos, neg, zer = masks
+    signs, sided, zer = masks
     B = U @ V
-    rp = np.maximum(margin - B, 0.0) * pos
-    rn = np.maximum(B + margin, 0.0) * neg
+    h = np.maximum(margin - signs * B, 0.0)
+    hinges = h * sided
     rz = B * zer
-    pen = float((rp * rp).sum() + (rn * rn).sum() + zero_weight * (rz * rz).sum())
-    gB = -2.0 * rp + 2.0 * rn + (2.0 * zero_weight) * rz
-    limit = CLEARED * margin
-    cleared = bool(rp.max() <= limit and rn.max() <= limit and np.abs(rz).max() < HANDOFF)
+    hp, hn = np.add.reduce(hinges * hinges, axis=(1, 2))
+    pen = float(hp + hn + zero_weight * (rz * rz).sum())
+    gB = -2.0 * signs * h + (2.0 * zero_weight) * rz
+    cleared = bool(hinges.max() <= CLEARED * margin and np.abs(rz).max() < HANDOFF)
     return pen, gB @ V.T, U.T @ gB, cleared
 
 

@@ -16,9 +16,8 @@ covers each k-row set it reaches with k columns.
 ``search_realization`` is the one entry point of a rank-r realization: it
 checks the budget and the rank, condenses once and builds ranks 1 and 2
 exactly from the arrangement of ``is_mr2``; only for r >= 3 does it import
-``realize``, the float search, and with it numpy.  The module level imports
-no ``fractions``, ``exactnum`` or numpy: the realization class is imported
-where one is built, and ``SignPattern.to_array`` alone imports numpy.
+``realize``, the float search, and with it numpy.  The module imports no
+``fractions`` or numpy, and ``exactnum`` only where a realization is built.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ from .core import (
     CondensationReport,
     DeletionEvent,
     SignPattern,
+    _is_bool,
     _lead_key,
     _propagate_signs,
     condense,
@@ -219,11 +219,10 @@ def max_sns_submatrix(A: SignPattern, cap: int = 4):
     (rows, cols) order.  A square block is SNS exactly when its rows are an
     L-matrix: every nonzero signing of them leaves a unisigned column, one
     with a nonzero entry and no two of opposite sign (``_l_matrix_rows``).
-    A negative cap raises DomainError, and sizes above the ``is_sns`` cap
-    of 10 raise ResourceExhausted.  Returns (0, (), ()) for the zero
-    pattern."""
-    if cap < 0:
-        raise DomainError(f"sns_cap must be >= 0, got {cap}")
+    A negative or non-integer cap raises DomainError, and sizes above the
+    ``is_sns`` cap of 10 raise ResourceExhausted.  Returns (0, (), ()) for
+    the zero pattern."""
+    _check_integer(cap, "sns_cap", 0)
     return _sns_scan(A, min(cap, term_rank(A)))
 
 
@@ -481,13 +480,20 @@ def _mask(row: tuple, bit: dict) -> int:
     return int("".join(map(bit.__getitem__, reversed(row))), 2)
 
 
+def _check_integer(value, what: str, least: int) -> None:
+    """Refuse a ``value`` below ``least`` or one that names no integer: a
+    bool, or one without ``__index__`` (2.5, 3.0, "3")."""
+    if _is_bool(value) or not hasattr(type(value), "__index__"):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    if operator.index(value) < least:
+        raise DomainError(f"{what} must be >= {least}, got {value}")
+
+
 def check_search_budget(restarts: int, iters: int, seed: int) -> None:
-    """Reject a negative search budget or seed before any search starts,
-    and so before the search loads numpy."""
-    if restarts < 0 or iters < 0:
-        raise DomainError(f"restarts and iters must be >= 0, got {restarts} and {iters}")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    """Refuse a non-integer or negative search budget or seed before any
+    search starts, and so before the search loads numpy."""
+    for what, value in (("restarts", restarts), ("iters", iters), ("seed", seed)):
+        _check_integer(value, what, 0)
 
 
 class SearchParams(NamedTuple):
@@ -532,8 +538,7 @@ def search_realization(A: SignPattern, r: int, params: Optional[SearchParams] = 
     """
     params = params or SearchParams()
     check_search_budget(params.restarts, params.iters, params.seed)
-    if r < 1:
-        raise DomainError(f"rank must be >= 1, got {r}")
+    _check_integer(r, "rank", 1)
     from .exactnum import Realization
 
     mr2 = is_mr2(A) if r == 2 else None
@@ -625,11 +630,10 @@ def mr_bounds(A: SignPattern, options: Optional[MrBoundsOptions] = None) -> MrBo
     test.  ``evidence`` is a tuple of (kind, value, description) records,
     kind in {"lower", "upper", "exact", "note"}, one per test that ran."""
     opts = options or MrBoundsOptions()
-    if opts.sns_cap < 0:
-        raise DomainError(f"sns_cap must be >= 0, got {opts.sns_cap}")
+    _check_integer(opts.sns_cap, "sns_cap", 0)
     check_search_budget(opts.restarts, opts.iters, opts.seed)
-    if opts.try_rank is not None and opts.try_rank < 1:
-        raise DomainError(f"try_rank must be >= 1, got {opts.try_rank}")
+    if opts.try_rank is not None:
+        _check_integer(opts.try_rank, "try_rank", 1)
     if A.is_zero():
         return MrBounds(0, 0, (("exact", 0, "zero pattern"),))
 

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .errors import DomainError, NumericalDegeneracy
+from .errors import NumericalDegeneracy
 from .exactnum import (
     DEFAULT_ZERO_TOL,
     RationalCertificate,
@@ -69,8 +69,6 @@ def _normalize_factors(U0: np.ndarray, V0: np.ndarray, rng: np.random.Generator)
     pass, which picks what trying them one by one (and stopping at the first
     above 0.05) picked, bit for bit; the generator moves on by all 64 draws."""
     r = U0.shape[1]
-    if r < 2:
-        raise DomainError("normal form needs rank >= 2")
     row_norm = np.linalg.norm(U0, axis=1)
     col_norm = np.linalg.norm(V0, axis=0)
     if not (row_norm.all() and col_norm.all()):
@@ -112,15 +110,15 @@ def _normalize_factors(U0: np.ndarray, V0: np.ndarray, rng: np.random.Generator)
 # Numerical search
 
 
-def _gauss_newton_zero_polish(U, V, zero_cells, free_u, free_v, max_iter=30):
-    """Drive the zero-target products to ~1e-13 by damped Gauss-Newton over
-    the entries of their U rows, then V columns, that the descent's masks
-    ``free_u``/``free_v`` leave free (None frees all)."""
-    if not zero_cells:
+def _gauss_newton_zero_polish(U, V, S, free_u, free_v, max_iter=30):
+    """Drive the products at the zero targets of S to ~1e-13 by damped
+    Gauss-Newton over the entries of their U rows, then V columns, that the
+    descent's masks ``free_u``/``free_v`` leave free (None frees all)."""
+    cj, ci = np.nonzero(S.T == 0)  # column by column: J's row order
+    if not ci.size:
         return U, V
-    ci, cj = np.array(zero_cells).T
     # sorted lines, not np.unique, whose first call imports numpy.ma
-    rows, cols = (np.array(sorted(set(line))) for line in zip(*zero_cells))
+    rows, cols = (np.array(sorted(set(line.tolist()))) for line in (ci, cj))
     a, ub = np.nonzero(np.ones_like(U[rows]) if free_u is None else free_u[rows])
     b, vk = np.nonzero(np.ones_like(V[:, cols].T) if free_v is None else free_v[:, cols].T)
     ua, vj, nu = rows[a], cols[b], len(a)
@@ -156,12 +154,12 @@ def _gauss_newton_zero_polish(U, V, zero_cells, free_u, free_v, max_iter=30):
 
 def _check_signs(B: np.ndarray, S: np.ndarray, margin: float, zero_tol: float) -> bool:
     """True when b >= margin/2 where S > 0, b <= -margin/2 where S < 0 and
-    |b| <= zero_tol where S == 0; a NaN b fails everywhere."""
-    return bool(np.where(S > 0, B >= margin / 2,
-                         np.where(S < 0, B <= -margin / 2, np.abs(B) <= zero_tol)).all())
+    |b| <= zero_tol where S == 0; a NaN b fails everywhere.  The margin is
+    positive, so s b >= margin/2 fails on every zero target."""
+    return bool(((S * B >= margin / 2) | ((S == 0) & (np.abs(B) <= zero_tol))).all())
 
 
-def _restart(S: np.ndarray, r: int, params: SearchParams, k: int, free_u, free_v, zero_cells):
+def _restart(S: np.ndarray, r: int, params: SearchParams, k: int, free_u, free_v):
     rng = np.random.default_rng(params.seed ^ k)
     m, n = S.shape
     if params.direct:
@@ -173,7 +171,7 @@ def _restart(S: np.ndarray, r: int, params: SearchParams, k: int, free_u, free_v
         # start from the best rank-r approximation of a random matrix that
         # already carries the target signs: descent then only repairs the
         # truncation damage and the exact zeros
-        B0 = S.astype(float) * rng.uniform(0.5, 1.5, size=(m, n))
+        B0 = S * rng.uniform(0.5, 1.5, size=(m, n))
         Us, svals, Vt = np.linalg.svd(B0, full_matrices=False)
         width = min(r, len(svals))
         root = np.sqrt(np.maximum(svals[:width], 1e-12))
@@ -186,7 +184,7 @@ def _restart(S: np.ndarray, r: int, params: SearchParams, k: int, free_u, free_v
             V[width:, :] = 0.1 * rng.standard_normal((r - width, n))
 
     U, V, _ = kernels.descent(U, V, S, params.iters, free_u, free_v)
-    U, V = _gauss_newton_zero_polish(U, V, zero_cells, free_u, free_v)
+    U, V = _gauss_newton_zero_polish(U, V, S, free_u, free_v)
     if not _check_signs(U @ V, S, DEFAULT_MARGIN, DEFAULT_ZERO_TOL):
         return None
 
@@ -208,16 +206,15 @@ def _search(C: SignPattern, r: int, params: SearchParams) -> Optional[Realizatio
     """The restarts of ``pattern.search_realization`` at r >= 3 on the
     condensed pattern C, which has rows, under the checked ``params``."""
     # what every restart shares; none of it draws from a restart's generator
-    S = C.to_array()
+    S = np.array(C.entries, dtype=float)  # the one form of the target
     m, n = S.shape
     free_u = free_v = None  # all free, unless direct mode pins the normal form
     if params.direct:
         free_u, free_v = np.ones((m, r)), np.ones((r, n))
         free_u[:, 0] = 0.0
         free_v[-1, :] = 0.0
-    zero_cells = [(i, j) for j in range(n) for i in range(m) if C.entries[i][j] == 0]
     for k in range(params.restarts):
-        found = _restart(S, r, params, k, free_u, free_v, zero_cells)
+        found = _restart(S, r, params, k, free_u, free_v)
         if found is not None:
             return found
     return None

@@ -271,3 +271,7 @@ def test_layering():
     pattern = ast.parse((SRC / "pattern.py").read_text(encoding="utf-8"))
     assert package_imports(module_level(pattern)) & {
         "numpy", "fractions", "exactnum", "realize"} == set()
+    # numpy is the float search's alone: no other module imports it, not
+    # even inside a function
+    assert {path.name for path in SRC.glob("*.py") if "numpy" in package_imports(
+        ast.walk(ast.parse(path.read_text(encoding="utf-8"))))} == {"kernels.py", "realize.py"}

@@ -194,17 +194,21 @@ class TestBitIdentity:
 
     @staticmethod
     def _cases():
-        for seed in range(30):
+        for seed in range(38):
             if seed < 10:  # zero targets, mostly still descending at 300 steps
                 U, V, S = _instance(seed, m=5 + seed % 3, n=6 + seed % 4)
                 iters = 300
             elif seed < 20:  # zero-free, mostly satisfiable: the signs clear
                 U, V, S = _instance(seed, m=4 + seed % 3, n=5, zero_prob=0.0)
                 iters = 4000
-            else:  # a badly scaled start: lr halves, then the penalty stalls or crawls
+            elif seed < 30:  # a badly scaled start: lr halves, then the penalty stalls or crawls
                 U, V, S = _instance(seed, zero_prob=0.25 + 0.05 * (seed % 3))
                 U, V = U * 1e8, V * 1e8
                 iters = 4000
+            else:  # past 128 cells, where numpy's pairwise sums add blocks of 128
+                m, n = ((16, 16), (25, 24), (40, 40), (23, 25))[(seed - 30) // 2]
+                U, V, S = _instance(seed, m=m, n=n, zero_prob=0.1 * (seed % 2))
+                iters = 300
             free_u, free_v = np.ones_like(U), np.ones_like(V)
             if seed % 3 == 0:  # the direct mode's normal-form pins
                 U[:, 0] = V[-1, :] = 1.0

@@ -204,7 +204,8 @@ def _redundant_patterns(count: int, seed: int):
     rng = np.random.default_rng(seed)
     for _ in range(count):
         m, n = int(rng.integers(0, 7)), int(rng.integers(0, 7))
-        E = random_pattern(rng, m, n, float(rng.uniform(0.0, 0.6))).to_array().reshape(m, n)
+        P = random_pattern(rng, m, n, float(rng.uniform(0.0, 0.6)))
+        E = np.array(P.entries, dtype=np.int8).reshape(m, n)
         for axis in (0, 1):
             for _ in range(int(rng.integers(0, 4))):
                 size = E.shape[axis]
@@ -692,6 +693,11 @@ class TestMaxSns:
         with pytest.raises(DomainError, match="sns_cap"):
             max_sns_submatrix(SignPattern(["+0", "0+"]), -1)
 
+    @pytest.mark.parametrize("cap", [2.5, 2.0, True, None])
+    def test_non_integer_cap(self, cap):
+        with pytest.raises(DomainError, match="^sns_cap must be an integer, got "):
+            max_sns_submatrix(SignPattern(["+0", "0+"]), cap)
+
     def test_walk_matches_brute_force(self):
         # the walk yields exactly the k-row L-matrix sets, in order, for
         # every k (k past m yields none)
@@ -968,6 +974,21 @@ class TestMrBounds:
     def test_sns_pattern_bound(self):
         b = mr_bounds(SignPattern(["+00", "0+0", "00+"]))
         assert b.lower >= 3
+
+    @pytest.mark.parametrize("field, value", [
+        ("sns_cap", 2.5), ("sns_cap", True), ("try_rank", 3.0), ("try_rank", False),
+        ("seed", 1.5), ("restarts", 1.0), ("iters", None),
+    ])
+    def test_non_integer_option_rejected(self, field, value):
+        # these once ended in a TypeError; try_rank 3.0 ran the search first
+        with pytest.raises(DomainError, match=f"^{field} must be an integer, got "):
+            mr_bounds(A0_PATTERN, MrBoundsOptions(**{field: value}))
+
+    def test_numpy_integer_options_accepted(self):
+        options = MrBoundsOptions(sns_cap=np.int64(3), try_rank=np.int64(3), seed=np.int64(0),
+                                  restarts=np.int64(2), iters=np.int64(200))
+        plain = MrBoundsOptions(sns_cap=3, try_rank=3, seed=0, restarts=2, iters=200)
+        assert mr_bounds(A0_PATTERN, options) == mr_bounds(A0_PATTERN, plain)
 
 
 class TestEquivalenceInvariance:

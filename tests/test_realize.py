@@ -19,6 +19,7 @@ from signrank.errors import (
 from signrank.fixtures import A0_PATTERN, A1_PATTERN, A2_PATTERN, FIG21_PATTERN
 from signrank.geometry import encode_configuration
 from signrank.exactnum import (
+    DEFAULT_ZERO_TOL,
     RationalCertificate,
     Realization,
     _bareiss_echelon,
@@ -517,6 +518,31 @@ class TestSearch:
         with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
             search_realization(A0_PATTERN, r, SearchParams(seed=-1))
 
+    @pytest.mark.parametrize("r", [2, 3])
+    @pytest.mark.parametrize("field, value", [
+        ("restarts", 1.0), ("restarts", None), ("iters", 2.5), ("iters", "10"),
+        ("seed", 1.5), ("seed", True), ("seed", np.True_),
+    ])
+    def test_non_integer_budget_rejected(self, r, field, value):
+        # at rank 3 these once ended in a TypeError, after numpy had loaded
+        with pytest.raises(DomainError, match=f"^{field} must be an integer, got "):
+            search_realization(A0_PATTERN, r, SearchParams(**{field: value}))
+
+    @pytest.mark.parametrize("r", [2.5, 3.0, 1.5, True, np.True_, "3", None])
+    def test_non_integer_rank_rejected(self, r):
+        # 2.5 once returned None, which below rank 3 reads as a proof that
+        # no realization exists
+        with pytest.raises(DomainError, match="^rank must be an integer, got "):
+            search_realization(A1_PATTERN, r)
+
+    def test_numpy_integers_accepted(self):
+        P = SignPattern(["0+++", "0-++", "0+-+", "++++"])
+        numpy_ints = SearchParams(restarts=np.int64(4), iters=np.int32(400), seed=np.uint8(5))
+        found = search_realization(P, np.int64(3), numpy_ints)
+        assert found is not None
+        assert found == search_realization(P, 3, SearchParams(restarts=4, iters=400, seed=5))
+        assert search_realization(A1_PATTERN, np.int8(2), numpy_ints) is not None
+
     def test_normal_form_guaranteed(self):
         U, V = factor_arrays(search_realization(A2_PATTERN, 2, SearchParams(seed=9)))
         assert np.all(U[:, 0] == 1.0)
@@ -604,6 +630,50 @@ class TestExactLowRank:
         assert search_realization(A0_PATTERN, 2, SearchParams(restarts=0)) is None
 
 
+def _reference_check_signs(B, S, margin, zero_tol):
+    """The sign check as first written: a nested ``np.where`` over S's signs."""
+    return bool(np.where(S > 0, B >= margin / 2,
+                         np.where(S < 0, B <= -margin / 2, np.abs(B) <= zero_tol)).all())
+
+
+class TestCheckSignsEqualsReference:
+    """``_check_signs`` reads s b >= margin/2 for both signs at once; it must
+    give the nested ``np.where``'s answer on every B, the non-finite ones and
+    those exactly at a threshold included."""
+
+    @staticmethod
+    def _targets(rng, m, n):
+        # zero-free, zero-carrying, and the normal form's float target S
+        # times the outer product of +-1 signatures, -0.0 at some zeros
+        zeros = rng.choice([-1.0, 0.0, 1.0], size=(m, n))
+        signatures = np.outer(np.sign(rng.standard_normal(m)), np.sign(rng.standard_normal(n)))
+        return rng.choice([-1.0, 1.0], size=(m, n)), zeros, zeros * signatures
+
+    def test_equals_reference(self):
+        from signrank.realize import _check_signs
+
+        rng = np.random.default_rng(38)
+        answers = Counter()
+        # the thresholds of the search's two checks
+        for margin, zero_tol in ((1e-2, DEFAULT_ZERO_TOL), (4 * DEFAULT_ZERO_TOL, DEFAULT_ZERO_TOL)):
+            edges = [margin / 2, zero_tol, np.nextafter(margin / 2, 0.0),
+                     np.nextafter(zero_tol, 1.0), 0.0, np.inf, np.nan]
+            special = np.array(edges + [-x for x in edges])
+            for _ in range(200):
+                m, n = (int(k) for k in rng.integers(1, 5, size=2))
+                for S in self._targets(rng, m, n):
+                    # a B that passes, then up to two entries at the edges
+                    B = np.where(S == 0, rng.uniform(-zero_tol, zero_tol, size=(m, n)),
+                                 S * rng.uniform(margin / 2, 1.0, size=(m, n)))
+                    for _ in range(int(rng.integers(0, 3))):
+                        B[rng.integers(m), rng.integers(n)] = rng.choice(special)
+                    with np.errstate(invalid="ignore"):  # 0 * inf is NaN, which fails
+                        got = _check_signs(B, S, margin, zero_tol)
+                    assert got == _reference_check_signs(B, S, margin, zero_tol), (B, S)
+                    answers[got] += 1
+        assert min(answers.values()) > 300, answers
+
+
 class TestZeroPolish:
     def test_converges_quadratically(self):
         # the zero constraints are bilinear in U and V, so Gauss-Newton with
@@ -616,14 +686,14 @@ class TestZeroPolish:
         for k in range(30):
             r = 2 + k % 4
             P, real = _planted_instance(rng, r)
-            S = condense(P).condensed.to_array()
+            S = np.array(condense(P).condensed.entries, dtype=float)
             cells = [(i, j) for j in range(S.shape[1]) for i in range(S.shape[0]) if S[i, j] == 0]
             if not cells:
                 continue
             U, V = factor_arrays(real)
             U = U + 1e-3 * rng.standard_normal(U.shape)
             V = V + 1e-3 * rng.standard_normal(V.shape)
-            U, V = realize._gauss_newton_zero_polish(U, V, cells, None, None, max_iter=3)
+            U, V = realize._gauss_newton_zero_polish(U, V, S, None, None, max_iter=3)
             B = U @ V
             assert max(abs(B[i, j]) for i, j in cells) < 1e-13, k
             polished += 1
@@ -640,7 +710,7 @@ class TestZeroPolish:
         for k in range(30):
             r = 3 + k % 3
             P, real = _planted_instance(rng, r)
-            S = condense(P).condensed.to_array()
+            S = np.array(condense(P).condensed.entries, dtype=float)
             cells = [(i, j) for j in range(S.shape[1]) for i in range(S.shape[0]) if S[i, j] == 0]
             if not cells:
                 continue
@@ -650,7 +720,7 @@ class TestZeroPolish:
             U = U + 1e-3 * rng.standard_normal(U.shape)
             V = V + 1e-3 * rng.standard_normal(V.shape)
             U[:, 0] = V[-1, :] = 1.0
-            U, V = realize._gauss_newton_zero_polish(U, V, cells, free_u, free_v)
+            U, V = realize._gauss_newton_zero_polish(U, V, S, free_u, free_v)
             assert (U[:, 0] == 1.0).all() and (V[-1, :] == 1.0).all(), k
             B = U @ V
             assert max(abs(B[i, j]) for i, j in cells) < 1e-13, k

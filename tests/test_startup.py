@@ -240,6 +240,29 @@ def test_exact_ranks_search_without_numpy(tmp_path):
     assert loaded_after(statement, tmp_path) == []
 
 
+def test_non_integer_search_input_rejected_without_numpy(tmp_path):
+    # the library refuses a non-integer rank or budget before it loads the
+    # search; mr_bounds with try_rank 3.0 once ran it on A0
+    statement = (
+        "from signrank import MrBoundsOptions, SearchParams, mr_bounds, search_realization\n"
+        "from signrank.errors import DomainError\n"
+        "from signrank.fixtures import A0_PATTERN\n"
+        "calls = [lambda: search_realization(A0_PATTERN, 3.0),\n"
+        "         lambda: search_realization(A0_PATTERN, 3, SearchParams(restarts=1.0)),\n"
+        "         lambda: search_realization(A0_PATTERN, 3, SearchParams(seed=1.5)),\n"
+        "         lambda: mr_bounds(A0_PATTERN, MrBoundsOptions(try_rank=3.0)),\n"
+        "         lambda: mr_bounds(A0_PATTERN, MrBoundsOptions(sns_cap=2.5, try_rank=3))]\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except DomainError as exc:\n"
+        "        assert 'must be an integer' in str(exc), exc\n"
+        "    else:\n"
+        "        raise AssertionError('accepted')"
+    )
+    assert loaded_after(statement, tmp_path) == []
+
+
 def test_star_import_resolves_all(tmp_path):
     doc = fresh(
         "import json, signrank, signrank.realize as realize\n"
