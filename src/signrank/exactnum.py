@@ -3,11 +3,13 @@ exact scalars of ``scalars``.
 
 A :class:`RationalCertificate` is an exact rational matrix with the target's
 signs, its factors and its exact rank (``rational_rank``).  ``rationalize``
-builds one from a floating realization by rounding its factors
-(``rational_round``) and solving the zero constraints exactly; its hot path
-runs on integers (lines scaled by ``_integral``, integer zero solves, signs
-of integer dot products), and ``save_certificate`` writes the indent-1 JSON
-text in one pass.  No numpy:
+builds one from a floating realization by rounding its factors to a dyadic
+grid (multiples of 2^-32, then of 2^-64: one denominator per cap) and
+solving the zero constraints exactly; its hot path runs on integers (the
+factors' numerators over 2^t, integer zero solves, signs of integer dot
+products), and ``save_certificate`` writes the indent-1 JSON text in one
+pass.  ``rational_round``, the best approximation under a denominator cap,
+is public but not on that path.  No numpy:
 certificates load and verify without it, and a :class:`Realization` (the
 normal-form factor pair, as tuples of float rows) is read, checked
 (``read_realization``), multiplied out and rationalized without it too.
@@ -395,10 +397,22 @@ def save_realization(real: Realization, path) -> None:
         fh.write("\n")
 
 
-def _round_matrix(M, cap: int):
-    """Each entry rounded to denominator <= cap.  A normal form's pinned
-    ones stay exact: ``rational_round(1.0, cap)`` is Fraction(1)."""
-    return [[rational_round(x, cap) for x in row] for row in M]
+def _round_matrix(M, t: int) -> list:
+    """Each entry rounded to the nearest multiple of 2^-t, ties to even, as
+    its integer numerator over 2^t: the lines of a cap share the one
+    denominator 2^t.  The rounding runs on each entry's integer ratio
+    (``_ratios``), so no float overflows, and a normal form's pinned ones
+    are exact (2^t over 2^t)."""
+    out = []
+    for row in M:
+        line = []
+        for p, q in _ratios(row):
+            n, rem = divmod(p << t, q)
+            if 2 * rem > q or (2 * rem == q and n & 1):
+                n += 1
+            line.append(n)
+        out.append(line)
+    return out
 
 
 def rationalize(A: SignPattern, real) -> RationalCertificate:
@@ -414,11 +428,14 @@ def rationalize(A: SignPattern, real) -> RationalCertificate:
 
     The signature is read off a spanning forest of the condensed pattern's
     nonzero cells (``_forest_signature``: one float product per line, not
-    all m n).  Every entry of U and V is rounded to denominator cap 2^t
-    (t = 16, doubling to 64), and U is kept as rounded: no point is moved.
-    Each column that carries zeros is then solved exactly through its zero
-    rows (``solve_zero_columns``, on U's rows scaled to integers once per
-    cap): the coordinates its echelon form pivots on are solved, the others
+    all m n).  Every entry of U and V is rounded to the nearest multiple of
+    2^-t, ties to even (``_round_matrix``: the dyadic grid of cap t = 32,
+    then of t = 64), and U is kept as rounded: no point is moved.  The
+    rounding is exact, so a float on the grid keeps its value, and the
+    whole cap shares the one denominator 2^t.  Each column that carries
+    zeros is then solved exactly through its zero rows
+    (``solve_zero_columns``, on U's rows as their integer numerators over
+    2^t): the coordinates its echelon form pivots on are solved, the others
     keep their rounded values.  A cap at which some column cannot pass
     through its rounded zero rows (SingularSystem), or whose exact product
     has the wrong signs, gives way to the next cap; PrecisionExhausted
@@ -456,12 +473,11 @@ def rationalize(A: SignPattern, real) -> RationalCertificate:
         )
 
     d1, d2 = _forest_signature(C, real)
-    for t in (16, 32, 64):
+    for t in (32, 64):
         cap = 1 << t
-        Ur = _round_matrix(real.U, cap)
-        # U's rows in integers once per cap: each solve eliminates some of them
-        Ui = [line for line, _ in _integral(Ur)]
-        columns = list(zip(*_round_matrix(real.V, cap)))
+        Ui = _round_matrix(real.U, t)  # each solve eliminates some of these rows
+        Ur = [[Fraction(x, cap) for x in row] for row in Ui]
+        columns = [[Fraction(x, cap) for x in col] for col in zip(*_round_matrix(real.V, t))]
         try:
             for j, s in enumerate(zeros):
                 if s:
@@ -487,7 +503,7 @@ def rationalize(A: SignPattern, real) -> RationalCertificate:
         # the first cap to fail is the first cap: only then is every sign
         # of the float product read, and a product off the pattern is the
         # input's fault, not the schedule's
-        if t == 16 and signature_between(C, real.signed_pattern()) is None:
+        if t == 32 and signature_between(C, real.signed_pattern()) is None:
             raise DomainError(
                 "realization does not realize the pattern (no signature carries "
                 "its product signs onto the target)"
@@ -561,9 +577,10 @@ def solve_zero_columns(U, A: SignPattern, j: int, column: Sequence) -> tuple:
     Exact: every entry is read at its exact value (``_ratios``; a float at
     its exact binary value), the back-substitution runs over integers with
     one common denominator, and the r Fractions of the result are built at
-    the end.  ``rationalize`` hands in U's rows as integers; since the
-    echelon form scales each row to integers first, rows given as integers
-    or as their rational multiples solve alike.
+    the end.  ``rationalize`` hands in U's rows as their integer numerators
+    over the cap's one denominator 2^t; since the echelon form scales each
+    row to integers first, rows given as integers or as their rational
+    multiples solve alike.
     """
     ratios = _ratios(column)
     rows = [U[i] for i in range(A.m) if A.entries[i][j] == 0]

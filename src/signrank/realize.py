@@ -213,8 +213,12 @@ def _search(C: SignPattern, r: int, params: SearchParams) -> Optional[Realizatio
         free_u, free_v = np.ones((m, r)), np.ones((r, n))
         free_u[:, 0] = 0.0
         free_v[-1, :] = 0.0
-    for k in range(params.restarts):
-        found = _restart(S, r, params, k, free_u, free_v)
-        if found is not None:
-            return found
+    # an overflowed descent gives an infinite product, whose 0 * inf at a
+    # zero target is NaN in the penalty and the sign checks: the check
+    # fails it, so numpy's warning would only reach stderr
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k in range(params.restarts):
+            found = _restart(S, r, params, k, free_u, free_v)
+            if found is not None:
+                return found
     return None

@@ -15,6 +15,7 @@ from signrank.exactnum import (
     parse_rational,
     parse_scalar,
     quad_sign,
+    _round_matrix,
     rational_round,
 )
 
@@ -233,6 +234,52 @@ class TestRationalRound:
         for x in (7, -3, Fraction(355, 113), Fraction(-22, 7), "355/113", "-1/3"):
             for cap in self.CAPS:
                 assert rational_round(x, cap) == Fraction(x).limit_denominator(cap), (x, cap)
+
+
+class TestDyadicRounding:
+    # rationalize rounds each factor entry to the nearest multiple of 2^-t,
+    # ties to even, as its integer numerator over 2^t
+    @staticmethod
+    def reference(x, t):
+        return round(Fraction(x) * 2**t)  # Fraction rounds half to even
+
+    @pytest.mark.parametrize("t", [32, 64])
+    def test_extremes_stay_exact_or_vanish(self, t):
+        # integer floats near the top of the range are exact on the grid
+        # (no float overflows), and the smallest subnormal rounds to 0
+        for x in (1.7e308, -1.7e308, 1e300, 1.0, -1.0):
+            (n,), = _round_matrix([[x]], t)
+            assert n == int(x) << t
+        assert _round_matrix([[5e-324, -5e-324, 0.0, -0.0]], t) == [[0, 0, 0, 0]]
+
+    def test_ties_to_even(self):
+        # k * 2^-33 lies halfway between multiples of 2^-32 for odd k
+        row = [k * 2.0**-33 for k in (1, 3, 5, -1, -3, -5)] + [1 + 2.0**-33, 1 + 3 * 2.0**-33]
+        assert _round_matrix([row], 32) == [[0, 2, 2, 0, -2, -2, 2**32, 2**32 + 2]]
+        # a hair past the tie rounds away from it
+        assert _round_matrix([[2.0**-33 + 2.0**-60, -(2.0**-33 + 2.0**-60)]], 32) == [[1, -1]]
+
+    def test_normal_form_ones(self):
+        U = [[1.0, 0.25, -3.5], [1.0, 1e-3, 7.0]]
+        assert [row[0] for row in _round_matrix(U, 32)] == [2**32, 2**32]
+        assert _round_matrix([[1.0, 1.0]], 64) == [[2**64, 2**64]]
+
+    def test_non_finite(self):
+        for x in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError):
+                _round_matrix([[1.0, x]], 32)
+
+    @pytest.mark.parametrize("t", [32, 64])
+    def test_matches_fraction_rounding(self, t):
+        rng = np.random.default_rng(39)
+        xs = 10.0 ** rng.uniform(-25, 25, size=5_000) * rng.choice([-1.0, 1.0], size=5_000)
+        rows = xs.reshape(50, 100).tolist()
+        assert _round_matrix(rows, t) == [[self.reference(x, t) for x in row] for row in rows]
+
+    def test_exact_inputs(self):
+        # ints and Fractions are read at their exact value too
+        row = [7, -3, Fraction(1, 3), Fraction(-22, 7), Fraction(1, 2**33)]
+        assert _round_matrix([row], 32) == [[self.reference(x, 32) for x in row]]
 
 
 class TestScalarSyntax:

@@ -543,6 +543,27 @@ class TestSearch:
         assert found == search_realization(P, 3, SearchParams(restarts=4, iters=400, seed=5))
         assert search_realization(A1_PATTERN, np.int8(2), numpy_ints) is not None
 
+    def test_overflowed_descent_warns_nothing(self, monkeypatch):
+        # factors past the float range give an infinite product; its 0 * inf
+        # at a zero target is NaN, which fails the sign check without a
+        # RuntimeWarning reaching stderr
+        import warnings
+
+        descent = kernels.descent
+
+        def overflowing(*args):
+            U, V, info = descent(*args)
+            return U * 1e200, V * 1e200, info
+
+        monkeypatch.setattr(kernels, "descent", overflowing)
+        assert any(0 in row for row in FIG21_PATTERN.entries)
+        params = SearchParams(restarts=2, iters=50, seed=4)
+        plain = search_realization(FIG21_PATTERN, 3, params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert search_realization(FIG21_PATTERN, 3, params) == plain
+        assert plain is None
+
     def test_normal_form_guaranteed(self):
         U, V = factor_arrays(search_realization(A2_PATTERN, 2, SearchParams(seed=9)))
         assert np.all(U[:, 0] == 1.0)
@@ -912,6 +933,36 @@ class TestRationalize:
         assert real.signed_pattern() == P and condense(P).condensed == P
         with pytest.raises(PrecisionExhausted, match="exhausted at 2\\^64"):
             rationalize(P, real)
+
+    @staticmethod
+    def assert_certified_past_first_cap(P, real):
+        cert = rationalize(P, real)
+        assert cert.verify() and sympy_rank(cert.matrix) == cert.rank
+        assert max(x.denominator for F in cert.factors for row in F for x in row) > 2**32
+
+    def test_cap_doubles_on_the_dyadic_grid(self):
+        # at 2^-32 row 1 rounds to (1, 1/2, 0) and its product with column
+        # 1, 2^-20, to zero; at 2^-64 every entry is on the grid
+        U = np.array([[1, 0.5 + 2.0**-40, 0], [1, -1, 3], [1, 3, -3], [1, 2, 2], [1, 1, -3]])
+        V = np.array([[-(2.0**19), -2, 2, -3, -1], [2.0**20, 2, 2, 1, 3], [1, 1, 1, 1, 1]])
+        B = U @ V
+        assert B[0, 0] == 2.0**-20 and np.all(np.abs(B) > DEFAULT_ZERO_TOL)
+        P = SignPattern(np.sign(B).astype(int).tolist())
+        assert condense(P).condensed == P
+        self.assert_certified_past_first_cap(P, Realization(3, U, V))
+
+    def test_singular_on_the_first_grid(self):
+        # zero rows 1 and 2 of column 1 are (1, 0, 1) and (1, 2^-40, 2); at
+        # 2^-32 the second rounds to (1, 0, 2), the leading 2 x 2 block is
+        # singular and the solve pivots on the last coordinate
+        U = np.array([[1, 0, 1], [1, 2.0**-40, 2], [1, 0, 0]])
+        V = np.array([[-1, 0, -1.5], [-(2.0**40), 0, 0], [1, 1, 1]])
+        P = SignPattern(["0+-", "0++", "-0-"])
+        real = Realization(3, U, V)
+        assert real.signed_pattern() == P and condense(P).condensed == P
+        with pytest.raises(SingularSystem):
+            solve_zero_columns([[1, 0, 1], [1, 0, 2], [1, 0, 0]], P, 0, V[:, 0])
+        self.assert_certified_past_first_cap(P, real)
 
     def test_a0_overdetermined(self):
         # every condensed row has >= 3 zeros too, so the rows cannot stand
@@ -1324,23 +1375,23 @@ class TestPinnedCertificates:
         ("A1",):
             "bda61a8ceefc9905a70c1f405d6223adfb2e1442d33c55b20fe445f93be6ac2e",
         ("fig21",):
-            "421a2e50e070fc9a34057a30f1695330131b302e0159ee04a9e204ccef8ec990",
+            "2c2d61be91235064662a6d68f52e578930563c7a961c9ac3353dd6287ed0d725",
         ("planted", 0, 3):
-            "ae3d07be279884f273553d56944e9d50a3ce1df3bb59e6651054f23c080bb0b3",
+            "d14db79cbffd2aca9eeb9ef93c92aca601859efd237722a012366d6cc5dac11e",
         ("planted", 1, 4):
-            "fc407141d78888da5f0a76e2a52521abbf658988a80e954b22084810675d2993",
+            "9e2945154cb67e52fb8f1e223eba6cb3b9554f293aadcb2ed9f26a4312975bd2",
         ("planted", 4, 4):
-            "9616e8eaa2736517c37449eabd7c60d46cccdedc73438913cf1efc6d444eab68",
+            "cdf0cce8b4ea8fb32e7b07317ec53f3ea2be4c8e6195fdb7df1c506063755360",
         ("planted", 2, 5):
-            "07b1079dbc237028376166cc7c8a7a165ea35e66f915244ee6234a01d8408ba8",
+            "6200b262b9b4e453572ad756fb85441d4a8a811a1bef4644e7c6755fbf402586",
         ("planted", 11, 5):
-            "5bc7e7350d9c2c6f1b944fb800033c691cb2a801f491c91de0b2ad6bf60b7b36",
+            "c72c0074da5545b3b77a5f1cd4b92a844c7c1adc1df08b1363c18f377ca62caf",
         ("planted", 16, 3):
-            "4cf94d0ebaaeb1054c1c0addef9f6f7cba94e55bd508e12e09ad87192e695095",
+            "464f1abd15f9df08b568a356d9e19fed2e5f06629d72350111cef5b6e8514f3a",
         ("transposed", 10, 3):
-            "b8373275707a9b931a5992718166f079e020a411a2a408a086eb052c9fc1c208",
+            "baef6244cc6dfa49b1d4c8ec48d5ba3aeae9326317af0c69b82527e91bd39ab7",
         ("transposed", 24, 4):
-            "0da90e2de91851c0e610165ecc96309eb4f5f78a6cf1bd1f23e01b4fd545e30b",
+            "842873521fa58fae1178ce677729a0950ecd173b17f9e7419d29db0d6be72338",
     }
 
     @pytest.mark.parametrize("key", sorted(PINNED_SHA256, key=str),
@@ -1401,6 +1452,46 @@ def _planted_sweep():
     """The 64 planted instances of ``test_planted_ranks_against_sympy``."""
     rng = np.random.default_rng(2024)
     return [_planted_instance(rng, 2 + k % 4) for k in range(64)]
+
+
+class TestDyadicGrid:
+    # rationalize rounds U and V to multiples of 2^-32, then of 2^-64
+    def test_planted_sweep_at_the_first_cap(self):
+        # every entry that no solve touches is on the 2^-32 grid: all of U
+        # and every column of V without zeros (the sweep fits its columns)
+        for P, real in _planted_sweep():
+            cert = rationalize(P, real)
+            assert cert.verify() and sympy_rank(cert.matrix) == cert.rank
+            U, V = cert.factors
+            unsolved = [x for row in U for x in row]
+            unsolved += [x for col, target in zip(zip(*V), zip(*P.entries)) if 0 not in target for x in col]
+            assert all(2**32 % x.denominator == 0 for x in unsolved)
+            assert all(x in (-1, 0, 1) for x in V[-1])
+
+    def test_exact_low_rank_realizations_keep_their_values(self):
+        # the r <= 2 realizations of search_realization are exact in floats
+        # (halves), so each certificate line is a realization line, up to
+        # the signature
+        rng = np.random.default_rng(39)
+        patterns = [(condense(A1_PATTERN).condensed, 2), (SignPattern(["++", "--"]), 1)]
+        for _ in range(60):
+            m, n = (int(k) for k in rng.integers(2, 7, size=2))
+            B = rng.integers(-2, 3, size=(m, 2)) @ rng.integers(-2, 3, size=(2, n))
+            patterns.append((condense(SignPattern(np.sign(B).tolist())).condensed, 2))
+        certified = 0
+        for C, r in patterns:
+            real = search_realization(C, r)
+            if real is None or any(col.count(0) > r - 1 for col in zip(*C.entries)):
+                continue
+            cert = rationalize(C, real)
+            assert cert.verify() and sympy_rank(cert.matrix) == cert.rank
+            U, V = cert.factors
+            for got, want in ((U, real.U), (zip(*V), zip(*real.V))):
+                for line, floats in zip(got, want):
+                    exact = tuple(map(Fraction, floats))
+                    assert line in (exact, tuple(-x for x in exact))
+            certified += 1
+        assert certified >= 30
 
 
 class TestForestSignature:
