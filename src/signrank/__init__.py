@@ -45,7 +45,6 @@ _HOME = {
     "solve_zero_columns": "exactnum",
     "Configuration": "geometry",
     "OrientedHyperplane": "geometry",
-    "avoid_vertical": "geometry",
     "dualize": "geometry",
     "encode_configuration": "geometry",
     "from_factorization": "geometry",
@@ -58,7 +57,6 @@ _HOME = {
     "MrBounds": "pattern",
     "MrBoundsOptions": "pattern",
     "is_equivalent": "pattern",
-    "is_mr1": "pattern",
     "is_mr2": "pattern",
     "is_sns": "pattern",
     "max_sns_submatrix": "pattern",

@@ -321,8 +321,9 @@ def load_pattern(path) -> SignPattern:
 
 def save_pattern(A: SignPattern, path) -> None:
     # a .pat file gives a pattern's width by its rows alone, so m blank
-    # lines would load back as 0 x 0; refuse before the file is opened
-    if A.m and not A.n:
-        raise DomainError(f"a {A.m} x 0 pattern cannot be written as a .pat file")
+    # lines, or no line for 0 x n, would load back as 0 x 0; refuse before
+    # the file is opened
+    if (A.m == 0) != (A.n == 0):
+        raise DomainError(f"a {A.m} x {A.n} pattern cannot be written as a .pat file")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(A.to_text() + "\n")

@@ -28,14 +28,17 @@ class PatternFormatError(SignRankError, ValueError):
 
 
 class VerticalHyperplane(DomainError):
-    """A hyperplane has zero last coefficient; encoding requires a rotation
-    first.  ``index`` is the 0-based hyperplane index."""
+    """A hyperplane given to ``stack`` has zero last coefficient: stacking
+    shifts one configuration along the last axis, so it needs every
+    hyperplane rightward.  ``index`` is the 0-based hyperplane index in
+    its configuration, which the message names ("first" or "second")."""
 
-    def __init__(self, index):
+    def __init__(self, index, configuration):
         self.index = index
         super().__init__(
-            f"hyperplane {index + 1} is vertical (last coefficient is zero); "
-            "apply avoid_vertical first"
+            f"hyperplane {index + 1} of the {configuration} configuration is vertical "
+            "(last coefficient is zero); stacking needs every hyperplane rightward "
+            "(last coefficient > 0)"
         )
 
 

@@ -10,11 +10,15 @@ denote the same oriented hyperplane, so construction canonicalizes by a
 positive scale making |cd| = 1 when cd != 0 (cd = +1 is the rightward
 presentation: the positive side is then "above" in the xd sense).  Reversing
 an orientation negates the corresponding column of the encoded pattern.
+
+Every oriented hyperplane, vertical ones (cd = 0) included, encodes: the
+side of a point is the exact sign of c0 + c1 x1 + ... + cd xd.  Only the
+factor normal form (``from_factorization``, whose columns end in 1) and
+``stack`` need every hyperplane rightward.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import operator
 from fractions import Fraction
@@ -82,14 +86,6 @@ class OrientedHyperplane(_Record):
 
     def reversed_orientation(self) -> "OrientedHyperplane":
         return OrientedHyperplane([-c for c in self.coeffs])
-
-    def rightward(self) -> tuple["OrientedHyperplane", bool]:
-        """Rightward presentation (cd = +1) and whether a flip was needed."""
-        if self.is_vertical():
-            raise DomainError("a vertical hyperplane has no rightward presentation")
-        if self.is_rightward():
-            return self, False
-        return self.reversed_orientation(), True
 
     def __repr__(self):
         return f"OrientedHyperplane({[str(float(c)) for c in self.coeffs]})"
@@ -198,15 +194,12 @@ def encode_configuration(C: Configuration) -> SignPattern:
     i relative to hyperplane j, the sign of entry (i, j) of the exact
     product U V (``_signs``).  The result has minimum rank <= dim + 1.
 
-    Every hyperplane must be non-vertical (last coefficient nonzero);
-    offenders raise VerticalHyperplane with their index.
+    Any oriented hyperplane encodes, a vertical one too.  The pattern is
+    num_points x num_hyperplanes, so a configuration without points keeps
+    its width.
     """
-    for j, h in enumerate(C.hyperplanes):
-        if h.is_vertical():
-            raise VerticalHyperplane(j)
-    signs = _signs(C.points, C.hyperplanes, C.field_d)
-    entries = tuple(map(tuple, signs))
-    return SignPattern._trusted(entries, len(entries), len(entries[0]) if entries else 0)
+    entries = tuple(map(tuple, _signs(C.points, C.hyperplanes, C.field_d)))
+    return SignPattern._trusted(entries, C.num_points, C.num_hyperplanes)
 
 
 def from_factorization(U, V) -> Configuration:
@@ -268,68 +261,6 @@ def is_simple(C: Configuration):
         else:
             violations.append(SimplicityViolation(1 if row else 2, (e.survivor, e.index)))
     return (not violations, tuple(violations))
-
-
-class RotationReport(NamedTuple):
-    t: Fraction
-    cos: Fraction
-    sin: Fraction
-    hyperplane_flips: tuple  # indices re-oriented rightward after rotating
-
-
-def _candidate_ts():
-    yield Fraction(0)
-    for q in itertools.count(2):
-        for p in range(1, q):
-            if Fraction(p, q).denominator != q:
-                continue
-            yield Fraction(p, q)
-            yield Fraction(-p, q)
-
-
-def rotate(C: Configuration, cos, sin) -> Configuration:
-    """Exact planar rotation about the origin; evaluation values (hence the
-    encoded pattern) are unchanged because normals rotate with the points."""
-    if C.dim != 2:
-        raise DomainError("exact rotation implemented for planar configurations only")
-    cos = QuadElem.lift(cos)
-    sin = QuadElem.lift(sin)
-    pts = [(cos * x - sin * y, sin * x + cos * y) for x, y in C.points]
-    hyps = []
-    for h in C.hyperplanes:
-        c0, c1, c2 = h.coeffs
-        hyps.append((c0, cos * c1 - sin * c2, sin * c1 + cos * c2))
-    return Configuration(2, pts, hyps)
-
-
-def avoid_vertical(C: Configuration) -> tuple[Configuration, RotationReport]:
-    """Exact rational rotation removing vertical hyperplanes, followed by
-    rightward re-presentation of every hyperplane.
-
-    The rotation uses the rational circle parametrization
-    cos = (1 - t^2)/(1 + t^2), sin = 2t/(1 + t^2); only finitely many t are
-    bad, so the scan over small rationals terminates.  Incidences and
-    evaluations are preserved exactly; the recorded flips say which columns
-    of the encoded pattern changed sign relative to the orientation side.
-    """
-    if C.dim != 2:
-        raise DomainError("avoid_vertical implemented for planar configurations only")
-    for t in _candidate_ts():
-        cos = Fraction(1 - t * t, 1) / (1 + t * t)
-        sin = Fraction(2 * t, 1) / (1 + t * t)
-        rotated = rotate(C, cos, sin)
-        if any(h.is_vertical() for h in rotated.hyperplanes):
-            continue
-        flips = []
-        hyps = []
-        for j, h in enumerate(rotated.hyperplanes):
-            right, flipped = h.rightward()
-            hyps.append(right)
-            if flipped:
-                flips.append(j)
-        result = Configuration(2, rotated.points, hyps)
-        return result, RotationReport(t, cos, sin, tuple(flips))
-    raise AssertionError("unreachable: admissible rotation always exists")
 
 
 def translate(C: Configuration, v: Sequence) -> Configuration:
@@ -417,7 +348,7 @@ def stack(C1: Configuration, C2: Configuration) -> Configuration:
     for name, cfg in (("first", C1), ("second", C2)):
         for j, h in enumerate(cfg.hyperplanes):
             if h.is_vertical():
-                raise VerticalHyperplane(j)
+                raise VerticalHyperplane(j, name)
             if not h.is_rightward():
                 raise DomainError(
                     f"hyperplane {j + 1} of the {name} configuration points leftward; "

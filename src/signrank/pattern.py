@@ -332,12 +332,6 @@ def _first_cover(unisigned: int, count: int, n: int, k: int):
     return None if taken is None else tuple(j for j in range(n) if taken >> j & 1)
 
 
-def is_mr1(A: SignPattern) -> bool:
-    """Minimum rank is exactly 1 iff the condensed pattern is 1x1 nonzero."""
-    c = condense(A).condensed
-    return c.m == 1 and c.n == 1
-
-
 class Mr2Result(NamedTuple):
     value: bool
     witness: Optional[EquivalenceWitness]

@@ -201,5 +201,5 @@ class TestGeometryBuilders:
             C = random_planar_config(rng, int(rng.integers(2, 8)), int(rng.integers(1, 8)))
             rows = [[exactnum.quad_sign(h.evaluate(p)) for h in C.hyperplanes] for p in C.points]
             assert_as_checked(encode_configuration(C), rows)
-        assert_as_checked(encode_configuration(Configuration(2, [], [[0, 0, 1]])), [], (0, 0))
+        assert_as_checked(encode_configuration(Configuration(2, [], [[0, 0, 1]])), [], (0, 1))
         assert trusted_calls

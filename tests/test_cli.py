@@ -380,6 +380,31 @@ class TestGeometryCommands:
         assert err.startswith("error:") and err.count("\n") == 1 and "3 x 0" in err
         assert out_file.read_text() == "+-\n"
 
+    def test_encode_vertical_and_pointless(self, capsys, tmp_path):
+        # a vertical line encodes like any other; without points the pattern
+        # is 0 x 2: --json prints its (no) rows, and -o refuses it, since a
+        # .pat file without rows reads as 0 x 0
+        cfg = tmp_path / "v.json"
+        cfg.write_text(json.dumps({"dim": 2, "points": [[0, 1], [-1, 5]], "hyperplanes": [[1, 1, 0]]}))
+        code, out, _ = run(capsys, "encode", cfg, "--json")
+        assert code == 0 and json.loads(out) == {"pattern": ["+", "0"]}
+        cfg.write_text(json.dumps({"dim": 2, "points": [], "hyperplanes": [[0, 0, 1], [1, 1, 1]]}))
+        code, out, _ = run(capsys, "encode", cfg, "--json")
+        assert code == 0 and json.loads(out) == {"pattern": []}
+        code, out, err = run(capsys, "encode", cfg, "-o", tmp_path / "x.pat")
+        assert code == 2 and out == "" and err.startswith("error:") and "0 x 2" in err
+
+    def test_compose_vertical_error(self, capsys, tmp_path):
+        cfg = tmp_path / "pp.json"
+        cfg.write_text(json.dumps({"dim": 2, "points": [[0, 1], [0, 3]], "hyperplanes": [[-2, 0, 1], [0, 0, 1]]}))
+        vertical = tmp_path / "v.json"
+        vertical.write_text(json.dumps({"dim": 2, "points": [[0, 1], [2, 3]], "hyperplanes": [[-2, 0, 1], [-1, 1, 0]]}))
+        out_file = tmp_path / "stacked.json"
+        code, out, err = run(capsys, "compose", cfg, vertical, "-o", out_file)
+        assert code == 2 and out == "" and not out_file.exists()
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+        assert "hyperplane 2 of the second configuration is vertical" in err and "rightward" in err
+
     def test_compose(self, capsys, tmp_path):
         cfg = tmp_path / "pp.json"
         cfg.write_text(

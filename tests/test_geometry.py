@@ -17,7 +17,6 @@ from signrank.fixtures import A0_PATTERN, FIG21_PATTERN, fixture
 from signrank.geometry import (
     Configuration,
     OrientedHyperplane,
-    avoid_vertical,
     configuration_from_dict,
     configuration_to_dict,
     dualize,
@@ -25,7 +24,6 @@ from signrank.geometry import (
     from_factorization,
     incidence_structure,
     is_simple,
-    rotate,
     side,
     stack,
     translate,
@@ -70,11 +68,6 @@ class TestHyperplane:
         a = OrientedHyperplane([1, 2, 1])
         assert a != a.reversed_orientation()
 
-    def test_rightward(self):
-        leftward = OrientedHyperplane([1, 2, -1])
-        right, flipped = leftward.rightward()
-        assert flipped and right.coeffs[-1] == QuadElem(1)
-
     def test_degenerate(self):
         with pytest.raises(DomainError):
             OrientedHyperplane([3, 0, 0])
@@ -110,10 +103,57 @@ class TestEncode:
         assert P.zero_set() == A0_PATTERN.zero_set()
 
     def test_vertical_hyperplane_error(self):
+        # 1 + x = 0 is vertical; (0, 1) is on its positive side
         C = Configuration(2, [(0, 1)], [[1, 1, 0]])
-        with pytest.raises(VerticalHyperplane) as exc:
-            encode_configuration(C)
-        assert exc.value.index == 0
+        assert encode_configuration(C) == SignPattern(["+"])
+
+    def test_vertical_hyperplanes_match_side_and_rotation(self):
+        # about a third of the lines are vertical, some through a point; a
+        # rotation by an exact rational (cos, sin) turns each normal with the
+        # points, so every evaluation and the encoding stay as they were
+        rng = np.random.default_rng(41)
+        vertical = vertical_zeros = 0
+        for _ in range(120):
+            C = _config_with_vertical_lines(rng, 6, 6)
+            P = encode_configuration(C)
+            assert P == SignPattern([[side(p, h) for h in C.hyperplanes] for p in C.points])
+            assert P == SignPattern(_reference_signs(C))
+            t = Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 6)))
+            cos, sin = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+            assert encode_configuration(_rotated(C, cos, sin)) == P
+            for j, h in enumerate(C.hyperplanes):
+                if h.is_vertical():
+                    vertical += 1
+                    vertical_zeros += P.col(j).count(0)
+        assert vertical >= 100 and vertical_zeros >= 50
+
+
+def _config_with_vertical_lines(rng, n_points, n_lines):
+    """Planar rational configuration whose lines are vertical with
+    probability 1/3, and half of those through one of its points."""
+
+    def q():
+        return Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 4)))
+
+    pts = [(q(), q()) for _ in range(n_points)]
+    lines = []
+    for _ in range(n_lines):
+        if rng.random() < 1 / 3:
+            x = pts[int(rng.integers(n_points))][0] if rng.random() < 0.5 else q()
+            lines.append((-x, 1, 0) if rng.random() < 0.5 else (x, -1, 0))
+        else:
+            lines.append((q(), q(), q() or 1))
+    return Configuration(2, pts, lines)
+
+
+def _rotated(C, cos, sin):
+    """C rotated about the origin by the exact pair (cos, sin), with
+    cos^2 + sin^2 = 1: each hyperplane's normal turns with the points."""
+    assert cos * cos + sin * sin == 1
+    pts = [(cos * x - sin * y, sin * x + cos * y) for x, y in C.points]
+    hyps = [(c0, cos * c1 - sin * c2, sin * c1 + cos * c2)
+            for c0, c1, c2 in (h.coeffs for h in C.hyperplanes)]
+    return Configuration(2, pts, hyps)
 
 
 def _q5_config(rng, n_points, n_lines):
@@ -298,13 +338,16 @@ class TestSimple:
         assert [(v.condition, v.indices) for v in violations] == [(1, (0, 1)), (1, (0, 2))]
 
     def test_no_points(self):
-        # the encoded pattern of a configuration without points is 0x0,
-        # so it has no line to delete, whatever its hyperplanes
+        # the encoded pattern of a configuration without points is 0 x n:
+        # each hyperplane passes through every point (there is none), so
+        # each is a zero column that condense deletes, condition 4
         for hyperplanes in ([], [[0, 0, 1]], [[0, 1, 1], [0, -1, 2]]):
             C = configuration_from_dict({"dim": 2, "points": [], "hyperplanes": hyperplanes})
             P = encode_configuration(C)
-            assert (P.m, P.n) == (0, 0)
-            assert is_simple(C) == (True, ())
+            assert (P.m, P.n) == (0, len(hyperplanes))
+            assert (P.transpose().m, P.transpose().n) == (len(hyperplanes), 0)
+            violations = tuple((4, (j,)) for j in range(len(hyperplanes)))
+            assert is_simple(C) == (not hyperplanes, violations)
 
     def test_matches_condensation(self):
         rng = np.random.default_rng(19)
@@ -312,40 +355,6 @@ class TestSimple:
             C = random_planar_config(rng, 4, 4)
             P = encode_configuration(C)
             assert is_simple(C)[0] == (condense(P).condensed == P)
-
-
-class TestAvoidVertical:
-    def test_removes_vertical_line(self):
-        C = Configuration(2, [(1, 1), (0, 2)], [[-1, 1, 0], [0, 0, 1]])
-        C2, report = avoid_vertical(C)
-        assert all(not h.is_vertical() for h in C2.hyperplanes)
-        P1 = SignPattern([[side(p, h) for h in C.hyperplanes] for p in C.points])
-        P2 = encode_configuration(C2)
-        assert P1.zero_set() == P2.zero_set()
-
-    def test_identity_when_admissible(self):
-        C2, report = avoid_vertical(_fig21())
-        assert report.t == 0
-        assert encode_configuration(C2) == FIG21_PATTERN
-
-    def test_pythagorean_pair(self):
-        C = Configuration(2, [(1, 1)], [[-1, 1, 0]])
-        C2, report = avoid_vertical(C)
-        # t = 0 is inadmissible here, so the scan lands on t = 1/2 and its
-        # exact cosine/sine pair
-        assert report.t == Fraction(1, 2)
-        assert (report.cos, report.sin) == (Fraction(3, 5), Fraction(4, 5))
-        assert report.cos**2 + report.sin**2 == 1
-
-    def test_flips_are_signature_equivalent(self):
-        C = Configuration(2, [(1, 3), (2, -1)], [[-1, 1, 0], [-5, 0, 1]])
-        C2, report = avoid_vertical(C)
-        raw = SignPattern([[side(p, h) for h in C.hyperplanes] for p in C.points])
-        flips = [-1 if j in report.hyperplane_flips else 1 for j in range(2)]
-        adjusted = SignPattern(
-            [[flips[j] * raw.entries[i][j] for j in range(2)] for i in range(2)]
-        )
-        assert encode_configuration(C2) == adjusted
 
 
 class TestRigidMotions:
@@ -363,21 +372,6 @@ class TestRigidMotions:
         for p, p2 in zip(C.points, C2.points):
             for h, h2 in zip(C.hyperplanes, C2.hyperplanes):
                 assert h.evaluate(p) == h2.evaluate(p2)
-
-    def test_rotation_preserves_pattern_and_equivalence(self):
-        from signrank.pattern import is_equivalent
-
-        rng = np.random.default_rng(29)
-        for _ in range(25):
-            C = random_planar_config(rng, 3, 3)
-            t = Fraction(int(rng.integers(-3, 4)), int(rng.integers(2, 5)))
-            cos = (1 - t * t) / (1 + t * t)
-            sin = 2 * t / (1 + t * t)
-            C2 = translate(rotate(C, cos, sin), (Fraction(3), Fraction(-2)))
-            P1 = SignPattern([[side(p, h) for h in C.hyperplanes] for p in C.points])
-            P2 = SignPattern([[side(p, h) for h in C2.hyperplanes] for p in C2.points])
-            assert P1 == P2
-            assert is_equivalent(P1, P2) is not None
 
 
 class TestDualize:
@@ -417,6 +411,16 @@ class TestDualize:
         )
         assert dualize(C).hyperplane_flips == (0,)
         _assert_transpose_law(C)
+
+    def test_points_on_the_x_axis_encode_after_dualizing(self):
+        # a point (a, 0) becomes the vertical line a x = 1, which encodes
+        C = Configuration(2, [(2, 0), (-1, 0), (1, 3)], [[1, 1, 0], [-4, 1, 1]])
+        result = dualize(C)
+        assert [h.is_vertical() for h in result.configuration.hyperplanes] == [True, True, False]
+        flips = [-1 if j in result.hyperplane_flips else 1 for j in range(C.num_hyperplanes)]
+        P = encode_configuration(C)
+        adjusted = SignPattern([[f * v for f, v in zip(flips, row)] for row in P.entries])
+        assert encode_configuration(result.configuration) == adjusted.transpose()
 
 
 def _assert_transpose_law(C):
@@ -499,6 +503,13 @@ class TestStack:
         with pytest.raises(DomainError):
             stack(C, _parallel_mr2_config())
 
+    def test_rejects_vertical(self):
+        # a vertical line encodes, but stacking shifts along the last axis
+        C = Configuration(2, [(0, 1), (0, 3)], [[-2, 0, 1], [1, 1, 0]])
+        with pytest.raises(VerticalHyperplane, match="2 of the second .* rightward") as exc:
+            stack(_parallel_mr2_config(), C)
+        assert exc.value.index == 1
+
 
 class TestIncidence:
     def test_a0_first_column(self):
@@ -576,14 +587,12 @@ class TestDerivedField:
     @pytest.mark.parametrize(
         "transform",
         [
-            lambda C: rotate(C, Fraction(3, 5), Fraction(4, 5)),
             lambda C: translate(C, (Fraction(1, 3), Fraction(1, 7))),
-            lambda C: avoid_vertical(C)[0],
             lambda C: dualize(translate(C, (Fraction(1, 3), Fraction(1, 7)))).configuration,
             lambda C: stack(C, _parallel_mr2_config()),
             lambda C: stack(_parallel_mr2_config(), C),
         ],
-        ids=["rotate", "translate", "avoid_vertical", "dualize", "stack", "stack_under"],
+        ids=["translate", "dualize", "stack", "stack_under"],
     )
     def test_perles_transforms_keep_field(self, transform):
         C = transform(fixture("perles_config").payload)

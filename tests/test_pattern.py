@@ -19,7 +19,6 @@ from signrank.pattern import (
     condense,
     has_direct_representation,
     is_equivalent,
-    is_mr1,
     is_mr2,
     is_sns,
     max_sns_submatrix,
@@ -48,6 +47,13 @@ class TestTextFormat:
         path = tmp_path / "x.pat"
         with pytest.raises(DomainError, match="3 x 0"):
             save_pattern(SignPattern([[], [], []]), path)
+        assert not path.exists()
+
+    def test_save_columns_without_rows_refused(self, tmp_path):
+        # a file without rows loads back as 0 x 0
+        path = tmp_path / "x.pat"
+        with pytest.raises(DomainError, match="0 x 2"):
+            save_pattern(SignPattern.zeros(0, 2), path)
         assert not path.exists()
 
     def test_save_empty_pattern_roundtrip(self, tmp_path):
@@ -852,15 +858,17 @@ class TestMaxSns:
 
 
 class TestMr1Mr2:
+    # mr = 1 exactly when the condensed pattern is 1 x 1, which mr_bounds
+    # reports as exact
     def test_single_plus(self):
-        assert is_mr1(SignPattern(["+"]))
+        assert mr_bounds(SignPattern(["+"]))[:2] == (1, 1)
         assert not is_mr2(SignPattern(["+"])).value
 
     def test_all_ones_block(self):
-        assert is_mr1(SignPattern(["++", "++"]))
+        assert mr_bounds(SignPattern(["++", "++"]))[:2] == (1, 1)
 
     def test_a1_not_mr1(self):
-        assert not is_mr1(A1_PATTERN)
+        assert mr_bounds(A1_PATTERN).lower == 2
 
     def test_a1_a2_are_mr2(self):
         assert is_mr2(A1_PATTERN).value
@@ -877,7 +885,8 @@ class TestMr1Mr2:
         rng = np.random.default_rng(8)
         for _ in range(150):
             P = random_pattern(rng, int(rng.integers(1, 6)), int(rng.integers(1, 6)), 0.3)
-            assert not (is_mr1(P) and is_mr2(P).value)
+            C = condense(P).condensed
+            assert not ((C.m, C.n) == (1, 1) and is_mr2(P).value)
 
     def test_decides_past_former_column_limit(self):
         # a 30 x 30 staircase sign(i - j - 1/2), signed and permuted: mr 2
@@ -948,9 +957,9 @@ class TestMr1Mr2:
         rng = np.random.default_rng(14)
         for _ in range(200):
             P = random_pattern(rng, 3, int(rng.integers(1, 7)), 0.3)
-            states = [P.is_zero(), is_mr1(P), is_mr2(P).value]
-            assert sum(states) <= 1
             condensed = condense(P).condensed
+            states = [P.is_zero(), (condensed.m, condensed.n) == (1, 1), is_mr2(P).value]
+            assert sum(states) <= 1
             if not any(states):
                 assert min(condensed.m, condensed.n) == 3
 
@@ -998,7 +1007,8 @@ class TestEquivalenceInvariance:
             m, n = int(rng.integers(2, 6)), int(rng.integers(2, 6))
             A = random_pattern(rng, m, n, 0.25)
             B = random_witness(rng, m, n).apply(A)
-            assert is_mr1(A) == is_mr1(B)
+            CA, CB = condense(A).condensed, condense(B).condensed
+            assert ((CA.m, CA.n) == (1, 1)) == ((CB.m, CB.n) == (1, 1))
             assert is_mr2(A).value == is_mr2(B).value
             assert term_rank(A) == term_rank(B)
             assert max_sns_submatrix(A, 3)[0] == max_sns_submatrix(B, 3)[0]

@@ -24,8 +24,8 @@ from signrank.exactnum import (
     Realization,
     _bareiss_echelon,
     _forest_signature,
+    _round_matrix,
     rational_rank,
-    rational_round,
     rationalize,
     read_realization,
     save_certificate,
@@ -895,33 +895,32 @@ class TestRationalize:
         assert [tuple(map(float, row)) for row in cert.factors[0]] == [tuple(row) for row in U]
 
     def test_denominator_cap_doubles(self):
-        # at cap 2^16 row 1 rounds to (1, 1/2, 0) and its product with
-        # column 1, 2^-21, to zero; the certificate comes from a finer cap
-        U = np.array([[1, 0.5 + 2.0**-20, -(2.0**-21)], [1, -1, 3], [1, 3, -3], [1, 2, 2], [1, 0, -1]])
-        V = np.array([[-0.5, -2, 2, -3, -1], [1, 2, 2, 1, 3], [1, 1, 1, 1, 1]])
+        # at 2^-32 row 1 rounds to (1, 1/2, 0), whose product with column 1
+        # is 0 where it should be 2^-20 - 2^-41 > 0; at 2^-64 both offsets
+        # are on the grid and the certificate comes from that cap
+        U = np.array([[1, 0.5 + 2.0**-40, -(2.0**-41)], [1, -1, 3], [1, 3, -3], [1, 2, 2], [1, 1, -3]])
+        V = np.array([[-(2.0**19), -2, 2, -3, -1], [2.0**20, 2, 2, 1, 3], [1, 1, 1, 1, 1]])
         B = U @ V
-        assert B[0, 0] == 2.0**-21 and np.all(B != 0)
+        assert B[0, 0] == 2.0**-20 - 2.0**-41 and np.all(np.abs(B) > DEFAULT_ZERO_TOL)
+        assert _round_matrix(U[:1], 32) == [[2**32, 2**31, 0]]
         P = SignPattern(np.sign(B).astype(int).tolist())
         assert condense(P).condensed == P
-        cert = rationalize(P, Realization(3, U, V))
-        assert cert.verify() and sympy_rank(cert.matrix) == cert.rank
-        assert max(x.denominator for F in cert.factors for row in F for x in row) > 2**16
+        self.assert_certified_past_first_cap(P, Realization(3, U, V))
 
     def test_singular_at_first_cap(self):
-        # column 1 has zeros in rows 1 and 2; at cap 2^16 row 2 rounds to
-        # (1, 0, 2), the leading 2 x 2 block of the zero rows is singular and
-        # the solve pivots on the last coordinate; at 2^32 it is not
-        U = np.array([[1, 0, 1], [1, 1e-7, 2], [1, 0, 0]])
-        V = np.array([[-1, 0, -1.5], [-1e7, 0, 0], [1, 1, 1]])
+        # column 1 has zeros in rows 1 and 2; at 2^-32 row 2, (1, 3 * 2^-41,
+        # 2), rounds to (1, 0, 2), the leading 2 x 2 block of the zero rows
+        # is singular and the solve pivots on the last coordinate; at 2^-64
+        # it is not, and v_21 solves to -2^41 / 3
+        U = np.array([[1, 0, 1], [1, 3 * 2.0**-41, 2], [1, 0, 0]])
+        V = np.array([[-1, 0, -1.5], [-(2.0**41) / 3, 0, 0], [1, 1, 1]])
         P = SignPattern(["0+-", "0++", "-0-"])
         real = Realization(3, U, V)
         assert real.signed_pattern() == P and condense(P).condensed == P
-        coarse = [[rational_round(float(x), 2**16) for x in row] for row in U]
         with pytest.raises(SingularSystem):
-            solve_zero_columns(coarse, P, 0, V[:, 0])
-        cert = rationalize(P, real)
-        assert cert.verify() and sympy_rank(cert.matrix) == cert.rank
-        assert max(x.denominator for F in cert.factors for row in F for x in row) > 2**16
+            solve_zero_columns(_round_matrix(U, 32), P, 0, V[:, 0])
+        assert solve_zero_columns(_round_matrix(U, 64), P, 0, V[:, 0])[1] == Fraction(-(2**41), 3)
+        self.assert_certified_past_first_cap(P, real)
 
     def test_every_cap_fails(self):
         # 2^-70 rounds to 0 at every cap up to 2^64, which turns entry

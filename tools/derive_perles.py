@@ -102,7 +102,7 @@ def as_quad(value):
 
 
 def verify(d_val, e_val, a_val, c_val, h_val) -> bool:
-    from signrank.exactnum import QuadElem
+    from signrank.scalars import QuadElem
     from signrank.fixtures import A0_PATTERN
     from signrank.geometry import Configuration, encode_configuration
 
