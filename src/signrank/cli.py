@@ -4,6 +4,10 @@ Exit codes: 0 success, 1 negative or inconclusive result, 2 input error,
 3 resource exhausted.  ``--json`` switches stdout to a stable
 machine-readable document.
 
+A subcommand only parses, calls the library and prints: ``fixtures.selfcheck``
+owns the fixture checks, ``svg.render_svg`` the ``--bbox`` checks and
+``MrBounds.reason`` the evidence behind each bound.
+
 Each subcommand imports the modules it calls when it runs, so importing
 this module loads only ``errors`` and a command loads (and, without cached
 bytecode, compiles) what it needs alone:
@@ -35,7 +39,6 @@ import math
 import sys
 
 from .errors import (
-    DomainError,
     FixtureCorrupt,
     Overdetermined,
     PrecisionExhausted,
@@ -100,21 +103,8 @@ def _cmd_mr(args) -> int:
         iters=args.iters,
     )
     bounds = mr_bounds(A, opts)
-    # the most specific evidence for each bound is recorded last
-    lower_ev = next(
-        (e for e in reversed(bounds.evidence) if e[0] in ("lower", "exact") and e[1] == bounds.lower),
-        None,
-    )
-    upper_ev = next(
-        (e for e in reversed(bounds.evidence) if e[0] in ("upper", "exact") and e[1] == bounds.upper),
-        None,
-    )
-    lo_text = lower_ev[2] if lower_ev else "none"
-    up_text = upper_ev[2] if upper_ev else "none"
-    if bounds.lower == bounds.upper:
-        text = f"mr = {bounds.lower} (lower: {lo_text}; upper: {up_text})"
-    else:
-        text = f"mr in [{bounds.lower}, {bounds.upper}] (lower: {lo_text}; upper: {up_text})"
+    value = f"= {bounds.lower}" if bounds.lower == bounds.upper else f"in [{bounds.lower}, {bounds.upper}]"
+    text = f"mr {value} (lower: {bounds.reason('lower')}; upper: {bounds.reason('upper')})"
     doc = {
         "lower": bounds.lower,
         "upper": bounds.upper,
@@ -270,14 +260,7 @@ def _cmd_render(args) -> int:
     from .svg import render_svg
 
     C = load_configuration(args.config)
-    bbox = None
-    if args.bbox:
-        try:
-            bbox = tuple(float(v) for v in args.bbox.split(","))
-        except ValueError:
-            raise DomainError(f"malformed bbox {args.bbox!r}; expected x0,y0,x1,y1")
-        if len(bbox) != 4:
-            raise DomainError(f"bbox needs 4 numbers, got {len(bbox)}")
+    bbox = args.bbox.split(",") if args.bbox else None
     doc_text = render_svg(C, bbox)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(doc_text + "\n")
@@ -298,15 +281,9 @@ def _cmd_fixtures(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
-    from .fixtures import check_encoding, derive_perles_check, fixture
-    from .pattern import is_sns
+    from .fixtures import selfcheck
 
-    checks = list(derive_perles_check().checks)
-    sub = fixture("A0").payload.submatrix((3, 4, 5), (6, 7, 8))
-    if not is_sns(sub):
-        raise FixtureCorrupt("A0 rows {4,5,6} x cols {7,8,9} is not sign-nonsingular")
-    checks.append(("sns", "A0 rows 4,5,6 / cols 7,8,9 is sign-nonsingular"))
-    checks.append(check_encoding("fig21_config", "fig21_pattern"))
+    checks = selfcheck()
     doc = {"ok": True, "checks": [list(c) for c in checks]}
     _emit(args, doc, "\n".join(f"ok  {name}: {detail}" for name, detail in checks))
     return EXIT_OK
@@ -320,6 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--seed", type=int, default=0)
+    budget.add_argument("--restarts", type=int, default=64)
+    budget.add_argument("--iters", type=int, default=5000)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -328,13 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="write the condensed pattern here")
     p.set_defaults(func=_cmd_condense)
 
-    p = sub.add_parser("mr", parents=[common], help="minimum-rank bounds with evidence")
+    p = sub.add_parser("mr", parents=[common, budget], help="minimum-rank bounds with evidence")
     p.add_argument("pattern")
-    p.add_argument("--sns-cap", type=int, default=4, help="largest SNS submatrix size tried")
+    p.add_argument("--sns-cap", type=int, default=4, help="largest SNS block size tried")
     p.add_argument("--try-rank", type=int, default=None, help="also search a realization at this rank")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=64)
-    p.add_argument("--iters", type=int, default=5000)
     p.set_defaults(func=_cmd_mr)
 
     p = sub.add_parser("mr2", parents=[common], help="exact minimum-rank-2 decision")
@@ -346,12 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="write the pattern here")
     p.set_defaults(func=_cmd_encode)
 
-    p = sub.add_parser("realize", parents=[common], help="search a rank-r sign realization")
+    p = sub.add_parser("realize", parents=[common, budget], help="search a rank-r sign realization")
     p.add_argument("pattern")
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=64)
-    p.add_argument("--iters", type=int, default=5000)
     p.add_argument("--direct", action="store_true", help="pin identity signatures")
     p.add_argument("-o", "--output", help="write the realization here")
     p.set_defaults(func=_cmd_realize)

@@ -30,6 +30,17 @@ def _is_bool(value) -> bool:
     return isinstance(value, bool) or getattr(getattr(value, "dtype", None), "kind", None) == "b"
 
 
+def _check_integer(value, what: str, least: int) -> int:
+    """``value`` as an int; DomainError if it is below ``least`` or names no
+    integer: a bool, or one without ``__index__`` (2.5, 3.0, "3")."""
+    if _is_bool(value) or not hasattr(type(value), "__index__"):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    value = operator.index(value)
+    if value < least:
+        raise DomainError(f"{what} must be >= {least}, got {value}")
+    return value
+
+
 class _Record:
     """An immutable value held in ``__slots__``.  A subclass's ``__init__``
     checks its input and ends with ``self._set(...)``, one value per slot in
@@ -125,9 +136,7 @@ class SignPattern(_Record):
 
     @classmethod
     def zeros(cls, m: int, n: int) -> "SignPattern":
-        m, n = operator.index(m), operator.index(n)
-        if m < 0 or n < 0:
-            raise DomainError(f"a sign pattern cannot be {m} x {n}")
+        m, n = _check_integer(m, "rows", 0), _check_integer(n, "columns", 0)
         return cls._trusted(((0,) * n,) * m, m, n)
 
     @classmethod

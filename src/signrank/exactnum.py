@@ -446,11 +446,11 @@ def rationalize(A: SignPattern, real) -> RationalCertificate:
     builds its Fractions.  The certificate stores the factors with their
     product and its exact rank, proven from them.
 
-    Only when the first cap fails are all signs of the float product
-    checked (``signature_between``): a product that does not realize the
-    pattern raises DomainError, never PrecisionExhausted.  So a product
-    that misreads a sign within rounding, but whose rounded factors pass a
-    cap, is certified: the certificate's exact signs are the pattern's.
+    Only when every cap fails are all signs of the float product checked
+    (``signature_between``): a product that does not realize the pattern
+    then raises DomainError, never PrecisionExhausted.  So a product that
+    misreads a sign within rounding, but whose rounded factors pass a cap,
+    is certified: the certificate's exact signs are the pattern's.
     """
     report = condense(A)
     C = report.condensed
@@ -500,14 +500,13 @@ def rationalize(A: SignPattern, real) -> RationalCertificate:
                 # the certificate's one exact rank; verify() stays the
                 # independent check that callers run
                 return RationalCertificate(full, _factored_rank(U, V, full), A, (U, V))
-        # the first cap to fail is the first cap: only then is every sign
-        # of the float product read, and a product off the pattern is the
-        # input's fault, not the schedule's
-        if t == 32 and signature_between(C, real.signed_pattern()) is None:
-            raise DomainError(
-                "realization does not realize the pattern (no signature carries "
-                "its product signs onto the target)"
-            )
+    # every cap failed: only now is every sign of the float product read,
+    # and a product off the pattern is the input's fault, not the schedule's
+    if signature_between(C, real.signed_pattern()) is None:
+        raise DomainError(
+            "realization does not realize the pattern (no signature carries "
+            "its product signs onto the target)"
+        )
     raise PrecisionExhausted(
         "denominator schedule exhausted at 2^64 without exact zeros and signs"
     )

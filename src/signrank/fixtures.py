@@ -11,6 +11,7 @@ stored solution on every run by one exact comparison: the configuration's
 encoding, computed in Q(sqrt5), must equal A0 entry for entry.  That
 equality implies every incidence, every side and the condensation of the
 encoding, so it is the only check; a drift raises FixtureCorrupt.
+``selfcheck`` owns every exact fixture check that the CLI prints.
 """
 
 from __future__ import annotations
@@ -173,26 +174,31 @@ def check_encoding(config_name: str, pattern_name: str) -> tuple:
     return (config_name, f"encodes to {pattern_name} entry for entry")
 
 
-class PerlesReport(NamedTuple):
-    checks: tuple  # (name, detail) pairs, all passed
-    witness: tuple  # the identity pattern.EquivalenceWitness: the encoding is A0
-
-
-def derive_perles_check() -> PerlesReport:
+def derive_perles_check() -> tuple:
     """Exact re-verification of the stored Perles coordinatization: its
     encoding, computed in Q(sqrt5), must equal A0 entry for entry, or
-    FixtureCorrupt is raised.
+    FixtureCorrupt is raised.  Returns the passed check as a (name,
+    detail) pair.
 
     That one equality is the whole proof.  Each stored line passes through
     exactly the points its column of A0 prescribes (zero set, incidence
     counts, the four-point line 1), every other point lies on the side A0
-    gives it, the encoding shares A0's condensation, and the identity
-    witness carries it onto A0.
+    gives it, and the encoding shares A0's condensation.
     """
-    from .pattern import EquivalenceWitness
+    return check_encoding("perles_config", "A0")
 
-    check = check_encoding("perles_config", "A0")
-    return PerlesReport((check,), EquivalenceWitness.identity(9, 9))
+
+def selfcheck() -> tuple:
+    """Every exact fixture check, as (name, detail) pairs: the Perles check,
+    A0 rows 4-6 x cols 7-9 is sign-nonsingular (so mr(A0) >= 3), and
+    fig21_config's encoding.  A failure raises FixtureCorrupt naming it."""
+    from .pattern import is_sns
+
+    perles = derive_perles_check()
+    if not is_sns(fixture("A0").payload.submatrix((3, 4, 5), (6, 7, 8))):
+        raise FixtureCorrupt("A0 rows {4,5,6} x cols {7,8,9} is not sign-nonsingular")
+    return (perles, ("sns", "A0 rows 4,5,6 / cols 7,8,9 is sign-nonsingular"),
+            check_encoding("fig21_config", "fig21_pattern"))
 
 
 def export_fixtures(directory) -> tuple:

@@ -24,7 +24,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Tuple
 
-from .core import SignPattern, _Record, condense
+from .core import SignPattern, _check_integer, _Record, condense
 from .errors import DomainError, VerticalHyperplane
 from .scalars import (
     QuadElem,
@@ -97,8 +97,7 @@ class Configuration(_Record):
     __slots__ = ("dim", "field_d", "points", "hyperplanes")
 
     def __init__(self, dim: int, points: Iterable, hyperplanes: Iterable):
-        if dim < 1:
-            raise DomainError(f"configuration dimension must be >= 1, got {dim}")
+        dim = _check_integer(dim, "configuration dimension", 1)
         pts = tuple(_lift_all(p) for p in points)
         for p in pts:
             if len(p) != dim:

@@ -30,7 +30,7 @@ from .core import (
     CondensationReport,
     DeletionEvent,
     SignPattern,
-    _is_bool,
+    _check_integer,
     _lead_key,
     _propagate_signs,
     condense,
@@ -474,15 +474,6 @@ def _mask(row: tuple, bit: dict) -> int:
     return int("".join(map(bit.__getitem__, reversed(row))), 2)
 
 
-def _check_integer(value, what: str, least: int) -> None:
-    """Refuse a ``value`` below ``least`` or one that names no integer: a
-    bool, or one without ``__index__`` (2.5, 3.0, "3")."""
-    if _is_bool(value) or not hasattr(type(value), "__index__"):
-        raise DomainError(f"{what} must be an integer, got {value!r}")
-    if operator.index(value) < least:
-        raise DomainError(f"{what} must be >= {least}, got {value}")
-
-
 def check_search_budget(restarts: int, iters: int, seed: int) -> None:
     """Refuse a non-integer or negative search budget or seed before any
     search starts, and so before the search loads numpy."""
@@ -617,6 +608,16 @@ class MrBounds(NamedTuple):
     lower: int
     upper: int
     evidence: tuple
+
+    def reason(self, side: str) -> str:
+        """The text of the last ``side`` ("lower" or "upper") or "exact"
+        record at that bound's value, else "none": ``mr_bounds`` records the
+        most specific evidence last."""
+        if side not in ("lower", "upper"):
+            raise DomainError(f"side must be 'lower' or 'upper', got {side!r}")
+        value = self.lower if side == "lower" else self.upper
+        return next((text for kind, v, text in reversed(self.evidence)
+                     if kind in (side, "exact") and v == value), "none")
 
 
 def mr_bounds(A: SignPattern, options: Optional[MrBoundsOptions] = None) -> MrBounds:

@@ -1,5 +1,6 @@
 """Static SVG rendering of planar configurations: points as labeled dots,
-oriented lines clipped to a bounding box with mid-segment arrowheads."""
+oriented lines clipped to a bounding box with mid-segment arrowheads.
+``render_svg`` checks a given bounding box for every caller."""
 
 from __future__ import annotations
 
@@ -62,8 +63,10 @@ def _clip_line(c0: float, c1: float, c2: float, bbox):
     return unique[0], unique[-1]
 
 
-def render_svg(C: Configuration, bbox: Optional[Sequence[float]] = None) -> str:
-    """SVG 1.1 document for a planar configuration."""
+def render_svg(C: Configuration, bbox: Optional[Sequence] = None) -> str:
+    """SVG 1.1 document for a planar configuration.  ``bbox`` is x0, y0, x1,
+    y1, each a number or its text (``"1.5"``); None fits the points.  A bbox
+    that is not 4 numbers, not finite or degenerate raises DomainError."""
     if C.dim != 2:
         raise DomainError("SVG rendering supports planar configurations only")
     points = [_floats(p, f"point {i + 1} coordinate") for i, p in enumerate(C.points)]
@@ -71,7 +74,12 @@ def render_svg(C: Configuration, bbox: Optional[Sequence[float]] = None) -> str:
         _floats(h.coeffs, f"hyperplane {j + 1} coefficient")
         for j, h in enumerate(C.hyperplanes)
     ]
-    box = tuple(float(v) for v in bbox) if bbox is not None else _auto_bbox(points)
+    try:
+        box = tuple(float(v) for v in bbox) if bbox is not None else _auto_bbox(points)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"malformed bbox {bbox!r}; expected x0,y0,x1,y1") from None
+    if len(box) != 4:
+        raise DomainError(f"bbox needs 4 numbers, got {len(box)}")
     if not all(math.isfinite(v) for v in box):
         raise DomainError(f"bounding box must be finite, got {box}")
     x0, y0, x1, y1 = box

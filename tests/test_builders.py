@@ -102,15 +102,15 @@ class TestPatternBuilders:
         assert_as_checked(SignPattern.zeros(3, 4), [[0] * 4] * 3)
         assert_as_checked(SignPattern.zeros(2, 0), [[]] * 2)
         assert_as_checked(SignPattern.zeros(0, 2), [], (0, 2))
-        assert_as_checked(SignPattern.zeros(np.int64(2), True), [[0]] * 2)
+        assert_as_checked(SignPattern.zeros(np.int64(2), np.int64(1)), [[0]] * 2)
         assert trusted_calls
 
     def test_zeros_rejects_bad_shapes(self):
         for m, n in ((-1, 3), (3, -1), (-2, 0)):
             with pytest.raises(DomainError):
                 SignPattern.zeros(m, n)
-        for m, n in ((2.0, 2), (2, "2"), (None, 1)):
-            with pytest.raises(TypeError):
+        for m, n in ((2.0, 2), (2.5, 1), (2, "2"), (None, 1), (2, True)):
+            with pytest.raises(DomainError, match="must be an integer"):
                 SignPattern.zeros(m, n)
 
     def test_condense(self, trusted_calls):

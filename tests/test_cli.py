@@ -1,15 +1,18 @@
 import hashlib
 import json
+import math
 import time
 
 import pytest
 
 from signrank.cli import main
+from signrank.errors import DomainError
 from signrank.exactnum import load_certificate
-from signrank.fixtures import export_fixtures
+from signrank.fixtures import export_fixtures, fixture
 from signrank.geometry import load_configuration
 from signrank.pattern import SignPattern, load_pattern
 from signrank.realize import load_realization
+from signrank.svg import render_svg
 
 from conftest import corrupt_perles, factor_arrays, lift_p5
 
@@ -499,6 +502,18 @@ class TestGeometryCommands:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("bbox", [(1, 2, 3), (1, "a", 3, 4), (math.nan, 0, 1, 1)])
+    def test_render_svg_checks_bbox(self, capsys, fxdir, tmp_path, bbox):
+        # render_svg reads the bbox, for library callers and the CLI alike
+        with pytest.raises(DomainError, match="bbox|bounding box"):
+            render_svg(fixture("fig21_config").payload, bbox)
+        out_file = tmp_path / "e.svg"
+        code, out, err = run(capsys, "render", fxdir / "fig21_config.json", "-o", out_file,
+                             "--bbox", ",".join(map(str, bbox)))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+        assert not out_file.exists()
+
     @pytest.mark.parametrize("bbox", ["nan,0,1,1", "0,0,inf,1"])
     def test_render_non_finite_bbox(self, capsys, fxdir, tmp_path, bbox):
         out_file = tmp_path / "d.svg"
@@ -658,6 +673,13 @@ class TestErrorsAndSelfcheck:
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "perles_config" in err and "Traceback" not in err
+
+    def test_selfcheck_not_sns(self, capsys, monkeypatch):
+        monkeypatch.setattr("signrank.pattern.is_sns", lambda S: False)
+        code, out, err = run(capsys, "selfcheck")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "A0" in err and "Traceback" not in err
 
     def test_fixture_export(self, capsys, tmp_path):
         code, out, _ = run(capsys, "fixtures", "--export", tmp_path / "fx")

@@ -12,9 +12,10 @@ from signrank.fixtures import (
     export_fixtures,
     fixture,
     fixture_names,
+    selfcheck,
 )
 from signrank.geometry import encode_configuration, load_configuration
-from signrank.pattern import EquivalenceWitness, SignPattern, condense, is_sns, load_pattern
+from signrank.pattern import SignPattern, condense, is_sns, load_pattern
 
 from conftest import corrupt_perles, lift_p5, reverse_l6
 
@@ -72,9 +73,19 @@ class TestDerivedConfigurations:
         assert C.field_d == 5
 
     def test_perles_check_passes(self):
-        report = derive_perles_check()
-        assert report.witness == EquivalenceWitness.identity(9, 9)
-        assert [name for name, _ in report.checks] == ["perles_config"]
+        assert derive_perles_check() == ("perles_config", "encodes to A0 entry for entry")
+
+    def test_selfcheck_pairs(self):
+        assert selfcheck() == (
+            derive_perles_check(),
+            ("sns", "A0 rows 4,5,6 / cols 7,8,9 is sign-nonsingular"),
+            ("fig21_config", "encodes to fig21_pattern entry for entry"),
+        )
+
+    def test_selfcheck_not_sns_names_a0(self, monkeypatch):
+        monkeypatch.setattr("signrank.pattern.is_sns", lambda S: False)
+        with pytest.raises(FixtureCorrupt, match="A0 rows"):
+            selfcheck()
 
     @pytest.mark.parametrize("edit", [lift_p5, reverse_l6])
     def test_corrupt_perles_raises(self, monkeypatch, edit):

@@ -542,6 +542,18 @@ class TestConfigurationIO:
         with pytest.raises(DomainError):
             configuration_from_dict({"dim": 2})
 
+    @pytest.mark.parametrize("dim", [True, 2.0, 2.5, "2", None, 0])
+    def test_dim_must_be_a_positive_integer(self, dim):
+        with pytest.raises(DomainError, match="configuration dimension must be"):
+            Configuration(dim, [], [[0, 0, 1]])
+
+    def test_dim_stored_as_int(self):
+        C = Configuration(np.int64(2), [(1, 2)], [[0, 0, 1]])
+        assert type(C.dim) is int and C == Configuration(2, [(1, 2)], [[0, 0, 1]])
+        # documents keep their leniency: 2.0 names the integer 2
+        doc = {"dim": 2.0, "points": [[1, 2]], "hyperplanes": [[0, 0, 1]]}
+        assert configuration_from_dict(doc) == C
+
     def test_sqrt_written_only_for_radical_scalars(self):
         # "sqrt" names the radical of {"r", "s"} scalars; with none it goes
         doc = {"dim": 2, "sqrt": 5, "points": [[1, 2]], "hyperplanes": [[0, 0, 1]]}

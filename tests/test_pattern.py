@@ -14,6 +14,7 @@ from signrank.pattern import (
     CondensationReport,
     DeletionEvent,
     EquivalenceWitness,
+    MrBounds,
     MrBoundsOptions,
     SignPattern,
     condense,
@@ -983,6 +984,25 @@ class TestMrBounds:
     def test_sns_pattern_bound(self):
         b = mr_bounds(SignPattern(["+00", "0+0", "00+"]))
         assert b.lower >= 3
+
+    @pytest.mark.parametrize("P, options, lower, upper", [
+        (A0_PATTERN, None, "SNS 3x3 at rows 1,2,3 / cols 1,2,4", "term rank 9"),
+        (A1_PATTERN, None, "nondecreasing arrangement exists", "nondecreasing arrangement exists"),
+        (A2_PATTERN, None, "nondecreasing arrangement exists", "nondecreasing arrangement exists"),
+        (SignPattern.zeros(2, 2), None, "zero pattern", "zero pattern"),
+        # a skipped search adds only a note, which justifies no bound
+        (A0_PATTERN, MrBoundsOptions(try_rank=2), "SNS 3x3 at rows 1,2,3 / cols 1,2,4",
+         "term rank 9"),
+    ], ids=["A0", "A1", "A2", "zero", "try-rank-note"])
+    def test_reason(self, P, options, lower, upper):
+        b = mr_bounds(P, options)
+        assert (b.reason("lower"), b.reason("upper")) == (lower, upper)
+
+    def test_reason_without_a_record(self):
+        b = MrBounds(1, 2, (("lower", 1, "nonzero pattern"), ("note", None, "n")))
+        assert (b.reason("lower"), b.reason("upper")) == ("nonzero pattern", "none")
+        with pytest.raises(DomainError, match="side"):
+            b.reason("note")
 
     @pytest.mark.parametrize("field, value", [
         ("sns_cap", 2.5), ("sns_cap", True), ("try_rank", 3.0), ("try_rank", False),

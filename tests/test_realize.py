@@ -933,6 +933,20 @@ class TestRationalize:
         with pytest.raises(PrecisionExhausted, match="exhausted at 2\\^64"):
             rationalize(P, real)
 
+    def test_misread_sign_gets_every_cap(self):
+        # entry (1, 1) of the float product is 2^-41, below the zero
+        # tolerance, so the product misreads it as 0 and realizes no
+        # signature of P; at 2^-32 it rounds to 0 too, at 2^-64 it is
+        # exact, and the input is blamed only once every cap has failed
+        U = np.array([[1, 0.5 + 2.0**-40, -(2.0**-41)], [1, -1, 3], [1, 3, -3], [1, 2, 2], [1, 1, -3]])
+        V = np.array([[-0.5, -2, 2, -3, -1], [1, 2, 2, 1, 3], [1, 1, 1, 1, 1]])
+        B = U @ V
+        assert B[0, 0] == 2.0**-41 < DEFAULT_ZERO_TOL
+        P = SignPattern(np.sign(B).astype(int).tolist())
+        real = Realization(3, U, V)
+        assert condense(P).condensed == P and signature_between(P, real.signed_pattern()) is None
+        self.assert_certified_past_first_cap(P, real)
+
     @staticmethod
     def assert_certified_past_first_cap(P, real):
         cert = rationalize(P, real)
