@@ -5,8 +5,9 @@ Exit codes: 0 success, 1 negative or inconclusive result, 2 input error,
 machine-readable document.
 
 A subcommand only parses, calls the library and prints: ``fixtures.selfcheck``
-owns the fixture checks, ``svg.render_svg`` the ``--bbox`` checks and
-``MrBounds.reason`` the evidence behind each bound.
+owns the fixture checks, ``svg.render_svg`` the ``--bbox`` checks,
+``MrBounds.reason`` the evidence behind each bound, and the library every
+default: ``mr`` and ``realize`` pass on only the options the user set.
 
 Each subcommand imports the modules it calls when it runs, so importing
 this module loads only ``errors`` and a command loads (and, without cached
@@ -60,6 +61,11 @@ def _emit(args, document: dict, text: str) -> None:
         print(text)
 
 
+def _given(args, *names) -> dict:
+    """The options among ``names`` that the user set, by name."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _witness_doc(w) -> dict:
     return {
         "row_perm": list(w.row_perm),
@@ -92,17 +98,11 @@ def _cmd_condense(args) -> int:
 
 
 def _cmd_mr(args) -> int:
-    from .pattern import MrBoundsOptions, load_pattern, mr_bounds
+    from .pattern import MrBoundsOptions, SearchParams, load_pattern, mr_bounds
 
     A = load_pattern(args.pattern)
-    opts = MrBoundsOptions(
-        sns_cap=args.sns_cap,
-        try_rank=args.try_rank,
-        seed=args.seed,
-        restarts=args.restarts,
-        iters=args.iters,
-    )
-    bounds = mr_bounds(A, opts)
+    search = SearchParams(**_given(args, "seed", "restarts", "iters"))
+    bounds = mr_bounds(A, MrBoundsOptions(**_given(args, "sns_cap", "try_rank"), search=search))
     value = f"= {bounds.lower}" if bounds.lower == bounds.upper else f"in [{bounds.lower}, {bounds.upper}]"
     text = f"mr {value} (lower: {bounds.reason('lower')}; upper: {bounds.reason('upper')})"
     doc = {
@@ -147,15 +147,14 @@ def _cmd_realize(args) -> int:
     from .pattern import SearchParams, load_pattern, search_realization
 
     A = load_pattern(args.pattern)
-    params = SearchParams(restarts=args.restarts, iters=args.iters, seed=args.seed,
-                          direct=args.direct)
+    params = SearchParams(**_given(args, "seed", "restarts", "iters"), direct=args.direct)
     real = search_realization(A, args.rank, params)
     if real is None:
         # ranks 1 and 2 are decided exactly; the search above that is not
         exact = args.rank <= 2
         if not exact:
             text = (f"no rank-{args.rank} realization found within "
-                    f"{args.restarts} restarts (inconclusive)")
+                    f"{params.restarts} restarts (inconclusive)")
         elif args.direct:
             text = f"no direct rank-{args.rank} realization exists (decided exactly)"
         else:
@@ -298,9 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
     budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--seed", type=int, default=0)
-    budget.add_argument("--restarts", type=int, default=64)
-    budget.add_argument("--iters", type=int, default=5000)
+    budget.add_argument("--seed", type=int)
+    budget.add_argument("--restarts", type=int)
+    budget.add_argument("--iters", type=int)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -311,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mr", parents=[common, budget], help="minimum-rank bounds with evidence")
     p.add_argument("pattern")
-    p.add_argument("--sns-cap", type=int, default=4, help="largest SNS block size tried")
-    p.add_argument("--try-rank", type=int, default=None, help="also search a realization at this rank")
+    p.add_argument("--sns-cap", type=int, help="largest SNS block size tried")
+    p.add_argument("--try-rank", type=int, help="also search a realization at this rank")
     p.set_defaults(func=_cmd_mr)
 
     p = sub.add_parser("mr2", parents=[common], help="exact minimum-rank-2 decision")
@@ -379,6 +378,9 @@ def main(argv=None) -> int:
         return EXIT_NEGATIVE
     except ResourceExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCES
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_RESOURCES
     except UnicodeDecodeError as exc:
         print(f"error: input is not UTF-8 text: {exc}", file=sys.stderr)

@@ -27,8 +27,8 @@ from fractions import Fraction
 from numbers import Real
 from typing import Optional, Sequence
 
-from .core import (CondensationReport, SignPattern, _propagate_signs, _Record, condense,
-                   signature_between)
+from .core import (CondensationReport, SignPattern, _check_integer, _propagate_signs, _Record,
+                   condense, signature_between)
 from .errors import DomainError, Overdetermined, PrecisionExhausted, SingularSystem
 from .scalars import (
     MAX_RADICAL,
@@ -159,7 +159,7 @@ class RationalCertificate(_Record):
             if "U" in doc or "V" in doc:
                 factors = (exact(doc["U"]), exact(doc["V"]))
             target = SignPattern(doc["target"])
-            rank = parse_integer(doc["rank"], "'rank'")
+            rank = parse_integer(doc["rank"], "'rank'", 0)
             return cls(exact(doc["matrix"]), rank, target, factors)
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed certificate document: {exc}") from None
@@ -323,9 +323,7 @@ class Realization(_Record):
     __slots__ = ("r", "U", "V")
 
     def __init__(self, r, U, V):
-        r = parse_integer(r, "'r'")
-        if r < 1:
-            raise DomainError(f"realization rank 'r' must be >= 1, got {r}")
+        r = _check_integer(r, "realization rank 'r'", 1)
         U, V = _float_rows(U), _float_rows(V)
         n = len(V[0]) if V else 0
         if len(V) != r or any(len(row) != n for row in V) or any(len(row) != r for row in U):
@@ -383,7 +381,7 @@ def read_realization(doc) -> Realization:
         r, U, V = doc["r"], doc["U"], doc["V"]
     except KeyError as exc:
         raise DomainError(f"malformed realization document: missing {exc}") from None
-    return Realization(r, U, V)
+    return Realization(parse_integer(r, "realization rank 'r'", 1), U, V)
 
 
 def load_realization(path) -> Realization:

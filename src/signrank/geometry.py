@@ -435,8 +435,8 @@ def configuration_from_dict(doc: dict) -> Configuration:
     missing = {"dim", "points", "hyperplanes"} - set(doc)
     if missing:
         raise DomainError(f"configuration document missing keys {sorted(missing)}")
-    field_d = check_radical(parse_integer(doc.get("sqrt", 1), "configuration 'sqrt'"))
-    dim = parse_integer(doc.get("dim"), "configuration 'dim'")
+    field_d = check_radical(parse_integer(doc.get("sqrt", 1), "configuration 'sqrt'", 1))
+    dim = parse_integer(doc.get("dim"), "configuration 'dim'", 1)
     points = [[parse_scalar(x, field_d) for x in p] for p in _list_entry(doc, "points")]
     hyperplanes = [
         [parse_scalar(c, field_d) for c in h] for h in _list_entry(doc, "hyperplanes")

@@ -474,11 +474,11 @@ def _mask(row: tuple, bit: dict) -> int:
     return int("".join(map(bit.__getitem__, reversed(row))), 2)
 
 
-def check_search_budget(restarts: int, iters: int, seed: int) -> None:
+def check_search_budget(params: "SearchParams") -> None:
     """Refuse a non-integer or negative search budget or seed before any
     search starts, and so before the search loads numpy."""
-    for what, value in (("restarts", restarts), ("iters", iters), ("seed", seed)):
-        _check_integer(value, what, 0)
+    for what in ("restarts", "iters", "seed"):
+        _check_integer(getattr(params, what), what, 0)
 
 
 class SearchParams(NamedTuple):
@@ -522,7 +522,7 @@ def search_realization(A: SignPattern, r: int, params: Optional[SearchParams] = 
     never certifies that no realization exists).
     """
     params = params or SearchParams()
-    check_search_budget(params.restarts, params.iters, params.seed)
+    check_search_budget(params)
     _check_integer(r, "rank", 1)
     from .exactnum import Realization
 
@@ -587,21 +587,25 @@ def has_direct_representation(A: SignPattern, r: int) -> DirectRepresentation:
     no realization means no, and so does one with fewer than r condensed
     rows or columns, since then mr < r.  At r = 2 the witness is built from
     the identity-signed monotone arrangement of the condensed pattern.  For
-    r >= 3 success means yes and exhaustion means unknown (never a proof of
-    no).
+    r >= 3 an ``mr_bounds`` upper bound below r means no, without a search;
+    a realization means yes if the lower bound is r, else unknown, as does
+    exhaustion (never a proof of no).
     """
+    bounds = mr_bounds(A) if _check_integer(r, "rank", 1) >= 3 else None
+    if bounds and bounds.upper < r:
+        return DirectRepresentation("no", None)
     found = search_realization(A, r, SearchParams(direct=True))
-    if found is not None and (r >= 3 or min(len(found.U), len(found.V[0])) >= r):
+    if found is not None and (bounds.lower if bounds else min(len(found.U), len(found.V[0]))) >= r:
         return DirectRepresentation("yes", found)
     return DirectRepresentation("no" if r <= 2 else "unknown", None)
 
 
 class MrBoundsOptions(NamedTuple):
+    """The SNS cap, and the rank and budget of an optional search."""
+
     sns_cap: int = 4
     try_rank: Optional[int] = None
-    seed: int = 0
-    restarts: int = 64
-    iters: int = 5000
+    search: SearchParams = SearchParams()
 
 
 class MrBounds(NamedTuple):
@@ -626,7 +630,7 @@ def mr_bounds(A: SignPattern, options: Optional[MrBoundsOptions] = None) -> MrBo
     kind in {"lower", "upper", "exact", "note"}, one per test that ran."""
     opts = options or MrBoundsOptions()
     _check_integer(opts.sns_cap, "sns_cap", 0)
-    check_search_budget(opts.restarts, opts.iters, opts.seed)
+    check_search_budget(opts.search)
     if opts.try_rank is not None:
         _check_integer(opts.try_rank, "try_rank", 1)
     if A.is_zero():
@@ -672,8 +676,7 @@ def mr_bounds(A: SignPattern, options: Optional[MrBoundsOptions] = None) -> MrBo
                else f"is not below the upper bound {upper}")
         evidence.append(("note", None, f"rank {rank} {why}; no search run"))
     elif rank is not None:
-        params = SearchParams(seed=opts.seed, restarts=opts.restarts, iters=opts.iters)
-        found = search_realization(C, rank, params)
+        found = search_realization(C, rank, opts.search)
         if found is not None:
             evidence.append(("upper", found.r, f"numerical realization at rank {found.r}"))
             upper = min(upper, found.r)

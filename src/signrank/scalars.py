@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 from numbers import Integral
 
-from .core import _Record
+from .core import _check_integer, _Record
 from .errors import DomainError
 
 Rational = Fraction
@@ -244,16 +244,12 @@ def parse_rational(text) -> Fraction:
         raise DomainError(f"malformed rational {text!r}: {exc}") from None
 
 
-def parse_integer(value, what: str) -> int:
-    """An integer field of a document: ``int(value)`` unless that would
-    truncate a float such as 2.5 or read a bool, which name no integer."""
-    try:
-        iv = int(value)
-    except (TypeError, ValueError, OverflowError):
-        iv = None
-    if iv is None or isinstance(value, bool) or (isinstance(value, float) and value != iv):
-        raise DomainError(f"{what} must be an integer, got {value!r}")
-    return iv
+def parse_integer(value, what: str, least: int) -> int:
+    """An integer field of a JSON document: an integral float (JSON's 2.0)
+    reads as its int, and ``core._check_integer`` checks every value."""
+    if isinstance(value, float) and value.is_integer():
+        value = round(value)  # exact: the float is integral
+    return _check_integer(value, what, least)
 
 
 def format_rational(p: int, q: int):

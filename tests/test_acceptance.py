@@ -5,6 +5,7 @@ import itertools
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,7 +77,7 @@ def test_criterion_1_a0_end_to_end():
         assert real is not None, "no rank-3 realization found"
         assert elapsed < 60.0, f"search took {elapsed:.1f}s"
 
-        bounds = mr_bounds(A0, MrBoundsOptions(try_rank=3, seed=0))
+        bounds = mr_bounds(A0, MrBoundsOptions(try_rank=3, search=SearchParams(seed=0)))
         assert (bounds.lower, bounds.upper) == (
             A0_KNOWN_MIN_RANK,
             A0_KNOWN_MIN_RANK,
@@ -308,3 +309,11 @@ def test_criterion_8_explicit_non_claims():
         assert A0_KNOWN_RATIONAL_MIN_RANK == 4
         assert A0_KNOWN_MIN_RANK == 3
         assert "not machine-verified" in fixture("A0").note
+
+
+def test_readme_library_block_runs(capsys):
+    # the README's python block, run as written, keeps up with the API
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("MrBounds(lower=3, upper=3, evidence=")

@@ -10,7 +10,7 @@ from signrank.errors import DomainError
 from signrank.exactnum import load_certificate
 from signrank.fixtures import export_fixtures, fixture
 from signrank.geometry import load_configuration
-from signrank.pattern import SignPattern, load_pattern
+from signrank.pattern import MrBoundsOptions, SearchParams, SignPattern, load_pattern
 from signrank.realize import load_realization
 from signrank.svg import render_svg
 
@@ -88,6 +88,17 @@ class TestMr:
         code, out, _ = run(capsys, "mr", fxdir / "A0.pat", "--try-rank", 3, "--iters", 7)
         assert code == 1
         assert [p.iters for p in seen] == [7]
+
+    def test_unset_options_are_the_library_defaults(self, capsys, fxdir, monkeypatch):
+        import signrank.pattern
+
+        seen = []
+        original = signrank.pattern.mr_bounds
+        monkeypatch.setattr(signrank.pattern, "mr_bounds",
+                            lambda A, opts: seen.append(opts) or original(A, opts))
+        run(capsys, "mr", fxdir / "A0.pat")
+        run(capsys, "mr", fxdir / "A0.pat", "--seed", 3, "--sns-cap", 2)
+        assert seen == [MrBoundsOptions(), MrBoundsOptions(sns_cap=2, search=SearchParams(seed=3))]
 
     def test_try_rank_below_lower_bound_skips_search(self, capsys, fxdir, monkeypatch):
         import signrank.pattern
@@ -336,6 +347,29 @@ class TestRealizeRationalize:
     def test_nonpositive_rank_exits_2(self, capsys, fxdir, rank):
         code, _, err = run(capsys, "realize", fxdir / "A0.pat", "--rank", rank)
         assert code == 2 and err == f"error: rank must be >= 1, got {rank}\n"
+
+    def test_out_of_memory_exits_3(self, capsys, fxdir, monkeypatch):
+        # at --rank 10**12 numpy cannot allocate the factors and raises
+        # MemoryError (once a traceback and exit 1); the stub raises the
+        # same without allocating
+        import signrank.realize
+
+        def exhausted(C, r, params):
+            raise MemoryError(f"Unable to allocate 21.8 TiB for an array with shape ({r}, 3)")
+
+        monkeypatch.setattr(signrank.realize, "_search", exhausted)
+        code, out, err = run(capsys, "realize", fxdir / "A1.pat", "--rank", 10**12)
+        assert code == 3 and out == ""
+        assert err.startswith("error: out of memory: Unable to allocate") and err.count("\n") == 1
+
+    def test_unset_budget_is_the_library_default(self, capsys, fxdir, monkeypatch):
+        import signrank.realize
+
+        seen = []
+        monkeypatch.setattr(signrank.realize, "_search", lambda C, r, params: seen.append(params))
+        code, out, _ = run(capsys, "realize", fxdir / "A0.pat", "--rank", 3)
+        assert code == 1 and seen == [SearchParams()]
+        assert f"within {SearchParams().restarts} restarts (inconclusive)" in out
 
     def test_precision_exhausted_exits_1(self, capsys, tmp_path):
         # 2^-70 rounds to 0 at every denominator cap, flipping entry (1, 1)

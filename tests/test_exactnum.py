@@ -1,5 +1,6 @@
 import math
 import operator
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from signrank.exactnum import (
     check_radical,
     format_rational,
     format_scalar,
+    parse_integer,
     parse_rational,
     parse_scalar,
     quad_sign,
@@ -300,6 +302,22 @@ class TestScalarSyntax:
         # bool is an Integral, but a JSON true names no number
         with pytest.raises(DomainError):
             parse_rational(True)
+
+    def test_integer_field(self):
+        # JSON's 2.0 names the integer 2; the rest goes to core._check_integer
+        for value in (2, 2.0, np.int64(2)):
+            assert type(parse_integer(value, "'k'", 0)) is int and parse_integer(value, "'k'", 0) == 2
+        with pytest.raises(DomainError, match="^'k' must be >= 1, got 0$"):
+            parse_integer(0.0, "'k'", 1)
+
+    @pytest.mark.parametrize("value", [Fraction(5, 2), np.float32(2.5), Decimal("2.5"), 2.5,
+                                       float("inf"), float("nan"), "3", True, None],
+                             ids=["Fraction", "float32", "Decimal", "float", "inf", "nan",
+                                  "string", "bool", "null"])
+    def test_integer_field_never_truncates(self, value):
+        # int() reads the first three as 2
+        with pytest.raises(DomainError, match="^'k' must be an integer, got "):
+            parse_integer(value, "'k'", 0)
 
     def test_quad_object(self):
         q = parse_scalar({"r": "1/2", "s": "-3/4"}, 5)

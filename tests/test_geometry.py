@@ -554,6 +554,15 @@ class TestConfigurationIO:
         doc = {"dim": 2.0, "points": [[1, 2]], "hyperplanes": [[0, 0, 1]]}
         assert configuration_from_dict(doc) == C
 
+    @pytest.mark.parametrize("field, value, error", [
+        ("dim", "2", "'dim' must be an integer"), ("dim", 0, "'dim' must be >= 1"),
+        ("sqrt", "5", "'sqrt' must be an integer"), ("sqrt", 0.0, "'sqrt' must be >= 1"),
+    ])
+    def test_document_integer_fields(self, field, value, error):
+        doc = {"dim": 2, "points": [[1, 2]], "hyperplanes": [[0, 0, 1]], field: value}
+        with pytest.raises(DomainError, match=f"^configuration {error}, got "):
+            configuration_from_dict(doc)
+
     def test_sqrt_written_only_for_radical_scalars(self):
         # "sqrt" names the radical of {"r", "s"} scalars; with none it goes
         doc = {"dim": 2, "sqrt": 5, "points": [[1, 2]], "hyperplanes": [[0, 0, 1]]}

@@ -16,6 +16,7 @@ from signrank.pattern import (
     EquivalenceWitness,
     MrBounds,
     MrBoundsOptions,
+    SearchParams,
     SignPattern,
     condense,
     has_direct_representation,
@@ -1010,13 +1011,18 @@ class TestMrBounds:
     ])
     def test_non_integer_option_rejected(self, field, value):
         # these once ended in a TypeError; try_rank 3.0 ran the search first
+        if field in SearchParams._fields:
+            options = MrBoundsOptions(search=SearchParams(**{field: value}))
+        else:
+            options = MrBoundsOptions(**{field: value})
         with pytest.raises(DomainError, match=f"^{field} must be an integer, got "):
-            mr_bounds(A0_PATTERN, MrBoundsOptions(**{field: value}))
+            mr_bounds(A0_PATTERN, options)
 
     def test_numpy_integer_options_accepted(self):
-        options = MrBoundsOptions(sns_cap=np.int64(3), try_rank=np.int64(3), seed=np.int64(0),
-                                  restarts=np.int64(2), iters=np.int64(200))
-        plain = MrBoundsOptions(sns_cap=3, try_rank=3, seed=0, restarts=2, iters=200)
+        search = SearchParams(seed=np.int64(0), restarts=np.int64(2), iters=np.int64(200))
+        options = MrBoundsOptions(sns_cap=np.int64(3), try_rank=np.int64(3), search=search)
+        plain = MrBoundsOptions(sns_cap=3, try_rank=3,
+                                search=SearchParams(seed=0, restarts=2, iters=200))
         assert mr_bounds(A0_PATTERN, options) == mr_bounds(A0_PATTERN, plain)
 
 

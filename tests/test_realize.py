@@ -496,6 +496,29 @@ class TestSearch:
             P = SignPattern(rows)
             assert search_realization(P, 3, SearchParams(restarts=2, direct=direct)) is None
 
+    @pytest.mark.parametrize("failure", ["degenerate", "signs"])
+    def test_failed_normal_form_moves_to_next_restart(self, monkeypatch, failure):
+        # restart 0's normal form fails, by NumericalDegeneracy or by missing
+        # the signs; restart k draws from seed ^ k, so what the search
+        # returns is restart 0 of seed 1
+        from signrank import realize
+
+        calls = []
+
+        def failing_first(U, V, rng):
+            calls.append(rng)
+            U, V, row_signs, col_signs = _normalize_factors(U, V, rng)
+            if len(calls) == 1 and failure == "degenerate":
+                raise NumericalDegeneracy("rotations failed to clear leading entries")
+            if len(calls) == 1:
+                row_signs = -row_signs  # the target's every nonzero flips
+            return U, V, row_signs, col_signs
+
+        expected = search_realization(FIG21_PATTERN, 3, SearchParams(seed=1, restarts=1))
+        monkeypatch.setattr(realize, "_normalize_factors", failing_first)
+        found = search_realization(FIG21_PATTERN, 3, SearchParams(seed=0, restarts=2))
+        assert expected is not None and found == expected and len(calls) == 2
+
     def test_direct_rank1_needs_plus(self):
         # [-] is realized at rank 1 only with a signature: U = V = [[1]]
         # multiply to +
@@ -695,7 +718,86 @@ class TestCheckSignsEqualsReference:
         assert min(answers.values()) > 300, answers
 
 
+def _reference_polish(U, V, S, free_u, free_v, max_iter=30):
+    """``realize._gauss_newton_zero_polish`` one zero cell and one free entry
+    at a time, with the counts of step halvings and of least-squares solves
+    and whether a line search ran out of its 20 tries, which ends the
+    polish.  Its products are U @ V, as there, so the two agree bit for
+    bit."""
+    r = U.shape[1]
+    cells = [(i, j) for j in range(S.shape[1]) for i in range(S.shape[0]) if S[i, j] == 0]
+    rows, cols = sorted({i for i, _ in cells}), sorted({j for _, j in cells})
+    free_u = [(i, k) for i in rows for k in range(r) if free_u is None or free_u[i, k]]
+    free_v = [(k, j) for j in cols for k in range(r) if free_v is None or free_v[k, j]]
+
+    def residual(U, V):
+        B = U @ V
+        return np.array([B[i, j] for i, j in cells])
+
+    res, halvings, solves = residual(U, V), 0, 0
+    for _ in range(max_iter):
+        if np.max(np.abs(res)) < 1e-13:
+            break
+        J = np.zeros((len(cells), len(free_u) + len(free_v)))
+        for row, (i, j) in enumerate(cells):
+            for col, (a, k) in enumerate(free_u):
+                if a == i:
+                    J[row, col] = V[k, j]
+            for col, (k, b) in enumerate(free_v):
+                if b == j:
+                    J[row, len(free_u) + col] = U[i, k]
+        step = np.linalg.lstsq(J, -res, rcond=None)[0]
+        solves += 1
+        scale = 1.0
+        for _ in range(20):
+            U2, V2 = U.copy(), V.copy()
+            for col, (i, k) in enumerate(free_u):
+                U2[i, k] += scale * step[col]
+            for col, (k, j) in enumerate(free_v):
+                V2[k, j] += scale * step[len(free_u) + col]
+            new = residual(U2, V2)
+            if np.linalg.norm(new) < np.linalg.norm(res):
+                U, V, res = U2, V2, new
+                break
+            scale *= 0.5
+            halvings += 1
+        else:
+            return U, V, halvings, solves, True
+    return U, V, halvings, solves, False
+
+
 class TestZeroPolish:
+    @pytest.mark.parametrize("rows, seed, exhausted", [
+        (["0+-00-", "++00+0", "+000--", "--00--", "+-0+-0", "+--++-"], 0, False),
+        (["-+0+-0+-", "00+--0+-", "00+0-0+0", "0000-+--", "0--+0-0+", "-+-00+-0", "+--000+0"],
+         1, True),
+    ], ids=["halved-steps-taken", "line-search-exhausted"])
+    def test_step_halving_equals_reference(self, monkeypatch, rows, seed, exhausted):
+        # the polish's input from one seeded direct restart at r = 3 (numpy
+        # 2.4.6, x86-64) whose line search halves the step; planted instances
+        # converge at full steps, so no other test halves it
+        from signrank import realize
+
+        captured = []
+        original = realize._gauss_newton_zero_polish
+
+        def recording(U, V, S, free_u, free_v):
+            captured.append((U.copy(), V.copy(), S, free_u, free_v))
+            return original(U, V, S, free_u, free_v)
+
+        monkeypatch.setattr(realize, "_gauss_newton_zero_polish", recording)
+        params = SearchParams(seed=seed, restarts=1, iters=1500, direct=True)
+        search_realization(SignPattern(rows), 3, params)
+        (U0, V0, S, free_u, free_v), = captured
+        solves, lstsq = [], np.linalg.lstsq
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "lstsq",
+                          lambda *args, **kw: solves.append(1) or lstsq(*args, **kw))
+            U, V = original(U0, V0, S, free_u, free_v)
+        U_ref, V_ref, halvings, ref_solves, ran_out = _reference_polish(U0, V0, S, free_u, free_v)
+        assert halvings > 0 and ran_out == exhausted and len(solves) == ref_solves
+        assert np.array_equal(U, U_ref) and np.array_equal(V, V_ref)
+
     def test_converges_quadratically(self):
         # the zero constraints are bilinear in U and V, so Gauss-Newton with
         # the exact Jacobian takes a 1e-3 perturbation of a planted zero set
@@ -773,6 +875,15 @@ class TestRealizationDocument:
     def test_integral_float_r_accepted(self):
         doc = {"r": 2.0, "U": [[1.0, 2.0]], "V": [[1.0], [1.0]]}
         assert Realization.from_dict(doc).r == 2
+
+    @pytest.mark.parametrize("r", [np.float32(3.7), 3.0, Fraction(3), "3"])
+    def test_constructor_reads_r_strictly(self, r):
+        # Realization(np.float32(3.7), U, V) once built a rank-3 realization;
+        # only a document's integral float is read as an integer
+        U, V = [[1.0, 2.0, 0.5]], [[1.0], [2.0], [1.0]]
+        assert Realization(np.int64(3), U, V).r == 3
+        with pytest.raises(DomainError, match="^realization rank 'r' must be an integer, got "):
+            Realization(r, U, V)
 
     def test_empty_condensation_round_trip(self, tmp_path):
         # "U": [] carries no row width; it is read as a 0 x r matrix
@@ -1735,6 +1846,24 @@ class TestDirectRepresentation:
         result = has_direct_representation(FIG21_PATTERN, 3)
         assert result.status == "yes"
         assert result.witness.signed_pattern() == FIG21_PATTERN
+
+    @pytest.mark.parametrize("P, status", [
+        (SignPattern(["+"]), "no"), (A1_PATTERN, "no"), (FIG21_PATTERN, "yes"),
+        (SignPattern(["++-", "+-+"]), "no"),
+    ], ids=["plus", "A1", "fig21", "2x3"])
+    def test_rank3_needs_mr3(self, monkeypatch, P, status):
+        # these once all read yes: a direct search at r = 3 succeeds where
+        # mr_bounds proves mr < 3, and then no search runs
+        from signrank import realize
+
+        if status == "no":
+            monkeypatch.setattr(realize, "_search", lambda *args: pytest.fail("searched"))
+        assert has_direct_representation(P, 3).status == status
+
+    def test_rank_above_lower_bound_is_unknown(self):
+        # A0 has a direct rank-4 realization, but mr(A0) = 3 < 4
+        assert search_realization(A0_PATTERN, 4, SearchParams(direct=True)) is not None
+        assert has_direct_representation(A0_PATTERN, 4) == ("unknown", None)
 
     def test_wrong_rank_is_no(self):
         assert has_direct_representation(SignPattern(["++", "++"]), 2).status == "no"
