@@ -57,8 +57,8 @@ __all__ = ["MAX_RADICAL", "QuadElem", "Rational", "check_radical", "format_ratio
 def rational_round(x: float, max_denominator: int) -> Fraction:
     """Best rational approximation of ``x`` with denominator <= max_denominator.
 
-    The integer continued fraction of x = n/d (a float read exactly by
-    ``as_integer_ratio``) runs until the next convergent's denominator would
+    The integer continued fraction of x = n/d (x read exactly by
+    ``_as_fraction``) runs until the next convergent's denominator would
     pass the cap; the answer is then the last convergent p1/q1 or the
     semiconvergent below the cap, whichever is closer to x.  A tie goes to
     p1/q1, the smaller denominator (at cap 1 both are 1, and p1/q1 is the
@@ -67,12 +67,7 @@ def rational_round(x: float, max_denominator: int) -> Fraction:
     """
     if max_denominator < 1:
         raise DomainError(f"max_denominator must be >= 1, got {max_denominator}")
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise DomainError(f"cannot round non-finite value {x!r}")
-        n, d = x.as_integer_ratio()
-    else:
-        n, d = _as_fraction(x).as_integer_ratio()
+    n, d = _as_fraction(x).as_integer_ratio()
     if d <= max_denominator:
         return Fraction(n, d)
     denominator = d
@@ -116,7 +111,7 @@ class RationalCertificate(_Record):
             if (len(U) != len(matrix) or any(len(row) != len(V) for row in U)
                     or any(len(row) != target.n for row in V)):
                 raise DomainError("certificate factors have inconsistent shapes")
-        self._set(matrix, rank, target, factors)
+        self._set(matrix, _check_integer(rank, "certificate rank", 0), target, factors)
 
     def verify(self) -> bool:
         """Three independent checks: the matrix's signs are the target's,

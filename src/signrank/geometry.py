@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import operator
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence, Tuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import SignPattern, _check_integer, _Record, condense
 from .errors import DomainError, VerticalHyperplane
@@ -35,8 +35,6 @@ from .scalars import (
     parse_scalar,
     root_sign,
 )
-
-Point = Tuple[QuadElem, ...]
 
 
 def _lift_all(values) -> tuple:

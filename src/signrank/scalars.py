@@ -22,9 +22,9 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from numbers import Integral
+from numbers import Integral, Real
 
-from .core import _check_integer, _Record
+from .core import _check_integer, _is_bool, _Record
 from .errors import DomainError
 
 Rational = Fraction
@@ -35,7 +35,9 @@ Rational = Fraction
 MAX_RADICAL = 10**15
 
 
+@functools.lru_cache(maxsize=256)
 def _is_square_free(d: int) -> bool:
+    """Memoized on the int: every radical QuadElem checks its d."""
     # take out each prime p with p^3 <= what is left of d: the cofactor has
     # at most two prime factors, so it is square-free unless it is a square
     p = 2
@@ -48,30 +50,33 @@ def _is_square_free(d: int) -> bool:
     return d == 1 or math.isqrt(d) ** 2 != d
 
 
-@functools.lru_cache(maxsize=256)
 def check_radical(d) -> int:
     """d as an int if it is a square-free integer in 1..MAX_RADICAL, else
-    DomainError.  Memoized: every radical QuadElem checks its d."""
-    if not isinstance(d, Integral) or not 1 <= d <= MAX_RADICAL or not _is_square_free(int(d)):
+    DomainError; ``core._check_integer`` reads it."""
+    d = _check_integer(d, "field index", 1)
+    if d > MAX_RADICAL or not _is_square_free(d):
         raise DomainError(f"field index must be a square-free integer in 1..10^15, got {d!r}")
-    return int(d)
+    return d
 
 
 def _as_fraction(value) -> Fraction:
+    """``value`` as a Fraction: an integer, a Fraction, a finite real number
+    at its exact binary value (numpy floats included) or "p/q" text
+    (``parse_rational``).  A bool, Python or numpy, names no number."""
     if isinstance(value, Fraction):
         # numpy integers survive inside Fraction and poison comparisons
         if type(value.numerator) is int and type(value.denominator) is int:
             return value
         return Fraction(int(value.numerator), int(value.denominator))
-    if isinstance(value, Integral):
-        return Fraction(int(value))
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise DomainError(f"non-finite value {value!r} has no exact representation")
-        return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)
-    raise DomainError(f"cannot convert {value!r} to an exact rational")
+    if _is_bool(value) or not isinstance(value, Real):
+        raise DomainError(f"cannot convert {value!r} to an exact rational")
+    if isinstance(value, Integral):
+        return Fraction(int(value))
+    if not math.isfinite(value):
+        raise DomainError(f"non-finite value {value!r} has no exact representation")
+    return Fraction(*value.as_integer_ratio())
 
 
 class QuadElem(_Record):
@@ -97,14 +102,12 @@ class QuadElem(_Record):
         return cls._rebuild(r, s, d if s else 1)
 
     def __eq__(self, other):
-        if isinstance(other, (Integral, Fraction, float)):
+        if isinstance(other, Real):
             try:
                 other = QuadElem.lift(other)
             except DomainError:
                 return NotImplemented
-        if isinstance(other, QuadElem):
-            return self.r == other.r and self.s == other.s and self.d == other.d
-        return NotImplemented
+        return super().__eq__(other)
 
     def __hash__(self):
         if self.s == 0:
@@ -121,8 +124,7 @@ class QuadElem(_Record):
     def _pair(self, other) -> tuple["QuadElem", int]:
         """The other operand as a QuadElem and the field d of the result;
         d = 1 marks a rational, so only two radicals can clash."""
-        if not isinstance(other, QuadElem):
-            other = QuadElem(other)
+        other = QuadElem.lift(other)
         if other.d == 1:
             return other, self.d
         if self.d != 1 and self.d != other.d:
@@ -167,7 +169,7 @@ class QuadElem(_Record):
         return self.r == 0 and self.s == 0
 
     def sign(self) -> int:
-        return quad_sign(self)
+        return root_sign(self.r, self.s, self.d)
 
     def __lt__(self, other):
         return (self - other).sign() < 0
@@ -200,9 +202,7 @@ def _sgn(value) -> int:
 
 def quad_sign(x) -> int:
     """Exact sign of a rational or quadratic element: one of -1, 0, +1."""
-    if not isinstance(x, QuadElem):
-        return _sgn(_as_fraction(x))
-    return root_sign(x.r, x.s, x.d)
+    return QuadElem.lift(x).sign()
 
 
 def root_sign(r, s, d: int) -> int:
@@ -231,11 +231,10 @@ def root_sign(r, s, d: int) -> int:
 
 
 def parse_rational(text) -> Fraction:
-    """A rational from its text "p/q" or an integer; a bool names no number."""
-    if isinstance(text, bool):
-        raise DomainError(f"expected rational text, got {text!r}")
-    if isinstance(text, Integral):
-        return Fraction(int(text))
+    """A rational from its text "p/q", or an integer read by ``_as_fraction``;
+    a bool names no number."""
+    if isinstance(text, Integral) and not _is_bool(text):
+        return _as_fraction(text)
     if not isinstance(text, str):
         raise DomainError(f"expected rational text, got {text!r}")
     try:

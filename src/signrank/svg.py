@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
+from .core import _is_bool
 from .errors import DomainError
 from .geometry import Configuration
 
@@ -65,8 +66,8 @@ def _clip_line(c0: float, c1: float, c2: float, bbox):
 
 def render_svg(C: Configuration, bbox: Optional[Sequence] = None) -> str:
     """SVG 1.1 document for a planar configuration.  ``bbox`` is x0, y0, x1,
-    y1, each a number or its text (``"1.5"``); None fits the points.  A bbox
-    that is not 4 numbers, not finite or degenerate raises DomainError."""
+    y1, each a number but not a bool, or its text (``"1.5"``); None fits
+    the points.  A malformed, non-finite or degenerate bbox raises DomainError."""
     if C.dim != 2:
         raise DomainError("SVG rendering supports planar configurations only")
     points = [_floats(p, f"point {i + 1} coordinate") for i, p in enumerate(C.points)]
@@ -75,6 +76,8 @@ def render_svg(C: Configuration, bbox: Optional[Sequence] = None) -> str:
         for j, h in enumerate(C.hyperplanes)
     ]
     try:
+        if bbox is not None and any(map(_is_bool, bbox)):
+            raise TypeError  # True == 1, but a bool names no coordinate
         box = tuple(float(v) for v in bbox) if bbox is not None else _auto_bbox(points)
     except (TypeError, ValueError, OverflowError):
         raise DomainError(f"malformed bbox {bbox!r}; expected x0,y0,x1,y1") from None

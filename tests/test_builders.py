@@ -140,6 +140,24 @@ class TestPatternBuilders:
             with pytest.raises(DomainError):
                 EquivalenceWitness((0, 1), (0, 1), (1, 1), signs).apply(A)
 
+    @pytest.mark.parametrize("row_perm", [(0, 0), (-1, 0), (0,), (0, 1, 2)],
+                             ids=["repeated", "negative", "short", "long"])
+    def test_witness_apply_rejects_bad_permutations(self, row_perm):
+        # each line of A is taken once: a repeated row, a negative index
+        # (which Python would wrap to the last row) or a permutation of the
+        # wrong length names no equivalence
+        A = SignPattern(["+-", "0+"])
+        with pytest.raises(DomainError, match="permute"):
+            EquivalenceWitness(row_perm, (0, 1), (1,) * len(row_perm), (1, 1)).apply(A)
+        with pytest.raises(DomainError, match="permute"):
+            EquivalenceWitness((0, 1), row_perm, (1, 1), (1,) * len(row_perm)).apply(A)
+
+    def test_witness_apply_rejects_wrong_sign_counts(self):
+        A = SignPattern(["+-", "0+"])
+        for signs in ((1,), (1, 1, 1)):
+            with pytest.raises(DomainError, match="permute"):
+                EquivalenceWitness((0, 1), (0, 1), signs, (1, 1)).apply(A)
+
     @pytest.mark.parametrize("m,n", EMPTY_SHAPES)
     def test_empty_shapes(self, trusted_calls, m, n):
         P = _empty(m, n)

@@ -3,6 +3,7 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 
 from signrank.cli import main
@@ -536,7 +537,9 @@ class TestGeometryCommands:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("bbox", [(1, 2, 3), (1, "a", 3, 4), (math.nan, 0, 1, 1)])
+    # True == 1, but a bool names no coordinate
+    @pytest.mark.parametrize("bbox", [(1, 2, 3), (1, "a", 3, 4), (math.nan, 0, 1, 1),
+                                      (True, False, 2, 2), (0, 0, np.True_, 1)])
     def test_render_svg_checks_bbox(self, capsys, fxdir, tmp_path, bbox):
         # render_svg reads the bbox, for library callers and the CLI alike
         with pytest.raises(DomainError, match="bbox|bounding box"):

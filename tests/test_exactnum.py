@@ -6,10 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from signrank.core import SignPattern, _check_integer
 from signrank.errors import DomainError
 from signrank.exactnum import (
     MAX_RADICAL,
     QuadElem,
+    RationalCertificate,
+    Realization,
     check_radical,
     format_rational,
     format_scalar,
@@ -20,6 +23,7 @@ from signrank.exactnum import (
     _round_matrix,
     rational_round,
 )
+from signrank.scalars import _as_fraction
 
 from conftest import decimal_value
 
@@ -337,3 +341,81 @@ class TestScalarSyntax:
                 5,
             )
             assert parse_scalar(format_scalar(q), 5) == q
+
+
+# ---------------------------------------------------------------------------
+# One reader per kind of number: integers (``_check_integer``, and
+# ``parse_integer`` for JSON's 2.0), exact rationals (``_as_fraction``) and
+# float realization entries.  A bool, Python or numpy, names no number.
+
+_NUMBERS = {
+    "bool": True, "numpy-bool": np.True_, "int": 2, "int64": np.int64(2), "float": 2.0,
+    "float-half": 2.5, "float32": np.float32(2.5), "Fraction-int": Fraction(2),
+    "Fraction": Fraction(5, 2), "Decimal": Decimal("2.5"), "text": "2", "ratio-text": "5/2", "None": None,
+    "nan": math.nan, "inf": math.inf,
+}
+
+_READERS = {
+    "_check_integer": lambda v: _check_integer(v, "'k'", 0),
+    "parse_integer": lambda v: parse_integer(v, "'k'", 0),
+    "_as_fraction": _as_fraction,
+    "QuadElem": lambda v: QuadElem(v).r,
+    "parse_rational": parse_rational,
+    "check_radical": check_radical,
+    "Realization-entry": lambda v: Realization(2, [[1.0, v]], [[0.0], [1.0]]).U[0][1],
+    "certificate-rank": lambda v: RationalCertificate(((1,),), v, SignPattern(["+"])).rank,
+}
+
+E, Q2, Q = DomainError, Fraction(2), Fraction(5, 2)
+# each reader's value for the numbers above, in order; E is DomainError
+_RULES = {  # bool np.bool 2 int64 2.0 2.5 f32 2/1 5/2 Decimal "2" "5/2" None nan inf
+    "_check_integer":    (E, E, 2, 2, E, E, E, E, E, E, E, E, E, E, E),
+    "parse_integer":     (E, E, 2, 2, 2, E, E, E, E, E, E, E, E, E, E),
+    "_as_fraction":      (E, E, Q2, Q2, Q2, Q, Q, Q2, Q, E, Q2, Q, E, E, E),
+    "QuadElem":          (E, E, Q2, Q2, Q2, Q, Q, Q2, Q, E, Q2, Q, E, E, E),
+    "parse_rational":    (E, E, Q2, Q2, E, E, E, E, E, E, Q2, Q, E, E, E),
+    "check_radical":     (E, E, 2, 2, E, E, E, E, E, E, E, E, E, E, E),
+    "Realization-entry": (E, E, 2.0, 2.0, 2.0, 2.5, 2.5, 2.0, 2.5, E, E, E, E, E, E),
+    "certificate-rank":  (E, E, 2, 2, E, E, E, E, E, E, E, E, E, E, E),
+}
+
+_CELLS = [(reader, name, want) for reader, row in _RULES.items()
+          for name, want in zip(_NUMBERS, row, strict=True)]
+
+
+@pytest.mark.parametrize("reader, name, want", _CELLS,
+                         ids=[f"{reader}-{name}" for reader, name, _ in _CELLS])
+def test_number_rules(reader, name, want):
+    value = _NUMBERS[name]
+    if want is E:
+        with pytest.raises(DomainError):
+            _READERS[reader](value)
+    else:
+        got = _READERS[reader](value)
+        assert got == want and type(got) is type(want)
+
+
+def test_radical_rule_has_no_history():
+    # an earlier call with an equal value of another type answers no later
+    # one: the memo sits behind the integer rule, keyed by the int
+    assert check_radical(np.int64(5)) == 5 and check_radical(1) == 1
+    for d in (5.0, Fraction(5), np.float32(5), True):
+        with pytest.raises(DomainError):
+            check_radical(d)
+        with pytest.raises(DomainError):
+            QuadElem(0, 1, d)
+
+
+def test_operands_read_as_exact_scalars():
+    # arithmetic, comparison and sign read an operand through QuadElem.lift
+    half = QuadElem(Fraction(1, 2))
+    assert half == np.float32(0.5) and half + np.float32(0.5) == 1
+    assert quad_sign(np.float32(-0.5)) == -1 and quad_sign("-1/3") == -1
+    assert half != True and QuadElem(1) != True and QuadElem(1) != math.nan  # noqa: E712
+    for bad in (True, np.True_, math.nan):
+        with pytest.raises(DomainError):
+            quad_sign(bad)
+        with pytest.raises(DomainError):
+            half + bad
+        with pytest.raises(DomainError):
+            half * bad

@@ -57,6 +57,17 @@ class TestSide:
         with pytest.raises(DomainError):
             side((QuadElem(1),), h)
 
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_bool_coordinates_rejected(self, flag):
+        # True == 1, but a bool names no coordinate or coefficient
+        h = OrientedHyperplane((0, 1))
+        with pytest.raises(DomainError):
+            side((flag,), h)
+        with pytest.raises(DomainError):
+            OrientedHyperplane((0, flag))
+        with pytest.raises(DomainError):
+            Configuration(1, [(flag,)], [(0, 1)])
+
 
 class TestHyperplane:
     def test_positive_scaling_canonical(self):

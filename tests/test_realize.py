@@ -1710,6 +1710,42 @@ class TestCertificateWriter:
         back = load_certificate(path)
         assert (back.target.m, back.target.n) == (3, 0) and back.verify()
 
+    def test_every_verified_certificate_round_trips(self, tmp_path):
+        # whatever constructs and verifies also saves and loads back equal;
+        # a rank of True, 1.0 or Fraction(1) once verified as 1, and then was
+        # written as "rank": true or not written at all
+        from signrank.exactnum import load_certificate
+
+        planted = rationalize(FIG21_PATTERN, search_realization(FIG21_PATTERN, 3, SearchParams(seed=4)))
+        plain = TestPlainNumberCertificates()
+        shapes = [
+            (((1,),), SignPattern(["+"]), None),
+            (((1,),), SignPattern(["+"]), (((1,),), ((1,),))),
+            (((0.5, -1),), SignPattern(["+-"]), (((1,),), ((0.5, -1),))),
+            ((tuple(map(np.int64, (3, -2))),), SignPattern(["+-"]), None),
+            (((Fraction(1, 3), 0),), SignPattern(["+0"]), None),
+            ((), SignPattern([]), None),
+            (((), (), ()), SignPattern([[], [], []]), None),
+            (plain.certificate(True).matrix, plain.certificate(True).target, (plain.U, plain.V)),
+            (planted.matrix, planted.target, planted.factors),
+        ]
+        path = tmp_path / "c.cert.json"
+        kept = 0
+        for matrix, target, factors in shapes:
+            for rank in (0, 1, 2, 3, np.int64(1), np.int64(2), True, 1.0, Fraction(1)):
+                try:
+                    cert = RationalCertificate(matrix, rank, target, factors)
+                except DomainError:
+                    assert type(rank) not in (int, np.int64)
+                    continue
+                if cert.verify():
+                    save_certificate(cert, path)
+                    assert load_certificate(path) == cert
+                    kept += 1
+        # each shape verifies at its one rank: given as an int, and as a
+        # numpy integer where that rank is listed twice
+        assert kept == 15
+
     def test_failing_save_keeps_the_file(self, tmp_path):
         # the text is built before the file is opened: an entry with no
         # exact value fails the save and leaves the old file's bytes alone
