@@ -66,12 +66,13 @@ class EquivalenceWitness(NamedTuple):
             col_signs = [_UNIT[s] for s in self.col_signs]
         except (KeyError, TypeError):
             raise DomainError("witness signs must be +1 or -1") from None
-        E, row_perm, col_perm = A.entries, self.row_perm, self.col_perm
+        row_perm = [_check_integer(i, "witness row index", 0) for i in self.row_perm]
+        col_perm = [_check_integer(j, "witness column index", 0) for j in self.col_perm]
         if (sorted(row_perm) != [*range(A.m)] or sorted(col_perm) != [*range(A.n)]
                 or len(row_signs) != A.m or len(col_signs) != A.n):
             raise DomainError(f"witness does not permute and sign the {A.m}x{A.n} pattern's lines")
         entries = tuple(
-            tuple([row_signs[i] * col_signs[j] * E[row_perm[i]][col_perm[j]] for j in range(A.n)])
+            tuple([row_signs[i] * col_signs[j] * A.entries[row_perm[i]][col_perm[j]] for j in range(A.n)])
             for i in range(A.m)
         )
         return SignPattern._trusted(entries, A.m, A.n)

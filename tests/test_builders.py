@@ -140,16 +140,19 @@ class TestPatternBuilders:
             with pytest.raises(DomainError):
                 EquivalenceWitness((0, 1), (0, 1), (1, 1), signs).apply(A)
 
-    @pytest.mark.parametrize("row_perm", [(0, 0), (-1, 0), (0,), (0, 1, 2)],
-                             ids=["repeated", "negative", "short", "long"])
+    @pytest.mark.parametrize("row_perm", [(0, 0), (-1, 0), (0,), (0, 1, 2), (1.0, 0.0),
+                                          (True, False), (0, "a")],
+                             ids=["repeated", "negative", "short", "long", "floats",
+                                  "bools", "text"])
     def test_witness_apply_rejects_bad_permutations(self, row_perm):
-        # each line of A is taken once: a repeated row, a negative index
-        # (which Python would wrap to the last row) or a permutation of the
-        # wrong length names no equivalence
+        # each line of A is taken once, by an integer index: a repeated row,
+        # a negative index (which Python would wrap to the last row), a
+        # permutation of the wrong length, or an index that names no integer
+        # (1.0 and True sort like 1) names no equivalence
         A = SignPattern(["+-", "0+"])
-        with pytest.raises(DomainError, match="permute"):
+        with pytest.raises(DomainError, match="witness"):
             EquivalenceWitness(row_perm, (0, 1), (1,) * len(row_perm), (1, 1)).apply(A)
-        with pytest.raises(DomainError, match="permute"):
+        with pytest.raises(DomainError, match="witness"):
             EquivalenceWitness((0, 1), row_perm, (1, 1), (1,) * len(row_perm)).apply(A)
 
     def test_witness_apply_rejects_wrong_sign_counts(self):
