@@ -41,6 +41,15 @@ def _check_integer(value, what: str, least: int) -> int:
     return value
 
 
+def _check_indices(indices, size: int, what: str) -> list:
+    """``indices`` as ints in range(size), else DomainError names one that
+    is not (Python would wrap -1 to the last line)."""
+    indices = [_check_integer(k, f"{what} index", 0) for k in indices]
+    if max(indices, default=-1) >= size:
+        raise DomainError(f"{what} index {max(indices)} is out of range for {size} {what}s")
+    return indices
+
+
 class _Record:
     """An immutable value held in ``__slots__``.  A subclass's ``__init__``
     checks its input and ends with ``self._set(...)``, one value per slot in
@@ -189,6 +198,12 @@ class SignPattern(_Record):
         return SignPattern._trusted(entries, self.n, self.m)
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "SignPattern":
+        """The pattern on the given rows and columns, in the given order:
+        each index an integer in range, else DomainError names it."""
+        return self._take(_check_indices(rows, self.m, "row"),
+                          _check_indices(cols, self.n, "column"))
+
+    def _take(self, rows: list, cols: list) -> "SignPattern":  # indices known in range
         E = self.entries
         entries = tuple(tuple([E[i][j] for j in cols]) for i in rows)
         return SignPattern._trusted(entries, len(entries), len(cols))
@@ -276,30 +291,44 @@ def condense(A: SignPattern) -> CondensationReport:
     log = []
     rows = _sweep(A.entries, "row", log)
     cols = _sweep(A.transpose().entries, "col", log)
-    return CondensationReport(A.submatrix(rows, cols), tuple(rows), tuple(cols), tuple(log))
+    return CondensationReport(A._take(rows, cols), tuple(rows), tuple(cols), tuple(log))
 
 
 def signature_between(P: SignPattern, Q: SignPattern):
     """Signs (d1, d2) with Q = d1 * P * d2 entry-wise, or None.
 
-    The signs are propagated (``_propagate_signs``) over the cells nonzero
-    in both patterns, each component of rows and columns starting from its
-    first line at + (rows come before columns), and then every cell is
-    checked once: that check rejects unequal zero sets and any conflict the
-    propagation passed over.
+    The signs are propagated (``_signature``) over the cells nonzero in
+    both patterns, and then every cell is checked once: that check rejects
+    unequal zero sets and any conflict the propagation passed over.
     """
     if P.m != Q.m or P.n != Q.n:
         return None
-    m, n = P.m, P.n
-    # P_ij Q_ij: the sign d1_i d2_j must take, or 0 where either is zero;
-    # rows are vertices 0..m-1 and columns m..m+n-1
-    ratio = [[a * b for a, b in zip(p, q)] for p, q in zip(P.entries, Q.entries)]
-    signs = _propagate_signs([0] * (m + n), lambda v: zip(range(m, m + n), ratio[v]) if v < m
-                             else ((k, ratio[k][v - m]) for k in range(m)))
-    d1, d2 = signs[:m], signs[m:]
-    if any(Q.entries[i][j] != d1[i] * P.entries[i][j] * d2[j] for i in range(m) for j in range(n)):
+    # P_ij Q_ij: the sign d1_i d2_j must take, or 0 where either is zero
+    d1, d2 = _signature(P, lambda i, j: P.entries[i][j] * Q.entries[i][j])
+    if any(Q.entries[i][j] != d1[i] * P.entries[i][j] * d2[j]
+           for i in range(P.m) for j in range(P.n)):
         return None
     return tuple(d1), tuple(d2)
+
+
+def _signature(P: SignPattern, ratio) -> tuple:
+    """Signs (d1, d2) propagated (``_propagate_signs``) over P's nonzero
+    cells, rows as vertices 0..m-1 and columns as m..m+n-1, each component
+    from its first line at +: cell (i, j) signs its far end by ``ratio(i,
+    j)`` (0: no edge), read only while that end is unsigned and not at all
+    once every line is signed.  Nothing is checked here."""
+    E, m = P.entries, P.m
+    sign = [0] * (m + P.n)
+
+    def neighbours(v):
+        if 0 not in sign:  # every line is signed, mostly after the first two
+            return ()
+        if v < m:
+            return ((m + j, ratio(v, j)) for j, c in enumerate(E[v]) if c and not sign[m + j])
+        return ((i, ratio(i, v - m)) for i in range(m) if E[i][v - m] and not sign[i])
+
+    _propagate_signs(sign, neighbours)
+    return sign[:m], sign[m:]
 
 
 def _propagate_signs(sign: list, neighbours) -> list:

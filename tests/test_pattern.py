@@ -695,7 +695,9 @@ class TestMaxSns:
         assert size == 3 and rows == (0, 1, 2)
 
     def test_zero_pattern(self):
-        assert max_sns_submatrix(SignPattern.zeros(2, 2)) == (0, (), ())
+        # an empty row's bitmasks are 0, not a ValueError from int("", 2)
+        for m, n in ((2, 2), (2, 0), (0, 2), (0, 0)):
+            assert max_sns_submatrix(SignPattern.zeros(m, n)) == (0, (), ())
 
     def test_negative_cap(self):
         with pytest.raises(DomainError, match="sns_cap"):
