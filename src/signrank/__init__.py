@@ -35,7 +35,6 @@ _HOME = {
     "SignPattern": "core",
     "condense": "core",
     "QuadElem": "scalars",
-    "Rational": "scalars",
     "quad_sign": "scalars",
     "rational_round": "exactnum",
     "RationalCertificate": "exactnum",
@@ -48,11 +47,8 @@ _HOME = {
     "dualize": "geometry",
     "encode_configuration": "geometry",
     "from_factorization": "geometry",
-    "incidence_structure": "geometry",
-    "is_simple": "geometry",
     "side": "geometry",
     "stack": "geometry",
-    "translate": "geometry",
     "EquivalenceWitness": "pattern",
     "MrBounds": "pattern",
     "MrBoundsOptions": "pattern",

@@ -30,28 +30,8 @@ from typing import Optional, Sequence
 from .core import (CondensationReport, SignPattern, _check_integer, _is_bool, _Record,
                    _signature, condense, signature_between)
 from .errors import DomainError, Overdetermined, PrecisionExhausted, SingularSystem
-from .scalars import (
-    MAX_RADICAL,
-    QuadElem,
-    Rational,
-    _as_fraction,
-    _integral,
-    _ratios,
-    check_radical,
-    format_rational,
-    format_scalar,
-    parse_integer,
-    parse_rational,
-    parse_scalar,
-    quad_sign,
-    root_sign,
-)
-
-# the scalars' names that are also looked up here, by callers that import
-# them from exactnum
-__all__ = ["MAX_RADICAL", "QuadElem", "Rational", "check_radical", "format_rational",
-           "format_scalar", "parse_integer", "parse_rational", "parse_scalar", "quad_sign",
-           "root_sign"]
+from .scalars import (_EXACT_NUMBERS, _as_fraction, _integral, _ratios, format_rational,
+                      parse_integer, parse_rational)
 
 
 def rational_round(x: float, max_denominator: int) -> Fraction:
@@ -91,9 +71,10 @@ class RationalCertificate(_Record):
 
     def verify(self) -> bool:
         """Three independent checks: the matrix's signs are the target's,
-        U V == matrix, and the claimed rank is the matrix's.  Entries may be
-        any rational number ``_ratios`` reads (int, float, Fraction, a numpy
-        integer); a non-finite float fails."""
+        U V == matrix, and the claimed rank is the matrix's.  Entries are
+        read by ``_ratios`` (int, float, Fraction, a numpy number, "p/q"
+        text); one that names no exact rational (a non-finite float, a
+        Decimal, None) fails."""
         try:
             ratios = [_ratios(row) for row in self.matrix]  # read once for both checks
             numerators = (map(operator.itemgetter(0), row) for row in ratios)
@@ -104,7 +85,7 @@ class RationalCertificate(_Record):
             U, V = self.factors
             return (_product_equals(U, V, ratios)
                     and _factored_rank(U, V, self.matrix) == self.rank)
-        except (OverflowError, ValueError):  # inf or nan: no exact value
+        except (OverflowError, ValueError):  # DomainError too: no exact value
             return False
 
     def to_dict(self) -> dict:
@@ -204,21 +185,18 @@ def _bareiss_echelon(M):
 
 def rational_rank(M) -> int:
     """Exact rank: the pivot count of the fraction-free echelon form."""
-    return len(_bareiss_echelon(_refuse_bools(M))[1])
+    return len(_bareiss_echelon(M)[1])
 
 
-_EXACT_NUMBERS = frozenset({int, float, Fraction})
-
-
-def _refuse_bools(lines) -> list:
-    """``lines`` as a list; DomainError if an entry is a bool, Python or
-    numpy, which ``_ratios`` would read as a number.  Lines of ints, floats
-    and Fractions alone skip the per-entry test."""
-    lines = list(lines)
-    if not _EXACT_NUMBERS.issuperset(map(type, itertools.chain.from_iterable(lines))):
-        for bad in filter(_is_bool, itertools.chain.from_iterable(lines)):
+def _refuse_bools(lines) -> None:
+    """DomainError if an entry is a bool, Python or numpy: a certificate
+    refuses one when it is built, and ``verify`` fails any other entry that
+    ``_ratios`` refuses.  Lines of ints, floats and Fractions alone skip the
+    per-entry test."""
+    entries = list(itertools.chain.from_iterable(lines))
+    if not _EXACT_NUMBERS.issuperset(map(type, entries)):
+        for bad in filter(_is_bool, entries):
             raise DomainError(f"exact entries must be numbers, got {bad!r}")
-    return lines
 
 
 def _factored_rank(U, V, matrix) -> int:
@@ -554,7 +532,6 @@ def solve_zero_columns(U, A: SignPattern, j: int, column: Sequence) -> tuple:
     multiples solve alike.
     """
     rows = [U[i] for i in range(A.m) if A.entries[i][j] == 0]
-    _refuse_bools([column, *rows])
     ratios = _ratios(column)
     r = len(ratios)
     if len(rows) > r - 1:

@@ -85,9 +85,6 @@ class OrientedHyperplane(_Record):
     def reversed_orientation(self) -> "OrientedHyperplane":
         return OrientedHyperplane([-c for c in self.coeffs])
 
-    def __repr__(self):
-        return f"OrientedHyperplane({[str(float(c)) for c in self.coeffs]})"
-
 
 class Configuration(_Record):
     """Labeled points and oriented hyperplanes over the one field of their scalars."""
@@ -228,53 +225,6 @@ def from_factorization(U, V) -> Configuration:
     return Configuration(r - 1, points, hyperplanes)
 
 
-class SimplicityViolation(NamedTuple):
-    condition: int  # 1..4
-    indices: tuple
-
-    def describe(self) -> str:
-        kinds = {
-            1: "points with identical or opposite positions",
-            2: "hyperplanes with identical or opposite positions",
-            3: "point lying on every hyperplane",
-            4: "hyperplane through every point",
-        }
-        ones = tuple(i + 1 for i in self.indices)
-        return f"condition {self.condition}: {kinds[self.condition]} at {ones}"
-
-
-def is_simple(C: Configuration):
-    """A configuration is simple iff its encoded pattern is condensed.
-    Returns (bool, violations): one violation per line that ``condense``
-    deletes, rows (points) first.  A zero line fails condition 3 or 4; a
-    duplicate or opposite line fails condition 1 or 2 with the pair
-    (survivor, index), so each deleted line is named once, against the
-    earliest line it matches."""
-    violations = []
-    for e in condense(encode_configuration(C)).log:
-        row = e.axis == "row"
-        if e.kind == "zero":
-            violations.append(SimplicityViolation(3 if row else 4, (e.index,)))
-        else:
-            violations.append(SimplicityViolation(1 if row else 2, (e.survivor, e.index)))
-    return (not violations, tuple(violations))
-
-
-def translate(C: Configuration, v: Sequence) -> Configuration:
-    """Shift points by v and adjust c0 so every evaluation is unchanged."""
-    v = _lift_all(v)
-    if len(v) != C.dim:
-        raise DomainError(f"translation vector of dimension {len(v)}, expected {C.dim}")
-    pts = [tuple(x + dx for x, dx in zip(p, v)) for p in C.points]
-    hyps = []
-    for h in C.hyperplanes:
-        shift = h.coeffs[0]
-        for c, dx in zip(h.coeffs[1:], v):
-            shift = shift - c * dx
-        hyps.append((shift,) + h.coeffs[1:])
-    return Configuration(C.dim, pts, hyps)
-
-
 class DualizationResult(NamedTuple):
     configuration: Configuration
     hyperplane_flips: tuple  # hyperplanes re-oriented before taking poles
@@ -293,9 +243,7 @@ def dualize(C: Configuration) -> DualizationResult:
     new_hyps = []
     for i, p in enumerate(C.points):
         if all(x.is_zero() for x in p):
-            raise DomainError(
-                f"point {i + 1} is the origin; translate the configuration first"
-            )
+            raise DomainError(f"point {i + 1} is the origin; move the point off the origin")
         new_hyps.append((-one,) + tuple(p))
     new_pts = []
     flips = []
@@ -303,7 +251,7 @@ def dualize(C: Configuration) -> DualizationResult:
         c0 = h.coeffs[0]
         if c0.is_zero():
             raise DomainError(
-                f"hyperplane {j + 1} passes through the origin; translate the configuration first"
+                f"hyperplane {j + 1} passes through the origin; move the hyperplane off the origin"
             )
         if c0.sign() > 0:
             h = h.reversed_orientation()
@@ -329,7 +277,7 @@ def _pad_dimension(C: Configuration, target_dim: int) -> Configuration:
 
 
 def stack(C1: Configuration, C2: Configuration) -> Configuration:
-    """Block composition: equalize dimensions, then translate C1 far enough
+    """Block composition: equalize dimensions, then lift C1 far enough
     up that every C1 point is above every C2 hyperplane and every C2 point
     below every C1 hyperplane.  The encoded pattern of the result is the
     block pattern [[A1, +], [-, A2]].
@@ -351,11 +299,18 @@ def stack(C1: Configuration, C2: Configuration) -> Configuration:
                     f"hyperplane {j + 1} of the {name} configuration points leftward; "
                     "stacking needs the rightward presentation"
                 )
-        simple, violations = is_simple(cfg)
-        if not simple:
+        # name each line that condense deletes once, against the earliest
+        # line it repeats
+        deleted = []
+        for e in condense(encode_configuration(cfg)).log:
+            line = "point" if e.axis == "row" else "hyperplane"
+            copy = "a duplicate of" if e.kind == "duplicate" else "the opposite of"
+            what = "a zero line" if e.kind == "zero" else f"{copy} {line} {e.survivor + 1}"
+            deleted.append(f"{line} {e.index + 1} is {what}")
+        if deleted:
             raise DomainError(
                 f"the {name} configuration does not encode a condensed pattern: "
-                + "; ".join(v.describe() for v in violations)
+                + "; ".join(deleted)
             )
 
     dim = max(C1.dim, C2.dim)
@@ -378,29 +333,13 @@ def stack(C1: Configuration, C2: Configuration) -> Configuration:
             a, b, q = a2, b2, q2
     delta = QuadElem(Fraction(a, q), Fraction(b, q), d) + 1
 
-    lifted = translate(top, (0,) * (dim - 1) + (delta,))
+    # lift C1: each point's xd up by delta, each hyperplane's c0 down by delta
     return Configuration(
         dim,
-        lifted.points + bottom.points,
-        lifted.hyperplanes + bottom.hyperplanes,
+        [p[:-1] + (p[-1] + delta,) for p in top.points] + list(bottom.points),
+        [(h.coeffs[0] - delta,) + h.coeffs[1:] for h in top.hyperplanes]
+        + list(bottom.hyperplanes),
     )
-
-
-class IncidenceStructure(NamedTuple):
-    point_members: tuple  # per point: frozenset of incident hyperplane indices
-    hyperplane_members: tuple  # per hyperplane: frozenset of incident point indices
-
-
-def incidence_structure(A: SignPattern) -> IncidenceStructure:
-    """Read the zero set of a pattern as a point/hyperplane incidence
-    relation: point i lies on hyperplane j iff entry (i, j) is zero."""
-    point_members = tuple(
-        frozenset(j for j in range(A.n) if A.entries[i][j] == 0) for i in range(A.m)
-    )
-    hyperplane_members = tuple(
-        frozenset(i for i in range(A.m) if A.entries[i][j] == 0) for j in range(A.n)
-    )
-    return IncidenceStructure(point_members, hyperplane_members)
 
 
 # Configuration file format (JSON): {"dim": 2, "sqrt": 5, "points": [...],

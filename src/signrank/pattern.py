@@ -26,24 +26,12 @@ import operator
 from collections import Counter
 from typing import NamedTuple, Optional
 
-from .core import (
-    CondensationReport,
-    DeletionEvent,
-    SignPattern,
-    _check_integer,
-    _lead_key,
-    _propagate_signs,
-    condense,
-    load_pattern,
-    save_pattern,
-    signature_between,
-)
+from .core import (CondensationReport, SignPattern, _check_integer, _lead_key, _propagate_signs,
+                   condense, load_pattern)
 from .errors import DomainError, ResourceExhausted
 
-# core's names that are also looked up here: by the benchmark
-# (tracing.TRACED, workloads) and by callers that import them from pattern
-__all__ = ["CondensationReport", "DeletionEvent", "SignPattern", "condense", "load_pattern",
-           "save_pattern", "signature_between"]
+# core's names that the benchmark looks up here (tracing.TRACED, workloads)
+__all__ = ["SignPattern", "condense", "load_pattern"]
 
 _UNIT = {1: 1, -1: -1}
 

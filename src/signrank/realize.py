@@ -36,17 +36,14 @@ from .exactnum import (
     rational_rank,
     rationalize,
     save_certificate,
-    save_realization,
     solve_zero_columns,
 )
 from .pattern import SearchParams, SignPattern, search_realization
 
-# names that are looked up here: the entry point of the search and its
-# budget, and exactnum's names, by the benchmark (tracing.TRACED,
-# workloads) and by callers of the search that save its result
+# names that the benchmark looks up here (tracing.TRACED, workloads): the
+# entry point of the search, its budget and exactnum's certificate layer
 __all__ = ["RationalCertificate", "SearchParams", "load_realization", "rational_rank",
-           "rationalize", "save_certificate", "save_realization", "search_realization",
-           "solve_zero_columns"]
+           "rationalize", "save_certificate", "search_realization", "solve_zero_columns"]
 
 DEFAULT_MARGIN = 1e-2
 

@@ -27,8 +27,6 @@ from numbers import Integral, Real
 from .core import _check_integer, _is_bool, _Record
 from .errors import DomainError
 
-Rational = Fraction
-
 
 # The largest radical d: its square-free test divides by p up to d^(1/3)
 # <= 10^5, a few milliseconds.
@@ -278,17 +276,23 @@ def format_scalar(value: QuadElem):
             "s": format_rational(*value.s.as_integer_ratio())}
 
 
+# the entry types that ``_ratios`` reads by their own as_integer_ratio()
+_EXACT_NUMBERS = frozenset({int, float, Fraction})
+
+
 def _ratios(line) -> list:
     """Each entry of a line as its integer ratio (p, q), q > 0, in Python
-    ints.  A line that does not read so (a numpy integer, a Fraction built
-    around one, a non-finite float) is read by ``_as_fraction``, which
-    normalizes the first two and rejects the last with DomainError."""
-    try:
-        ratios = [x.as_integer_ratio() for x in line]
-        if all(type(p) is int and type(q) is int for p, q in ratios):
-            return ratios
-    except (AttributeError, OverflowError, ValueError):
-        pass
+    ints.  A line of ints, floats and Fractions alone reads each entry's
+    ``as_integer_ratio()``; any other line (a bool, a numpy number, a
+    Decimal, text), a non-finite float and a Fraction built around numpy
+    integers go through ``_as_fraction``, the one rule for exact rationals."""
+    if _EXACT_NUMBERS.issuperset(map(type, line)):
+        try:
+            ratios = [x.as_integer_ratio() for x in line]
+            if all(type(p) is int and type(q) is int for p, q in ratios):
+                return ratios
+        except (OverflowError, ValueError):
+            pass
     return [_as_fraction(x).as_integer_ratio() for x in line]
 
 

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 from signrank import fixtures
-from signrank.exactnum import QuadElem
+from signrank.core import SignPattern
 from signrank.geometry import Configuration, encode_configuration
-from signrank.pattern import EquivalenceWitness, SignPattern
+from signrank.pattern import EquivalenceWitness
+from signrank.scalars import QuadElem
 
 
 def factor_arrays(real):

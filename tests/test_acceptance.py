@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from signrank import kernels
+from signrank.core import SignPattern, condense
 from signrank.errors import Overdetermined
 from signrank.fixtures import (
     A0_KNOWN_MIN_RANK,
@@ -28,17 +29,16 @@ from signrank.geometry import (
 )
 from signrank.pattern import (
     MrBoundsOptions,
-    SignPattern,
-    condense,
+    SearchParams,
     has_direct_representation,
     is_equivalent,
     is_mr2,
     is_sns,
     max_sns_submatrix,
     mr_bounds,
+    search_realization,
     term_rank,
 )
-from signrank.realize import SearchParams, search_realization
 
 from conftest import (
     factorial_term_rank,

@@ -13,8 +13,9 @@ records that justify the bounds that disagree.
 import numpy as np
 import pytest
 
+from signrank.core import SignPattern
 from signrank.fixtures import A0_PATTERN, A1_PATTERN, A2_PATTERN
-from signrank.pattern import SignPattern, mr_bounds
+from signrank.pattern import mr_bounds
 
 from conftest import random_pattern, random_witness
 

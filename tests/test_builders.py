@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 
 from signrank import exactnum, pattern
+from signrank.core import SignPattern, condense
 from signrank.errors import DomainError
 from signrank.geometry import Configuration, encode_configuration
-from signrank.pattern import EquivalenceWitness, SignPattern, condense, is_mr2
+from signrank.pattern import EquivalenceWitness, is_mr2
+from signrank.scalars import quad_sign
 
 from conftest import random_pattern, random_planar_config, random_witness
 
@@ -233,7 +235,7 @@ class TestGeometryBuilders:
         rng = np.random.default_rng(9)
         for _ in range(6):
             C = random_planar_config(rng, int(rng.integers(2, 8)), int(rng.integers(1, 8)))
-            rows = [[exactnum.quad_sign(h.evaluate(p)) for h in C.hyperplanes] for p in C.points]
+            rows = [[quad_sign(h.evaluate(p)) for h in C.hyperplanes] for p in C.points]
             assert_as_checked(encode_configuration(C), rows)
         assert_as_checked(encode_configuration(Configuration(2, [], [[0, 0, 1]])), [], (0, 1))
         assert trusted_calls

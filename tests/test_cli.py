@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from signrank.cli import main
+from signrank.core import SignPattern, load_pattern
 from signrank.errors import DomainError
-from signrank.exactnum import load_certificate
+from signrank.exactnum import load_certificate, load_realization
 from signrank.fixtures import export_fixtures, fixture
 from signrank.geometry import load_configuration
-from signrank.pattern import MrBoundsOptions, SearchParams, SignPattern, load_pattern
-from signrank.realize import load_realization
+from signrank.pattern import MrBoundsOptions, SearchParams
 from signrank.svg import render_svg
 
 from conftest import corrupt_perles, factor_arrays, lift_p5
@@ -473,7 +473,7 @@ class TestGeometryCommands:
             json.dumps({"dim": 2, "points": [[0, 0]], "hyperplanes": [[-1, 0, 1]]})
         )
         code, out, err = run(capsys, "dual", cfg, "-o", tmp_path / "d.json")
-        assert code == 2 and "translate" in err
+        assert code == 2 and "point 1 is the origin; move the point off the origin" in err
 
     def test_dual_sqrt5(self, capsys, tmp_path):
         cfg = tmp_path / "q5.json"

@@ -9,10 +9,17 @@ import pytest
 from signrank.core import SignPattern, _check_integer
 from signrank.errors import DomainError
 from signrank.exactnum import (
-    MAX_RADICAL,
-    QuadElem,
     RationalCertificate,
     Realization,
+    _round_matrix,
+    rational_round,
+    rational_rank,
+    solve_zero_columns,
+)
+from signrank.scalars import (
+    MAX_RADICAL,
+    QuadElem,
+    _as_fraction,
     check_radical,
     format_rational,
     format_scalar,
@@ -20,12 +27,7 @@ from signrank.exactnum import (
     parse_rational,
     parse_scalar,
     quad_sign,
-    _round_matrix,
-    rational_round,
-    rational_rank,
-    solve_zero_columns,
 )
-from signrank.scalars import _as_fraction
 
 from conftest import decimal_value
 
@@ -385,10 +387,11 @@ _RULES = {  # bool np.bool 2 int64 2.0 2.5 f32 2/1 5/2 Decimal "2" "5/2" None na
     "certificate-rank":  (E, E, 2, 2, E, E, E, E, E, E, E, E, E, E, E),
     "rational_round-cap": (E, E, 2, 2, E, E, E, E, E, E, E, E, E, E, E),
     "submatrix-index":   (E, E, "0", "0", E, E, E, E, E, E, E, E, E, E, E),
-    # a Decimal reads as its exact value here (``_ratios``), unlike above
-    "rational_rank-entry": (E, E, 1, 1, 1, 2, 2, 1, 2, 2, 1, 2, E, E, E),
-    "solve_zero_columns-entry": (E, E, Q2, Q2, Q2, Q, Q, Q2, Q, Q, Q2, Q, E, E, E),
-    "certificate-entry": (E, E, True, True, True, True, True, True, True, True, True, True,
+    # ``_ratios`` reads a Decimal as ``_as_fraction`` does: a certificate
+    # holding one is built, and fails verify()
+    "rational_rank-entry": (E, E, 1, 1, 1, 2, 2, 1, 2, E, 1, 2, E, E, E),
+    "solve_zero_columns-entry": (E, E, Q2, Q2, Q2, Q, Q, Q2, Q, E, Q2, Q, E, E, E),
+    "certificate-entry": (E, E, True, True, True, True, True, True, True, False, True, True,
                           False, False, False),
     "certificate-factor": (E, E, True, True, True, False, False, True, False, False, True, False,
                            False, False, False),

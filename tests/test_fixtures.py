@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from signrank.core import SignPattern, condense, load_pattern
 from signrank.errors import FixtureCorrupt, SignRankError
 from signrank.fixtures import (
     A0_KNOWN_MIN_RANK,
@@ -15,7 +16,7 @@ from signrank.fixtures import (
     selfcheck,
 )
 from signrank.geometry import encode_configuration, load_configuration
-from signrank.pattern import SignPattern, condense, is_sns, load_pattern
+from signrank.pattern import is_sns
 
 from conftest import corrupt_perles, lift_p5, reverse_l6
 

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import signrank
-from signrank.core import _Record
+from signrank.core import SignPattern, _Record, condense
 from signrank.errors import DomainError, VerticalHyperplane
-from signrank.exactnum import QuadElem, RationalCertificate, Realization, quad_sign
+from signrank.exactnum import RationalCertificate, Realization
 from signrank.fixtures import A0_PATTERN, FIG21_PATTERN, fixture
 from signrank.geometry import (
     Configuration,
@@ -22,19 +22,32 @@ from signrank.geometry import (
     dualize,
     encode_configuration,
     from_factorization,
-    incidence_structure,
-    is_simple,
     side,
     stack,
-    translate,
 )
-from signrank.pattern import SignPattern, condense, is_mr2
+from signrank.pattern import is_mr2
+from signrank.scalars import QuadElem, quad_sign
 
 from conftest import random_origin_avoiding_config, random_planar_config
 
 
 def _fig21():
     return fixture("fig21_config").payload
+
+
+def _translated(C, v):
+    """C with every point moved by v and each hyperplane's c0 adjusted so
+    that every evaluation stays as it was."""
+    v = [QuadElem.lift(x) for x in v]
+    points = [tuple(x + dx for x, dx in zip(p, v)) for p in C.points]
+    hyperplanes = [(h.coeffs[0] - sum((c * dx for c, dx in zip(h.coeffs[1:], v)), QuadElem(0)),)
+                   + h.coeffs[1:] for h in C.hyperplanes]
+    return Configuration(C.dim, points, hyperplanes)
+
+
+def _condensed(C):
+    """Whether C encodes a condensed pattern, as ``stack`` requires."""
+    return not condense(encode_configuration(C)).log
 
 
 class TestSide:
@@ -83,9 +96,15 @@ class TestHyperplane:
         with pytest.raises(DomainError):
             OrientedHyperplane([3, 0, 0])
 
+    def test_repr_prints_exact_coefficients(self):
+        # a coefficient past the float range prints exactly, as every record does
+        h = OrientedHyperplane([10**400, 1, 1])
+        assert repr(h) == f"OrientedHyperplane(coeffs={h.coeffs!r})"
+        assert repr(QuadElem(10**400)) in repr(h)
+
     def test_unit_scale_divides_nothing(self, monkeypatch):
-        """A rightward hyperplane (cd = +1), and so every one ``translate``
-        rebuilds, keeps its lifted coefficients without a division."""
+        """A rightward hyperplane (cd = +1), and so every one that ``stack``
+        lifts, keeps its lifted coefficients without a division."""
         r5 = QuadElem(0, 1, 5)
         C = Configuration(2, [(1, r5)], [[r5, -2, 1], [3, 0, 1]])
 
@@ -95,7 +114,7 @@ class TestHyperplane:
         monkeypatch.setattr(QuadElem, "__truediv__", no_division)
         h = OrientedHyperplane([Fraction(1, 2), r5, 1])
         assert h.coeffs == (QuadElem(Fraction(1, 2)), r5, QuadElem(1))
-        moved = translate(C, [1, -1])
+        moved = _translated(C, [1, -1])
         assert moved.hyperplanes == (OrientedHyperplane([r5 + 3, -2, 1]),
                                      OrientedHyperplane([4, 0, 1]))
         assert configuration_from_dict(configuration_to_dict(C)) == C
@@ -236,13 +255,13 @@ class TestIntegerProduct:
         # so the largest requirement is also picked by its radical part
         rng = np.random.default_rng(2942)
         q5 = (_q5_config(rng, 5, 5) for _ in itertools.count())
-        simple = [C for C in _seeded_configs() if C.dim == 2 and is_simple(C)[0]]
-        simple += list(itertools.islice((C for C in q5 if is_simple(C)[0]), 4))
+        simple = [C for C in _seeded_configs() if C.dim == 2 and _condensed(C)]
+        simple += list(itertools.islice(filter(_condensed, q5), 4))
         for C1, C2 in itertools.permutations(simple, 2):
             requirements = [-h.evaluate(p) for p in C1.points for h in C2.hyperplanes]
             requirements += [h.evaluate(p) for p in C2.points for h in C1.hyperplanes]
             delta = max([QuadElem(0), *requirements]) + 1
-            lifted = translate(C1, (0, delta))
+            lifted = _translated(C1, (0, delta))
             expected = Configuration(2, lifted.points + C2.points,
                                      lifted.hyperplanes + C2.hyperplanes)
             S = stack(C1, C2)
@@ -324,65 +343,50 @@ class TestFromFactorization:
 
 
 class TestSimple:
+    """A configuration is simple when it encodes a condensed pattern.
+    ``stack`` refuses one that is not and names each line that condensing
+    deletes."""
+
     def test_fig21_simple(self):
-        simple, violations = is_simple(_fig21())
-        assert simple and not violations
+        S = stack(_fig21(), _parallel_mr2_config())
+        assert encode_configuration(S).submatrix(range(3), range(3)) == FIG21_PATTERN
 
     def test_coincident_points(self):
         C = Configuration(2, [(0, 1), (0, 1)], [[0, 0, 1]])
-        simple, violations = is_simple(C)
-        assert not simple
-        assert any(v.condition == 1 for v in violations)
+        with pytest.raises(DomainError, match="first configuration .*: point 2 is a duplicate "
+                                              "of point 1$"):
+            stack(C, _parallel_mr2_config())
 
     def test_point_on_single_line(self):
         C = Configuration(2, [(0, 0)], [[0, 0, 1]])
-        simple, violations = is_simple(C)
-        assert not simple
-        assert {v.condition for v in violations} == {3, 4}
+        with pytest.raises(DomainError, match=": point 1 is a zero line; hyperplane 1 is a "
+                                              "zero line$"):
+            stack(C, _parallel_mr2_config())
 
     def test_each_deleted_line_named_once(self):
-        # three coincident points: the second and third each against the
-        # first, never against each other
-        C = Configuration(2, [(0, 1), (0, 1), (0, 1)], [[0, 1, 1]])
-        simple, violations = is_simple(C)
-        assert not simple
-        assert [(v.condition, v.indices) for v in violations] == [(1, (0, 1)), (1, (0, 2))]
+        # the second and third points each against the first, never against
+        # each other
+        C = Configuration(2, [(0, 1), (0, 1), (0, -1)], [[0, 1, 1]])
+        with pytest.raises(DomainError, match="second configuration .*: point 2 is a duplicate "
+                                              "of point 1; point 3 is the opposite of point 1$"):
+            stack(_parallel_mr2_config(), C)
 
     def test_no_points(self):
         # the encoded pattern of a configuration without points is 0 x n:
         # each hyperplane passes through every point (there is none), so
-        # each is a zero column that condense deletes, condition 4
+        # each is a zero column that condense deletes
         for hyperplanes in ([], [[0, 0, 1]], [[0, 1, 1], [0, -1, 2]]):
             C = configuration_from_dict({"dim": 2, "points": [], "hyperplanes": hyperplanes})
             P = encode_configuration(C)
             assert (P.m, P.n) == (0, len(hyperplanes))
             assert (P.transpose().m, P.transpose().n) == (len(hyperplanes), 0)
-            violations = tuple((4, (j,)) for j in range(len(hyperplanes)))
-            assert is_simple(C) == (not hyperplanes, violations)
-
-    def test_matches_condensation(self):
-        rng = np.random.default_rng(19)
-        for _ in range(40):
-            C = random_planar_config(rng, 4, 4)
-            P = encode_configuration(C)
-            assert is_simple(C)[0] == (condense(P).condensed == P)
-
-
-class TestRigidMotions:
-    def test_translate_identity(self):
-        C = _fig21()
-        assert translate(C, (0, 0)) == C
-
-    def test_translate_preserves_pattern(self):
-        C = translate(_fig21(), (100, -7))
-        assert encode_configuration(C) == FIG21_PATTERN
-
-    def test_translate_preserves_evaluation_values(self):
-        C = _fig21()
-        C2 = translate(C, (Fraction(5, 3), Fraction(-7, 2)))
-        for p, p2 in zip(C.points, C2.points):
-            for h, h2 in zip(C.hyperplanes, C2.hyperplanes):
-                assert h.evaluate(p) == h2.evaluate(p2)
+            if not hyperplanes:
+                assert stack(C, _parallel_mr2_config()) == _parallel_mr2_config()
+                continue
+            deleted = "; ".join(f"hyperplane {j + 1} is a zero line"
+                                for j in range(len(hyperplanes)))
+            with pytest.raises(DomainError, match=f": {deleted}$"):
+                stack(C, _parallel_mr2_config())
 
 
 class TestDualize:
@@ -522,21 +526,6 @@ class TestStack:
         assert exc.value.index == 1
 
 
-class TestIncidence:
-    def test_a0_first_column(self):
-        inc = incidence_structure(A0_PATTERN)
-        assert inc.hyperplane_members[0] == frozenset({0, 1, 4, 5})
-
-    def test_all_plus_empty(self):
-        inc = incidence_structure(SignPattern(["++", "++"]))
-        assert all(not s for s in inc.hyperplane_members)
-        assert all(not s for s in inc.point_members)
-
-    def test_fig21_line2(self):
-        inc = incidence_structure(FIG21_PATTERN)
-        assert inc.hyperplane_members[1] == frozenset({1, 2})
-
-
 class TestConfigurationIO:
     def test_roundtrip(self):
         C = fixture("perles_config").payload
@@ -619,12 +608,11 @@ class TestDerivedField:
     @pytest.mark.parametrize(
         "transform",
         [
-            lambda C: translate(C, (Fraction(1, 3), Fraction(1, 7))),
-            lambda C: dualize(translate(C, (Fraction(1, 3), Fraction(1, 7)))).configuration,
+            lambda C: dualize(_translated(C, (Fraction(1, 3), Fraction(1, 7)))).configuration,
             lambda C: stack(C, _parallel_mr2_config()),
             lambda C: stack(_parallel_mr2_config(), C),
         ],
-        ids=["translate", "dualize", "stack", "stack_under"],
+        ids=["dualize", "stack", "stack_under"],
     )
     def test_perles_transforms_keep_field(self, transform):
         C = transform(fixture("perles_config").payload)

@@ -1,6 +1,8 @@
 """Every module in src/signrank uses each name it imports, every
 function reads each local it assigns, every module-level private name
-is used somewhere in the package, no module imports ``dataclasses``
+is used somewhere in the package, every name the package hands out is
+read by a module of the package or the benchmark or is documented in the
+README's Library section, no module imports ``dataclasses``
 (whose import and per-class ``exec`` cost each CLI process ~20 ms), and
 only ``core._Record`` decides how a record is frozen and pickled.
 
@@ -13,11 +15,15 @@ it as a name or an attribute.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "signrank"
+import signrank
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "signrank"
 
 
 def unused_imports(source: str):
@@ -141,6 +147,54 @@ def test_checker_finds_unreferenced_privates():
 def test_no_unreferenced_privates():
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     assert unreferenced_privates(sources) == []
+
+
+def read_names(source: str) -> set:
+    """The names that ``source`` loads as a name or an attribute (the rule of
+    ``unreferenced_privates``), and the parts of each dotted string such as
+    "pattern.condense", as the benchmark's tracer names what it wraps."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and "." in node.value:
+            parts = node.value.split(".")
+            if all(map(str.isidentifier, parts)):
+                found.update(parts)
+    return found
+
+
+def unread_public_names(names, sources, texts) -> list:
+    """The names that no source in ``sources`` reads (``read_names``) and no
+    text in ``texts`` names as a word: public names with no caller."""
+    read = set().union(*map(read_names, sources))
+    return sorted(name for name in names if name not in read
+                  and not any(re.search(rf"\b{name}\b", text) for text in texts))
+
+
+def test_checker_finds_unread_public_names():
+    sources = [
+        "import x\nx.called()\nloaded = 1\nprint(loaded)\nstored = 2\n",
+        'TRACED = ("mod.traced", "not a path.hidden")\ndef defined():\n    return 0\n',
+    ]
+    texts = ["`documented(x)` and `documented_too`"]
+    names = ["called", "loaded", "stored", "traced", "hidden", "defined", "documented",
+             "documented_to"]
+    assert unread_public_names(names, sources, texts) == [
+        "defined", "documented_to", "hidden", "stored"]
+
+
+def test_every_public_name_is_read():
+    # a module of the package other than the lazy map, the benchmark, or
+    # the README's Library section
+    sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))
+               if path.name != "__init__.py"]
+    sources += [path.read_text(encoding="utf-8") for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    library = re.search(r"^## Library\n(.*?)(?=^## |\Z)", readme, re.S | re.M).group(1)
+    assert unread_public_names(signrank._HOME, sources, [library]) == []
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

@@ -7,18 +7,15 @@ import numpy as np
 import pytest
 
 from signrank import pattern, realize
-from signrank.core import load_pattern, save_pattern
+from signrank.core import (CondensationReport, DeletionEvent, SignPattern, condense, load_pattern,
+                           save_pattern)
 from signrank.errors import DomainError, PatternFormatError, ResourceExhausted
 from signrank.fixtures import A0_PATTERN, A1_PATTERN, A2_PATTERN
 from signrank.pattern import (
-    CondensationReport,
-    DeletionEvent,
     EquivalenceWitness,
     MrBounds,
     MrBoundsOptions,
     SearchParams,
-    SignPattern,
-    condense,
     has_direct_representation,
     is_equivalent,
     is_mr2,

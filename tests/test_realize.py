@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from signrank import kernels
+from signrank.core import SignPattern, condense, signature_between
 from signrank.errors import (
     DomainError,
     NumericalDegeneracy,
@@ -25,21 +26,16 @@ from signrank.exactnum import (
     _bareiss_echelon,
     _forest_signature,
     _round_matrix,
+    load_realization,
     rational_rank,
     rationalize,
     read_realization,
     save_certificate,
+    save_realization,
     solve_zero_columns,
 )
-from signrank.pattern import (SignPattern, condense, has_direct_representation, is_mr2,
-                              signature_between)
-from signrank.realize import (
-    SearchParams,
-    _normalize_factors,
-    load_realization,
-    save_realization,
-    search_realization,
-)
+from signrank.pattern import SearchParams, has_direct_representation, is_mr2, search_realization
+from signrank.realize import _normalize_factors
 
 from conftest import (
     factor_arrays,
@@ -853,8 +849,6 @@ class TestZeroPolish:
 
 class TestRealizationDocument:
     def test_roundtrip_bits(self, tmp_path):
-        from signrank.realize import load_realization, save_realization
-
         real = search_realization(A1_PATTERN, 2, SearchParams(seed=2))
         path = tmp_path / "real.json"
         save_realization(real, path)
