@@ -297,38 +297,31 @@ def condense(A: SignPattern) -> CondensationReport:
 def signature_between(P: SignPattern, Q: SignPattern):
     """Signs (d1, d2) with Q = d1 * P * d2 entry-wise, or None.
 
-    The signs are propagated (``_signature``) over the cells nonzero in
-    both patterns, and then every cell is checked once: that check rejects
-    unequal zero sets and any conflict the propagation passed over.
+    The signs are propagated (``_propagate_signs``) over P's nonzero cells,
+    rows as vertices 0..m-1 and columns as m..m+n-1, each component from
+    its first line at +: cell (i, j) signs its far end by P_ij Q_ij (0: no
+    edge), read only while that end is unsigned and not at all once every
+    line is signed.  Then every row is compared once with Q's: that check
+    rejects unequal zero sets and any conflict the propagation passed over.
     """
     if P.m != Q.m or P.n != Q.n:
         return None
-    # P_ij Q_ij: the sign d1_i d2_j must take, or 0 where either is zero
-    d1, d2 = _signature(P, lambda i, j: P.entries[i][j] * Q.entries[i][j])
-    if any(Q.entries[i][j] != d1[i] * P.entries[i][j] * d2[j]
-           for i in range(P.m) for j in range(P.n)):
-        return None
-    return tuple(d1), tuple(d2)
-
-
-def _signature(P: SignPattern, ratio) -> tuple:
-    """Signs (d1, d2) propagated (``_propagate_signs``) over P's nonzero
-    cells, rows as vertices 0..m-1 and columns as m..m+n-1, each component
-    from its first line at +: cell (i, j) signs its far end by ``ratio(i,
-    j)`` (0: no edge), read only while that end is unsigned and not at all
-    once every line is signed.  Nothing is checked here."""
-    E, m = P.entries, P.m
+    E, F, m = P.entries, Q.entries, P.m
     sign = [0] * (m + P.n)
 
     def neighbours(v):
         if 0 not in sign:  # every line is signed, mostly after the first two
             return ()
         if v < m:
-            return ((m + j, ratio(v, j)) for j, c in enumerate(E[v]) if c and not sign[m + j])
-        return ((i, ratio(i, v - m)) for i in range(m) if E[i][v - m] and not sign[i])
+            return ((m + j, c * F[v][j]) for j, c in enumerate(E[v]) if c and not sign[m + j])
+        j = v - m
+        return ((i, row[j] * F[i][j]) for i, row in enumerate(E) if row[j] and not sign[i])
 
     _propagate_signs(sign, neighbours)
-    return sign[:m], sign[m:]
+    d1, d2 = tuple(sign[:m]), tuple(sign[m:])
+    if any(tuple([a * x * b for x, b in zip(row, d2)]) != q for a, row, q in zip(d1, E, F)):
+        return None
+    return d1, d2
 
 
 def _propagate_signs(sign: list, neighbours) -> list:

@@ -27,8 +27,8 @@ from fractions import Fraction
 from numbers import Real
 from typing import Optional, Sequence
 
-from .core import (CondensationReport, SignPattern, _check_integer, _is_bool, _Record,
-                   _signature, condense, signature_between)
+from .core import (CondensationReport, SignPattern, _check_integer, _is_bool, _Record, condense,
+                   signature_between)
 from .errors import DomainError, Overdetermined, PrecisionExhausted, SingularSystem
 from .scalars import (_EXACT_NUMBERS, _as_fraction, _integral, _ratios, format_rational,
                       parse_integer, parse_rational)
@@ -330,10 +330,6 @@ class Realization(_Record):
         return {"r": self.r, "U": [list(row) for row in self.U],
                 "V": [list(row) for row in self.V]}
 
-    @classmethod
-    def from_dict(cls, doc) -> "Realization":
-        return read_realization(doc)
-
 
 def read_realization(doc) -> Realization:
     """The realization a JSON document {"r": r, "U": rows, "V": rows} holds,
@@ -387,29 +383,30 @@ def rationalize(A: SignPattern, real) -> RationalCertificate:
     neither fits, Overdetermined names the first over-full column of the
     original pattern.
 
-    The signature is read off a spanning forest of the condensed pattern's
-    nonzero cells (``_forest_signature``: one float product per line, not
-    all m n).  Every entry of U and V is rounded to the nearest multiple of
-    2^-t, ties to even (``_round_matrix``: the dyadic grid of cap t = 32,
-    then of t = 64), and U is kept as rounded: no point is moved.  The
-    rounding is exact, so a float on the grid keeps its value, and the
-    whole cap shares the one denominator 2^t.  Each column that carries
-    zeros is then solved exactly through its zero rows
-    (``solve_zero_columns``, on U's rows as their integer numerators over
-    2^t): the coordinates its echelon form pivots on are solved, the others
-    keep their rounded values.  A cap at which some column cannot pass
-    through its rounded zero rows (SingularSystem), or whose exact product
-    has the wrong signs, gives way to the next cap; PrecisionExhausted
-    follows 2^64.  No random numbers are drawn.  The exact factors are
-    expanded back to the shape of the original pattern.  The signs are
-    checked on the integer products of their lines scaled to integers
-    (``_integral``), before the matrix is built: only a cap that passes
-    builds its Fractions.  The certificate stores the factors with their
-    product and its exact rank, proven from them.
+    Every entry of U and V is rounded to the nearest multiple of 2^-t, ties
+    to even (``_round_matrix``: the dyadic grid of cap t = 32, then of t =
+    64), and U is kept as rounded: no point is moved.  The rounding is
+    exact, so a float on the grid keeps its value, and the whole cap shares
+    the one denominator 2^t.  Each column that carries zeros is then solved
+    exactly through its zero rows (``solve_zero_columns``, on U's rows as
+    their integer numerators over 2^t): the coordinates its echelon form
+    pivots on are solved, the others keep their rounded values.  A cap at
+    which some column cannot pass through its rounded zero rows
+    (SingularSystem), or whose exact product realizes no signature of the
+    pattern, gives way to the next cap; PrecisionExhausted follows 2^64.
+    No random numbers are drawn.  The exact factors are expanded back to
+    the shape of the original pattern, without signs, and the signature
+    (d1, d2) is read off the signs of the integer products of their lines
+    scaled to integers (``_integral``) by ``signature_between``: a cap
+    passes when one exists, and only then are its Fractions built, with
+    row i of U negated by d1_i and column j of V by d2_j.  The certificate
+    stores the factors with their product and its exact rank, proven from
+    them.
 
-    Only when every cap fails are all signs of the float product checked
-    (``signature_between``): a product that does not realize the pattern
-    then raises DomainError, never PrecisionExhausted.  So a product that
+    No tolerance decides a cap: the float product is read (its
+    ``signed_pattern()``, zero within ``DEFAULT_ZERO_TOL``) only when every
+    cap has failed, and one that realizes no signature of the pattern then
+    raises DomainError, never PrecisionExhausted.  So a product that
     misreads a sign within rounding, but whose rounded factors pass a cap,
     is certified: the certificate's exact signs are the pattern's.
     """
@@ -433,7 +430,6 @@ def rationalize(A: SignPattern, real) -> RationalCertificate:
             tuple(zip(*cert.matrix)), cert.rank, A, (tuple(zip(*V)), tuple(zip(*U)))
         )
 
-    d1, d2 = _forest_signature(C, real)
     for t in (32, 64):
         cap = 1 << t
         Ui = _round_matrix(real.U, t)  # each solve eliminates some of these rows
@@ -446,22 +442,26 @@ def rationalize(A: SignPattern, real) -> RationalCertificate:
         except SingularSystem:
             pass
         else:
-            U = _expand_lines(Ur, d1, report, "row", r)
-            V = tuple(zip(*_expand_lines(columns, d2, report, "col", r)))
+            U = _expand_lines(Ur, report, "row", r)
+            columns = _expand_lines(columns, report, "col", r)
             # entry (i, j) of U V is dot / (lu lv) with lu, lv > 0 (``_integral``),
-            # so its sign is the dot product's: the signs are checked in int and
-            # the Fractions are built only for a cap that passes
-            rows, cols = _integral(U), _integral(zip(*V))
+            # so its sign is the dot product's: the signature is read off the
+            # integer products, and the Fractions are built only for a cap that
+            # passes, with row i of U and column j of V negated by d1_i and d2_j
+            rows, cols = _integral(U), _integral(columns)
             dots = [[sum(map(operator.mul, u, v)) for v, _ in cols] for u, _ in rows]
-            if _sign_pattern(dots) == A.entries:
+            signature = signature_between(A, SignPattern._trusted(_sign_pattern(dots), A.m, A.n))
+            if signature is not None:
+                d1, d2 = signature
                 full = tuple(
-                    tuple(Fraction(dot, lu * lv) for dot, (_, lv) in zip(line, cols))
-                    for line, (_, lu) in zip(dots, rows)
+                    tuple(Fraction(a * b * dot, lu * lv) for dot, b, (_, lv) in zip(line, d2, cols))
+                    for a, line, (_, lu) in zip(d1, dots, rows)
                 )
+                U, V = _negated(U, d1), tuple(zip(*_negated(columns, d2)))
                 # the certificate's one exact rank; verify() stays the
                 # independent check that callers run
                 return RationalCertificate._rebuild(full, _factored_rank(U, V, full), A, (U, V))
-    # every cap failed: only now is every sign of the float product read,
+    # every cap failed: only now is the float product read,
     # and a product off the pattern is the input's fault, not the schedule's
     if signature_between(C, real.signed_pattern()) is None:
         raise DomainError(
@@ -473,42 +473,32 @@ def rationalize(A: SignPattern, real) -> RationalCertificate:
     )
 
 
-def _forest_signature(C: SignPattern, real) -> tuple:
-    """The signature (d1, d2) that ``signature_between(C, real.signed_pattern())``
-    finds when the product realizes C, from the one walk of ``_signature``:
-    a cell's float product is computed only when it is about to sign the
-    far end, so m + n - (components) products instead of m n."""
-    E, U, cols = C.entries, real.U, list(zip(*real.V))
-
-    def ratio(i, j):  # C_ij times the sign of the float product, as signed_pattern reads it
-        b = sum(map(operator.mul, U[i], cols[j]))
-        return 0 if abs(b) <= DEFAULT_ZERO_TOL else (E[i][j] if b > 0 else -E[i][j])
-
-    return _signature(C, ratio)
-
-
-def _expand_lines(lines, signs, report: CondensationReport, axis: str, width: int) -> tuple:
+def _expand_lines(lines, report: CondensationReport, axis: str, width: int) -> tuple:
     """A factor's lines for every original row (axis "row") or column
-    ("col") from its condensed lines: kept line p becomes signs[p] *
-    lines[p], a deleted duplicate copies its survivor, an opposite negates
-    it, and a zero line is zero.  Survivors are always earlier lines, so
-    one pass in index order follows every chain in the deletion log."""
+    ("col") from its condensed lines: kept line p is lines[p], a deleted
+    duplicate copies its survivor, an opposite negates it, and a zero line
+    is zero.  Survivors are always earlier lines, so one pass in index
+    order follows every chain in the deletion log."""
     kept = report.kept_rows if axis == "row" else report.kept_cols
     position = {orig: pos for pos, orig in enumerate(kept)}
     deleted = {e.index: e for e in report.log if e.axis == axis}
     out = []
     for idx in range(len(kept) + len(deleted)):
         if idx in position:
-            p = position[idx]
-            line, negate = lines[p], signs[p] < 0
+            out.append(tuple(lines[position[idx]]))
+            continue
+        event = deleted[idx]
+        if event.kind == "zero":
+            out.append((Fraction(0),) * width)
         else:
-            event = deleted[idx]
-            if event.kind == "zero":
-                line, negate = (Fraction(0),) * width, False
-            else:
-                line, negate = out[event.survivor], event.kind == "opposite"
-        out.append(tuple(-x for x in line) if negate else tuple(line))
+            line = out[event.survivor]
+            out.append(tuple(-x for x in line) if event.kind == "opposite" else line)
     return tuple(out)
+
+
+def _negated(lines, signs) -> tuple:
+    """Each line times its sign, +1 or -1."""
+    return tuple(line if s > 0 else tuple(-x for x in line) for line, s in zip(lines, signs))
 
 
 def solve_zero_columns(U, A: SignPattern, j: int, column: Sequence) -> tuple:

@@ -282,10 +282,13 @@ _EXACT_NUMBERS = frozenset({int, float, Fraction})
 
 def _ratios(line) -> list:
     """Each entry of a line as its integer ratio (p, q), q > 0, in Python
-    ints.  A line of ints, floats and Fractions alone reads each entry's
-    ``as_integer_ratio()``; any other line (a bool, a numpy number, a
-    Decimal, text), a non-finite float and a Fraction built around numpy
-    integers go through ``_as_fraction``, the one rule for exact rationals."""
+    ints.  A numpy line is read as its ``tolist()``.  A line of ints,
+    floats and Fractions alone reads each entry's ``as_integer_ratio()``;
+    any other line (a bool, a numpy number, a Decimal, text), a non-finite
+    float and a Fraction built around numpy integers go through
+    ``_as_fraction``, the one rule for exact rationals."""
+    if hasattr(line, "tolist"):
+        line = line.tolist()
     if _EXACT_NUMBERS.issuperset(map(type, line)):
         try:
             ratios = [x.as_integer_ratio() for x in line]

@@ -16,7 +16,7 @@ import pytest
 
 from signrank import fixtures
 from signrank.core import SignPattern
-from signrank.geometry import Configuration, encode_configuration
+from signrank.geometry import Configuration
 from signrank.pattern import EquivalenceWitness
 from signrank.scalars import QuadElem
 

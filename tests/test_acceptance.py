@@ -31,7 +31,6 @@ from signrank.pattern import (
     MrBoundsOptions,
     SearchParams,
     has_direct_representation,
-    is_equivalent,
     is_mr2,
     is_sns,
     max_sns_submatrix,

@@ -20,6 +20,7 @@ from signrank.scalars import (
     MAX_RADICAL,
     QuadElem,
     _as_fraction,
+    _ratios,
     check_radical,
     format_rational,
     format_scalar,
@@ -411,6 +412,24 @@ def test_number_rules(reader, name, want):
     else:
         got = _READERS[reader](value)
         assert got == want and type(got) is type(want)
+
+
+def test_numpy_lines_read_as_lists():
+    # an exact reader takes a numpy line as its tolist(): int and float
+    # arrays read as their rows of Python numbers do, and a bool array's
+    # Python bools are refused like any bool
+    rng = np.random.default_rng(4)
+    low = rng.integers(-3, 4, size=(6, 3)) @ rng.integers(-3, 4, size=(3, 5))
+    P = SignPattern(["0", "0", "+"])
+    for M in (low, low / 8, rng.standard_normal((6, 5)), rng.integers(-9, 10, size=(5, 5))):
+        assert [_ratios(row) for row in M] == [_ratios(row) for row in M.tolist()]
+        assert all(type(x) is int for row in M for ratio in _ratios(row) for x in ratio)
+        assert rational_rank(M) == rational_rank(M.tolist())
+        assert solve_zero_columns(M[:3, :3], P, 0, M[3, :3]) == solve_zero_columns(
+            M[:3, :3].tolist(), P, 0, M[3, :3].tolist())
+    assert rational_rank(low) == rational_rank(low / 8) == 3
+    with pytest.raises(DomainError):
+        rational_rank(np.eye(2, dtype=bool))
 
 
 def test_radical_rule_has_no_history():

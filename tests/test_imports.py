@@ -1,8 +1,9 @@
-"""Every module in src/signrank uses each name it imports, every
-function reads each local it assigns, every module-level private name
-is used somewhere in the package, every name the package hands out is
-read by a module of the package or the benchmark or is documented in the
-README's Library section, no module imports ``dataclasses``
+"""Every module in src/signrank, tests and tools uses each name it
+imports and every function there reads each local it assigns; every
+module-level private name of the package is used somewhere in it, every
+name the package hands out is read by a module of the package or the
+benchmark or is documented in the README's Library section, no module
+imports ``dataclasses``
 (whose import and per-class ``exec`` cost each CLI process ~20 ms), and
 only ``core._Record`` decides how a record is frozen and pickled.
 
@@ -197,12 +198,17 @@ def test_every_public_name_is_read():
     assert unread_public_names(signrank._HOME, sources, [library]) == []
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+# the package, its tests and its tools: a file name is unique across the three
+LINTED = [*sorted(SRC.glob("*.py")), *sorted((ROOT / "tests").glob("*.py")),
+          *sorted((ROOT / "tools").glob("*.py"))]
+
+
+@pytest.mark.parametrize("path", LINTED, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", LINTED, ids=lambda p: p.name)
 def test_no_unused_locals(path):
     assert unused_locals(path.read_text(encoding="utf-8")) == []
 

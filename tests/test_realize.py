@@ -24,7 +24,6 @@ from signrank.exactnum import (
     RationalCertificate,
     Realization,
     _bareiss_echelon,
-    _forest_signature,
     _round_matrix,
     load_realization,
     rational_rank,
@@ -864,11 +863,11 @@ class TestRealizationDocument:
     def test_non_integer_r_rejected(self, r):
         doc = {"r": r, "U": [[1.0, 2.0]], "V": [[1.0], [1.0]]}
         with pytest.raises(DomainError, match="'r' must be an integer"):
-            Realization.from_dict(doc)
+            read_realization(doc)
 
     def test_integral_float_r_accepted(self):
         doc = {"r": 2.0, "U": [[1.0, 2.0]], "V": [[1.0], [1.0]]}
-        assert Realization.from_dict(doc).r == 2
+        assert read_realization(doc).r == 2
 
     @pytest.mark.parametrize("r", [np.float32(3.7), 3.0, Fraction(3), "3"])
     def test_constructor_reads_r_strictly(self, r):
@@ -886,9 +885,9 @@ class TestRealizationDocument:
         save_realization(real, path)
         back = load_realization(path)
         assert back == real and back.U == () and back.V == ((),) * 3
-        assert Realization.from_dict({"r": 2, "U": [[1.0, 2.0]], "V": [[1.0], [1.0]]}).U == ((1.0, 2.0),)
+        assert read_realization({"r": 2, "U": [[1.0, 2.0]], "V": [[1.0], [1.0]]}).U == ((1.0, 2.0),)
         with pytest.raises(DomainError, match="inconsistent shapes"):
-            Realization.from_dict({"r": 2, "U": [1.0, 2.0], "V": [[1.0], [1.0]]})
+            read_realization({"r": 2, "U": [1.0, 2.0], "V": [[1.0], [1.0]]})
 
     @pytest.mark.parametrize(
         "U, V, bad",
@@ -899,22 +898,22 @@ class TestRealizationDocument:
     def test_non_number_entries_rejected(self, U, V, bad):
         # True == 1 and float("1") == 1.0, but neither names an entry
         with pytest.raises(DomainError, match=f"realization entries must be numbers, got {bad}$"):
-            Realization.from_dict({"r": 2, "U": U, "V": V})
+            read_realization({"r": 2, "U": U, "V": V})
 
     @pytest.mark.parametrize("doc", [[], [{"r": 2}], "r", 2, None],
                              ids=["empty-list", "list", "string", "number", "null"])
     def test_non_object_document_rejected(self, doc):
         with pytest.raises(DomainError, match="^a realization document must be a JSON object"):
-            Realization.from_dict(doc)
+            read_realization(doc)
 
     @pytest.mark.parametrize("r", [0, -1])
     def test_non_positive_r_rejected(self, r):
         with pytest.raises(DomainError, match=f"^realization rank 'r' must be >= 1, got {r}$"):
-            Realization.from_dict({"r": r, "U": [], "V": []})
+            read_realization({"r": r, "U": [], "V": []})
 
     def test_missing_key_rejected(self):
         with pytest.raises(DomainError, match="^malformed realization document: missing 'V'$"):
-            Realization.from_dict({"r": 2, "U": [[1.0, 0.5]]})
+            read_realization({"r": 2, "U": [[1.0, 0.5]]})
 
     def test_document_rows_match_arrays(self):
         # factors given as arrays are kept as the rows a document gives, and
@@ -1052,6 +1051,25 @@ class TestRationalize:
         assert condense(P).condensed == P and signature_between(P, real.signed_pattern()) is None
         self.assert_certified_past_first_cap(P, real)
 
+    def test_signature_from_the_exact_product(self):
+        # entry (1, 4) of the float product is about 1e-10, which the zero
+        # tolerance reads as 0, so the float product signs column 4 with no
+        # cell; the exact product at 2^-64 is > 0, and the signature read
+        # off it negates column 4 onto the pattern's "-"
+        U = np.array([[1, 0.5, 0.5 + 1e-10], [1, 1, 0], [1, 0, 1]])
+        rng = np.random.default_rng(3)
+        while True:
+            V = np.vstack([rng.uniform(-3, 3, size=(2, 3)), np.ones((1, 3))])
+            B = U @ V
+            P = SignPattern(np.hstack([np.sign(B), [[-1], [0], [0]]]).astype(int).tolist())
+            if np.abs(B).min() >= 0.3 and condense(P).condensed == P:
+                break
+        column = np.array([-1.0, 1.0, 1.0])
+        real = Realization(3, U, np.hstack([V, column[:, None]]))
+        assert 0 < (U @ column)[0] <= DEFAULT_ZERO_TOL and real.signed_pattern().col(3) == (0, 0, 0)
+        cert = rationalize(P, real)
+        assert cert.verify() and cert.target == P and sympy_rank(cert.matrix) == cert.rank == 3
+
     @staticmethod
     def assert_certified_past_first_cap(P, real):
         cert = rationalize(P, real)
@@ -1093,9 +1111,11 @@ class TestRationalize:
         assert "column 1 has 4 zeros" in str(exc.value)
 
     def test_expansion_through_condensation(self):
-        # duplicate and opposite rows plus a zero column are reinserted
-        base = SignPattern(["+-+", "-++"])
+        # duplicate and opposite rows, an opposite column and a zero column
+        # are reinserted
+        base = SignPattern(["++", "-+"])
         padded = SignPattern(["+-+0", "-++0", "+-+0", "+--0"])
+        assert condense(padded).condensed == base
         real = search_realization(padded, 2, SearchParams(seed=6))
         cert = rationalize(padded, real)
         assert cert.verify()
@@ -1109,8 +1129,7 @@ class TestRationalize:
 
     @pytest.mark.parametrize("route", ["signs", "singular", "transposed"])
     def test_non_realizing_input_raises_domain_error(self, route):
-        # the signature comes from a spanning forest and is not checked
-        # until a cap fails; then every sign of the float product is, and a
+        # the float product is read only once every cap fails; then a
         # product off the pattern is a DomainError, not PrecisionExhausted
         if route == "signs":
             # every cap's exact signs are wrong (the pattern above)
@@ -1613,50 +1632,67 @@ class TestDyadicGrid:
 
 
 class TestForestSignature:
-    # rationalize reads the signature off a spanning forest of the nonzero
-    # cells; where the product realizes the pattern, it is the signature
-    # that signature_between finds on the whole product
+    # rationalize propagates its signature over a spanning forest of the
+    # nonzero cells of the exact product (signature_between); where the
+    # float product realizes the pattern too, that is the signature which
+    # signature_between finds on the float product.  The normal form's ones
+    # (U's first column, V's last row) survive rounding and the zero
+    # solves, so the certificate's factors carry the signature there
     @staticmethod
-    def assert_agrees(C, real):
-        expected = signature_between(C, real.signed_pattern())
+    def assert_agrees(P, real):
+        report = condense(P)
+        if any(col.count(0) > real.r - 1 for col in zip(*report.condensed.entries)):
+            # the rows are certified
+            P, real = P.transpose(), real.transpose()
+            report = condense(P)
+        expected = signature_between(report.condensed, real.signed_pattern())
         assert expected is not None
-        assert tuple(map(tuple, _forest_signature(C, real))) == expected
+        cert = rationalize(P, real)
+        assert cert.verify() and cert.target == P
+        U, V = cert.factors
+        assert (tuple(U[i][0] for i in report.kept_rows),
+                tuple(V[-1][j] for j in report.kept_cols)) == expected
+        return expected
 
     def test_planted_sweep(self):
         for P, real in _planted_sweep():
-            self.assert_agrees(condense(P).condensed, real)
+            self.assert_agrees(P, real)
 
     @pytest.mark.parametrize("key", PINNED_KEYS, ids=lambda k: "-".join(map(str, k)))
     def test_pinned_instances(self, key):
-        P, real = TestPinnedCertificates._instance(key)
-        self.assert_agrees(condense(P).condensed, real)
+        self.assert_agrees(*TestPinnedCertificates._instance(key))
 
     def test_two_components(self):
-        # a block-diagonal product: the second block's first row is the
-        # lowest line of its component, so it takes + whatever its signs
-        U = ((1.0, 0.0), (-2.0, 0.0), (0.0, 1.5), (0.0, -1.0))
-        V = ((1.0, -3.0, 0.0), (0.0, 0.0, 2.0))
-        real = Realization._rebuild(2, U, V)  # no normal form: built unchecked
-        Q = real.signed_pattern()
-        assert Q.entries == ((1, -1, 0), (-1, 1, 0), (0, 0, 1), (0, 0, -1))
-        C = SignPattern([[-v for v in row] if i >= 2 else list(row) for i, row in enumerate(Q.entries)])
-        self.assert_agrees(C, real)
-        d1, d2 = _forest_signature(C, real)
-        assert (d1, d2) == ([1, 1, 1, 1], [1, 1, -1])
+        # block-diagonal patterns: each block's first row is the lowest line
+        # of its component, so it takes + whatever its product's signs, and
+        # a column whose product has the wrong sign is negated
+        cases = [([[1, 1], [1, 0]], [[0, -1], [1, 1]]),
+                 # a triangle: point i lies on every line but line i
+                 ([[1, 0, 0], [1, 1, 1], [1, 2, -1]], [[-3, 0, 0], [2, 0.5, -1], [1, 1, 1]])]
+        for U, V in cases:
+            r = len(V)
+            real = Realization(r, U, V)
+            P = SignPattern([[int(i == j) for j in range(r)] for i in range(r)])
+            assert condense(P).condensed == P
+            d2 = tuple(real.signed_pattern().entries[j][j] for j in range(r))
+            assert -1 in d2 and self.assert_agrees(P, real) == ((1,) * r, d2)
 
     def test_duplicate_opposite_and_zero_lines(self):
-        # the forest skips a zero line's missing cells and signs a copied or
-        # negated line from its own product, as signature_between does
+        # the pattern carries a copied, a negated and a zero row and column
+        # and a random signature; the realization is of its condensed form
         rng = np.random.default_rng(12)
         for _ in range(40):
             U, V = rng.standard_normal((5, 3)), rng.standard_normal((3, 6))
             U = np.vstack([U, U[1], -U[2], 0 * U[0]])[rng.permutation(8)]
             V = np.hstack([V, V[:, [0]], -V[:, [3]], 0 * V[:, [1]]])[:, rng.permutation(9)]
-            real = Realization._rebuild(3, tuple(map(tuple, U.tolist())), tuple(map(tuple, V.tolist())))
+            B = U @ V
+            assert np.abs(B[B != 0]).min() > 1e-6
             signs = np.outer(rng.choice([-1, 1], 8), rng.choice([-1, 1], 9))
-            C = SignPattern((np.array(real.signed_pattern().entries) * signs).tolist())
-            assert condense(C).condensed != C
-            self.assert_agrees(C, real)
+            P = SignPattern((np.sign(B) * signs).astype(int).tolist())
+            report = condense(P)
+            assert report.condensed != P
+            Uk, Vk = U[list(report.kept_rows)], V[:, list(report.kept_cols)]
+            self.assert_agrees(P, Realization(3, Uk / Uk[:, :1], Vk / Vk[-1:, :]))
 
 
 class TestCertificateWriter:

@@ -220,8 +220,8 @@ def test_realization_reads_without_numpy(tmp_path):
     # the one realization class lives in exactnum: reading, checking and
     # multiplying out a document loads neither numpy nor realize
     statement = (
-        "from signrank import Realization\n"
-        "real = Realization.from_dict({'r': 2, 'U': [[1.0, -0.5]], 'V': [[1.0], [1.0]]})\n"
+        "from signrank.exactnum import read_realization\n"
+        "real = read_realization({'r': 2, 'U': [[1.0, -0.5]], 'V': [[1.0], [1.0]]})\n"
         "assert real.signed_pattern().entries == ((1,),) and real.margin() == 0.5"
     )
     assert loaded_after(statement, tmp_path) == []

@@ -78,7 +78,6 @@ def derive():
     poly = sp.Poly(sp.expand(num), e)
     print("closure numerator as a polynomial in e:")
     print("   ", poly.as_expr())
-    quad = sp.Poly(sp.cancel(poly.as_expr() / poly.LC() * sp.LC(poly)), e)
     disc = sp.factor(sp.discriminant(poly.as_expr(), e))
     print("discriminant:", disc)
 
