@@ -4,7 +4,8 @@ exact scalars of ``scalars``.
 A :class:`RationalCertificate` is an exact rational matrix with the target's
 signs, its factors and its exact rank (``rational_rank``).  ``rationalize``
 builds one from a floating realization by rounding its factors to a dyadic
-grid (multiples of 2^-32, then of 2^-64: one denominator per cap) and
+grid (multiples of 2^-8, 2^-16, 2^-32, then 2^-64, ``GRID_EXPONENTS``:
+the coarsest grid that certifies, one denominator per cap) and
 solving the zero constraints exactly; its hot path runs on integers (the
 factors' numerators over 2^t, integer zero solves, signs of integer dot
 products), and ``save_certificate`` writes the indent-1 JSON text in one
@@ -354,6 +355,10 @@ def save_realization(real: Realization, path) -> None:
         fh.write("\n")
 
 
+# the dyadic grids of ``rationalize``, coarsest first: multiples of 2^-t
+GRID_EXPONENTS = (8, 16, 32, 64)
+
+
 def _round_matrix(M, t: int) -> list:
     """Each entry rounded to the nearest multiple of 2^-t, ties to even, as
     its integer numerator over 2^t: the lines of a cap share the one
@@ -384,17 +389,18 @@ def rationalize(A: SignPattern, real) -> RationalCertificate:
     original pattern.
 
     Every entry of U and V is rounded to the nearest multiple of 2^-t, ties
-    to even (``_round_matrix``: the dyadic grid of cap t = 32, then of t =
-    64), and U is kept as rounded: no point is moved.  The rounding is
-    exact, so a float on the grid keeps its value, and the whole cap shares
-    the one denominator 2^t.  Each column that carries zeros is then solved
-    exactly through its zero rows (``solve_zero_columns``, on U's rows as
-    their integer numerators over 2^t): the coordinates its echelon form
-    pivots on are solved, the others keep their rounded values.  A cap at
-    which some column cannot pass through its rounded zero rows
-    (SingularSystem), or whose exact product realizes no signature of the
-    pattern, gives way to the next cap; PrecisionExhausted follows 2^64.
-    No random numbers are drawn.  The exact factors are expanded back to
+    to even (``_round_matrix``: the dyadic grid of cap t = 8, then of t =
+    16, 32 and 64, ``GRID_EXPONENTS``, so the first cap that passes gives
+    the shortest entries), and U is kept as rounded: no point is moved.
+    The rounding is exact, so a float on the grid keeps its value, and the
+    whole cap shares the one denominator 2^t.  Each column that carries
+    zeros is then solved exactly through its zero rows
+    (``solve_zero_columns``, on U's rows as their integer numerators over
+    2^t): the coordinates its echelon form pivots on are solved, the others
+    keep their rounded values.  A cap at which some column cannot pass
+    through its rounded zero rows (SingularSystem), or whose exact product
+    realizes no signature of the pattern, gives way to the next cap;
+    PrecisionExhausted follows the last, 2^64.  No random numbers are drawn.  The exact factors are expanded back to
     the shape of the original pattern, without signs, and the signature
     (d1, d2) is read off the signs of the integer products of their lines
     scaled to integers (``_integral``) by ``signature_between``: a cap
@@ -430,7 +436,7 @@ def rationalize(A: SignPattern, real) -> RationalCertificate:
             tuple(zip(*cert.matrix)), cert.rank, A, (tuple(zip(*V)), tuple(zip(*U)))
         )
 
-    for t in (32, 64):
+    for t in GRID_EXPONENTS:
         cap = 1 << t
         Ui = _round_matrix(real.U, t)  # each solve eliminates some of these rows
         Ur = [[Fraction(x, cap) for x in row] for row in Ui]
@@ -469,7 +475,7 @@ def rationalize(A: SignPattern, real) -> RationalCertificate:
             "its product signs onto the target)"
         )
     raise PrecisionExhausted(
-        "denominator schedule exhausted at 2^64 without exact zeros and signs"
+        f"denominator schedule exhausted at 2^{GRID_EXPONENTS[-1]} without exact zeros and signs"
     )
 
 

@@ -248,7 +248,7 @@ class TestDyadicRounding:
     def reference(x, t):
         return round(Fraction(x) * 2**t)  # Fraction rounds half to even
 
-    @pytest.mark.parametrize("t", [32, 64])
+    @pytest.mark.parametrize("t", [8, 16, 32, 64])
     def test_extremes_stay_exact_or_vanish(self, t):
         # integer floats near the top of the range are exact on the grid
         # (no float overflows), and the smallest subnormal rounds to 0
@@ -264,6 +264,12 @@ class TestDyadicRounding:
         # a hair past the tie rounds away from it
         assert _round_matrix([[2.0**-33 + 2.0**-60, -(2.0**-33 + 2.0**-60)]], 32) == [[1, -1]]
 
+    def test_ties_to_even_on_the_coarsest_grid(self):
+        # k * 2^-9 lies halfway between multiples of 2^-8 for odd k
+        row = [k * 2.0**-9 for k in (1, 3, 5, -1, -3, -5)] + [1 + 2.0**-9, 1 + 3 * 2.0**-9]
+        assert _round_matrix([row], 8) == [[0, 2, 2, 0, -2, -2, 2**8, 2**8 + 2]]
+        assert _round_matrix([[2.0**-9 + 2.0**-60, -(2.0**-9 + 2.0**-60)]], 8) == [[1, -1]]
+
     def test_normal_form_ones(self):
         U = [[1.0, 0.25, -3.5], [1.0, 1e-3, 7.0]]
         assert [row[0] for row in _round_matrix(U, 32)] == [2**32, 2**32]
@@ -274,7 +280,7 @@ class TestDyadicRounding:
             with pytest.raises(DomainError):
                 _round_matrix([[1.0, x]], 32)
 
-    @pytest.mark.parametrize("t", [32, 64])
+    @pytest.mark.parametrize("t", [8, 16, 32, 64])
     def test_matches_fraction_rounding(self, t):
         rng = np.random.default_rng(39)
         xs = 10.0 ** rng.uniform(-25, 25, size=5_000) * rng.choice([-1.0, 1.0], size=5_000)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from signrank import kernels
+from signrank import exactnum, kernels
 from signrank.core import SignPattern, condense, signature_between
 from signrank.errors import (
     DomainError,
@@ -21,6 +21,7 @@ from signrank.fixtures import A0_PATTERN, A1_PATTERN, A2_PATTERN, FIG21_PATTERN
 from signrank.geometry import encode_configuration
 from signrank.exactnum import (
     DEFAULT_ZERO_TOL,
+    GRID_EXPONENTS,
     RationalCertificate,
     Realization,
     _bareiss_echelon,
@@ -999,32 +1000,35 @@ class TestRationalize:
         assert [tuple(map(float, row)) for row in cert.factors[0]] == [tuple(row) for row in U]
 
     def test_denominator_cap_doubles(self):
-        # at 2^-32 row 1 rounds to (1, 1/2, 0), whose product with column 1
-        # is 0 where it should be 2^-20 - 2^-41 > 0; at 2^-64 both offsets
-        # are on the grid and the certificate comes from that cap
+        # at 2^-8, 2^-16 and 2^-32 row 1 rounds to (1, 1/2, 0), whose
+        # product with column 1 is 0 where it should be 2^-20 - 2^-41 > 0;
+        # at 2^-64 both offsets are on the grid and the certificate comes
+        # from that cap
         U = np.array([[1, 0.5 + 2.0**-40, -(2.0**-41)], [1, -1, 3], [1, 3, -3], [1, 2, 2], [1, 1, -3]])
         V = np.array([[-(2.0**19), -2, 2, -3, -1], [2.0**20, 2, 2, 1, 3], [1, 1, 1, 1, 1]])
         B = U @ V
         assert B[0, 0] == 2.0**-20 - 2.0**-41 and np.all(np.abs(B) > DEFAULT_ZERO_TOL)
-        assert _round_matrix(U[:1], 32) == [[2**32, 2**31, 0]]
+        for t in (8, 16, 32):
+            assert _round_matrix(U[:1], t) == [[2**t, 2**(t - 1), 0]]
         P = SignPattern(np.sign(B).astype(int).tolist())
         assert condense(P).condensed == P
-        self.assert_certified_past_first_cap(P, Realization(3, U, V))
+        self.assert_certified_at(P, Realization(3, U, V), 64)
 
     def test_singular_at_first_cap(self):
-        # column 1 has zeros in rows 1 and 2; at 2^-32 row 2, (1, 3 * 2^-41,
-        # 2), rounds to (1, 0, 2), the leading 2 x 2 block of the zero rows
-        # is singular and the solve pivots on the last coordinate; at 2^-64
-        # it is not, and v_21 solves to -2^41 / 3
+        # column 1 has zeros in rows 1 and 2; at 2^-8, 2^-16 and 2^-32 row
+        # 2, (1, 3 * 2^-41, 2), rounds to (1, 0, 2), the leading 2 x 2 block
+        # of the zero rows is singular and the solve pivots on the last
+        # coordinate; at 2^-64 it is not, and v_21 solves to -2^41 / 3
         U = np.array([[1, 0, 1], [1, 3 * 2.0**-41, 2], [1, 0, 0]])
         V = np.array([[-1, 0, -1.5], [-(2.0**41) / 3, 0, 0], [1, 1, 1]])
         P = SignPattern(["0+-", "0++", "-0-"])
         real = Realization(3, U, V)
         assert real.signed_pattern() == P and condense(P).condensed == P
-        with pytest.raises(SingularSystem):
-            solve_zero_columns(_round_matrix(U, 32), P, 0, V[:, 0])
+        for t in (8, 16, 32):
+            with pytest.raises(SingularSystem):
+                solve_zero_columns(_round_matrix(U, t), P, 0, V[:, 0])
         assert solve_zero_columns(_round_matrix(U, 64), P, 0, V[:, 0])[1] == Fraction(-(2**41), 3)
-        self.assert_certified_past_first_cap(P, real)
+        self.assert_certified_at(P, real, 64)
 
     def test_every_cap_fails(self):
         # 2^-70 rounds to 0 at every cap up to 2^64, which turns entry
@@ -1040,8 +1044,9 @@ class TestRationalize:
     def test_misread_sign_gets_every_cap(self):
         # entry (1, 1) of the float product is 2^-41, below the zero
         # tolerance, so the product misreads it as 0 and realizes no
-        # signature of P; at 2^-32 it rounds to 0 too, at 2^-64 it is
-        # exact, and the input is blamed only once every cap has failed
+        # signature of P; at 2^-8, 2^-16 and 2^-32 it rounds to 0 too, at
+        # 2^-64 it is exact, and the input is blamed only once every cap
+        # has failed
         U = np.array([[1, 0.5 + 2.0**-40, -(2.0**-41)], [1, -1, 3], [1, 3, -3], [1, 2, 2], [1, 1, -3]])
         V = np.array([[-0.5, -2, 2, -3, -1], [1, 2, 2, 1, 3], [1, 1, 1, 1, 1]])
         B = U @ V
@@ -1049,7 +1054,7 @@ class TestRationalize:
         P = SignPattern(np.sign(B).astype(int).tolist())
         real = Realization(3, U, V)
         assert condense(P).condensed == P and signature_between(P, real.signed_pattern()) is None
-        self.assert_certified_past_first_cap(P, real)
+        self.assert_certified_at(P, real, 64)
 
     def test_signature_from_the_exact_product(self):
         # entry (1, 4) of the float product is about 1e-10, which the zero
@@ -1071,26 +1076,69 @@ class TestRationalize:
         assert cert.verify() and cert.target == P and sympy_rank(cert.matrix) == cert.rank == 3
 
     @staticmethod
-    def assert_certified_past_first_cap(P, real):
+    def assert_certified_at(P, real, t):
+        # U is kept as rounded, so its entries name the cap that passed:
+        # each is a multiple of 2^-t, and some entry is off the coarser grid
+        # of the cap before
         cert = rationalize(P, real)
         assert cert.verify() and sympy_rank(cert.matrix) == cert.rank
-        assert max(x.denominator for F in cert.factors for row in F for x in row) > 2**32
+        denominators = [x.denominator for row in cert.factors[0] for x in row]
+        coarser = GRID_EXPONENTS[GRID_EXPONENTS.index(t) - 1]
+        assert all(2**t % d == 0 for d in denominators) and max(denominators) > 2**coarser
 
     def test_cap_doubles_on_the_dyadic_grid(self):
-        # at 2^-32 row 1 rounds to (1, 1/2, 0) and its product with column
-        # 1, 2^-20, to zero; at 2^-64 every entry is on the grid
+        # at 2^-8, 2^-16 and 2^-32 row 1 rounds to (1, 1/2, 0) and its
+        # product with column 1, 2^-20, to zero; at 2^-64 every entry is
+        # on the grid
         U = np.array([[1, 0.5 + 2.0**-40, 0], [1, -1, 3], [1, 3, -3], [1, 2, 2], [1, 1, -3]])
         V = np.array([[-(2.0**19), -2, 2, -3, -1], [2.0**20, 2, 2, 1, 3], [1, 1, 1, 1, 1]])
         B = U @ V
         assert B[0, 0] == 2.0**-20 and np.all(np.abs(B) > DEFAULT_ZERO_TOL)
         P = SignPattern(np.sign(B).astype(int).tolist())
         assert condense(P).condensed == P
-        self.assert_certified_past_first_cap(P, Realization(3, U, V))
+        self.assert_certified_at(P, Realization(3, U, V), 64)
+
+    @staticmethod
+    def second_cap_instance():
+        # at 2^-8 row 1 rounds to (1, 1/2, 0) and its product with column
+        # 1, 2^-8, to zero; at 2^-16 row 1 keeps its value, and row 2 rounds
+        # to (1, -1, 3), which it does not at 2^-32: U names the cap
+        U = np.array([[1, 0.5 + 2.0**-12, 0], [1, -1 + 2.0**-20, 3], [1, 3, -3], [1, 2, 2],
+                      [1, 1, -3]])
+        V = np.array([[-8, -2, 2, -3, -1], [16, 2, 2, 1, 3], [1, 1, 1, 1, 1]])
+        B = U @ V
+        assert B[0, 0] == 2.0**-8 and np.all(np.abs(B) > DEFAULT_ZERO_TOL)
+        assert _round_matrix(U[:1], 8) == [[2**8, 2**7, 0]]
+        P = SignPattern(np.sign(B).astype(int).tolist())
+        assert condense(P).condensed == P
+        return P, Realization(3, U, V)
+
+    def test_certified_at_the_second_cap(self):
+        self.assert_certified_at(*self.second_cap_instance(), 16)
+
+    def test_caps_coarsest_first(self, monkeypatch):
+        # each cap rounds U and V once, the caps come in the order of
+        # GRID_EXPONENTS, and the first cap that passes ends the ladder
+        tried = []
+
+        def recording(M, t):
+            tried.append(t)
+            return _round_matrix(M, t)
+
+        monkeypatch.setattr(exactnum, "_round_matrix", recording)
+        assert GRID_EXPONENTS == (8, 16, 32, 64)
+        rationalize(*self.second_cap_instance())
+        assert tried == [8, 8, 16, 16]
+        tried.clear()
+        real = Realization(3, [[1, 2.0**-70, 0], [1, 0, 2]], [[-1, -1], [2.0**71, 0], [1, 1]])
+        with pytest.raises(PrecisionExhausted):
+            rationalize(SignPattern(["+-", "++"]), real)
+        assert tried == [8, 8, 16, 16, 32, 32, 64, 64]
 
     def test_singular_on_the_first_grid(self):
         # zero rows 1 and 2 of column 1 are (1, 0, 1) and (1, 2^-40, 2); at
-        # 2^-32 the second rounds to (1, 0, 2), the leading 2 x 2 block is
-        # singular and the solve pivots on the last coordinate
+        # 2^-8, 2^-16 and 2^-32 the second rounds to (1, 0, 2), the leading
+        # 2 x 2 block is singular and the solve pivots on the last coordinate
         U = np.array([[1, 0, 1], [1, 2.0**-40, 2], [1, 0, 0]])
         V = np.array([[-1, 0, -1.5], [-(2.0**40), 0, 0], [1, 1, 1]])
         P = SignPattern(["0+-", "0++", "-0-"])
@@ -1098,7 +1146,7 @@ class TestRationalize:
         assert real.signed_pattern() == P and condense(P).condensed == P
         with pytest.raises(SingularSystem):
             solve_zero_columns([[1, 0, 1], [1, 0, 2], [1, 0, 0]], P, 0, V[:, 0])
-        self.assert_certified_past_first_cap(P, real)
+        self.assert_certified_at(P, real, 64)
 
     def test_a0_overdetermined(self):
         # every condensed row has >= 3 zeros too, so the rows cannot stand
@@ -1512,23 +1560,23 @@ class TestPinnedCertificates:
         ("A1",):
             "bda61a8ceefc9905a70c1f405d6223adfb2e1442d33c55b20fe445f93be6ac2e",
         ("fig21",):
-            "2c2d61be91235064662a6d68f52e578930563c7a961c9ac3353dd6287ed0d725",
+            "6e13958422376683e00a8bdd687c8980c590312b02fe6952cb9b71fe799de5b2",
         ("planted", 0, 3):
-            "d14db79cbffd2aca9eeb9ef93c92aca601859efd237722a012366d6cc5dac11e",
+            "b33f4c3749ba3fc8078906fdd75f1a31087c8a56a622963fbd400bbe38881df9",
         ("planted", 1, 4):
-            "9e2945154cb67e52fb8f1e223eba6cb3b9554f293aadcb2ed9f26a4312975bd2",
+            "0b39ae33149b0c80529e89631ae081738c7bb58397848b4ff647e03ff4494d58",
         ("planted", 4, 4):
-            "cdf0cce8b4ea8fb32e7b07317ec53f3ea2be4c8e6195fdb7df1c506063755360",
+            "f7f7f7318188fd06049511a34ca7b84f60b60ade3504a1b25584ed57d1b948c6",
         ("planted", 2, 5):
-            "6200b262b9b4e453572ad756fb85441d4a8a811a1bef4644e7c6755fbf402586",
+            "cdac91bbcb48d69c0566d6c52305548e16d2eb1cf8fa137fb5b630f679be0760",
         ("planted", 11, 5):
-            "c72c0074da5545b3b77a5f1cd4b92a844c7c1adc1df08b1363c18f377ca62caf",
+            "9dec170253b43296e8a2fb22631676541b87a6ad0a97d5052aec298d264079ae",
         ("planted", 16, 3):
-            "464f1abd15f9df08b568a356d9e19fed2e5f06629d72350111cef5b6e8514f3a",
+            "7e02c77b95437f7656aa4158bf68c63383ea6289f58a46d07eee43fde78fba60",
         ("transposed", 10, 3):
-            "baef6244cc6dfa49b1d4c8ec48d5ba3aeae9326317af0c69b82527e91bd39ab7",
+            "a5888a9a99fe97a9ab45ee678004350e149c36a0281afd3db3347af7d3cdb2f8",
         ("transposed", 24, 4):
-            "842873521fa58fae1178ce677729a0950ecd173b17f9e7419d29db0d6be72338",
+            "89776eac2ced501e390cb4ca12e0ff6196f2f49b1720245c7898873bfe2c0694",
     }
 
     @pytest.mark.parametrize("key", sorted(PINNED_SHA256, key=str),
@@ -1592,18 +1640,33 @@ def _planted_sweep():
 
 
 class TestDyadicGrid:
-    # rationalize rounds U and V to multiples of 2^-32, then of 2^-64
-    def test_planted_sweep_at_the_first_cap(self):
-        # every entry that no solve touches is on the 2^-32 grid: all of U
-        # and every column of V without zeros (the sweep fits its columns)
-        for P, real in _planted_sweep():
+    # rationalize rounds U and V to multiples of 2^-8, 2^-16, 2^-32, then
+    # of 2^-64, and keeps the first cap that passes
+    def test_planted_sweep_on_the_coarse_grids(self):
+        # every entry that no solve touches is on the 2^-16 grid: all of U
+        # and every column of V without zeros (the sweep fits its columns);
+        # most instances pass at the first cap, 2^-8
+        sweep, first = _planted_sweep(), 0
+        for P, real in sweep:
             cert = rationalize(P, real)
             assert cert.verify() and sympy_rank(cert.matrix) == cert.rank
             U, V = cert.factors
             unsolved = [x for row in U for x in row]
             unsolved += [x for col, target in zip(zip(*V), zip(*P.entries)) if 0 not in target for x in col]
-            assert all(2**32 % x.denominator == 0 for x in unsolved)
+            assert all(2**16 % x.denominator == 0 for x in unsolved)
             assert all(x in (-1, 0, 1) for x in V[-1])
+            first += all(2**8 % x.denominator == 0 for x in unsolved)
+        assert first > len(sweep) // 2
+
+    @pytest.mark.parametrize("seed, r", [(0, 3), (4, 4)])
+    def test_zero_free_planted_at_the_first_cap(self, seed, r):
+        # a planted instance whose condensed pattern has no zero solves
+        # nothing, so every factor entry is its rounding on the 2^-8 grid
+        P, real = _planted_instance(np.random.default_rng(seed), r)
+        assert 0 not in itertools.chain.from_iterable(condense(P).condensed.entries)
+        cert = rationalize(P, real)
+        assert cert.verify() and sympy_rank(cert.matrix) == cert.rank == r
+        assert all(2**8 % x.denominator == 0 for F in cert.factors for row in F for x in row)
 
     def test_exact_low_rank_realizations_keep_their_values(self):
         # the r <= 2 realizations of search_realization are exact in floats
