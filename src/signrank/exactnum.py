@@ -4,13 +4,13 @@ exact scalars of ``scalars``.
 A :class:`RationalCertificate` is an exact rational matrix with the target's
 signs, its factors and its exact rank (``rational_rank``).  ``rationalize``
 builds one from a floating realization by rounding its factors to a dyadic
-grid (multiples of 2^-8, 2^-16, 2^-32, then 2^-64, ``GRID_EXPONENTS``:
-the coarsest grid that certifies, one denominator per cap) and
-solving the zero constraints exactly; its hot path runs on integers (the
-factors' numerators over 2^t, integer zero solves, signs of integer dot
-products), and ``save_certificate`` writes the indent-1 JSON text in one
-pass.  ``rational_round``, the best approximation under a denominator cap,
-is public but not on that path.  No numpy:
+grid (multiples of 2^-8, 2^-16, 2^-32, then 2^-64, ``GRID_EXPONENTS``: the
+coarsest grid that certifies, one denominator per cap) and solving the zero
+constraints exactly; each cap runs on integer lines over a positive
+denominator from rounding to the signs of the product, and Fractions are
+built only for the certificate it returns.  ``save_certificate`` writes the
+indent-1 JSON text in one pass.  ``rational_round``, the best approximation
+under a denominator cap, is public but not on that path.  No numpy:
 certificates load and verify without it, and a :class:`Realization` (the
 normal-form factor pair, as tuples of float rows) is read, checked
 (``read_realization``), multiplied out and rationalized without it too.
@@ -392,22 +392,22 @@ def rationalize(A: SignPattern, real) -> RationalCertificate:
     to even (``_round_matrix``: the dyadic grid of cap t = 8, then of t =
     16, 32 and 64, ``GRID_EXPONENTS``, so the first cap that passes gives
     the shortest entries), and U is kept as rounded: no point is moved.
-    The rounding is exact, so a float on the grid keeps its value, and the
-    whole cap shares the one denominator 2^t.  Each column that carries
-    zeros is then solved exactly through its zero rows
-    (``solve_zero_columns``, on U's rows as their integer numerators over
-    2^t): the coordinates its echelon form pivots on are solved, the others
-    keep their rounded values.  A cap at which some column cannot pass
-    through its rounded zero rows (SingularSystem), or whose exact product
-    realizes no signature of the pattern, gives way to the next cap;
-    PrecisionExhausted follows the last, 2^64.  No random numbers are drawn.  The exact factors are expanded back to
-    the shape of the original pattern, without signs, and the signature
-    (d1, d2) is read off the signs of the integer products of their lines
-    scaled to integers (``_integral``) by ``signature_between``: a cap
-    passes when one exists, and only then are its Fractions built, with
-    row i of U negated by d1_i and column j of V by d2_j.  The certificate
-    stores the factors with their product and its exact rank, proven from
-    them.
+    The rounding is exact, so a float on the grid keeps its value.  Up to
+    its signature a cap holds each line of U and V as integers over one
+    positive denominator, 2^t as rounded.  Each column that carries zeros
+    is solved exactly through its zero rows (``solve_zero_columns``, on the
+    rounded numerators; its denominator is then scaled by 2^t): the
+    coordinates its echelon form pivots on are solved, the others keep
+    their rounded values.  A cap at which some column cannot pass through
+    its rounded zero rows (SingularSystem), or whose exact product realizes
+    no signature of the pattern, gives way to the next cap;
+    PrecisionExhausted follows the last, 2^64.  No random numbers are
+    drawn.  The lines are expanded back to the shape of the original
+    pattern, without signs, and the signature (d1, d2) is read off the
+    signs of their integer dot products by ``signature_between``.  A cap
+    passes when one exists, and only then are Fractions built, once: the
+    factors, with row i of U negated by d1_i and column j of V by d2_j,
+    and their product, whose exact rank is proven from them.
 
     No tolerance decides a cap: the float product is read (its
     ``signed_pattern()``, zero within ``DEFAULT_ZERO_TOL``) only when every
@@ -439,34 +439,32 @@ def rationalize(A: SignPattern, real) -> RationalCertificate:
     for t in GRID_EXPONENTS:
         cap = 1 << t
         Ui = _round_matrix(real.U, t)  # each solve eliminates some of these rows
-        Ur = [[Fraction(x, cap) for x in row] for row in Ui]
-        columns = [[Fraction(x, cap) for x in col] for col in zip(*_round_matrix(real.V, t))]
+        columns = [(col, cap) for col in zip(*_round_matrix(real.V, t))]
         try:
             for j, s in enumerate(zeros):
-                if s:
-                    columns[j] = solve_zero_columns(Ui, C, j, columns[j])
+                if s:  # the zero rows are homogeneous: solve the numerators
+                    y, den = solve_zero_columns(Ui, C, j, columns[j][0])
+                    columns[j] = (y, den * cap)
         except SingularSystem:
-            pass
-        else:
-            U = _expand_lines(Ur, report, "row", r)
-            columns = _expand_lines(columns, report, "col", r)
-            # entry (i, j) of U V is dot / (lu lv) with lu, lv > 0 (``_integral``),
-            # so its sign is the dot product's: the signature is read off the
-            # integer products, and the Fractions are built only for a cap that
-            # passes, with row i of U and column j of V negated by d1_i and d2_j
-            rows, cols = _integral(U), _integral(columns)
-            dots = [[sum(map(operator.mul, u, v)) for v, _ in cols] for u, _ in rows]
-            signature = signature_between(A, SignPattern._trusted(_sign_pattern(dots), A.m, A.n))
-            if signature is not None:
-                d1, d2 = signature
-                full = tuple(
-                    tuple(Fraction(a * b * dot, lu * lv) for dot, b, (_, lv) in zip(line, d2, cols))
-                    for a, line, (_, lu) in zip(d1, dots, rows)
-                )
-                U, V = _negated(U, d1), tuple(zip(*_negated(columns, d2)))
-                # the certificate's one exact rank; verify() stays the
-                # independent check that callers run
-                return RationalCertificate._rebuild(full, _factored_rank(U, V, full), A, (U, V))
+            continue
+        rows = _expand_lines([(u, cap) for u in Ui], report, "row", r)
+        cols = _expand_lines(columns, report, "col", r)
+        # entry (i, j) of U V is dot / (lu lv) with lu, lv > 0, so its sign
+        # is the dot product's
+        dots = [[sum(map(operator.mul, u, v)) for v, _ in cols] for u, _ in rows]
+        signature = signature_between(A, SignPattern._trusted(_sign_pattern(dots), A.m, A.n))
+        if signature is None:
+            continue
+        d1, d2 = signature
+        U = tuple(tuple([Fraction(a * x, lu) for x in u]) for a, (u, lu) in zip(d1, rows))
+        V = tuple(zip(*(tuple([Fraction(b * y, lv) for y in v]) for b, (v, lv) in zip(d2, cols))))
+        full = tuple(
+            tuple([Fraction(a * b * dot, lu * lv) for dot, b, (_, lv) in zip(line, d2, cols)])
+            for a, line, (_, lu) in zip(d1, dots, rows)
+        )
+        # the certificate's one exact rank; verify() stays the independent
+        # check that callers run
+        return RationalCertificate._rebuild(full, _factored_rank(U, V, full), A, (U, V))
     # every cap failed: only now is the float product read,
     # and a product off the pattern is the input's fault, not the schedule's
     if signature_between(C, real.signed_pattern()) is None:
@@ -479,37 +477,35 @@ def rationalize(A: SignPattern, real) -> RationalCertificate:
     )
 
 
-def _expand_lines(lines, report: CondensationReport, axis: str, width: int) -> tuple:
+def _expand_lines(lines, report: CondensationReport, axis: str, width: int) -> list:
     """A factor's lines for every original row (axis "row") or column
-    ("col") from its condensed lines: kept line p is lines[p], a deleted
-    duplicate copies its survivor, an opposite negates it, and a zero line
-    is zero.  Survivors are always earlier lines, so one pass in index
-    order follows every chain in the deletion log."""
+    ("col") from its condensed lines, each a pair (integers, denominator):
+    kept line p is lines[p], a deleted duplicate copies its survivor, an
+    opposite negates its integers, and a zero line is ((0,) * width, 1).
+    Survivors are always earlier lines, so one pass in index order follows
+    every chain in the deletion log."""
     kept = report.kept_rows if axis == "row" else report.kept_cols
     position = {orig: pos for pos, orig in enumerate(kept)}
     deleted = {e.index: e for e in report.log if e.axis == axis}
     out = []
     for idx in range(len(kept) + len(deleted)):
         if idx in position:
-            out.append(tuple(lines[position[idx]]))
+            out.append(lines[position[idx]])
             continue
         event = deleted[idx]
         if event.kind == "zero":
-            out.append((Fraction(0),) * width)
+            out.append(((0,) * width, 1))
         else:
-            line = out[event.survivor]
-            out.append(tuple(-x for x in line) if event.kind == "opposite" else line)
-    return tuple(out)
-
-
-def _negated(lines, signs) -> tuple:
-    """Each line times its sign, +1 or -1."""
-    return tuple(line if s > 0 else tuple(-x for x in line) for line, s in zip(lines, signs))
+            line, den = out[event.survivor]
+            out.append(([-x for x in line], den) if event.kind == "opposite" else (line, den))
+    return out
 
 
 def solve_zero_columns(U, A: SignPattern, j: int, column: Sequence) -> tuple:
     """Column j of V, given as its r entries (v_1j, ..., v_rj), with the
-    entries that make the zero rows of column j vanish solved exactly.
+    entries that make the zero rows of column j vanish solved exactly,
+    returned as (integers, denominator): r integers over one positive
+    denominator, in lowest terms.
 
     The zero rows of U are brought to fraction-free echelon form
     (``_bareiss_echelon``); the coordinates among the first r-1 that it
@@ -520,11 +516,12 @@ def solve_zero_columns(U, A: SignPattern, j: int, column: Sequence) -> tuple:
     coordinate.  More than r-1 zero rows raise Overdetermined.
 
     Exact: every entry is read at its exact value (``_ratios``; a float at
-    its exact binary value), the back-substitution runs over integers with
-    one common denominator, and the r Fractions of the result are built at
-    the end.  ``rationalize`` hands in U's rows as their integer numerators
-    over the cap's one denominator 2^t; since the echelon form scales each
-    row to integers first, rows given as integers or as their rational
+    its exact binary value), and the back-substitution runs over integers
+    with one common denominator.  The zero rows are homogeneous, so a
+    column scaled by c solves to the solution scaled by c: ``rationalize``
+    hands in the numerators of its rung, over 2^t, and multiplies the
+    returned denominator by 2^t.  The echelon form scales each row to
+    integers first, so rows given as integers or as their rational
     multiples solve alike.
     """
     rows = [U[i] for i in range(A.m) if A.entries[i][j] == 0]
@@ -546,4 +543,5 @@ def solve_zero_columns(U, A: SignPattern, j: int, column: Sequence) -> tuple:
         y = [x * a for x in y]
         y[p] = solved
         den *= a
-    return tuple([Fraction(x, den) for x in y])
+    g = math.gcd(den, *y) if den > 0 else -math.gcd(den, *y)
+    return tuple([x // g for x in y]), den // g

@@ -16,9 +16,17 @@ import pytest
 
 from signrank import fixtures
 from signrank.core import SignPattern
+from signrank.exactnum import solve_zero_columns
 from signrank.geometry import Configuration
 from signrank.pattern import EquivalenceWitness
 from signrank.scalars import QuadElem
+
+
+def solved_column(U, A, j, column) -> tuple:
+    """The column ``solve_zero_columns`` returns, (integers, denominator),
+    as its exact entries: each integer over the denominator."""
+    y, den = solve_zero_columns(U, A, j, column)
+    return tuple(Fraction(x, den) for x in y)
 
 
 def factor_arrays(real):

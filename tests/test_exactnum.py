@@ -30,7 +30,7 @@ from signrank.scalars import (
     quad_sign,
 )
 
-from conftest import decimal_value
+from conftest import decimal_value, solved_column
 
 
 class TestQuadSign:
@@ -374,8 +374,7 @@ _READERS = {
     # the readers of exact entries (``_ratios``) refuse a bool; the rank is
     # 1 and the certificate verifies exactly where the entry reads 2
     "rational_rank-entry": lambda v: rational_rank([[v, 2], [1, 1]]),
-    "solve_zero_columns-entry": lambda v: -solve_zero_columns([[1, v]], SignPattern(["0"]), 0,
-                                                              (0, 1))[0],
+    "solve_zero_columns-entry": lambda v: -solved_column([[1, v]], SignPattern(["0"]), 0, (0, 1))[0],
     "certificate-entry": lambda v: RationalCertificate(((v,),), 1, SignPattern(["+"])).verify(),
     "certificate-factor": lambda v: RationalCertificate(((2,),), 1, SignPattern(["+"]),
                                                         (((v,),), ((1,),))).verify(),

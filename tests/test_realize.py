@@ -44,6 +44,7 @@ from conftest import (
     random_planar_config,
     random_witness,
     rank_one_signs,
+    solved_column,
     sympy_rank,
 )
 
@@ -262,12 +263,12 @@ class TestSolveZeroColumns:
     def test_single_zero(self):
         U = [[1, 2, 5]]
         A = SignPattern(["0"])
-        assert solve_zero_columns(U, A, 0, [7, 3, 1]) == (Fraction(-11), Fraction(3), Fraction(1))
+        assert solved_column(U, A, 0, [7, 3, 1]) == (Fraction(-11), Fraction(3), Fraction(1))
 
     def test_two_zeros_fully_determined(self):
         U = [[1, 0, 0], [1, 1, 1]]
         A = SignPattern(["0", "0"])
-        assert solve_zero_columns(U, A, 0, [7, 7, 1]) == (Fraction(0), Fraction(-1), Fraction(1))
+        assert solved_column(U, A, 0, [7, 7, 1]) == (Fraction(0), Fraction(-1), Fraction(1))
 
     def test_singular_when_second_coordinates_collide(self):
         # r = 3: the rows differ only in the last coordinate, so no column
@@ -279,7 +280,7 @@ class TestSolveZeroColumns:
         # r = 4: the echelon form pivots on the third coordinate instead of
         # the second, which keeps its value
         U = [[1, 2, 9, 3], [1, 2, 7, 5]]
-        v = solve_zero_columns(U, A, 0, [0, 5, 0, 1])
+        v = solved_column(U, A, 0, [0, 5, 0, 1])
         assert v == (Fraction(-22), Fraction(5), Fraction(1), Fraction(1))
         assert all(sum(Fraction(a) * b for a, b in zip(row, v)) == 0 for row in U)
 
@@ -287,15 +288,15 @@ class TestSolveZeroColumns:
         # floats enter at their exact binary value and the solve stays exact
         U = [[1.0, 2.0, 5.0]]
         A = SignPattern(["0"])
-        assert solve_zero_columns(U, A, 0, [0.0, 3.0, 1.0]) == (
+        assert solved_column(U, A, 0, [0.0, 3.0, 1.0]) == (
             Fraction(-11), Fraction(3), Fraction(1))
-        v, w, one = solve_zero_columns(
+        v, w, one = solved_column(
             np.array([[1.0, 0.1, 0.3]]), A, 0, [0.0, np.float64(0.7), 1.0])
         assert v == -(Fraction(0.3) + Fraction(0.1) * Fraction(0.7))
         assert (w, one) == (Fraction(0.7), 1)
 
     def test_no_zero_rows_keeps_column(self):
-        assert solve_zero_columns([[1, 2, 5]], SignPattern(["+"]), 0, [0.5, 3, 1]) == (
+        assert solved_column([[1, 2, 5]], SignPattern(["+"]), 0, [0.5, 3, 1]) == (
             Fraction(1, 2), Fraction(3), Fraction(1))
 
     def test_against_sympy(self):
@@ -340,7 +341,7 @@ class TestSolveZeroColumns:
                 with pytest.raises(SingularSystem):
                     solve_zero_columns(U, A, 0, column)
                 continue
-            sol = solve_zero_columns(U, A, 0, column)
+            sol = solved_column(U, A, 0, column)
             assert all(type(v) is Fraction for v in sol) and len(sol) == r
             for i in zero_rows:
                 assert sum(U[i][k] * sol[k] for k in range(r)) == 0
@@ -365,7 +366,7 @@ class TestSolveZeroColumns:
         U = [[-2, 1, 3, 1], [-4, 3, 1, 2]]
         A = SignPattern(["0", "0"])
         assert [row[p] for row, p in zip(*_bareiss_echelon(U))] == [-2, -2]
-        v = solve_zero_columns(U, A, 0, [Fraction(5, 3), Fraction(7, 2), Fraction(-1, 6), 1])
+        v = solved_column(U, A, 0, [Fraction(5, 3), Fraction(7, 2), Fraction(-1, 6), 1])
         assert v == (Fraction(-1, 6), Fraction(-5, 6), Fraction(-1, 6), Fraction(1))
         assert all(type(x) is Fraction for x in v)
         assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in U)
@@ -386,12 +387,12 @@ class TestSolveZeroColumns:
             column = [Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7)))
                       for _ in range(r - 1)] + [1]
             try:
-                expected = solve_zero_columns(rows, A, 0, column)
+                expected = solved_column(rows, A, 0, column)
             except SingularSystem:
                 with pytest.raises(SingularSystem):
                     solve_zero_columns(integer, A, 0, column)
                 continue
-            assert solve_zero_columns(integer, A, 0, column) == expected
+            assert solved_column(integer, A, 0, column) == expected
             assert all(sum(a * b for a, b in zip(row, expected)) == 0 for row in rows)
 
     def test_float_column_read_exactly(self):
@@ -399,7 +400,7 @@ class TestSolveZeroColumns:
         # the kept entry is Fraction(0.1), not 1/10, and the solved one
         # follows from it exactly
         U = [[1, 3, -2, 5]]
-        v = solve_zero_columns(U, SignPattern(["0"]), 0, [0.25, 0.1, 0.7, 1.0])
+        v = solved_column(U, SignPattern(["0"]), 0, [0.25, 0.1, 0.7, 1.0])
         assert v[1:] == (Fraction(0.1), Fraction(0.7), Fraction(1))
         assert v[1] != Fraction(1, 10)
         assert v[0] == -(3 * Fraction(0.1) - 2 * Fraction(0.7) + 5)
@@ -1027,7 +1028,7 @@ class TestRationalize:
         for t in (8, 16, 32):
             with pytest.raises(SingularSystem):
                 solve_zero_columns(_round_matrix(U, t), P, 0, V[:, 0])
-        assert solve_zero_columns(_round_matrix(U, 64), P, 0, V[:, 0])[1] == Fraction(-(2**41), 3)
+        assert solved_column(_round_matrix(U, 64), P, 0, V[:, 0])[1] == Fraction(-(2**41), 3)
         self.assert_certified_at(P, real, 64)
 
     def test_every_cap_fails(self):
