@@ -158,10 +158,13 @@ def _bareiss_echelon(M):
     integer rows are linear combinations of the input rows with the same row
     space, so an augmented system keeps its solutions.  ``pivots`` holds the
     pivot column of each leading row; pivoting scans for any nonzero entry,
-    so degenerate inputs are handled exactly."""
+    so degenerate inputs are handled exactly.  Rows of unequal length raise
+    DomainError."""
     work = [line for line, _ in _integral(M)]
     m = len(work)
     n = len(work[0]) if work else 0
+    if any(len(line) != n for line in work):
+        raise DomainError("all rows of a matrix must have equal length")
     pivots = []
     prev = 1
     for pc in range(n):
@@ -507,6 +510,9 @@ def solve_zero_columns(U, A: SignPattern, j: int, column: Sequence) -> tuple:
     returned as (integers, denominator): r integers over one positive
     denominator, in lowest terms.
 
+    U has one row per row of A, and each zero row of column j has r
+    entries; j is an index of A's columns.  Otherwise DomainError.
+
     The zero rows of U are brought to fraction-free echelon form
     (``_bareiss_echelon``); the coordinates among the first r-1 that it
     pivots on are solved, and every other entry, v_rj included, is kept as
@@ -524,9 +530,16 @@ def solve_zero_columns(U, A: SignPattern, j: int, column: Sequence) -> tuple:
     integers first, so rows given as integers or as their rational
     multiples solve alike.
     """
-    rows = [U[i] for i in range(A.m) if A.entries[i][j] == 0]
+    j = _check_integer(j, "column index", 0)
+    if j >= A.n:
+        raise DomainError(f"column index {j} is out of range for {A.n} columns")
+    if len(U) != A.m:
+        raise DomainError(f"U has {len(U)} rows, but the pattern has {A.m}")
     ratios = _ratios(column)
     r = len(ratios)
+    rows = [U[i] for i in range(A.m) if A.entries[i][j] == 0]
+    if any(len(row) != r for row in rows):
+        raise DomainError(f"every zero row of column {j + 1} must have {r} entries, as the column")
     if len(rows) > r - 1:
         raise Overdetermined(j, len(rows), r - 1)
     echelon, pivots = _bareiss_echelon(rows)

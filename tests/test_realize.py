@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import operator
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -370,6 +371,31 @@ class TestSolveZeroColumns:
         assert v == (Fraction(-1, 6), Fraction(-5, 6), Fraction(-1, 6), Fraction(1))
         assert all(type(x) is Fraction for x in v)
         assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in U)
+        # the pair itself: integers over a positive denominator, in lowest
+        # terms, on which the integer rows vanish exactly
+        y, den = solve_zero_columns(U, A, 0, [Fraction(5, 3), Fraction(7, 2), Fraction(-1, 6), 1])
+        assert (y, den) == ((-1, -5, -1, 6), 6)
+        assert all(type(x) is int for x in (*y, den)) and math.gcd(den, *y) == 1
+        assert all(sum(map(operator.mul, row, y)) == 0 for row in U)
+
+    @pytest.mark.parametrize("U, A, j, column", [
+        ([[1, 2]], SignPattern(["0+"]), -1, [1, 1]),  # would wrap to the last column
+        ([[1, 2]], SignPattern(["+0"]), True, [1, 1]),  # a bool names no index
+        ([[1, 2]], SignPattern(["0+"]), 0.0, [1, 1]),
+        ([[1, 2]], SignPattern(["0+"]), 2, [1, 1]),  # one past the end
+        ([[1, 2], [1, 3]], SignPattern(["0+"]), 0, [1, 1]),  # more rows than A
+        ([[1, 2]], SignPattern(["0+", "+0"]), 0, [1, 1]),  # fewer rows than A
+        ([[1, 2, 3]], SignPattern(["0"]), 0, [1, 1]),  # a zero row wider than the column
+        ([[1]], SignPattern(["0"]), 0, [1, 1]),  # and one narrower
+    ], ids=["negative-index", "bool-index", "float-index", "index-past-end", "more-rows",
+            "fewer-rows", "wide-zero-row", "narrow-zero-row"])
+    def test_argument_checks(self, U, A, j, column):
+        with pytest.raises(DomainError):
+            solve_zero_columns(U, A, j, column)
+
+    def test_numpy_index(self):
+        assert solved_column([[1, 2], [1, 3]], SignPattern(["+0", "+-"]), np.int64(1), [5, 1]) == (
+            Fraction(-2), Fraction(1))
 
     def test_integer_rows_solve_as_fractions(self):
         # rationalize hands in U's rows scaled to integers: a row and any
@@ -1117,6 +1143,21 @@ class TestRationalize:
     def test_certified_at_the_second_cap(self):
         self.assert_certified_at(*self.second_cap_instance(), 16)
 
+    def test_fractions_only_for_the_certificate(self, monkeypatch):
+        # the cap 2^-8 fails on its signs and builds no Fraction; the cap
+        # 2^-16 builds one per entry of U, V and their product
+        P, real = self.second_cap_instance()
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(exactnum, "Fraction", counting)
+        cert = rationalize(P, real)
+        assert len(built) == P.m * real.r + real.r * P.n + P.m * P.n
+        assert cert.verify()
+
     def test_caps_coarsest_first(self, monkeypatch):
         # each cap rounds U and V once, the caps come in the order of
         # GRID_EXPONENTS, and the first cap that passes ends the ladder
@@ -1759,6 +1800,31 @@ class TestForestSignature:
             self.assert_agrees(P, Realization(3, Uk / Uk[:, :1], Vk / Vk[-1:, :]))
 
 
+    def test_copies_of_a_solved_column(self):
+        # column 1 of the condensed pattern is solved through its zero rows
+        # (1, 0, 1) and (1, 3, 2) to (-1, -1/3, 1), so its denominator is 3
+        # at every cap; the pattern puts a copy, a negated copy and a zero
+        # column next to it, negates a row copy, and carries a signature
+        U = np.array([[1, 0, 1], [1, 3, 2], [1, 1, -1], [1, -2, 0.5], [1, 2, 3]])
+        V = np.array([[-1, 0.5, 1.5, -0.5], [-1 / 3, 1, 0.5, -1], [1, 1, 1, 1]])
+        C = SignPattern(["0+++", "0++-", "-++-", "+-++", "++++"])
+        real = Realization(3, U, V)
+        assert real.signed_pattern() == C and condense(C).condensed == C
+        rows = [[*row[:1], *row[:1], *(-x for x in row[:1]), 0, *row[1:]] for row in C.entries]
+        rows.append([-x for x in rows[2]])
+        d1, d2 = (1, -1, 1, 1, -1, -1), (1, -1, 1, -1, 1, -1, 1)
+        P = SignPattern([[a * b * x for b, x in zip(d2, row)] for a, row in zip(d1, rows)])
+        assert condense(P).condensed != P
+        assert self.assert_agrees(P, real)
+        cert = rationalize(P, real)
+        assert sympy_rank(cert.matrix) == cert.rank == 3
+        U_exact, V_exact = cert.factors
+        assert all(2**8 % x.denominator == 0 for row in U_exact for x in row)
+        assert [abs(V_exact[k][j]) for j in range(3) for k in range(3)] == [
+            1, Fraction(1, 3), 1] * 3
+        assert all(V_exact[k][3] == 0 for k in range(3))
+
+
 class TestCertificateWriter:
     # save_certificate writes the bytes of json.dump(cert.to_dict(), fh,
     # indent=1) and a newline, from its own one-pass writer
@@ -1932,6 +1998,14 @@ class TestRationalRank:
 
     def test_empty(self):
         assert rational_rank([]) == 0
+
+    @pytest.mark.parametrize("M", [[[1], [3, 4]], [[1, 2], [3]]], ids=["short-first", "short-last"])
+    def test_ragged_rows(self, M):
+        # a row of another length is refused, neither cut to fit nor read
+        # past its end; verify() fails a ragged certificate
+        with pytest.raises(DomainError, match="equal length"):
+            rational_rank(M)
+        assert not RationalCertificate(tuple(map(tuple, M)), 1, SignPattern(["+", "+"])).verify()
 
     def test_fractions(self):
         M = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 6)]]
