@@ -28,8 +28,8 @@ from fractions import Fraction
 from numbers import Real
 from typing import Optional, Sequence
 
-from .core import (CondensationReport, SignPattern, _check_integer, _is_bool, _Record, condense,
-                   signature_between)
+from .core import (CondensationReport, SignPattern, _check_indices, _check_integer, _is_bool, _Record,
+                   condense, signature_between)
 from .errors import DomainError, Overdetermined, PrecisionExhausted, SingularSystem
 from .scalars import (_EXACT_NUMBERS, _as_fraction, _integral, _ratios, format_rational,
                       parse_integer, parse_rational)
@@ -530,9 +530,7 @@ def solve_zero_columns(U, A: SignPattern, j: int, column: Sequence) -> tuple:
     integers first, so rows given as integers or as their rational
     multiples solve alike.
     """
-    j = _check_integer(j, "column index", 0)
-    if j >= A.n:
-        raise DomainError(f"column index {j} is out of range for {A.n} columns")
+    [j] = _check_indices([j], A.n, "column")
     if len(U) != A.m:
         raise DomainError(f"U has {len(U)} rows, but the pattern has {A.m}")
     ratios = _ratios(column)
