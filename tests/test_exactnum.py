@@ -375,6 +375,7 @@ _READERS = {
     # 1 and the certificate verifies exactly where the entry reads 2
     "rational_rank-entry": lambda v: rational_rank([[v, 2], [1, 1]]),
     "solve_zero_columns-entry": lambda v: -solved_column([[1, v]], SignPattern(["0"]), 0, (0, 1))[0],
+    "solve_zero_columns-index": lambda v: -solved_column([[1, 2]], SignPattern(["++0"]), v, (5, 1))[0],
     "certificate-entry": lambda v: RationalCertificate(((v,),), 1, SignPattern(["+"])).verify(),
     "certificate-factor": lambda v: RationalCertificate(((2,),), 1, SignPattern(["+"]),
                                                         (((v,),), ((1,),))).verify(),
@@ -397,6 +398,7 @@ _RULES = {  # bool np.bool 2 int64 2.0 2.5 f32 2/1 5/2 Decimal "2" "5/2" None na
     # holding one is built, and fails verify()
     "rational_rank-entry": (E, E, 1, 1, 1, 2, 2, 1, 2, E, 1, 2, E, E, E),
     "solve_zero_columns-entry": (E, E, Q2, Q2, Q2, Q, Q, Q2, Q, E, Q2, Q, E, E, E),
+    "solve_zero_columns-index": (E, E, Q2, Q2, E, E, E, E, E, E, E, E, E, E, E),
     "certificate-entry": (E, E, True, True, True, True, True, True, True, False, True, True,
                           False, False, False),
     "certificate-factor": (E, E, True, True, True, False, False, True, False, False, True, False,

@@ -380,22 +380,18 @@ class TestSolveZeroColumns:
 
     @pytest.mark.parametrize("U, A, j, column", [
         ([[1, 2]], SignPattern(["0+"]), -1, [1, 1]),  # would wrap to the last column
-        ([[1, 2]], SignPattern(["+0"]), True, [1, 1]),  # a bool names no index
-        ([[1, 2]], SignPattern(["0+"]), 0.0, [1, 1]),
         ([[1, 2]], SignPattern(["0+"]), 2, [1, 1]),  # one past the end
         ([[1, 2], [1, 3]], SignPattern(["0+"]), 0, [1, 1]),  # more rows than A
         ([[1, 2]], SignPattern(["0+", "+0"]), 0, [1, 1]),  # fewer rows than A
         ([[1, 2, 3]], SignPattern(["0"]), 0, [1, 1]),  # a zero row wider than the column
         ([[1]], SignPattern(["0"]), 0, [1, 1]),  # and one narrower
-    ], ids=["negative-index", "bool-index", "float-index", "index-past-end", "more-rows",
-            "fewer-rows", "wide-zero-row", "narrow-zero-row"])
+    ], ids=["negative-index", "index-past-end", "more-rows", "fewer-rows", "wide-zero-row",
+            "narrow-zero-row"])
     def test_argument_checks(self, U, A, j, column):
+        # the index's number rule (a bool, 2.0 or "2" is refused) is in
+        # test_exactnum's table
         with pytest.raises(DomainError):
             solve_zero_columns(U, A, j, column)
-
-    def test_numpy_index(self):
-        assert solved_column([[1, 2], [1, 3]], SignPattern(["+0", "+-"]), np.int64(1), [5, 1]) == (
-            Fraction(-2), Fraction(1))
 
     def test_integer_rows_solve_as_fractions(self):
         # rationalize hands in U's rows scaled to integers: a row and any
